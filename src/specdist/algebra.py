@@ -8,6 +8,7 @@ inputs: mixed orders are zero-padded to the larger order, never truncated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +28,8 @@ class MoyalElement:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not self.theta > 0:
-            raise ParameterError(f"theta must be positive, got {self.theta}")
+        if not (math.isfinite(self.theta) and self.theta > 0):
+            raise ParameterError(f"theta must be positive and finite, got {self.theta}")
         # own copy, so freezing never touches caller-held arrays
         c = np.array(self.coeffs, dtype=complex, order="C")
         if c.ndim != 2 or c.shape[0] != c.shape[1]:

@@ -137,15 +137,12 @@ def clip_spectral(mat: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _hermitian_unpack(x: np.ndarray, n: int) -> np.ndarray:
-    a = np.zeros((n, n), dtype=complex)
-    d = x[:n]
-    a[np.arange(n), np.arange(n)] = d
-    k = n
-    for m in range(n):
-        for q in range(m + 1, n):
-            a[m, q] = x[k] + 1j * x[k + 1]
-            a[q, m] = x[k] - 1j * x[k + 1]
-            k += 2
+    """Hermitian matrix from n*n real parameters: the diagonal, then (re, im) pairs of
+    the strict upper triangle in row-major order (the order of np.triu_indices)."""
+    a = np.diag(x[:n]).astype(complex)
+    m, q = np.triu_indices(n, 1)
+    a[m, q] = x[n::2] + 1j * x[n + 1::2]
+    a[q, m] = x[n::2] - 1j * x[n + 1::2]
     return a
 
 
@@ -154,12 +151,9 @@ def _objective_vector(w: np.ndarray) -> np.ndarray:
     n = w.shape[0]
     out = np.empty(n * n)
     out[:n] = np.diag(w).real
-    k = n
-    for m in range(n):
-        for q in range(m + 1, n):
-            out[k] = 2.0 * w[m, q].real
-            out[k + 1] = -2.0 * w[m, q].imag
-            k += 2
+    upper = w[np.triu_indices(n, 1)]
+    out[n::2] = 2.0 * upper.real
+    out[n + 1::2] = -2.0 * upper.imag
     return out
 
 
@@ -172,13 +166,14 @@ def _dz_operator(order: int, theta: float):
     if key in _operator_cache:
         return _operator_cache[key]
     npar = order * order
-    cols = []
+    # column-major: columns fill contiguously, and the layout fixes the BLAS rounding on d
+    d = np.empty((2 * (order + 1) ** 2, npar), order="F")
+    e = np.zeros(npar)
     for i in range(npar):
-        e = np.zeros(npar)
         e[i] = 1.0
         al = dz(MoyalElement(theta, _hermitian_unpack(e, order))).coeffs
-        cols.append(np.concatenate([al.real.ravel(), al.imag.ravel()]))
-    d = np.array(cols).T
+        d[:, i] = np.concatenate([al.real.ravel(), al.imag.ravel()])
+        e[i] = 0.0
     gram_inv = np.linalg.inv(d.T @ d)
     _operator_cache[key] = (d, gram_inv)
     return d, gram_inv
@@ -342,6 +337,8 @@ def moyal_report(s1: MoyalPureState, s2: MoyalPureState, order: int = 16,
     """
     if s1.theta != s2.theta:
         raise ParameterError("states carry different theta")
+    if order < 1:
+        raise ParameterError(f"truncation order must be at least 1, got {order}")
     from . import probes  # local import; probes builds on states/calculus only
 
     theta = s1.theta

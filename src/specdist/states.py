@@ -6,6 +6,7 @@ sum |c_m|^2 = 1; evaluation reads off sum_{m,n} conj(c_m) c_n a[m, n].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +28,8 @@ class MoyalPureState:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.theta > 0:
-            raise ParameterError(f"theta must be positive, got {self.theta}")
+        if not (math.isfinite(self.theta) and self.theta > 0):
+            raise ParameterError(f"theta must be positive and finite, got {self.theta}")
         v = np.array(self.c, dtype=complex, order="C")
         if v.ndim != 1 or v.size == 0:
             raise ParameterError("state coefficients must be a nonempty 1-d sequence")

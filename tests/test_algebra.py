@@ -151,6 +151,8 @@ def test_invalid_parameters():
     with pytest.raises(ParameterError):
         MoyalElement(0.0, [[1.0]])
     with pytest.raises(ParameterError):
+        MoyalElement(math.inf, [[1.0]])
+    with pytest.raises(ParameterError):
         MoyalElement(1.0, [[1.0, 2.0]])
     with pytest.raises(ParameterError):
         frechet_seminorm(basis(1.0, 0, 0), -1)

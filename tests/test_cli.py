@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -81,6 +83,31 @@ def test_parameter_errors_exit_one(capsys):
     assert "error" in err
     code, _, _ = run_cli(capsys, "moyal-distance", "--a", "zeta:0.5:100", "--b", "basis:0")
     assert code == 1
+
+
+def _run_subprocess(*argv):
+    return subprocess.run([sys.executable, "-m", "specdist.cli", *argv],
+                          capture_output=True, text=True)
+
+
+def _assert_clean_parameter_error(run):
+    # exit 1 with a single error line: no traceback, no numpy warnings
+    assert run.returncode == 1
+    assert run.stdout == ""
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_order_below_one_exits_one():
+    for order in ("0", "-3"):
+        _assert_clean_parameter_error(_run_subprocess(
+            "moyal-distance", f"--order={order}", "--a=basis:0", "--b=basis:1"))
+
+
+def test_non_finite_theta_exits_one():
+    for theta in ("inf", "-inf", "nan"):
+        _assert_clean_parameter_error(_run_subprocess(
+            "moyal-distance", f"--theta={theta}", "--a=basis:0", "--b=basis:1"))
 
 
 def test_usage_error_exit_one(capsys):

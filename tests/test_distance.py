@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from specdist.calculus import radial_bump, staircase
-from specdist.distance import (CandidateRejected, analytic_upper_bound, basis_distance,
-                               certificate_lower_bound, moyal_report, optimize_distance,
-                               staircase_candidates, triangle_residual)
+from specdist.distance import (CandidateRejected, _hermitian_unpack, _objective_vector,
+                               analytic_upper_bound, basis_distance, certificate_lower_bound,
+                               moyal_report, optimize_distance, staircase_candidates,
+                               triangle_residual)
 from specdist.errors import ParameterError, PreconditionError, UnboundedSupportError
 from specdist.lipschitz import commutator_norm
 from specdist.states import basis_state, finite_state, zeta_state
@@ -107,6 +108,61 @@ def test_upper_bound_against_brute_force_weight_sum():
 def test_upper_bound_unavailable_for_zeta_states():
     with pytest.raises(UnboundedSupportError):
         analytic_upper_bound(basis_state(0, 1.0), zeta_state(1.2, 50, 1.0))
+
+
+def _loop_unpack(x, n):
+    # index-loop oracle for the hermitian parametrization
+    a = np.zeros((n, n), dtype=complex)
+    a[np.arange(n), np.arange(n)] = x[:n]
+    k = n
+    for m in range(n):
+        for q in range(m + 1, n):
+            a[m, q] = x[k] + 1j * x[k + 1]
+            a[q, m] = x[k] - 1j * x[k + 1]
+            k += 2
+    return a
+
+
+def _loop_objective(w):
+    n = w.shape[0]
+    out = np.empty(n * n)
+    out[:n] = np.diag(w).real
+    k = n
+    for m in range(n):
+        for q in range(m + 1, n):
+            out[k] = 2.0 * w[m, q].real
+            out[k + 1] = -2.0 * w[m, q].imag
+            k += 2
+    return out
+
+
+def _random_hermitian(rng, n):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return g + g.conj().T
+
+
+def test_hermitian_unpack_is_hermitian(rng):
+    for n in (1, 2, 5, 12):
+        a = _hermitian_unpack(rng.standard_normal(n * n), n)
+        assert a.shape == (n, n)
+        assert np.array_equal(a, a.conj().T)
+
+
+def test_objective_vector_is_gradient_of_pairing(rng):
+    for n in (1, 2, 5, 12):
+        w = _random_hermitian(rng, n)
+        x = rng.standard_normal(n * n)
+        pairing = np.sum(w * _hermitian_unpack(x, n))
+        assert abs(pairing.imag) < 1e-12
+        assert _objective_vector(w) @ x == pytest.approx(pairing.real, abs=1e-12)
+
+
+def test_hermitian_helpers_match_loop_oracle_bitwise(rng):
+    for n in (1, 2, 5, 12):
+        x = rng.standard_normal(n * n)
+        w = _random_hermitian(rng, n)
+        assert _hermitian_unpack(x, n).tobytes() == _loop_unpack(x, n).tobytes()
+        assert _objective_vector(w).tobytes() == _loop_objective(w).tobytes()
 
 
 def test_optimizer_one_step_pair():
