@@ -86,39 +86,28 @@ def reconstruct(a00: complex, alpha: DerivativeCoefficients,
                 beta: DerivativeCoefficients) -> MoyalElement:
     """Invert the two derivations: rebuild the element from a00 and both coefficient arrays.
 
-    Entries with a negative index in the inversion sum contribute zero.
+    a[p, q] = [p == q] a00 + sqrt(theta) * sum_{k=0}^{min(p,q)} f[p-k, q-k], with
+    f[i, j] = (alpha[i, j-1] + beta[i-1, j]) / (sqrt(i) + sqrt(j)); entries with a
+    negative index contribute zero.  O(n^2): one row recurrence sums the diagonals.
     """
     if alpha.theta != beta.theta:
         raise ParameterError("derivative coefficient arrays carry different theta")
     if alpha.order != beta.order:
         raise ParameterError("derivative coefficient arrays have different orders")
-    th = alpha.theta
     n = alpha.order
-    al = alpha.coeffs
-    be = beta.coeffs
-    out = np.zeros((n, n), dtype=complex)
-    sq = np.sqrt(np.arange(n + 1, dtype=float))
-    for p in range(n):
-        for q in range(n):
-            if p == 0 and q == 0:
-                out[0, 0] = a00
-                continue
-            kmax = min(p, q)
-            k = np.arange(kmax + 1)
-            num = np.zeros(kmax + 1, dtype=complex)
-            # alpha term needs q-k-1 >= 0, beta term needs p-k-1 >= 0;
-            # both conditions select a prefix of the ascending k range
-            ka = k[k <= q - 1]
-            if len(ka):
-                num[: len(ka)] += al[p - ka, q - ka - 1]
-            kb = k[k <= p - 1]
-            if len(kb):
-                num[: len(kb)] += be[p - kb - 1, q - kb]
-            den = sq[p - k] + sq[q - k]
-            # the k = p = q corner has no valid numerator entry; skip its 0/0
-            live = den > 0.0
-            out[p, q] = (a00 if p == q else 0.0) + np.sqrt(th) * np.sum(num[live] / den[live])
-    return MoyalElement(th, out)
+    num = np.zeros((n, n), dtype=complex)
+    num[:, 1:] += alpha.coeffs[:, :-1]
+    num[1:, :] += beta.coeffs[:-1, :]
+    sq = np.sqrt(np.arange(n, dtype=float))
+    den = sq[:, None] + sq[None, :]
+    den[:1, :1] = 1.0  # the (0, 0) corner has no numerator term; skip its 0/0
+    out = num / den
+    # out[p, q] accumulates f[p-k, q-k] for k = 0..min(p, q)
+    for p in range(1, n):
+        out[p, 1:] += out[p - 1, :-1]
+    out *= np.sqrt(alpha.theta)
+    out[np.diag_indices(n)] += a00
+    return MoyalElement(alpha.theta, out)
 
 
 def staircase(m0: int, theta: float) -> MoyalElement:

@@ -54,25 +54,23 @@ def parse_state_spec(text: str, theta: float) -> MoyalPureState:
     raise ParameterError(f"cannot parse state spec {text!r}")
 
 
+def _write(text: str, args) -> None:
+    if getattr(args, "out", None):
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(payload: dict, args) -> None:
     if getattr(args, "timing", False):
         payload = dict(payload)
         payload["elapsed_s"] = time.perf_counter() - args._t0
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args)
 
 
 def _emit_csv(rows, args) -> None:
-    text = "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(",".join(str(c) for c in row) for row in rows) + "\n", args)
 
 
 def _load_spec_file(args) -> dict:
@@ -94,9 +92,7 @@ def cmd_moyal_distance(args) -> int:
     report = moyal_report(s1, s2, order=args.order, optimize=not args.no_optimize,
                           probe=args.probe, tol=args.tol, max_iter=args.max_iter)
     _emit(report.to_dict(), args)
-    if report.converged is False:
-        return EXIT_NON_CONVERGENCE
-    return EXIT_OK
+    return EXIT_NON_CONVERGENCE if report.converged is False else EXIT_OK
 
 
 def cmd_torus_distance(args) -> int:
@@ -123,9 +119,7 @@ def cmd_torus_distance(args) -> int:
     report = torus.torus_report(s1, s2, optimize=args.optimize,
                                 box_radius=args.box, max_iter=args.max_iter)
     _emit(report.to_dict(), args)
-    if report.converged is False:
-        return EXIT_NON_CONVERGENCE
-    return EXIT_OK
+    return EXIT_NON_CONVERGENCE if report.converged is False else EXIT_OK
 
 
 def _parse_grid(text: str, points: int):

@@ -20,6 +20,7 @@ from .lipschitz import BallReport, ball_report, commutator_norm, op_norm
 from .states import MoyalPureState
 
 SPECTRAL_RADIUS = 1.0 / math.sqrt(2.0)  # derivative budget of the unit commutator ball
+MAX_OPERATOR_ENTRIES = 3e7  # ceiling on an optimizer's dense realified operator (240 MB)
 
 
 def basis_distance(m: int, n: int, theta: float) -> float:
@@ -207,6 +208,9 @@ def optimize_distance(s1: MoyalPureState, s2: MoyalPureState, order: int,
         raise ParameterError(
             f"order {order} too small; need at least max state support + 2 "
             f"= {max(s1.support, s2.support) + 2}")
+    if 2 * (order + 1) ** 2 * order ** 2 > MAX_OPERATOR_ENTRIES:  # from order 62 on
+        raise ParameterError(f"order {order} too large: the optimizer's operator would exceed "
+                             f"{MAX_OPERATOR_ENTRIES:.0e} entries; lower the order")
     theta = s1.theta
     n = order
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .states import MoyalPureState, diagonal_difference
-from .zeta import zeta, zeta_partial
+from .zeta import zeta, zeta_partial, zeta_tail
 
 TRUNCATED = "truncated"
 EXACT = "exact"
@@ -67,7 +67,6 @@ def crossover_mass(s1: float, s2: float) -> tuple[float, float]:
     gap sums to zero over all indices.
     """
     m = crossover_index(s1, s2)
-    from .zeta import zeta_tail
     far = max(m + 2, 100_000)
     j = np.arange(m + 2, far + 1, dtype=float)
     plus = float(np.sum((j ** (-s1))[::-1])) / zeta(s1) \
@@ -192,6 +191,8 @@ def probe_series(spec1: ProbeSpec, spec2: ProbeSpec, m0_grid, theta: float = 1.0
     Nothing large is materialized: the truncated normalization for zeta specs
     is evaluated through tail-corrected partial sums, so grids to 1e6 are fast.
     """
+    if not (math.isfinite(theta) and theta > 0):
+        raise ParameterError(f"theta must be positive and finite, got {theta}")
     grid = [int(g) for g in m0_grid]
     if any(g < 0 for g in grid):
         raise ParameterError("grid indices must be natural numbers")

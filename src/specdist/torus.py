@@ -9,12 +9,13 @@ to the true norm from below as the box grows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 
-from .distance import DistanceReport, clip_spectral
+from .distance import MAX_OPERATOR_ENTRIES, DistanceReport, clip_spectral
 from .errors import ParameterError
 from .lipschitz import op_norm
 
@@ -39,6 +40,8 @@ class TorusElement:
     terms: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not math.isfinite(self.theta):
+            raise ParameterError(f"theta must be finite, got {self.theta}")
         clean = {}
         for m, c in self.terms.items():
             key = (int(m[0]), int(m[1]))
@@ -142,6 +145,8 @@ class TorusState:
     m: Index | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.theta):
+            raise ParameterError(f"theta must be finite, got {self.theta}")
         if self.kind not in ("tracial", "vector"):
             raise ParameterError(f"unknown torus state kind {self.kind!r}")
         if self.kind == "vector":
@@ -373,12 +378,9 @@ def _hermitian_sites(support_radius: int):
 
 def _element_from_params(x: np.ndarray, sites, theta: float) -> TorusElement:
     terms: dict = {}
-    k = 0
-    for p in sites:
-        c = x[k] + 1j * x[k + 1]
-        terms[p] = c
-        terms[(-p[0], -p[1])] = np.conj(c)
-        k += 2
+    for p, re, im in zip(sites, x[0::2], x[1::2]):
+        terms[p] = re + 1j * im
+        terms[(-p[0], -p[1])] = np.conj(terms[p])
     return TorusElement(theta, terms)
 
 
@@ -410,7 +412,7 @@ def optimize_torus_distance(s1: TorusState, s2: TorusState,
     sites = _hermitian_sites(support_radius)
     npar = 2 * len(sites)
     side = 2 * box_radius + 1
-    if npar * 2 * side ** 4 > 3e7:
+    if npar * 2 * side ** 4 > MAX_OPERATOR_ENTRIES:
         raise ParameterError(
             f"optimizer size guard: support radius {support_radius} with box radius "
             f"{box_radius} needs a {side * side}x{side * side} operator per parameter; "

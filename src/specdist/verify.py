@@ -1,6 +1,9 @@
 """Self-check suites: every algebraic identity and bound the package relies on,
-run on seeded random instances.  Used by the CLI `verify` subcommand and
-re-exercised from the test suite.
+run on seeded random instances.  Used by the CLI `verify` subcommand.
+
+Each identity is implemented once, as a function that takes an instance's
+inputs and returns both sides (lhs, rhs); the suites here and the test suite
+call the same functions, each with its own measure and tolerance.
 
 Deviations are measured as |x - y| / max(1, |x|, |y|): absolute for small
 quantities, relative above magnitude one.
@@ -43,6 +46,13 @@ class CheckResult:
     def passed(self) -> bool:
         return not self.violations
 
+    def flag(self, bad: bool, message: str) -> None:
+        if bad:
+            self.violations.append(message)
+
+    def record(self, i: int, d: float, tol: float) -> None:
+        self.flag(d > tol, f"instance {i}: deviation {d:.3g}")
+
 
 @dataclass
 class SuiteResult:
@@ -62,19 +72,127 @@ class SuiteResult:
             yield line
 
 
-def _rand_coeffs(rng, order: int) -> np.ndarray:
+def rand_coeffs(rng, order: int) -> np.ndarray:
     # entries uniform in the unit disk
     re = rng.uniform(-1.0, 1.0, (order, order))
     im = rng.uniform(-1.0, 1.0, (order, order))
     return (re + 1j * im) / math.sqrt(2.0)
 
 
-def _rand_element(rng, theta: float, max_order: int = 16) -> MoyalElement:
+def rand_element(rng, theta: float, max_order: int = 16) -> MoyalElement:
     order = int(rng.integers(2, max_order + 1))
-    return MoyalElement(theta, _rand_coeffs(rng, order))
+    return MoyalElement(theta, rand_coeffs(rng, order))
 
 
-_THETAS = (0.5, 1.0, 2.0)
+THETAS = (0.5, 1.0, 2.0)
+
+
+def associativity(a, b, c):
+    """(a b) c = a (b c), as coefficient arrays."""
+    return star(star(a, b), c).coeffs, star(a, star(b, c)).coeffs
+
+
+def trace_cyclicity(a, b):
+    """integral(a b) = integral(b a)."""
+    return integral(star(a, b)), integral(star(b, a))
+
+
+def involution_antihomomorphism(a, b):
+    """(a b)* = b* a*, as coefficient arrays."""
+    return involution(star(a, b)).coeffs, star(involution(b), involution(a)).coeffs
+
+
+def left_multiplication_adjoint(a, b, c):
+    """<a, b c> = <b* a, c>."""
+    return inner(a, star(b, c)), inner(star(involution(b), a), c)
+
+
+def leibniz_rule(a, b):
+    """dz(a b) = dz(a) b + a dz(b), at the order of dz(a b)."""
+    lhs = dz(star(a, b)).coeffs
+    n = lhs.shape[0]
+    return lhs, (star(dz(a).as_element().pad(n), b.pad(n)).coeffs
+                 + star(a.pad(n), dz(b).as_element().pad(n)).coeffs)
+
+
+def reconstruction_roundtrip(a):
+    """reconstruct(a00, dz a, dzbar a) = a, padded to the derivative order."""
+    back = reconstruct(a.coeffs[0, 0], dz(a), dzbar(a))
+    return back.coeffs, a.pad(back.order).coeffs
+
+
+def derivative_conjugation(a):
+    """dz(a)^dagger = dzbar(a*)."""
+    return dz(a).coeffs.conj().T, dzbar(involution(a)).coeffs
+
+
+def radial_derivative_band(theta, diag):
+    """dz of a radial element equals its own subdiagonal."""
+    al = dz(radial(theta, diag)).coeffs
+    return al, np.diag(np.diag(al, -1), -1)
+
+
+def self_adjoint_norm_symmetry(a):
+    """||dz s|| = ||dzbar s|| for the self-adjoint part s = (a + a*)/2."""
+    sa = 0.5 * (a + involution(a))
+    return op_norm(dz(sa).coeffs), op_norm(dzbar(sa).coeffs)
+
+
+def ball_entry_bound(a):
+    """Largest derivative entry of a at unit commutator norm <= ENTRY_BOUND (0 for a = 0)."""
+    cn = commutator_norm(a)
+    if cn == 0:
+        return 0.0, ENTRY_BOUND
+    a = (1.0 / cn) * a
+    return max(float(np.max(np.abs(d(a).coeffs))) for d in (dz, dzbar)), ENTRY_BOUND
+
+
+def radial_membership_agreement(theta, diag, rng):
+    """radial_in_ball = ball_report membership, on the radial element rescaled by
+    a factor drawn from [0.5, 1.5] over its commutator norm."""
+    a = radial(theta, diag)
+    cn = commutator_norm(a)
+    if cn > 0:
+        a = (rng.uniform(0.5, 1.5) / cn) * a
+    return radial_in_ball(a), ball_report(a).member
+
+
+def submultiplicativity(a, b):
+    """||a b|| <= ||a|| ||b|| for the operator norm."""
+    n = max(a.order, b.order)
+    return op_norm(star(a, b).coeffs), op_norm(a.pad(n).coeffs) * op_norm(b.pad(n).coeffs)
+
+
+def basis_pair_saturation(m, n, theta):
+    """Best staircase certificate and analytic upper bound of basis states m > n
+    both equal the closed form: returns ((certificate, upper), closed form)."""
+    s1, s2 = basis_state(m, theta), basis_state(n, theta)
+    cert, _ = certificate_lower_bound(s1, s2, *staircase_candidates(m, theta))
+    return (cert, analytic_upper_bound(s1, s2)), basis_distance(m, n, theta)
+
+
+def staircase_cross_path(m0, s1, s2, element=None):
+    """Staircase gap from expectation values on `element` (default: staircase(m0, theta))
+    = probes.staircase_gap."""
+    el = staircase(m0, s1.theta) if element is None else element
+    return abs(s1.expect(el) - s2.expect(el)), probes.staircase_gap(m0, s1, s2)
+
+
+def bicharacter_identities(m, n, p, theta):
+    """With s the bicharacter, in this order: s(m+n, p) = s(m, p) s(n, p),
+    s(m, n+p) = s(m, n) s(m, p), s(m, m) = 1, s(m, -m) = 1, |s(m, n)| = 1."""
+    s = lambda x, y: torus.bicharacter(x, y, theta)
+    lhs = np.array([s((m[0] + n[0], m[1] + n[1]), p), s(m, (n[0] + p[0], n[1] + p[1])),
+                    s(m, m), s(m, (-m[0], -m[1])), abs(s(m, n))])
+    return lhs, np.array([s(m, p) * s(n, p), s(m, n) * s(m, p), 1.0, 1.0, 1.0])
+
+
+def weyl_certificate_gap(m, theta):
+    """Gap of the unit-norm Weyl certificate between phi_M and the trace, against the
+    coefficient bound; the gap is provably half that bound."""
+    cert = torus.weyl_certificate(m, theta)
+    gap = abs(torus.vector_state(theta, m).expect(cert) - torus.tracial_state(theta).expect(cert))
+    return gap, torus.coefficient_bound(m)
 
 
 def algebra_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
@@ -85,21 +203,12 @@ def algebra_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
     antihom = CheckResult("involution_antihomomorphism", 1000)
     adjoint = CheckResult("left_multiplication_adjoint", 1000)
     for i in range(1000):
-        theta = _THETAS[i % 3]
-        a, b, c = (_rand_element(rng, theta) for _ in range(3))
-        d1 = matrix_deviation(star(star(a, b), c).coeffs, star(a, star(b, c)).coeffs)
-        if d1 > tol:
-            assoc.violations.append(f"instance {i}: deviation {d1:.3g}")
-        d2 = deviation(integral(star(a, b)), integral(star(b, a)))
-        if d2 > tol:
-            cyclic.violations.append(f"instance {i}: deviation {d2:.3g}")
-        d3 = matrix_deviation(involution(star(a, b)).coeffs,
-                              star(involution(b), involution(a)).coeffs)
-        if d3 > tol:
-            antihom.violations.append(f"instance {i}: deviation {d3:.3g}")
-        d4 = deviation(inner(a, star(b, c)), inner(star(involution(b), a), c))
-        if d4 > tol:
-            adjoint.violations.append(f"instance {i}: deviation {d4:.3g}")
+        theta = THETAS[i % 3]
+        a, b, c = (rand_element(rng, theta) for _ in range(3))
+        assoc.record(i, matrix_deviation(*associativity(a, b, c)), tol)
+        cyclic.record(i, deviation(*trace_cyclicity(a, b)), tol)
+        antihom.record(i, matrix_deviation(*involution_antihomomorphism(a, b)), tol)
+        adjoint.record(i, deviation(*left_multiplication_adjoint(a, b, c)), tol)
 
     mono = CheckResult("weighted_norm_monotonicity", 300)
     pairs = [((0.0, 0.0), (1.0, 0.0)), ((0.0, 0.0), (0.0, 1.0)), ((1.0, 1.0), (2.0, 2.0)),
@@ -108,12 +217,10 @@ def algebra_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
         # termwise monotone only when theta*(m+1/2) >= 1 for every index,
         # i.e. theta >= 2; smaller theta has corner counterexamples
         theta = (2.0, 3.0, 4.0)[i % 3]
-        a = _rand_element(rng, theta, 12)
+        a = rand_element(rng, theta, 12)
         for (u, v), (s, t) in pairs:
-            lo = sobolev_norm(a, u, v)
-            hi = sobolev_norm(a, s, t)
-            if lo > hi * (1.0 + 1e-12):
-                mono.violations.append(f"instance {i}: ({u},{v}) vs ({s},{t})")
+            mono.flag(sobolev_norm(a, u, v) > sobolev_norm(a, s, t) * (1.0 + 1e-12),
+                      f"instance {i}: ({u},{v}) vs ({s},{t})")
     return SuiteResult("algebra", [assoc, cyclic, antihom, adjoint, mono])
 
 
@@ -122,43 +229,24 @@ def calculus_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
     tol = 1e-12
     leibniz = CheckResult("leibniz_rule", 300)
     for i in range(300):
-        theta = _THETAS[i % 3]
-        a = _rand_element(rng, theta, 12)
-        b = _rand_element(rng, theta, 12)
-        lhs = dz(star(a, b)).coeffs
-        n = lhs.shape[0]
-        rhs = (star(dz(a).as_element().pad(n), b.pad(n)).coeffs
-               + star(a.pad(n), dz(b).as_element().pad(n)).coeffs)
-        d = matrix_deviation(lhs, rhs)
-        if d > tol:
-            leibniz.violations.append(f"instance {i}: deviation {d:.3g}")
+        a, b = (rand_element(rng, THETAS[i % 3], 12) for _ in range(2))
+        leibniz.record(i, matrix_deviation(*leibniz_rule(a, b)), tol)
 
     roundtrip = CheckResult("reconstruction_roundtrip", 500)
     for i in range(500):
-        theta = _THETAS[i % 3]
-        a = _rand_element(rng, theta, 12)
-        back = reconstruct(a.coeffs[0, 0], dz(a), dzbar(a))
-        d = matrix_deviation(back.coeffs, a.pad(back.order).coeffs)
-        if d > tol:
-            roundtrip.violations.append(f"instance {i}: deviation {d:.3g}")
+        a = rand_element(rng, THETAS[i % 3], 12)
+        roundtrip.record(i, matrix_deviation(*reconstruction_roundtrip(a)), tol)
 
     conj = CheckResult("derivative_conjugation", 300)
     for i in range(300):
-        a = _rand_element(rng, _THETAS[i % 3], 12)
-        lhs = dz(a).coeffs.conj().T
-        rhs = dzbar(involution(a)).coeffs
-        d = matrix_deviation(lhs, rhs)
-        if d > tol:
-            conj.violations.append(f"instance {i}: deviation {d:.3g}")
+        a = rand_element(rng, THETAS[i % 3], 12)
+        conj.record(i, matrix_deviation(*derivative_conjugation(a)), tol)
 
     radial_structure = CheckResult("radial_derivative_band", 200)
     for i in range(200):
-        theta = _THETAS[i % 3]
         diag = rng.uniform(-1, 1, int(rng.integers(2, 12)))
-        al = dz(radial(theta, diag)).coeffs
-        off_band = al - np.diag(np.diag(al, -1), -1)
-        if np.max(np.abs(off_band)) > 0:
-            radial_structure.violations.append(f"instance {i}")
+        al, band = radial_derivative_band(THETAS[i % 3], diag)
+        radial_structure.flag(np.max(np.abs(al - band)) > 0, f"instance {i}")
     return SuiteResult("calculus", [leibniz, roundtrip, conj, radial_structure])
 
 
@@ -166,63 +254,39 @@ def lipschitz_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
     rng = np.random.default_rng(seed + 2)
     sqrt2 = CheckResult("self_adjoint_norm_symmetry", 200)
     for i in range(200):
-        theta = _THETAS[i % 3]
-        a = _rand_element(rng, theta, 12)
-        sa = 0.5 * (a + involution(a))
-        d = deviation(op_norm(dz(sa).coeffs), op_norm(dzbar(sa).coeffs))
-        if d > 1e-12:
-            sqrt2.violations.append(f"instance {i}: deviation {d:.3g}")
+        a = rand_element(rng, THETAS[i % 3], 12)
+        sqrt2.record(i, deviation(*self_adjoint_norm_symmetry(a)), 1e-12)
 
     entries = CheckResult("ball_entry_bound", 500)
     for i in range(500):
-        theta = _THETAS[i % 3]
-        a = _rand_element(rng, theta, 12)
-        cn = commutator_norm(a)
-        if cn == 0:
-            continue
-        a = (1.0 / cn) * a
-        worst = max(float(np.max(np.abs(dz(a).coeffs))), float(np.max(np.abs(dzbar(a).coeffs))))
-        if worst > ENTRY_BOUND + 1e-9:
-            entries.violations.append(f"instance {i}: entry {worst:.12f}")
+        worst, bound = ball_entry_bound(rand_element(rng, THETAS[i % 3], 12))
+        entries.flag(worst > bound + 1e-9, f"instance {i}: entry {worst:.12f}")
 
     agreement = CheckResult("radial_membership_agreement", 200)
     for i in range(200):
-        theta = _THETAS[i % 3]
         diag = rng.uniform(-1, 1, int(rng.integers(2, 12)))
-        a = radial(theta, diag)
-        cn = commutator_norm(a)
-        if cn > 0:
-            a = (rng.uniform(0.5, 1.5) / cn) * a
-        if radial_in_ball(a) != ball_report(a).member:
-            agreement.violations.append(f"instance {i}")
+        radial_member, ball_member = radial_membership_agreement(THETAS[i % 3], diag, rng)
+        agreement.flag(radial_member != ball_member, f"instance {i}")
 
     submult = CheckResult("operator_norm_submultiplicative", 300)
     for i in range(300):
-        theta = _THETAS[i % 3]
-        a = _rand_element(rng, theta, 12)
-        b = _rand_element(rng, theta, 12)
-        n = max(a.order, b.order)
-        lhs = op_norm(star(a, b).coeffs)
-        rhs = op_norm(a.pad(n).coeffs) * op_norm(b.pad(n).coeffs)
-        if lhs > rhs * (1.0 + 1e-12):
-            submult.violations.append(f"instance {i}: {lhs} > {rhs}")
+        a, b = (rand_element(rng, THETAS[i % 3], 12) for _ in range(2))
+        lhs, rhs = submultiplicativity(a, b)
+        submult.flag(lhs > rhs * (1.0 + 1e-12), f"instance {i}: {lhs} > {rhs}")
 
     exact = CheckResult("left_multiplication_norm_exactness", 100)
     for i in range(100):
-        theta = _THETAS[i % 3]
-        a = MoyalElement(theta, _rand_coeffs(rng, 8))
+        theta = THETAS[i % 3]
+        a = MoyalElement(theta, rand_coeffs(rng, 8))
         nrm = op_norm(a.coeffs)
-        best = 0.0
-        for _ in range(20):
-            phi = _rand_coeffs(rng, 8)
-            best = max(best, float(np.linalg.norm(a.coeffs @ phi) / np.linalg.norm(phi)))
-        if best > nrm * (1.0 + 1e-12):
-            exact.violations.append(f"instance {i}: ratio {best} exceeds norm {nrm}")
+        best = max(float(np.linalg.norm(a.coeffs @ phi) / np.linalg.norm(phi))
+                   for phi in (rand_coeffs(rng, 8) for _ in range(20)))
+        exact.flag(best > nrm * (1.0 + 1e-12), f"instance {i}: ratio {best} exceeds norm {nrm}")
         _, _, vh = np.linalg.svd(a.coeffs)
         top = vh[0].conj().reshape(-1, 1)
         achieved = float(np.linalg.norm(a.coeffs @ top) / np.linalg.norm(top))
-        if deviation(achieved, nrm) > 1e-10:
-            exact.violations.append(f"instance {i}: top vector ratio {achieved} vs {nrm}")
+        exact.flag(deviation(achieved, nrm) > 1e-10,
+                   f"instance {i}: top vector ratio {achieved} vs {nrm}")
     return SuiteResult("lipschitz", [sqrt2, entries, agreement, submult, exact])
 
 
@@ -232,51 +296,40 @@ def states_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
     positive = CheckResult("positivity_on_staircase", 150)
     zero_sum = CheckResult("difference_sums_to_zero", 150)
     for i in range(150):
-        theta = _THETAS[i % 3]
-        which = i % 3
-        if which == 0:
+        theta = THETAS[i % 3]
+        if i % 3 == 0:
             st = basis_state(int(rng.integers(0, 12)), theta)
-        elif which == 1:
+        elif i % 3 == 1:
             st = zeta_state(float(rng.uniform(1.05, 3.0)), int(rng.integers(10, 200)), theta)
         else:
             size = int(rng.integers(1, 12))
             w = rng.standard_normal(size) + 1j * rng.standard_normal(size)
             st = finite_state(w, theta)
         total = float(np.sum(np.abs(st.c) ** 2))
-        if abs(total - 1.0) > 1e-12:
-            norm.violations.append(f"instance {i}: sum {total}")
+        norm.flag(abs(total - 1.0) > 1e-12, f"instance {i}: sum {total}")
         val = st.expect(staircase(12, theta))
-        if val.real < -1e-13 or abs(val.imag) > 1e-13:
-            positive.violations.append(f"instance {i}: value {val}")
+        positive.flag(val.real < -1e-13 or abs(val.imag) > 1e-13, f"instance {i}: value {val}")
         other = basis_state(int(rng.integers(0, 12)), theta)
-        if abs(float(np.sum(diagonal_difference(st, other)))) > 1e-12:
-            zero_sum.violations.append(f"instance {i}")
+        zero_sum.flag(abs(float(np.sum(diagonal_difference(st, other)))) > 1e-12, f"instance {i}")
 
     tail = CheckResult("partial_sum_ratio", 1)
     st = zeta_state(1.5, 40000, 1.0)
     ratio = st.meta["partial_sum"] / st.meta["zeta"]
-    if not ratio >= 0.99:
-        tail.violations.append(f"ratio {ratio}")
+    tail.flag(not ratio >= 0.99, f"ratio {ratio}")
     return SuiteResult("states", [norm, positive, zero_sum, tail])
 
 
 def distance_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
     rng = np.random.default_rng(seed + 4)
     saturation = CheckResult("basis_pair_saturation", 0)
-    count = 0
-    for theta in _THETAS:
+    for theta in THETAS:
         for n in range(0, 4):
             for m in range(n + 1, 5):
-                count += 1
-                s1, s2 = basis_state(m, theta), basis_state(n, theta)
-                closed = basis_distance(m, n, theta)
-                elements, labels = staircase_candidates(m, theta)
-                cert, _ = certificate_lower_bound(s1, s2, elements, labels)
-                upper = analytic_upper_bound(s1, s2)
-                if abs(cert - closed) > 1e-12 or abs(upper - closed) > 1e-12:
-                    saturation.violations.append(
-                        f"(m={m}, n={n}, theta={theta}): cert {cert}, closed {closed}, upper {upper}")
-    saturation.instances = count
+                saturation.instances += 1
+                (cert, upper), closed = basis_pair_saturation(m, n, theta)
+                saturation.flag(abs(cert - closed) > 1e-12 or abs(upper - closed) > 1e-12,
+                                f"(m={m}, n={n}, theta={theta}): cert {cert}, closed {closed}, "
+                                f"upper {upper}")
 
     # optimizer checks at a small order; the solver carries its own tolerance,
     # so the lower-bound chain is asserted with explicit solver slack
@@ -294,20 +347,19 @@ def distance_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
         cert, _ = certificate_lower_bound(s1, s2, elements, labels)
         upper = analytic_upper_bound(s1, s2)
         res = optimize_distance(s1, s2, order=10)
-        if res.feasibility_residual > 1e-9:
-            feasible.violations.append(f"case {i}: residual {res.feasibility_residual:.3g}")
+        feasible.flag(res.feasibility_residual > 1e-9,
+                      f"case {i}: residual {res.feasibility_residual:.3g}")
         ok = (cert <= upper + 1e-9 and res.value <= upper + 1e-9
               and res.value >= cert - solver_slack - solver_slack * cert)
         if not ok:
             bracket.violations.append(
                 f"case {i}: cert {cert}, optimizer {res.value}, upper {upper}")
     vals = [optimize_distance(cases[1][0], cases[1][1], order=k).value for k in (6, 8, 10)]
-    if not (vals[0] <= vals[1] + 1e-6 and vals[1] <= vals[2] + 1e-6):
-        monotone.violations.append(f"values {vals}")
+    monotone.flag(not (vals[0] <= vals[1] + 1e-6 and vals[1] <= vals[2] + 1e-6), f"values {vals}")
 
     phase = CheckResult("global_phase_invariance", 20)
     for i in range(20):
-        theta = _THETAS[i % 3]
+        theta = THETAS[i % 3]
         w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         s1 = finite_state(w, theta)
         s2 = basis_state(int(rng.integers(0, 4)), theta)
@@ -315,15 +367,13 @@ def distance_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
         elements, labels = staircase_candidates(4, theta)
         c1, _ = certificate_lower_bound(s1, s2, elements, labels)
         c2, _ = certificate_lower_bound(s1p, s2, elements, labels)
-        u1 = analytic_upper_bound(s1, s2)
-        u2 = analytic_upper_bound(s1p, s2)
-        if abs(c1 - c2) > 1e-12 or abs(u1 - u2) > 1e-12:
-            phase.violations.append(f"instance {i}")
+        u1, u2 = (analytic_upper_bound(s, s2) for s in (s1, s1p))
+        phase.flag(abs(c1 - c2) > 1e-12 or abs(u1 - u2) > 1e-12, f"instance {i}")
 
     symmetrize = CheckResult("self_adjoint_restriction_lossless", 100)
     for i in range(100):
-        theta = _THETAS[i % 3]
-        a = _rand_element(rng, theta, 8)
+        theta = THETAS[i % 3]
+        a = rand_element(rng, theta, 8)
         cn = commutator_norm(a)
         if cn == 0:
             continue
@@ -336,11 +386,9 @@ def distance_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
             continue
         rotated = (abs(g) / g) * a
         b = 0.5 * (rotated + involution(rotated))
-        if commutator_norm(b) > 1.0 + 1e-9:
-            symmetrize.violations.append(f"instance {i}: symmetrized norm")
+        symmetrize.flag(commutator_norm(b) > 1.0 + 1e-9, f"instance {i}: symmetrized norm")
         gb = (s1.expect(b) - s2.expect(b)).real
-        if gb < abs(g) - 1e-12:
-            symmetrize.violations.append(f"instance {i}: {gb} < {abs(g)}")
+        symmetrize.flag(gb < abs(g) - 1e-12, f"instance {i}: {gb} < {abs(g)}")
     return SuiteResult("distance",
                        [saturation, bracket, feasible, monotone, phase, symmetrize])
 
@@ -349,26 +397,23 @@ def probes_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
     rng = np.random.default_rng(seed + 5)
     consistency = CheckResult("certificate_gap_cross_path", 12)
     for i in range(12):
-        theta = _THETAS[i % 3]
+        theta = THETAS[i % 3]
         m0 = (10, 100, 1000)[i % 3]
         w = rng.uniform(0.1, 1.0, int(rng.integers(1, 40)))
         s1 = finite_state(w, theta)
         s2 = zeta_state(1.5, 50, theta) if i % 2 else basis_state(int(rng.integers(0, 20)), theta)
-        el = staircase(m0, theta)
-        direct = abs(s1.expect(el) - s2.expect(el))
-        fast = probes.staircase_gap(m0, s1, s2)
-        if abs(direct - fast) > 1e-10:
-            consistency.violations.append(f"instance {i}: {direct} vs {fast}")
+        direct, fast = staircase_cross_path(m0, s1, s2)
+        consistency.flag(abs(direct - fast) > 1e-10, f"instance {i}: {direct} vs {fast}")
 
     growth = CheckResult("monotone_divergence", 1)
     grid = probes.default_grid(1e2, 1e6, 16)
     b = probes.probe_series(probes.ProbeSpec("basis", index=0),
                             probes.ProbeSpec("zeta", s=1.2), grid)
-    if not (all(np.diff(b[len(b) // 2:]) > 0) and b[-1] > 10.0 * b[0]):
-        growth.violations.append(f"series head {b[:3]} tail {b[-3:]}")
+    growth.flag(not (all(np.diff(b[len(b) // 2:]) > 0) and b[-1] > 10.0 * b[0]),
+                f"series head {b[:3]} tail {b[-3:]}")
 
     estimates = CheckResult("inequality_families", 1)
-    estimates.violations.extend(estimate_violations_cached())
+    estimates.violations.extend(probes.estimate_checks())
 
     crossover = CheckResult("weight_gap_crossover", 6)
     for (s1v, s2v) in [(1.1, 1.3), (1.1, 1.4), (1.2, 1.5), (1.01, 1.25), (1.3, 1.5), (1.05, 1.1)]:
@@ -376,25 +421,14 @@ def probes_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
         if not (probes.zeta_weight_gap(m, s1v, s2v) <= 0.0 < probes.zeta_weight_gap(m + 1, s1v, s2v)):
             crossover.violations.append(f"({s1v},{s2v}): M={m}")
         plus, minus = probes.crossover_mass(s1v, s2v)
-        if plus <= 0 or deviation(plus, minus) > 1e-9:
-            crossover.violations.append(f"({s1v},{s2v}): masses {plus} vs {minus}")
+        crossover.flag(plus <= 0 or deviation(plus, minus) > 1e-9,
+                       f"({s1v},{s2v}): masses {plus} vs {minus}")
 
     honesty = CheckResult("undecidable_pair_never_flagged", 1)
     flag = probes.divergence_flag(probes.ProbeSpec("zeta", s=1.25),
                                   probes.ProbeSpec("zeta", s=1.5))
-    if flag == "divergent":
-        honesty.violations.append(f"flag {flag!r}")
+    honesty.flag(flag == "divergent", f"flag {flag!r}")
     return SuiteResult("probes", [consistency, growth, estimates, crossover, honesty])
-
-
-_estimate_cache: list | None = None
-
-
-def estimate_violations_cached() -> list:
-    global _estimate_cache
-    if _estimate_cache is None:
-        _estimate_cache = probes.estimate_checks()
-    return _estimate_cache
 
 
 def torus_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
@@ -405,16 +439,8 @@ def torus_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
     for i in range(1000):
         theta = thetas[i % len(thetas)]
         m, n, p = (tuple(rng.integers(-20, 21, 2)) for _ in range(3))
-        s = lambda a, b: torus.bicharacter(a, b, theta)
-        checks = [
-            abs(s((m[0] + n[0], m[1] + n[1]), p) - s(m, p) * s(n, p)),
-            abs(s(m, (n[0] + p[0], n[1] + p[1])) - s(m, n) * s(m, p)),
-            abs(s(m, m) - 1.0),
-            abs(s(m, (-m[0], -m[1])) - 1.0),
-            abs(abs(s(m, n)) - 1.0),
-        ]
-        if max(checks) > 1e-12:
-            bichar.violations.append(f"instance {i}: deviation {max(checks):.3g}")
+        lhs, rhs = bicharacter_identities(m, n, p, theta)
+        bichar.record(i, float(np.max(np.abs(lhs - rhs))), 1e-12)
 
     def rand_torus(theta, radius=3, nterms=4):
         terms = {}
@@ -429,11 +455,9 @@ def torus_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
         a, b, c = (rand_torus(theta) for _ in range(3))
         lhs = torus.product(torus.product(a, b), c)
         rhs = torus.product(a, torus.product(b, c))
-        diff = lhs - rhs
-        worst = max((abs(v) for v in diff.terms.values()), default=0.0)
+        worst = max((abs(v) for v in (lhs - rhs).terms.values()), default=0.0)
         scale = max([1.0] + [abs(v) for v in lhs.terms.values()])
-        if worst > 1e-12 * scale:
-            assoc.violations.append(f"instance {i}: deviation {worst:.3g}")
+        assoc.record(i, worst, 1e-12 * scale)
 
     gns = CheckResult("gns_orthonormality", 200)
     for i in range(200):
@@ -443,14 +467,12 @@ def torus_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
         val = torus.trace(torus.product(torus.involution(torus.weyl(theta, m)),
                                         torus.weyl(theta, n)))
         expected = 1.0 if m == n else 0.0
-        if abs(val - expected) > 1e-12:
-            gns.violations.append(f"instance {i}: <{m},{n}> = {val}")
+        gns.flag(abs(val - expected) > 1e-12, f"instance {i}: <{m},{n}> = {val}")
 
     kills = CheckResult("derivation_annihilates_trace", 200)
     for i in range(200):
         a = rand_torus(thetas[i % len(thetas)])
-        if abs(torus.trace(torus.deriv(a))) > 0.0:
-            kills.violations.append(f"instance {i}")
+        kills.flag(abs(torus.trace(torus.deriv(a))) > 0.0, f"instance {i}")
 
     bound = CheckResult("derivative_coefficient_bound", 60)
     for i in range(60):
@@ -466,25 +488,14 @@ def torus_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
         a = (1.0 / cn) * a
         worst = max((abs(v) for v in torus.deriv(a).terms.values()), default=0.0)
         worst = max(worst, max((abs(v) for v in torus.deriv_bar(a).terms.values()), default=0.0))
-        if worst > 1.0 + 1e-9:
-            bound.violations.append(f"instance {i}: coefficient {worst}")
+        bound.flag(worst > 1.0 + 1e-9, f"instance {i}: coefficient {worst}")
 
-    saturation = CheckResult("certificate_meets_coefficient_bound", 0)
-    count = 0
-    for m1 in range(-3, 4):
-        for m2 in range(-3, 4):
-            if (m1, m2) == (0, 0):
-                continue
-            count += 1
-            m = (m1, m2)
-            cert = torus.weyl_certificate(m, 0.37)
-            gap = abs(torus.vector_state(0.37, m).expect(cert)
-                      - torus.tracial_state(0.37).expect(cert))
-            target = torus.coefficient_bound(m)
-            if abs(gap - target) > 1e-12:
-                saturation.violations.append(
-                    f"M={m}: certificate gap {gap:.10f} vs coefficient bound {target:.10f}")
-    saturation.instances = count
+    indices = [(m1, m2) for m1 in range(-3, 4) for m2 in range(-3, 4) if (m1, m2) != (0, 0)]
+    saturation = CheckResult("certificate_meets_coefficient_bound", len(indices))
+    for m in indices:
+        gap, target = weyl_certificate_gap(m, 0.37)
+        saturation.flag(abs(gap - target) > 1e-12,
+                        f"M={m}: certificate gap {gap:.10f} vs coefficient bound {target:.10f}")
     return SuiteResult("torus", [bichar, assoc, gns, kills, bound, saturation])
 
 
@@ -500,6 +511,4 @@ SUITES = {
 
 
 def run_suites(names=None, seed: int = DEFAULT_SEED):
-    if names is None:
-        names = list(SUITES)
-    return [SUITES[n](seed) for n in names]
+    return [SUITES[n](seed) for n in (SUITES if names is None else names)]

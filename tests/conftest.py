@@ -1,24 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
-from specdist.algebra import MoyalElement
-
-THETAS = (0.5, 1.0, 2.0)
+from specdist.verify import DEFAULT_SEED, THETAS, rand_coeffs, rand_element  # noqa: F401
 
 
 @pytest.fixture
 def rng():
-    return np.random.default_rng(20100324)
-
-
-def rand_coeffs(rng, order):
-    re = rng.uniform(-1.0, 1.0, (order, order))
-    im = rng.uniform(-1.0, 1.0, (order, order))
-    return (re + 1j * im) / math.sqrt(2.0)
-
-
-def rand_element(rng, theta, max_order=16):
-    order = int(rng.integers(2, max_order + 1))
-    return MoyalElement(theta, rand_coeffs(rng, order))
+    return np.random.default_rng(DEFAULT_SEED)

@@ -23,18 +23,14 @@ import math
 
 import numpy as np
 
-from specdist import probes, torus
-from specdist.algebra import integral, involution, star
-from specdist.calculus import dz, dzbar, reconstruct, staircase
-from specdist.distance import (analytic_upper_bound, basis_distance, certificate_lower_bound,
-                               optimize_distance, staircase_candidates, triangle_residual)
+from specdist import probes, torus, verify
+from specdist.calculus import staircase
+from specdist.distance import optimize_distance, triangle_residual
 from specdist.lipschitz import ENTRY_BOUND, commutator_norm
 from specdist.states import basis_state, finite_state, zeta_state
-from specdist.verify import deviation, matrix_deviation
+from specdist.verify import DEFAULT_SEED as SEED, deviation, matrix_deviation
 
 from conftest import THETAS, rand_element
-
-SEED = 20100324
 
 
 def report(tag, ok, detail):
@@ -47,12 +43,8 @@ def test_criterion_1_closed_form_reproduction():
     for theta in THETAS:
         for n in range(0, 6):
             for m in range(n + 1, 7):
-                closed = basis_distance(m, n, theta)
-                s1, s2 = basis_state(m, theta), basis_state(n, theta)
-                elements, labels = staircase_candidates(m, theta)
-                cert, _ = certificate_lower_bound(s1, s2, elements, labels)
-                upper = analytic_upper_bound(s1, s2)
-                res = optimize_distance(s1, s2, order=32)
+                (cert, upper), closed = verify.basis_pair_saturation(m, n, theta)
+                res = optimize_distance(basis_state(m, theta), basis_state(n, theta), order=32)
                 worst_cert = max(worst_cert, abs(cert - closed))
                 worst_upper = max(worst_upper, abs(upper - closed))
                 worst_opt = max(worst_opt, abs(res.value - closed) / closed)
@@ -87,20 +79,13 @@ def test_criterion_4_algebra_suite():
     for i in range(1000):
         theta = THETAS[i % 3]
         a, b, c = (rand_element(rng, theta, 16) for _ in range(3))
-        worst["associativity"] = max(worst["associativity"], matrix_deviation(
-            star(star(a, b), c).coeffs, star(a, star(b, c)).coeffs))
-        worst["cyclicity"] = max(worst["cyclicity"], deviation(
-            integral(star(a, b)), integral(star(b, a))))
-        worst["antihomomorphism"] = max(worst["antihomomorphism"], matrix_deviation(
-            involution(star(a, b)).coeffs, star(involution(b), involution(a)).coeffs))
-        lhs = dz(star(a, b)).coeffs
-        k = lhs.shape[0]
-        rhs = (star(dz(a).as_element().pad(k), b.pad(k)).coeffs
-               + star(a.pad(k), dz(b).as_element().pad(k)).coeffs)
-        worst["leibniz"] = max(worst["leibniz"], matrix_deviation(lhs, rhs))
-        back = reconstruct(a.coeffs[0, 0], dz(a), dzbar(a))
-        worst["roundtrip"] = max(worst["roundtrip"], matrix_deviation(
-            back.coeffs, a.pad(back.order).coeffs))
+        for key, d in (
+                ("associativity", matrix_deviation(*verify.associativity(a, b, c))),
+                ("cyclicity", deviation(*verify.trace_cyclicity(a, b))),
+                ("antihomomorphism", matrix_deviation(*verify.involution_antihomomorphism(a, b))),
+                ("leibniz", matrix_deviation(*verify.leibniz_rule(a, b))),
+                ("roundtrip", matrix_deviation(*verify.reconstruction_roundtrip(a)))):
+            worst[key] = max(worst[key], d)
     bad = {k: v for k, v in worst.items() if v >= 1e-12}
     assert report("4 algebra suite", not bad,
                   ", ".join(f"{k} {v:.2e}" for k, v in worst.items()))
@@ -110,13 +95,8 @@ def test_criterion_5_ball_necessary_conditions():
     rng = np.random.default_rng(SEED + 1)
     worst = 0.0
     for i in range(500):
-        a = rand_element(rng, THETAS[i % 3], 16)
-        cn = commutator_norm(a)
-        if cn == 0:
-            continue
-        a = (1.0 / cn) * a
-        worst = max(worst, float(np.max(np.abs(dz(a).coeffs))),
-                    float(np.max(np.abs(dzbar(a).coeffs))))
+        entry, _ = verify.ball_entry_bound(rand_element(rng, THETAS[i % 3], 16))
+        worst = max(worst, entry)
     ok = worst <= ENTRY_BOUND + 1e-9
     assert report("5 ball necessary conditions", ok,
                   f"max derivative entry {worst:.12f} vs bound {ENTRY_BOUND:.12f}")
@@ -184,14 +164,9 @@ def test_criterion_8_certificate_norms_and_upper_bound():
     for i in range(1000):
         th = (0.0, 0.25, 1 / 3, 0.37, math.sqrt(2) - 1)[i % 5]
         m, n, p = (tuple(rng.integers(-20, 21, 2)) for _ in range(3))
-        s = lambda x, y: torus.bicharacter(x, y, th)
-        worst_bc = max(
-            worst_bc,
-            abs(s((m[0] + n[0], m[1] + n[1]), p) - s(m, p) * s(n, p)),
-            abs(s(m, (n[0] + p[0], n[1] + p[1])) - s(m, n) * s(m, p)),
-            abs(s(m, m) - 1.0),
-            abs(s(m, (-m[0], -m[1])) - 1.0),
-        )
+        lhs, rhs = verify.bicharacter_identities(m, n, p, th)
+        # the two homomorphism identities and s(m, m) = s(m, -m) = 1
+        worst_bc = max(worst_bc, float(np.max(np.abs(lhs[:4] - rhs[:4]))))
     ok = worst_norm <= 1e-9 and worst_upper <= 1e-12 and worst_bc <= 1e-12
     assert report("8 certificate norms, upper bound, bicharacter", ok,
                   f"max |norm-1| {worst_norm:.2e}, max upper dev {worst_upper:.2e}, "
@@ -206,13 +181,11 @@ def test_criterion_8_certificate_value():
     worst = 0.0
     ratios = set()
     for m in _torus_indices():
-        cert = torus.weyl_certificate(m, theta)
-        s1, s2 = torus.vector_state(theta, m), torus.tracial_state(theta)
-        gap = abs(s1.expect(cert) - s2.expect(cert))
+        gap, coefficient_bound = verify.weyl_certificate_gap(m, theta)
         expected = 1.0 / (4 * np.pi * abs(m[0] + 1j * m[1]))
-        rep = torus.torus_report(s1, s2)
+        rep = torus.torus_report(torus.vector_state(theta, m), torus.tracial_state(theta))
         worst = max(worst, abs(gap - expected), abs(rep.certificate_lower - gap))
-        ratios.add(round(gap / torus.coefficient_bound(m), 12))
+        ratios.add(round(gap / coefficient_bound, 12))
     assert report("8 certificate value", worst <= 1e-12,
                   f"max |gap - 1/(4 pi |M|)|, |report - gap| {worst:.2e}; "
                   f"gap/coefficient-bound ratios {sorted(ratios)}")
@@ -233,8 +206,6 @@ def test_criterion_9_cross_path_consistency():
             key = (theta, m0)
             if key not in elements:
                 elements[key] = staircase(m0, theta)
-            el = elements[key]
-            direct = abs(s1.expect(el) - s2.expect(el))
-            fast = probes.staircase_gap(m0, s1, s2)
+            direct, fast = verify.staircase_cross_path(m0, s1, s2, elements[key])
             worst = max(worst, abs(direct - fast))
     assert report("9 cross-path consistency", worst <= 1e-10, f"max gap {worst:.2e}")

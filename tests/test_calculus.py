@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from specdist.algebra import basis, radial, star, involution, zero
-from specdist.calculus import dz, dzbar, radial_bump, reconstruct, staircase
+from specdist.algebra import basis, zero
+from specdist.calculus import (DZ, DZBAR, DerivativeCoefficients, dz, dzbar, radial_bump,
+                               reconstruct, staircase)
 from specdist.errors import ParameterError
 from specdist.lipschitz import commutator_norm
+from specdist.verify import (derivative_conjugation, leibniz_rule, radial_derivative_band,
+                             reconstruction_roundtrip)
 
-from conftest import THETAS, rand_element
+from conftest import THETAS, rand_coeffs, rand_element
 
 
 def test_dz_of_ground_state():
@@ -49,8 +52,8 @@ def test_dz_against_recurrence_oracle(rng):
 
 def test_derivative_conjugation(rng):
     for _ in range(20):
-        a = rand_element(rng, 1.0, 10)
-        assert np.max(np.abs(dz(a).coeffs.conj().T - dzbar(involution(a)).coeffs)) < 1e-14
+        lhs, rhs = derivative_conjugation(rand_element(rng, 1.0, 10))
+        assert np.max(np.abs(lhs - rhs)) < 1e-14
 
 
 def test_staircase_derivative_is_constant_subdiagonal():
@@ -67,10 +70,7 @@ def test_leibniz_rule(rng):
         theta = float(rng.choice(THETAS))
         a = rand_element(rng, theta, 10)
         b = rand_element(rng, theta, 10)
-        lhs = dz(star(a, b)).coeffs
-        n = lhs.shape[0]
-        rhs = (star(dz(a).as_element().pad(n), b.pad(n)).coeffs
-               + star(a.pad(n), dz(b).as_element().pad(n)).coeffs)
+        lhs, rhs = leibniz_rule(a, b)
         scale = max(1.0, float(np.max(np.abs(lhs))))
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * scale
 
@@ -93,9 +93,41 @@ def test_reconstruct_ground_state_entry():
 def test_reconstruct_roundtrip(rng):
     for _ in range(60):
         theta = float(rng.choice(THETAS))
-        a = rand_element(rng, theta, 12)
-        back = reconstruct(a.coeffs[0, 0], dz(a), dzbar(a))
-        assert np.max(np.abs(back.coeffs - a.pad(back.order).coeffs)) < 1e-12
+        back, want = reconstruction_roundtrip(rand_element(rng, theta, 12))
+        assert np.max(np.abs(back - want)) < 1e-12
+
+
+def _loop_reconstruct(a00, al, be, theta):
+    # the per-entry inversion sum reconstruct used before its diagonal recurrence
+    n = al.shape[0]
+    out = np.zeros((n, n), dtype=complex)
+    sq = np.sqrt(np.arange(n + 1, dtype=float))
+    for p in range(n):
+        for q in range(n):
+            if p == 0 and q == 0:
+                out[0, 0] = a00
+                continue
+            k = np.arange(min(p, q) + 1)
+            num = np.zeros(k.size, dtype=complex)
+            ka = k[k <= q - 1]
+            num[: len(ka)] += al[p - ka, q - ka - 1]
+            kb = k[k <= p - 1]
+            num[: len(kb)] += be[p - kb - 1, q - kb]
+            den = sq[p - k] + sq[q - k]
+            live = den > 0.0  # the k = p = q corner has no numerator entry
+            out[p, q] = (a00 if p == q else 0.0) + np.sqrt(theta) * np.sum(num[live] / den[live])
+    return out
+
+
+def test_reconstruct_against_loop_oracle(rng):
+    # arbitrary (alpha, beta) pairs, not the derivatives of any element
+    for n in (1, 2, 5, 13):
+        for theta in THETAS:
+            al, be = rand_coeffs(rng, n), rand_coeffs(rng, n)
+            a00 = complex(*rng.uniform(-1.0, 1.0, 2))
+            got = reconstruct(a00, DerivativeCoefficients(theta, al, DZ),
+                              DerivativeCoefficients(theta, be, DZBAR)).coeffs
+            assert np.max(np.abs(got - _loop_reconstruct(a00, al, be, theta))) < 1e-13
 
 
 def test_reconstruct_rejects_mismatch():
@@ -133,9 +165,8 @@ def test_radial_bump_commutator_norm_is_one():
 
 def test_radial_derivative_band(rng):
     for _ in range(20):
-        diag = rng.uniform(-1, 1, 8)
-        al = dz(radial(1.0, diag)).coeffs
-        assert np.count_nonzero(al - np.diag(np.diag(al, -1), -1)) == 0
+        al, band = radial_derivative_band(1.0, rng.uniform(-1, 1, 8))
+        assert np.count_nonzero(al - band) == 0
 
 
 def test_derivative_tags_survive_serialization():

@@ -98,16 +98,18 @@ def _assert_clean_parameter_error(run):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
-def test_order_below_one_exits_one():
-    for order in ("0", "-3"):
+def test_order_out_of_range_exits_one():
+    # order 200 would ask the plane optimizer for a dense operator of ~38 GB
+    for order in ("0", "-3", "200"):
         _assert_clean_parameter_error(_run_subprocess(
             "moyal-distance", f"--order={order}", "--a=basis:0", "--b=basis:1"))
 
 
 def test_non_finite_theta_exits_one():
-    for theta in ("inf", "-inf", "nan"):
-        _assert_clean_parameter_error(_run_subprocess(
-            "moyal-distance", f"--theta={theta}", "--a=basis:0", "--b=basis:1"))
+    for argv in (("moyal-distance", "--a=basis:0", "--b=basis:1"), ("torus-distance", "--m=1,0"),
+                 ("probe", "--pair=zeta:1.2,basis:0", "--format=json")):
+        for theta in ("inf", "-inf", "nan"):
+            _assert_clean_parameter_error(_run_subprocess(*argv, f"--theta={theta}"))
 
 
 def test_usage_error_exit_one(capsys):
@@ -165,10 +167,12 @@ def test_probe_csv_and_json(tmp_path, capsys):
     assert summary["divergence"] == "divergent"
 
 
-def test_verify_algebra_suite_passes(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "algebra")
+@pytest.mark.parametrize("suite",
+                         ["algebra", "calculus", "lipschitz", "states", "distance", "probes"])
+def test_verify_suite_passes(capsys, suite):
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite)
     assert code == 0
-    assert "suite algebra: PASS" in out
+    assert f"suite {suite}: PASS" in out
 
 
 def test_verify_torus_suite_reports_known_gap(capsys):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from specdist import probes
-from specdist.calculus import staircase
 from specdist.errors import ParameterError
 from specdist.probes import (ProbeSpec, asymptotic_fit, crossover_index, crossover_mass,
                              divergence_flag, estimate_checks, inv_sqrt_suffix_sum,
                              parse_probe_spec, probe_series, staircase_gap, zeta_weight_gap)
 from specdist.states import basis_state, finite_state, zeta_state
+from specdist.verify import staircase_cross_path
 from specdist.zeta import zeta, zeta_partial, zeta_tail
 
 
@@ -47,9 +47,8 @@ def test_staircase_gap_matches_expectation_gap(rng):
         w = rng.uniform(0.1, 1.0, 17)
         s1 = finite_state(w, theta)
         s2 = zeta_state(1.4, 60, theta)
-        el = staircase(m0, theta)
-        direct = abs(s1.expect(el) - s2.expect(el))
-        assert staircase_gap(m0, s1, s2) == pytest.approx(direct, abs=1e-10)
+        direct, fast = staircase_cross_path(m0, s1, s2)
+        assert fast == pytest.approx(direct, abs=1e-10)
 
 
 def test_weight_gap_sign_pattern():
