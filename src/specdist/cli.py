@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -52,6 +53,35 @@ def parse_state_spec(text: str, theta: float) -> MoyalPureState:
         weights = [complex(w) for w in parts[1].split(",")]
         return finite_state(weights, theta)
     raise ParameterError(f"cannot parse state spec {text!r}")
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
+def _index_pair(text: str, spec: str) -> tuple:
+    """Torus index pair m1,m2; spec names the option or state spec in the error."""
+    try:
+        m1, m2 = (int(v) for v in text.split(","))
+    except ValueError:
+        raise ParameterError(f"cannot parse index pair m1,m2 in {spec!r}") from None
+    return m1, m2
+
+
+def parse_torus_state(text: str, theta: float) -> torus.TorusState:
+    """Torus state mini-grammar: tracial | phi:m1,m2"""
+    if text == "tracial":
+        return torus.tracial_state(theta)
+    parts = text.split(":")
+    if parts[0] == "phi" and len(parts) == 2:
+        return torus.vector_state(theta, _index_pair(parts[1], text))
+    raise ParameterError(f"cannot parse torus state spec {text!r}")
 
 
 def _write(text: str, args) -> None:
@@ -97,25 +127,14 @@ def cmd_moyal_distance(args) -> int:
 
 def cmd_torus_distance(args) -> int:
     theta = args.theta
-
-    def parse_torus_state(text):
-        if text == "tracial":
-            return torus.tracial_state(theta)
-        parts = text.split(":")
-        if parts[0] == "phi" and len(parts) == 2:
-            m1, m2 = (int(v) for v in parts[1].split(","))
-            return torus.vector_state(theta, (m1, m2))
-        raise ParameterError(f"cannot parse torus state spec {text!r}")
-
     if args.m is not None:
-        m1, m2 = (int(v) for v in args.m.split(","))
-        s1 = torus.vector_state(theta, (m1, m2))
+        s1 = torus.vector_state(theta, _index_pair(args.m, f"--m {args.m}"))
         s2 = torus.tracial_state(theta)
     else:
         if args.a is None or args.b is None:
             raise ParameterError("either --m or both --a and --b are required")
-        s1 = parse_torus_state(args.a)
-        s2 = parse_torus_state(args.b)
+        s1 = parse_torus_state(args.a, theta)
+        s2 = parse_torus_state(args.b, theta)
     report = torus.torus_report(s1, s2, optimize=args.optimize,
                                 box_radius=args.box, max_iter=args.max_iter)
     _emit(report.to_dict(), args)
@@ -123,8 +142,13 @@ def cmd_torus_distance(args) -> int:
 
 
 def _parse_grid(text: str, points: int):
-    lo, hi = text.split(":")
-    return probes.default_grid(float(lo), float(hi), points)
+    try:
+        lo, hi = (float(v) for v in text.split(":"))
+    except ValueError:
+        lo = hi = math.nan
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo > 0 and hi > 0):
+        raise ParameterError(f"--grid expects lo:hi with finite positive values, got {text!r}")
+    return probes.default_grid(lo, hi, points)
 
 
 def _parse_fit_top(text: str) -> float:
@@ -194,7 +218,7 @@ def build_parser() -> _Parser:
     p.add_argument("--b", help="state spec")
     p.add_argument("--order", type=int, default=16, help="truncation order for the optimizer")
     p.add_argument("--tol", type=float, default=1e-9, help="ball-membership tolerance")
-    p.add_argument("--max-iter", type=int, default=100000)
+    p.add_argument("--max-iter", type=_positive_int, default=100000)
     p.add_argument("--no-optimize", action="store_true")
     p.add_argument("--probe", action="store_true", help="attach a divergence flag")
     p.add_argument("--spec-file", help="JSON file with keys a, b, theta")
@@ -207,7 +231,7 @@ def build_parser() -> _Parser:
     p.add_argument("--a", help="state spec: tracial | phi:m1,m2")
     p.add_argument("--b", help="state spec")
     p.add_argument("--box", type=int, default=None, help="operator box radius for the optimizer")
-    p.add_argument("--max-iter", type=int, default=2000)
+    p.add_argument("--max-iter", type=_positive_int, default=2000)
     p.add_argument("--optimize", action="store_true")
     common(p)
     p.set_defaults(func=cmd_torus_distance)
@@ -215,7 +239,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("probe", help="growth series of the certificate bound")
     p.add_argument("--pair", required=True, help="spec pair, e.g. zeta:1.2,basis:0")
     p.add_argument("--grid", default="1e3:1e6", help="index range lo:hi")
-    p.add_argument("--points", type=int, default=25)
+    p.add_argument("--points", type=_positive_int, default=25)
     p.add_argument("--fit-top", default="1.5dec", help="fit window size in decades")
     p.add_argument("--theta", type=float, default=1.0)
     p.add_argument("--format", choices=("csv", "json"), default="csv")

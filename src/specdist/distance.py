@@ -158,26 +158,80 @@ def _objective_vector(w: np.ndarray) -> np.ndarray:
     return out
 
 
+def realified_operator(apply, npar: int):
+    """Real matrix of a linear map from npar real parameters to complex matrices, with
+    the inverse of its Gram matrix.  Rows hold the real parts, then the imaginary parts,
+    of the image's entries in row-major order."""
+    e = np.zeros(npar)
+    for i in range(npar):
+        e[i] = 1.0
+        col = apply(e).ravel()
+        e[i] = 0.0
+        if i == 0:
+            # column-major: columns fill contiguously, and the layout fixes the BLAS
+            # rounding on d
+            d = np.empty((2 * col.size, npar), order="F")
+        d[:col.size, i] = col.real
+        d[col.size:, i] = col.imag
+    return d, np.linalg.inv(d.T @ d)
+
+
+def admm_maximize(wx, d, gram_inv, side, norm, radius, rho, max_iter,
+                  stall_iters, stall_tol, relax):
+    """Maximize wx @ x subject to norm(D x) <= radius, D x read as a side x side matrix.
+
+    ADMM with over-relaxation: the splitting variable is D x, projected onto the
+    spectral ball by singular-value clipping.  Each iterate is rescaled onto the
+    ball and the best rescaled one is kept; the run stops once stall_iters
+    iterations in a row fail to improve it by the relative margin stall_tol.
+    Returns (best x, iterations run, stalled).  Deterministic: starts from zero.
+    """
+    nz = side * side
+
+    def to_matrix(v):
+        return v[:nz].reshape(side, side) + 1j * v[nz:].reshape(side, side)
+
+    x = np.zeros(d.shape[1])
+    z = np.zeros(2 * nz)
+    u = np.zeros(2 * nz)
+    best_val = 0.0
+    best_x = x
+    stall = 0
+    it = 0
+    for it in range(1, max_iter + 1):
+        x = gram_inv @ (wx / rho + d.T @ (z - u))
+        dx = d @ x
+        # track the rescaled (always feasible) objective of the current iterate
+        sig = norm(to_matrix(dx))
+        if sig > 0.0:
+            scaled = float(wx @ x) * (radius / sig)
+            if scaled > best_val * (1.0 + stall_tol) or (best_val == 0.0 and scaled > 0.0):
+                best_val = scaled
+                best_x = x.copy()
+                stall = 0
+            else:
+                stall += 1
+        else:
+            stall += 1
+        if stall >= stall_iters:
+            break
+        dxr = relax * dx + (1.0 - relax) * z
+        zm = clip_spectral(to_matrix(dxr + u), radius)
+        z = np.concatenate([zm.real.ravel(), zm.imag.ravel()])
+        u = u + dxr - z
+    return best_x, it, stall >= stall_iters
+
+
 _operator_cache: dict = {}
 
 
 def _dz_operator(order: int, theta: float):
     """Realified matrix of the dz map on hermitian parameters, plus cached inverse Gram."""
     key = (order, float(theta))
-    if key in _operator_cache:
-        return _operator_cache[key]
-    npar = order * order
-    # column-major: columns fill contiguously, and the layout fixes the BLAS rounding on d
-    d = np.empty((2 * (order + 1) ** 2, npar), order="F")
-    e = np.zeros(npar)
-    for i in range(npar):
-        e[i] = 1.0
-        al = dz(MoyalElement(theta, _hermitian_unpack(e, order))).coeffs
-        d[:, i] = np.concatenate([al.real.ravel(), al.imag.ravel()])
-        e[i] = 0.0
-    gram_inv = np.linalg.inv(d.T @ d)
-    _operator_cache[key] = (d, gram_inv)
-    return d, gram_inv
+    if key not in _operator_cache:
+        _operator_cache[key] = realified_operator(
+            lambda e: dz(MoyalElement(theta, _hermitian_unpack(e, order))).coeffs, order * order)
+    return _operator_cache[key]
 
 
 @dataclass(frozen=True)
@@ -195,12 +249,10 @@ def optimize_distance(s1: MoyalPureState, s2: MoyalPureState, order: int,
                       relax: float = 1.7) -> OptimizeResult:
     """Maximize the evaluation gap over self-adjoint elements of the given order.
 
-    Solves max <w, a> subject to the spectral-norm budget on the derivative by
-    ADMM with over-relaxation: the splitting variable is the derivative
-    coefficient array, projected onto the spectral ball by singular-value
-    clipping.  The returned certificate is rescaled to unit commutator norm, so
-    the reported value is a feasible lower bound wherever the iteration stops.
-    Deterministic: starts from the zero element.
+    Solves max <w, a> subject to the spectral-norm budget on the derivative
+    with `admm_maximize`.  The returned certificate is rescaled to unit
+    commutator norm, so the reported value is a feasible lower bound wherever
+    the iteration stops.
     """
     if s1.theta != s2.theta:
         raise ParameterError("states carry different theta")
@@ -224,44 +276,8 @@ def optimize_distance(s1: MoyalPureState, s2: MoyalPureState, order: int,
         return OptimizeResult(0.0, zero(theta, n), 0, True, 0.0)
 
     d, gram_inv = _dz_operator(n, theta)
-    nz = (n + 1) * (n + 1)
-
-    def to_matrix(v):
-        return v[:nz].reshape(n + 1, n + 1) + 1j * v[nz:].reshape(n + 1, n + 1)
-
-    def to_vector(m):
-        return np.concatenate([m.real.ravel(), m.imag.ravel()])
-
-    x = np.zeros(n * n)
-    z = np.zeros(2 * nz)
-    u = np.zeros(2 * nz)
-    best_val = 0.0
-    best_x = x
-    stall = 0
-    it = 0
-    for it in range(1, max_iter + 1):
-        x = gram_inv @ (wx / rho + d.T @ (z - u))
-        dx = d @ x
-        # track the rescaled (always feasible) objective of the current iterate
-        sig = op_norm(to_matrix(dx))
-        if sig > 0.0:
-            scaled = float(wx @ x) * (SPECTRAL_RADIUS / sig)
-            if scaled > best_val * (1.0 + stall_tol) or (best_val == 0.0 and scaled > 0.0):
-                best_val = scaled
-                best_x = x.copy()
-                stall = 0
-            else:
-                stall += 1
-        else:
-            stall += 1
-        if stall >= stall_iters:
-            break
-        dxr = relax * dx + (1.0 - relax) * z
-        zm = clip_spectral(to_matrix(dxr + u), SPECTRAL_RADIUS)
-        z = to_vector(zm)
-        u = u + dxr - z
-
-    converged = stall >= stall_iters
+    best_x, it, converged = admm_maximize(wx, d, gram_inv, n + 1, op_norm, SPECTRAL_RADIUS,
+                                          rho, max_iter, stall_iters, stall_tol, relax)
     a_best = MoyalElement(theta, _hermitian_unpack(best_x, n))
     cn = commutator_norm(a_best)
     if cn == 0.0:

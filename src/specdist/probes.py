@@ -123,8 +123,8 @@ def parse_probe_spec(text: str) -> ProbeSpec:
         return ProbeSpec("basis", index=int(parts[1]))
     if parts[0] == "zeta" and len(parts) >= 2:
         s = float(parts[1])
-        if s <= 1:
-            raise ParameterError(f"zeta spec requires s > 1, got {s}")
+        if not (math.isfinite(s) and s > 1):
+            raise ParameterError(f"zeta spec requires a finite s > 1, got {s}")
         return ProbeSpec("zeta", s=s)
     raise ParameterError(f"cannot parse probe state spec {text!r}")
 

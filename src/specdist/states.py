@@ -34,7 +34,7 @@ class MoyalPureState:
         if v.ndim != 1 or v.size == 0:
             raise ParameterError("state coefficients must be a nonempty 1-d sequence")
         nrm2 = float(np.sum(np.abs(v) ** 2))
-        if abs(nrm2 - 1.0) > NORMALIZATION_TOL:
+        if not abs(nrm2 - 1.0) <= NORMALIZATION_TOL:  # a NaN norm fails too
             raise ParameterError(f"state is not normalized: sum |c|^2 = {nrm2}")
         v.flags.writeable = False
         object.__setattr__(self, "c", v)
@@ -81,12 +81,12 @@ def basis_state(m: int, theta: float) -> MoyalPureState:
 def zeta_state(s: float, m_cut: int, theta: float) -> MoyalPureState:
     """Truncated power-law state with |c_m|^2 proportional to (m+1)^-s, m <= m_cut.
 
-    Requires s > 1.  The truncation is renormalized by its own partial sum so
-    the state is exactly normalized; the metadata records both the partial sum
-    used and the full zeta value for reporting.
+    Requires a finite s > 1.  The truncation is renormalized by its own partial
+    sum so the state is exactly normalized; the metadata records both the
+    partial sum used and the full zeta value for reporting.
     """
-    if s <= 1:
-        raise ParameterError(f"zeta states require s > 1, got {s}")
+    if not (math.isfinite(s) and s > 1):
+        raise ParameterError(f"zeta states require a finite s > 1, got {s}")
     if m_cut < 1:
         raise ParameterError(f"m_cut must be at least 1, got {m_cut}")
     m = np.arange(m_cut + 1, dtype=float)
@@ -107,6 +107,8 @@ def finite_state(weights, theta: float) -> MoyalPureState:
     w = np.asarray(list(weights), dtype=complex)
     if w.ndim != 1 or w.size == 0:
         raise ParameterError("weights must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(w)):
+        raise ParameterError("weights must be finite")
     nrm = float(np.linalg.norm(w))
     if nrm == 0.0:
         raise ParameterError("weights must not all vanish")

@@ -15,7 +15,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .distance import MAX_OPERATOR_ENTRIES, DistanceReport, clip_spectral
+from .distance import (MAX_OPERATOR_ENTRIES, DistanceReport, admm_maximize,
+                       realified_operator)
 from .errors import ParameterError
 from .lipschitz import op_norm
 
@@ -392,11 +393,11 @@ def optimize_torus_distance(s1: TorusState, s2: TorusState,
                             relax: float = 1.7) -> TorusOptimizeResult:
     """Maximize the evaluation gap over self-adjoint box-supported elements.
 
-    Same ADMM scheme as the plane optimizer, with the spectral constraint on
-    the box restriction of the derivation.  Box norms underestimate the true
+    The plane optimizer's `admm_maximize`, with the spectral constraint on the
+    box restriction of the derivation.  Box norms underestimate the true
     operator norm, so the final certificate is rescaled by the norm on a
-    doubled validation box; reported values converge to true lower bounds as
-    the boxes grow.
+    validation box of radius R + 2; reported values converge to true lower
+    bounds as the boxes grow.
     """
     if s1.theta != s2.theta:
         raise ParameterError("states carry different theta")
@@ -422,60 +423,14 @@ def optimize_torus_distance(s1: TorusState, s2: TorusState,
         el = _element_from_params(x, sites, theta)
         return float(np.real(s1.expect(el) - s2.expect(el)))
 
-    wx = np.zeros(npar)
-    for i in range(npar):
-        e = np.zeros(npar)
-        e[i] = 1.0
-        wx[i] = gap(e)
+    wx = np.array([gap(e) for e in np.eye(npar)])
     if not np.any(wx):
         return TorusOptimizeResult(0.0, unit(theta) * 0.0, 0, True, 0.0, box_radius)
 
-    nz = side * side * side * side
-    cols = []
-    for i in range(npar):
-        e = np.zeros(npar)
-        e[i] = 1.0
-        t = box_matrix(deriv(_element_from_params(e, sites, theta)), box_radius)
-        cols.append(np.concatenate([t.real.ravel(), t.imag.ravel()]))
-    d = np.array(cols).T
-    gram_inv = np.linalg.inv(d.T @ d)
-
-    def to_matrix(v):
-        n = side * side
-        return v[:nz].reshape(n, n) + 1j * v[nz:].reshape(n, n)
-
-    def to_vector(m):
-        return np.concatenate([m.real.ravel(), m.imag.ravel()])
-
-    x = np.zeros(npar)
-    z = np.zeros(2 * nz)
-    u = np.zeros(2 * nz)
-    best_val = 0.0
-    best_x = x
-    stall = 0
-    it = 0
-    for it in range(1, max_iter + 1):
-        x = gram_inv @ (wx / rho + d.T @ (z - u))
-        dx = d @ x
-        sig = _box_norm(to_matrix(dx))
-        if sig > 0.0:
-            scaled = float(wx @ x) / sig
-            if scaled > best_val * (1.0 + stall_tol) or (best_val == 0.0 and scaled > 0.0):
-                best_val = scaled
-                best_x = x.copy()
-                stall = 0
-            else:
-                stall += 1
-        else:
-            stall += 1
-        if stall >= stall_iters:
-            break
-        dxr = relax * dx + (1.0 - relax) * z
-        zm = clip_spectral(to_matrix(dxr + u), 1.0)
-        z = to_vector(zm)
-        u = u + dxr - z
-
-    converged = stall >= stall_iters
+    d, gram_inv = realified_operator(
+        lambda e: box_matrix(deriv(_element_from_params(e, sites, theta)), box_radius), npar)
+    best_x, it, converged = admm_maximize(wx, d, gram_inv, side * side, _box_norm, 1.0,
+                                          rho, max_iter, stall_iters, stall_tol, relax)
     a_best = _element_from_params(best_x, sites, theta)
     validation = box_radius + 2
     norm = torus_commutator_norm(a_best, box_radius=validation)

@@ -112,6 +112,39 @@ def test_non_finite_theta_exits_one():
             _assert_clean_parameter_error(_run_subprocess(*argv, f"--theta={theta}"))
 
 
+def test_non_finite_state_input_exits_one():
+    for argv in (("moyal-distance", "--a=finite:nan,1", "--b=basis:0", "--no-optimize"),
+                 ("moyal-distance", "--a=finite:inf,1", "--b=basis:0", "--no-optimize"),
+                 ("moyal-distance", "--a=zeta:nan:100", "--b=basis:0", "--no-optimize"),
+                 ("probe", "--pair=zeta:nan,basis:0", "--format=json")):
+        _assert_clean_parameter_error(_run_subprocess(*argv))
+
+
+def test_counts_must_be_positive(capsys):
+    for argv in (("probe", "--pair", "zeta:1.2,basis:0", "--points"),
+                 ("moyal-distance", "--a", "basis:0", "--b", "basis:1", "--max-iter"),
+                 ("torus-distance", "--m", "1,0", "--max-iter")):
+        for value in ("0", "-3", "x"):
+            code, out, err = run_cli(capsys, *argv, value)
+            assert code == 1 and out == ""
+            assert f"argument {argv[-1]}: expected a positive integer, got '{value}'" in err
+
+
+def test_probe_grid_is_validated(capsys):
+    for grid in ("0:10", "1e3", "-1:1e3", "nan:1e3", "1e2:inf", "a:b", "1:2:3"):
+        code, out, err = run_cli(capsys, "probe", "--pair", "zeta:1.2,basis:0", f"--grid={grid}")
+        assert code == 1 and out == ""
+        assert err.startswith("error: --grid") and repr(grid) in err
+
+
+def test_torus_index_pair_errors_name_the_spec(capsys):
+    for argv, spec in ((("--m", "1"), "--m 1"), (("--m", "1,x"), "--m 1,x"),
+                       (("--a", "phi:1", "--b", "tracial"), "phi:1")):
+        code, out, err = run_cli(capsys, "torus-distance", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and repr(spec) in err
+
+
 def test_usage_error_exit_one(capsys):
     code, _, _ = run_cli(capsys, "moyal-distance", "--bogus-flag")
     assert code == 1

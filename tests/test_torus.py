@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from specdist.distance import realified_operator
 from specdist.errors import ParameterError
-from specdist.torus import (TorusElement, bicharacter, box_matrix, coefficient_bound,
-                            commutator_norm_converged, deriv, deriv_bar, involution,
-                            optimize_torus_distance, product, torus_commutator_norm,
-                            torus_op_norm, torus_report, trace, tracial_state, unit,
-                            vector_state, weyl, weyl_certificate)
+from specdist.torus import (TorusElement, _element_from_params, _hermitian_sites, bicharacter,
+                            box_matrix, coefficient_bound, commutator_norm_converged, deriv,
+                            deriv_bar, involution, optimize_torus_distance, product,
+                            torus_commutator_norm, torus_op_norm, torus_report, trace,
+                            tracial_state, unit, vector_state, weyl, weyl_certificate)
 from specdist.verify import bicharacter_identities, weyl_certificate_gap
 
 THETAS = (0.0, 0.25, 1 / 3, 0.37, math.sqrt(2) - 1)
@@ -178,6 +179,31 @@ def test_optimizer_beats_certificate():
     assert res.value > cert + 1e-4
     assert res.value <= coefficient_bound((1, 0)) + 1e-9
     assert res.feasibility_residual < 1e-9
+
+
+def _column_list_operator(sites, theta, box_radius):
+    # the torus optimizer's former build: a list of realified columns, stacked and transposed
+    cols = []
+    for i in range(2 * len(sites)):
+        e = np.zeros(2 * len(sites))
+        e[i] = 1.0
+        t = box_matrix(deriv(_element_from_params(e, sites, theta)), box_radius)
+        cols.append(np.concatenate([t.real.ravel(), t.imag.ravel()]))
+    d = np.array(cols).T
+    return d, np.linalg.inv(d.T @ d)
+
+
+def test_realified_operator_matches_column_list_oracle():
+    theta = 0.37
+    for support_radius, box_radius in ((1, 3), (2, 4)):
+        sites = _hermitian_sites(support_radius)
+        d_ref, gram_ref = _column_list_operator(sites, theta, box_radius)
+        d, gram_inv = realified_operator(
+            lambda e: box_matrix(deriv(_element_from_params(e, sites, theta)), box_radius),
+            2 * len(sites))
+        assert d.shape == d_ref.shape and d.flags.f_contiguous
+        assert d.tobytes() == d_ref.tobytes()
+        assert gram_inv.tobytes() == gram_ref.tobytes()
 
 
 def test_element_json_roundtrip():
