@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 parameter error, 2 suite failure, 3 non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -63,6 +64,20 @@ def _positive_int(text: str) -> int:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
+def _finite_float(text: str, minimum: float = -math.inf) -> float:
+    """argparse type: a finite number of at least minimum."""
+    try:
+        if math.isfinite(float(text)) and float(text) >= minimum:
+            return float(text)
+    except ValueError:
+        pass
+    at_least = f" >= {minimum:g}" if math.isfinite(minimum) else ""
+    raise argparse.ArgumentTypeError(f"expected a finite number{at_least}, got {text!r}")
+
+
+_tolerance = functools.partial(_finite_float, minimum=0.0)
 
 
 def _index_pair(text: str, spec: str) -> tuple:
@@ -217,7 +232,7 @@ def build_parser() -> _Parser:
     p.add_argument("--a", help="state spec: basis:m | zeta:s:Mcut | finite:w0,w1,...")
     p.add_argument("--b", help="state spec")
     p.add_argument("--order", type=int, default=16, help="truncation order for the optimizer")
-    p.add_argument("--tol", type=float, default=1e-9, help="ball-membership tolerance")
+    p.add_argument("--tol", type=_tolerance, default=1e-9, help="ball-membership tolerance")
     p.add_argument("--max-iter", type=_positive_int, default=100000)
     p.add_argument("--no-optimize", action="store_true")
     p.add_argument("--probe", action="store_true", help="attach a divergence flag")
@@ -252,11 +267,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ball-check", help="Lipschitz-ball membership report")
     p.add_argument("--theta", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--element-file", help="JSON file with a serialized element")
     p.add_argument("--staircase", type=int, help="use the staircase element with this index")
     p.add_argument("--bump", type=int, help="use the single-entry radial element at this index")
-    p.add_argument("--scale", type=float, default=1.0, help="scale the element before checking")
+    p.add_argument("--scale", type=_finite_float, default=1.0, help="scale the element first")
     common(p)
     p.set_defaults(func=cmd_ball_check)
     return parser

@@ -176,9 +176,8 @@ def realified_operator(apply, npar: int):
     return d, np.linalg.inv(d.T @ d)
 
 
-def admm_maximize(wx, d, gram_inv, side, norm, radius, rho, max_iter,
-                  stall_iters, stall_tol, relax):
-    """Maximize wx @ x subject to norm(D x) <= radius, D x read as a side x side matrix.
+def admm_maximize(wx, d, gram_inv, side, radius, rho, max_iter, stall_iters, stall_tol, relax):
+    """Maximize wx @ x subject to op_norm(D x) <= radius, D x read as a side x side matrix.
 
     ADMM with over-relaxation: the splitting variable is D x, projected onto the
     spectral ball by singular-value clipping.  Each iterate is rescaled onto the
@@ -202,7 +201,7 @@ def admm_maximize(wx, d, gram_inv, side, norm, radius, rho, max_iter,
         x = gram_inv @ (wx / rho + d.T @ (z - u))
         dx = d @ x
         # track the rescaled (always feasible) objective of the current iterate
-        sig = norm(to_matrix(dx))
+        sig = op_norm(to_matrix(dx))
         if sig > 0.0:
             scaled = float(wx @ x) * (radius / sig)
             if scaled > best_val * (1.0 + stall_tol) or (best_val == 0.0 and scaled > 0.0):
@@ -276,8 +275,8 @@ def optimize_distance(s1: MoyalPureState, s2: MoyalPureState, order: int,
         return OptimizeResult(0.0, zero(theta, n), 0, True, 0.0)
 
     d, gram_inv = _dz_operator(n, theta)
-    best_x, it, converged = admm_maximize(wx, d, gram_inv, n + 1, op_norm, SPECTRAL_RADIUS,
-                                          rho, max_iter, stall_iters, stall_tol, relax)
+    best_x, it, converged = admm_maximize(wx, d, gram_inv, n + 1, SPECTRAL_RADIUS, rho,
+                                          max_iter, stall_iters, stall_tol, relax)
     a_best = MoyalElement(theta, _hermitian_unpack(best_x, n))
     cn = commutator_norm(a_best)
     if cn == 0.0:

@@ -120,6 +120,8 @@ class ProbeSpec:
 def parse_probe_spec(text: str) -> ProbeSpec:
     parts = text.split(":")
     if parts[0] == "basis" and len(parts) >= 2:
+        if int(parts[1]) < 0:
+            raise ParameterError(f"basis index must be a natural number, got {parts[1]}")
         return ProbeSpec("basis", index=int(parts[1]))
     if parts[0] == "zeta" and len(parts) >= 2:
         s = float(parts[1])

@@ -210,25 +210,11 @@ def box_matrix(a: TorusElement, box_radius: int) -> np.ndarray:
     return t
 
 
-_DENSE_BOX_LIMIT = 600
-
-
-def _box_norm(mat: np.ndarray) -> float:
-    # twisted-shift restrictions have tightly clustered singular values, where
-    # plain power iteration crawls; prefer the dense decomposition while the
-    # box is moderate
-    if max(mat.shape) <= _DENSE_BOX_LIMIT:
-        if not np.any(mat):
-            return 0.0
-        return float(np.linalg.svd(mat, compute_uv=False)[0])
-    return op_norm(mat, tol=1e-12, max_iter=3000)
-
-
 def torus_op_norm(a: TorusElement, box_radius: int) -> float:
     """Largest singular value of the box restriction of left multiplication."""
     if not a.terms:
         return 0.0
-    return _box_norm(box_matrix(a, box_radius))
+    return op_norm(box_matrix(a, box_radius))
 
 
 def commutator_norm_converged(a: TorusElement, tol: float = 1e-9,
@@ -429,8 +415,8 @@ def optimize_torus_distance(s1: TorusState, s2: TorusState,
 
     d, gram_inv = realified_operator(
         lambda e: box_matrix(deriv(_element_from_params(e, sites, theta)), box_radius), npar)
-    best_x, it, converged = admm_maximize(wx, d, gram_inv, side * side, _box_norm, 1.0,
-                                          rho, max_iter, stall_iters, stall_tol, relax)
+    best_x, it, converged = admm_maximize(wx, d, gram_inv, side * side, 1.0, rho,
+                                          max_iter, stall_iters, stall_tol, relax)
     a_best = _element_from_params(best_x, sites, theta)
     validation = box_radius + 2
     norm = torus_commutator_norm(a_best, box_radius=validation)

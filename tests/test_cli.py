@@ -120,6 +120,27 @@ def test_non_finite_state_input_exits_one():
         _assert_clean_parameter_error(_run_subprocess(*argv))
 
 
+def test_negative_probe_basis_index_exits_one():
+    _assert_clean_parameter_error(_run_subprocess("probe", "--pair=zeta:1.2,basis:-1",
+                                                  "--format=json"))
+
+
+def test_scale_must_be_finite(capsys):
+    for value in ("nan", "inf", "x"):
+        code, out, err = run_cli(capsys, "ball-check", "--bump", "3", "--scale", value)
+        assert code == 1 and out == ""
+        assert f"argument --scale: expected a finite number, got '{value}'" in err
+
+
+def test_tolerance_must_be_finite_and_nonnegative(capsys):
+    for argv in (("moyal-distance", "--a", "basis:0", "--b", "basis:1", "--tol"),
+                 ("ball-check", "--bump", "3", "--tol")):
+        for value in ("nan", "inf", "-1", "x"):
+            code, out, err = run_cli(capsys, *argv, value)
+            assert code == 1 and out == ""
+            assert f"argument --tol: expected a finite number >= 0, got '{value}'" in err
+
+
 def test_counts_must_be_positive(capsys):
     for argv in (("probe", "--pair", "zeta:1.2,basis:0", "--points"),
                  ("moyal-distance", "--a", "basis:0", "--b", "basis:1", "--max-iter"),

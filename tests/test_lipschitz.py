@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from specdist.algebra import MoyalElement, zero
-from specdist.calculus import radial_bump, staircase
-from specdist.errors import PreconditionError
+from specdist.calculus import dz, radial_bump, staircase
+from specdist.errors import ParameterError, PreconditionError
 from specdist.lipschitz import ball_report, commutator_norm, op_norm, radial_in_ball
 from specdist.verify import (ball_entry_bound, radial_membership_agreement,
                              self_adjoint_norm_symmetry, submultiplicativity)
@@ -33,22 +33,57 @@ def test_op_norm_against_gram_eigenvalue_oracle(rng):
         assert op_norm(m) == pytest.approx(oracle, rel=1e-10)
 
 
-def test_power_iteration_path_matches_dense(rng):
-    # beyond dimension 64 the norm comes from Gram power iteration
+def test_op_norm_dense_svd_at_dimension_80(rng):
+    # a dense matrix gets the full decomposition at every size
     m = rand_coeffs(rng, 80)
     dense = np.linalg.svd(m, compute_uv=False)[0]
     assert op_norm(m) == pytest.approx(dense, rel=1e-9)
 
 
-def test_power_iteration_with_clustered_spectrum(rng):
-    # nearly tied top singular values: the value estimate must still converge
-    # even though the iterate wanders inside the near-degenerate subspace
+def test_op_norm_dense_svd_with_clustered_spectrum(rng):
+    # nearly tied top singular values at dimension 80
     u, _ = np.linalg.qr(rand_coeffs(rng, 80))
     v, _ = np.linalg.qr(rand_coeffs(rng, 80))
     sigma = np.linspace(1.0, 0.1, 80)
     sigma[1] = sigma[0] * (1 - 1e-9)
     m = (u * sigma) @ v.conj().T
     assert op_norm(m) == pytest.approx(sigma[0], rel=1e-8)
+
+
+def test_op_norm_of_radial_band_is_not_below_its_entries():
+    # the norm of any matrix is at least its largest entry modulus; the
+    # order-1023 staircase derivative is one band, a case an estimate from
+    # below misses
+    m = dz(staircase(1023, 1.0)).coeffs
+    assert op_norm(m) >= np.abs(m).max()
+
+
+def test_partial_permutation_norm_matches_svd(rng):
+    # at most one nonzero per row and per column: the norm is the largest entry
+    # modulus, for square and rectangular shapes with empty rows and columns
+    for rows, cols in [(1, 1), (6, 6), (7, 4), (4, 9), (70, 90)]:
+        for _ in range(5):
+            k = rng.integers(1, max(min(rows, cols) - 1, 1) + 1)
+            m = np.zeros((rows, cols), dtype=complex)
+            r = rng.choice(rows, k, replace=False)
+            c = rng.choice(cols, k, replace=False)
+            m[r, c] = rng.normal(size=k) + 1j * rng.normal(size=k)
+            assert op_norm(m) == np.abs(m).max()
+            assert op_norm(m) == pytest.approx(np.linalg.svd(m, compute_uv=False)[0],
+                                               rel=1e-14)
+
+
+def test_op_norm_two_ones_in_one_row_or_column():
+    # a rule that inspected only rows or only columns would return 1 for some of
+    # these; the square ones have no more nonzeros than their side
+    for m in ([[1, 1]], [[1], [1]], [[1, 1], [0, 0]], [[1, 0], [1, 0]]):
+        assert op_norm(m) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+
+
+def test_ball_report_rejects_tolerance_outside_range():
+    for tol in (math.nan, math.inf, -1e-9):
+        with pytest.raises(ParameterError):
+            ball_report(radial_bump(3, 1.0), tol=tol)
 
 
 def test_commutator_norm_of_staircase_is_one():

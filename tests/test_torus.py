@@ -105,7 +105,8 @@ def test_vector_state_requires_nonzero_index():
 def test_box_norm_of_single_weyl():
     for theta in THETAS:
         m = (1, -2)
-        assert torus_op_norm(weyl(theta, m), 4) == pytest.approx(1.0, abs=1e-12)
+        for radius in (4, 16):
+            assert torus_op_norm(weyl(theta, m), radius) == pytest.approx(1.0, abs=1e-12)
     assert torus_op_norm(TorusElement(0.5, {}), 3) == 0.0
 
 
