@@ -14,10 +14,10 @@ from .distance import (DistanceReport, OptimizeResult, analytic_upper_bound, bas
 from .errors import ParameterError, PreconditionError, UnboundedSupportError
 from .lipschitz import BallReport, ball_report, commutator_norm, op_norm, radial_in_ball
 from .probes import (ProbeSeries, ProbeSpec, asymptotic_fit, crossover_index, divergence_flag,
-                     estimate_checks, inv_sqrt_suffix_sum, probe_series, staircase_gap,
-                     zeta_weight_gap)
-from .states import (MoyalPureState, basis_state, diagonal_difference, finite_state,
-                     zeta_state)
+                     estimate_checks, inv_sqrt_suffix_sum, probe_series, radial_gap,
+                     staircase_gap, zeta_weight_gap)
+from .states import (MoyalPureState, basis_state, diagonal_difference, difference_matrix,
+                     finite_state, zeta_state)
 from .torus import (TorusElement, TorusState, bicharacter, torus_commutator_norm,
                     torus_op_norm, torus_report, tracial_state, vector_state,
                     weyl_certificate)

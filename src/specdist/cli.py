@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 parameter error, 2 suite failure, 3 non-convergence.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -77,9 +76,6 @@ def _finite_float(text: str, minimum: float = -math.inf) -> float:
     raise argparse.ArgumentTypeError(f"expected a finite number{at_least}, got {text!r}")
 
 
-_tolerance = functools.partial(_finite_float, minimum=0.0)
-
-
 def _index_pair(text: str, spec: str) -> tuple:
     """Torus index pair m1,m2; spec names the option or state spec in the error."""
     try:
@@ -135,7 +131,7 @@ def cmd_moyal_distance(args) -> int:
     s1 = parse_state_spec(a_text, theta)
     s2 = parse_state_spec(b_text, theta)
     report = moyal_report(s1, s2, order=args.order, optimize=not args.no_optimize,
-                          probe=args.probe, tol=args.tol, max_iter=args.max_iter)
+                          probe=args.probe, max_iter=args.max_iter)
     _emit(report.to_dict(), args)
     return EXIT_NON_CONVERGENCE if report.converged is False else EXIT_OK
 
@@ -232,7 +228,6 @@ def build_parser() -> _Parser:
     p.add_argument("--a", help="state spec: basis:m | zeta:s:Mcut | finite:w0,w1,...")
     p.add_argument("--b", help="state spec")
     p.add_argument("--order", type=int, default=16, help="truncation order for the optimizer")
-    p.add_argument("--tol", type=_tolerance, default=1e-9, help="ball-membership tolerance")
     p.add_argument("--max-iter", type=_positive_int, default=100000)
     p.add_argument("--no-optimize", action="store_true")
     p.add_argument("--probe", action="store_true", help="attach a divergence flag")
@@ -267,7 +262,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ball-check", help="Lipschitz-ball membership report")
     p.add_argument("--theta", type=float, default=1.0)
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--tol", type=lambda text: _finite_float(text, 0.0), default=1e-9)
     p.add_argument("--element-file", help="JSON file with a serialized element")
     p.add_argument("--staircase", type=int, help="use the staircase element with this index")
     p.add_argument("--bump", type=int, help="use the single-entry radial element at this index")

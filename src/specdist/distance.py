@@ -13,14 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import probes
 from .algebra import MoyalElement, zero
 from .calculus import dz, staircase
 from .errors import ParameterError, PreconditionError, UnboundedSupportError
 from .lipschitz import BallReport, ball_report, commutator_norm, op_norm
-from .states import MoyalPureState
+from .states import MoyalPureState, difference_matrix
 
 SPECTRAL_RADIUS = 1.0 / math.sqrt(2.0)  # derivative budget of the unit commutator ball
 MAX_OPERATOR_ENTRIES = 3e7  # ceiling on an optimizer's dense realified operator (240 MB)
+STALL_ITERS = 50  # admm_maximize stops after this many non-improving iterations in a row
+STALL_TOL = 1e-8  # relative margin an iterate must clear to count as an improvement
+RELAX = 1.7  # ADMM over-relaxation factor
 
 
 def basis_distance(m: int, n: int, theta: float) -> float:
@@ -52,8 +56,7 @@ class CandidateRejected(ValueError):
         self.report = report
 
 
-def certificate_lower_bound(s1: MoyalPureState, s2: MoyalPureState,
-                            candidates, labels=None, tol: float = 1e-9):
+def certificate_lower_bound(s1: MoyalPureState, s2: MoyalPureState, candidates, labels):
     """Best evaluation gap over feasible candidate elements.
 
     Every candidate must lie in the unit Lipschitz ball (checked; a failing
@@ -61,19 +64,14 @@ def certificate_lower_bound(s1: MoyalPureState, s2: MoyalPureState,
     (value, label) for the maximizing candidate; the value is a valid lower
     bound on the spectral distance.
     """
-    candidates = list(candidates)
-    if labels is None:
-        labels = [f"candidate[{i}]" for i in range(len(candidates))]
-    best = 0.0
-    best_label = ""
+    best, best_label = 0.0, ""
     for a, label in zip(candidates, labels):
-        rep = ball_report(a, tol)
+        rep = ball_report(a)
         if not rep.member:
             raise CandidateRejected(label, rep)
         gap = abs(s1.expect(a) - s2.expect(a))
         if gap > best or not best_label:
-            best = gap
-            best_label = label
+            best, best_label = gap, label
     return best, best_label
 
 
@@ -89,15 +87,9 @@ def analytic_upper_bound(s1: MoyalPureState, s2: MoyalPureState) -> float:
     if s1.kind == "zeta" or s2.kind == "zeta":
         raise UnboundedSupportError(
             "analytic upper bound is only available for finitely supported states")
-    if s1.theta != s2.theta:
-        raise ParameterError("states carry different theta")
     theta = s1.theta
     n = max(s1.support, s2.support)
-    c1 = np.zeros(n, dtype=complex)
-    c1[: s1.support] = s1.c
-    c2 = np.zeros(n, dtype=complex)
-    c2[: s2.support] = s2.c
-    w = np.outer(c1.conj(), c1) - np.outer(c2.conj(), c2)
+    w = difference_matrix(s1, s2, n)
 
     sq = np.sqrt(np.arange(n, dtype=float))
     off = 0.0
@@ -176,13 +168,13 @@ def realified_operator(apply, npar: int):
     return d, np.linalg.inv(d.T @ d)
 
 
-def admm_maximize(wx, d, gram_inv, side, radius, rho, max_iter, stall_iters, stall_tol, relax):
+def admm_maximize(wx, d, gram_inv, side, radius, rho, max_iter):
     """Maximize wx @ x subject to op_norm(D x) <= radius, D x read as a side x side matrix.
 
-    ADMM with over-relaxation: the splitting variable is D x, projected onto the
-    spectral ball by singular-value clipping.  Each iterate is rescaled onto the
-    ball and the best rescaled one is kept; the run stops once stall_iters
-    iterations in a row fail to improve it by the relative margin stall_tol.
+    ADMM with over-relaxation RELAX: the splitting variable is D x, projected onto
+    the spectral ball by singular-value clipping.  Each iterate is rescaled onto the
+    ball and the best rescaled one is kept; the run stops once STALL_ITERS
+    iterations in a row fail to improve it by the relative margin STALL_TOL.
     Returns (best x, iterations run, stalled).  Deterministic: starts from zero.
     """
     nz = side * side
@@ -204,7 +196,7 @@ def admm_maximize(wx, d, gram_inv, side, radius, rho, max_iter, stall_iters, sta
         sig = op_norm(to_matrix(dx))
         if sig > 0.0:
             scaled = float(wx @ x) * (radius / sig)
-            if scaled > best_val * (1.0 + stall_tol) or (best_val == 0.0 and scaled > 0.0):
+            if scaled > best_val * (1.0 + STALL_TOL) or (best_val == 0.0 and scaled > 0.0):
                 best_val = scaled
                 best_x = x.copy()
                 stall = 0
@@ -212,13 +204,13 @@ def admm_maximize(wx, d, gram_inv, side, radius, rho, max_iter, stall_iters, sta
                 stall += 1
         else:
             stall += 1
-        if stall >= stall_iters:
+        if stall >= STALL_ITERS:
             break
-        dxr = relax * dx + (1.0 - relax) * z
+        dxr = RELAX * dx + (1.0 - RELAX) * z
         zm = clip_spectral(to_matrix(dxr + u), radius)
         z = np.concatenate([zm.real.ravel(), zm.imag.ravel()])
         u = u + dxr - z
-    return best_x, it, stall >= stall_iters
+    return best_x, it, stall >= STALL_ITERS
 
 
 _operator_cache: dict = {}
@@ -243,9 +235,7 @@ class OptimizeResult:
 
 
 def optimize_distance(s1: MoyalPureState, s2: MoyalPureState, order: int,
-                      rho: float = 1.0, max_iter: int = 100000,
-                      stall_iters: int = 50, stall_tol: float = 1e-8,
-                      relax: float = 1.7) -> OptimizeResult:
+                      rho: float = 1.0, max_iter: int = 100000) -> OptimizeResult:
     """Maximize the evaluation gap over self-adjoint elements of the given order.
 
     Solves max <w, a> subject to the spectral-norm budget on the derivative
@@ -264,19 +254,12 @@ def optimize_distance(s1: MoyalPureState, s2: MoyalPureState, order: int,
                              f"{MAX_OPERATOR_ENTRIES:.0e} entries; lower the order")
     theta = s1.theta
     n = order
-
-    c1 = np.zeros(n, dtype=complex)
-    c1[: s1.support] = s1.c
-    c2 = np.zeros(n, dtype=complex)
-    c2[: s2.support] = s2.c
-    w = np.outer(c1.conj(), c1) - np.outer(c2.conj(), c2)
-    wx = _objective_vector(w)
+    wx = _objective_vector(difference_matrix(s1, s2, n))
     if not np.any(wx):
         return OptimizeResult(0.0, zero(theta, n), 0, True, 0.0)
 
     d, gram_inv = _dz_operator(n, theta)
-    best_x, it, converged = admm_maximize(wx, d, gram_inv, n + 1, SPECTRAL_RADIUS, rho,
-                                          max_iter, stall_iters, stall_tol, relax)
+    best_x, it, converged = admm_maximize(wx, d, gram_inv, n + 1, SPECTRAL_RADIUS, rho, max_iter)
     a_best = MoyalElement(theta, _hermitian_unpack(best_x, n))
     cn = commutator_norm(a_best)
     if cn == 0.0:
@@ -345,34 +328,20 @@ def staircase_candidates(k_max: int, theta: float):
 
 
 def moyal_report(s1: MoyalPureState, s2: MoyalPureState, order: int = 16,
-                 optimize: bool = True, probe: bool = False, tol: float = 1e-9,
+                 optimize: bool = True, probe: bool = False,
                  **optimizer_kwargs) -> DistanceReport:
     """Assemble a full bracketed report for a pair of states.
 
-    For pairs involving a zeta-type state the upper bound is unavailable and
-    the certificate search runs over a geometric staircase grid without
-    materializing large elements; with probe=True a divergence flag computed
-    from the growth of the certificate bound is attached.
+    The certificate lower bound is `probes.radial_gap` (O(support), unit norm by
+    construction, so no ball check), reported as radial(top index).  Pairs with a
+    zeta-type state get no upper bound; with probe=True a divergence flag computed
+    from the growth of the staircase bound is attached.
     """
     if s1.theta != s2.theta:
         raise ParameterError("states carry different theta")
     if order < 1:
         raise ParameterError(f"truncation order must be at least 1, got {order}")
-    from . import probes  # local import; probes builds on states/calculus only
-
     theta = s1.theta
-    has_zeta = s1.kind == "zeta" or s2.kind == "zeta"
-    top_index = max(s1.support, s2.support) - 1
-
-    if has_zeta:
-        grid = sorted({min(top_index, 2 ** j) for j in range(0, 40) if 2 ** j <= 4 * top_index})
-        gaps = [probes.staircase_gap(k, s1, s2) for k in grid]
-        i = int(np.argmax(gaps))
-        cert_val, cert_id = float(gaps[i]), f"staircase({grid[i]})"
-    else:
-        elements, labels = staircase_candidates(max(top_index, 1), theta)
-        cert_val, cert_id = certificate_lower_bound(s1, s2, elements, labels, tol=tol)
-
     closed = None
     if s1.kind == "basis" and s2.kind == "basis":
         closed = basis_distance(s1.meta["index"], s2.meta["index"], theta)
@@ -389,7 +358,7 @@ def moyal_report(s1: MoyalPureState, s2: MoyalPureState, order: int = 16,
         opt_resid, opt_conv = res.feasibility_residual, res.converged
 
     divergence = None
-    if probe and has_zeta:
+    if probe and "zeta" in (s1.kind, s2.kind):
         divergence = probes.divergence_flag(probes.spec_of_state(s1), probes.spec_of_state(s2),
                                             theta=theta)
 
@@ -398,8 +367,8 @@ def moyal_report(s1: MoyalPureState, s2: MoyalPureState, order: int = 16,
         truncation_order=order,
         state_a=s1.spec_string(),
         state_b=s2.spec_string(),
-        certificate_lower=cert_val,
-        certificate_id=cert_id,
+        certificate_lower=probes.radial_gap(s1, s2),
+        certificate_id=f"radial({max(s1.support, s2.support) - 1})",
         closed_form=closed,
         analytic_upper=upper,
         optimizer_lower=opt_val,

@@ -84,10 +84,31 @@ def staircase_gap(m0: int, s1: MoyalPureState, s2: MoyalPureState) -> float:
     """
     if m0 < 0:
         raise ParameterError(f"m0 must be a natural number, got {m0}")
+    return radial_gap(s1, s2, 1.0 / np.sqrt(np.arange(m0 + 1, dtype=float) + 1.0))
+
+
+def radial_steps(d: np.ndarray) -> np.ndarray:
+    """Steps sigma_k/sqrt(k+1) of the best radial certificate for the diagonal difference
+    d: sigma_k = -sign(T_{k+1}), T_j = sum_{p>=j} d_p.  Where T_{k+1} = 0 (always at the
+    last step) the step adds nothing and keeps the sign before it (+1 if none), so dz
+    is one band of modulus 1/sqrt(2) and the commutator norm is exactly 1."""
+    tail = np.cumsum(d[::-1])[::-1]  # tail[j] = T_j
+    sigma = -np.sign(np.append(tail[1:], 0.0))
+    sigma = sigma[np.maximum.accumulate(np.where(sigma != 0, np.arange(sigma.size), 0))]
+    return np.where(sigma != 0, sigma, 1.0) / np.sqrt(np.arange(d.size, dtype=float) + 1.0)
+
+
+def radial_gap(s1: MoyalPureState, s2: MoyalPureState, steps=None) -> float:
+    """Gap sqrt(theta/2) |sum_m u_m d_m| of the radial element with diagonal sqrt(theta/2) u,
+    u_m = sum_{k>=m} steps_k.  The default radial_steps(d) give R = sqrt(theta/2) sum_k
+    |T_{k+1}|/sqrt(k+1), the exact distance between the states averaged over the rotation
+    action (a contraction; a 1-d Kantorovich distance on the basis chain): a lower bound
+    above every staircase gap, equal to staircase_gap(top) bit for bit where T keeps one sign.
+    """
     d = diagonal_difference(s1, s2)
-    n = min(m0 + 1, d.size)
-    inv = 1.0 / np.sqrt(np.arange(m0 + 1, dtype=float) + 1.0)
-    u = np.cumsum(inv[::-1])[::-1]
+    steps = radial_steps(d) if steps is None else steps
+    n = min(steps.size, d.size)
+    u = np.cumsum(steps[::-1])[::-1]
     return float(np.sqrt(s1.theta / 2.0) * abs(np.dot(u[:n], d[:n])))
 
 

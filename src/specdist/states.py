@@ -128,3 +128,12 @@ def diagonal_difference(s1: MoyalPureState, s2: MoyalPureState) -> np.ndarray:
     d[: s1.support] += np.abs(s1.c) ** 2
     d[: s2.support] -= np.abs(s2.c) ** 2
     return d
+
+
+def difference_matrix(s1: MoyalPureState, s2: MoyalPureState, n: int) -> np.ndarray:
+    """W = conj(c1) c1^T - conj(c2) c2^T, both states zero-padded to n >= their supports,
+    so that w1(a) - w2(a) = sum(W * a) for every element a of order n."""
+    if s1.theta != s2.theta:
+        raise ParameterError("states carry different theta")
+    c1, c2 = (np.pad(s.c, (0, n - s.support)) for s in (s1, s2))
+    return np.outer(c1.conj(), c1) - np.outer(c2.conj(), c2)

@@ -276,7 +276,6 @@ def closed_form_vector_trace_distance(m: Index) -> float:
 
 
 def torus_report(s1: TorusState, s2: TorusState, optimize: bool = False,
-                 support_radius: int | None = None,
                  box_radius: int | None = None, **optimizer_kwargs) -> DistanceReport:
     """Bracketed distance report between torus states.
 
@@ -318,8 +317,7 @@ def torus_report(s1: TorusState, s2: TorusState, optimize: bool = False,
 
     opt_val = opt_iters = opt_resid = opt_conv = None
     if optimize and not same_functional:
-        res = optimize_torus_distance(s1, s2, support_radius=support_radius,
-                                      box_radius=box_radius, **optimizer_kwargs)
+        res = optimize_torus_distance(s1, s2, box_radius=box_radius, **optimizer_kwargs)
         opt_val, opt_iters = res.value, res.iterations
         opt_resid, opt_conv = res.feasibility_residual, res.converged
         box_used = max(box_used, res.box_radius)
@@ -374,9 +372,7 @@ def _element_from_params(x: np.ndarray, sites, theta: float) -> TorusElement:
 def optimize_torus_distance(s1: TorusState, s2: TorusState,
                             support_radius: int | None = None,
                             box_radius: int | None = None,
-                            rho: float = 0.05, max_iter: int = 2000,
-                            stall_iters: int = 50, stall_tol: float = 1e-8,
-                            relax: float = 1.7) -> TorusOptimizeResult:
+                            rho: float = 0.05, max_iter: int = 2000) -> TorusOptimizeResult:
     """Maximize the evaluation gap over self-adjoint box-supported elements.
 
     The plane optimizer's `admm_maximize`, with the spectral constraint on the
@@ -415,8 +411,7 @@ def optimize_torus_distance(s1: TorusState, s2: TorusState,
 
     d, gram_inv = realified_operator(
         lambda e: box_matrix(deriv(_element_from_params(e, sites, theta)), box_radius), npar)
-    best_x, it, converged = admm_maximize(wx, d, gram_inv, side * side, 1.0, rho,
-                                          max_iter, stall_iters, stall_tol, relax)
+    best_x, it, converged = admm_maximize(wx, d, gram_inv, side * side, 1.0, rho, max_iter)
     a_best = _element_from_params(best_x, sites, theta)
     validation = box_radius + 2
     norm = torus_commutator_norm(a_best, box_radius=validation)

@@ -148,13 +148,14 @@ def ball_entry_bound(a):
 
 
 def radial_membership_agreement(theta, diag, rng):
-    """radial_in_ball = ball_report membership, on the radial element rescaled by
-    a factor drawn from [0.5, 1.5] over its commutator norm."""
+    """radial_in_ball = membership from dense SVDs of both derivatives, on the radial
+    element rescaled by a factor drawn from [0.5, 1.5] over its commutator norm."""
     a = radial(theta, diag)
     cn = commutator_norm(a)
     if cn > 0:
         a = (rng.uniform(0.5, 1.5) / cn) * a
-    return radial_in_ball(a), ball_report(a).member
+    top = max(np.linalg.svd(d(a).coeffs, compute_uv=False)[0] for d in (dz, dzbar))
+    return radial_in_ball(a), bool(np.sqrt(2.0) * top <= 1.0 + 1e-9)
 
 
 def submultiplicativity(a, b):
@@ -176,6 +177,15 @@ def staircase_cross_path(m0, s1, s2, element=None):
     = probes.staircase_gap."""
     el = staircase(m0, s1.theta) if element is None else element
     return abs(s1.expect(el) - s2.expect(el)), probes.staircase_gap(m0, s1, s2)
+
+
+def radial_cross_path(s1, s2):
+    """(Expectation gap, ball_report commutator norm) of the radial element built from
+    probes.radial_steps = (probes.radial_gap, 1)."""
+    steps = probes.radial_steps(diagonal_difference(s1, s2))
+    el = radial(s1.theta, math.sqrt(s1.theta / 2.0) * np.cumsum(steps[::-1])[::-1])
+    lhs = np.array([abs(s1.expect(el) - s2.expect(el)), ball_report(el).commutator_norm])
+    return lhs, np.array([probes.radial_gap(s1, s2), 1.0])
 
 
 def bicharacter_identities(m, n, p, theta):

@@ -10,6 +10,7 @@ from specdist.distance import (CandidateRejected, _hermitian_unpack, _objective_
                                triangle_residual)
 from specdist.errors import ParameterError, PreconditionError, UnboundedSupportError
 from specdist.lipschitz import commutator_norm
+from specdist.probes import radial_gap
 from specdist.states import basis_state, finite_state, zeta_state
 
 from conftest import THETAS
@@ -233,6 +234,18 @@ def test_report_identical_zeta_pair_not_divergent():
     rep = moyal_report(st, st, order=8, optimize=False, probe=True)
     assert rep.certificate_lower == 0.0
     assert rep.divergence is None
+
+
+def test_report_certificate_is_the_radial_gap():
+    pairs = [
+        (basis_state(0, 1.0), basis_state(3, 1.0)),
+        (finite_state([1.0, 0.5j, 0.25], 1.0), finite_state([0.2, 1.0], 1.0)),
+        (basis_state(0, 1.0), zeta_state(1.2, 500, 1.0)),
+    ]
+    for s1, s2 in pairs:
+        rep = moyal_report(s1, s2, optimize=False)
+        assert rep.certificate_id == f"radial({max(s1.support, s2.support) - 1})"
+        assert rep.certificate_lower == radial_gap(s1, s2)
 
 
 def test_report_schema_keys():

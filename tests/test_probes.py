@@ -7,10 +7,13 @@ from specdist import probes
 from specdist.errors import ParameterError
 from specdist.probes import (ProbeSpec, asymptotic_fit, crossover_index, crossover_mass,
                              divergence_flag, estimate_checks, inv_sqrt_suffix_sum,
-                             parse_probe_spec, probe_series, staircase_gap, zeta_weight_gap)
+                             parse_probe_spec, probe_series, radial_gap, staircase_gap,
+                             zeta_weight_gap)
 from specdist.states import basis_state, finite_state, zeta_state
-from specdist.verify import staircase_cross_path
+from specdist.verify import radial_cross_path, staircase_cross_path
 from specdist.zeta import zeta, zeta_partial, zeta_tail
+
+from conftest import THETAS
 
 
 def test_suffix_sum_values():
@@ -49,6 +52,48 @@ def test_staircase_gap_matches_expectation_gap(rng):
         s2 = zeta_state(1.4, 60, theta)
         direct, fast = staircase_cross_path(m0, s1, s2)
         assert fast == pytest.approx(direct, abs=1e-10)
+
+
+def _random_finite_pairs(rng, count=60):
+    # supports 2-40; every third pair shares one support
+    for i in range(count):
+        theta = THETAS[i % 3]
+        n1 = int(rng.integers(2, 41))
+        n2 = n1 if i % 3 == 0 else int(rng.integers(2, 41))
+        yield tuple(finite_state(rng.standard_normal(n) + 1j * rng.standard_normal(n), theta)
+                    for n in (n1, n2))
+
+
+def test_radial_certificate_has_unit_norm_and_the_radial_gap(rng):
+    # commutator norm 1 within 1e-12 makes the element a ball_report member
+    basis_pairs = [(basis_state(m, theta), basis_state(n, theta))
+                   for theta in THETAS for m in range(5) for n in range(5)]
+    for s1, s2 in basis_pairs + list(_random_finite_pairs(rng)):
+        (direct, norm), (fast, one) = radial_cross_path(s1, s2)
+        assert norm == pytest.approx(one, abs=1e-12)
+        assert fast == pytest.approx(direct, abs=1e-12)
+
+
+def test_radial_gap_dominates_every_staircase(rng):
+    gains = []
+    for s1, s2 in _random_finite_pairs(rng):
+        best = max(staircase_gap(m0, s1, s2) for m0 in range(max(s1.support, s2.support)))
+        assert radial_gap(s1, s2) >= best - 1e-12
+        if s1.support == s2.support:
+            gains.append(radial_gap(s1, s2) / best)
+    assert max(gains) >= 1.05
+
+
+def test_radial_gap_is_the_top_staircase_where_the_tail_keeps_one_sign():
+    # T_j = sum_{p>=j} (|c1_p|^2 - |c2_p|^2) keeps one sign between basis:0 and a
+    # zeta state, and between two zeta states of one cutoff
+    top = 3000
+    for theta in THETAS:
+        other = zeta_state(1.05, top, theta)
+        for s in (1.1, 1.5, 2.0):
+            z = zeta_state(s, top, theta)
+            for s1, s2 in ((basis_state(0, theta), z), (z, basis_state(0, theta)), (z, other)):
+                assert radial_gap(s1, s2) == staircase_gap(top, s1, s2)
 
 
 def test_weight_gap_sign_pattern():
