@@ -15,13 +15,13 @@ import numpy as np
 
 from . import probes
 from .algebra import MoyalElement, zero
-from .calculus import dz, staircase
+from .calculus import staircase
 from .errors import ParameterError, PreconditionError, UnboundedSupportError
 from .lipschitz import BallReport, ball_report, commutator_norm, op_norm
 from .states import MoyalPureState, difference_matrix
 
 SPECTRAL_RADIUS = 1.0 / math.sqrt(2.0)  # derivative budget of the unit commutator ball
-MAX_OPERATOR_ENTRIES = 3e7  # ceiling on an optimizer's dense realified operator (240 MB)
+MAX_OPERATOR_ENTRIES = 3e7  # ceiling on an optimizer's stored operator (240 MB of floats)
 STALL_ITERS = 50  # admm_maximize stops after this many non-improving iterations in a row
 STALL_TOL = 1e-8  # relative margin an iterate must clear to count as an improvement
 RELAX = 1.7  # ADMM over-relaxation factor
@@ -129,27 +129,6 @@ def clip_spectral(mat: np.ndarray, radius: float) -> np.ndarray:
         return mat @ (v * factor) @ v.conj().T
 
 
-def _hermitian_unpack(x: np.ndarray, n: int) -> np.ndarray:
-    """Hermitian matrix from n*n real parameters: the diagonal, then (re, im) pairs of
-    the strict upper triangle in row-major order (the order of np.triu_indices)."""
-    a = np.diag(x[:n]).astype(complex)
-    m, q = np.triu_indices(n, 1)
-    a[m, q] = x[n::2] + 1j * x[n + 1::2]
-    a[q, m] = x[n::2] - 1j * x[n + 1::2]
-    return a
-
-
-def _objective_vector(w: np.ndarray) -> np.ndarray:
-    """Real gradient of x -> sum(W * A(x)) over the hermitian parametrization."""
-    n = w.shape[0]
-    out = np.empty(n * n)
-    out[:n] = np.diag(w).real
-    upper = w[np.triu_indices(n, 1)]
-    out[n::2] = 2.0 * upper.real
-    out[n + 1::2] = -2.0 * upper.imag
-    return out
-
-
 def realified_operator(apply, npar: int):
     """Real matrix of a linear map from npar real parameters to complex matrices, with
     the inverse of its Gram matrix.  Rows hold the real parts, then the imaginary parts,
@@ -168,61 +147,106 @@ def realified_operator(apply, npar: int):
     return d, np.linalg.inv(d.T @ d)
 
 
-def admm_maximize(wx, d, gram_inv, side, radius, rho, max_iter):
-    """Maximize wx @ x subject to op_norm(D x) <= radius, D x read as a side x side matrix.
+def band_inverses(order: int, theta: float) -> np.ndarray:
+    """Inverse Gram blocks of dz on hermitian order x order matrices, one per band.
 
-    ADMM with over-relaxation RELAX: the splitting variable is D x, projected onto
-    the spectral ball by singular-value clipping.  Each iterate is rescaled onto the
-    ball and the best rescaled one is kept; the run stops once STALL_ITERS
-    iterations in a row fail to improve it by the relative margin STALL_TOL.
-    Returns (best x, iterations run, stalled).  Deterministic: starts from zero.
+    Band k (x[i, i+k] for i < n-k, and its conjugate band -k) feeds only bands k+1 and
+    1-k of dz(x), so the Frobenius Gram of dz splits into n tridiagonal blocks U_k with
+    diagonal (2i+k+1)/theta and off-diagonal -sqrt((i+1)(i+k+1))/theta.  Returns
+    out[k, :n-k, :n-k] = U_k^-1, zero elsewhere: a batched Cholesky solve, O(n^3).
     """
-    nz = side * side
+    n = order
+    i = np.arange(n, dtype=float)
+    valid = i < n - i[:, None]
+    diag = np.where(valid, 2.0 * i + i[:, None] + 1.0, 1.0)
+    sub = np.where(valid & (i > 0), -np.sqrt(i * (i + i[:, None])), 0.0)
+    out = np.zeros((n, n, n))
+    out[:, np.arange(n), np.arange(n)] = valid
+    # Cholesky U_k = L L^T in place: diag[k, j] becomes L[j, j], sub[k, j] becomes
+    # L[j, j-1]; sub[:, 0] = 0 makes the wrapped indices at j = 0 and j = n-1 harmless
+    for j in range(n):  # out <- L^-1 out
+        sub[:, j] /= diag[:, j - 1]
+        diag[:, j] = np.sqrt(diag[:, j] - sub[:, j] ** 2)
+        out[:, j] = (out[:, j] - sub[:, j, None] * out[:, j - 1]) / diag[:, j, None]
+    for j in reversed(range(n)):  # out <- L^-T out
+        out[:, j] = (out[:, j] - sub[:, (j + 1) % n, None] * out[:, (j + 1) % n]) / diag[:, j, None]
+    out *= theta
+    return out
 
-    def to_matrix(v):
-        return v[:nz].reshape(side, side) + 1j * v[nz:].reshape(side, side)
 
-    x = np.zeros(d.shape[1])
-    z = np.zeros(2 * nz)
-    u = np.zeros(2 * nz)
-    best_val = 0.0
-    best_x = x
-    stall = 0
-    it = 0
+def plane_closures(order: int, theta: float):
+    """`admm_maximize`'s (apply, adjoint, solve) for dz on hermitian order x order matrices.
+
+    apply is the O(n^2) stencil dz(x)[m, j] = s(j+1) x[m, j+1] - s(m) x[m-1, j] with
+    s(i) = sqrt(i/theta), adjoint its Frobenius adjoint; solve(r) is the hermitian x
+    whose Gram image is the hermitian part of r: one batched matmul by `band_inverses`.
+    """
+    n = order
+    s = np.sqrt(np.arange(n + 1) / theta).astype(complex)  # complex: no casts per call
+    row, col, neg_col = s[1:n], s[1:, None], -s[1:, None]
+    k, i = np.divmod(np.arange(n * n), n)
+    valid = i < n - k
+    # flat indices of x[i, i+k] and x[i+k, i], band by band; past a band's end the
+    # gather reads entry 0, which the zero-padded inverses ignore, and the scatter
+    # writes a spare last slot
+    up, lo = np.where(valid, i * (n + 1) + k, n * n), np.where(valid, (i + k) * n + i, n * n)
+    up_in, lo_in = up % (n * n), lo % (n * n)
+    # halved (the inverses scale as theta), since solve gathers r plus its adjoint
+    half_inv = band_inverses(n, 0.5 * theta)
+
+    def apply(x):
+        out = np.zeros((n + 1, n + 1), dtype=complex)
+        np.multiply(x[:, 1:], row, out=out[:n, :n - 1])
+        out[1:, :n] -= col * x
+        return out
+
+    def adjoint(y):
+        out = neg_col * y[1:, :n]
+        out[:, 1:] += row * y[:n, :n - 1]
+        return out
+
+    def solve(r):
+        r = r.ravel()
+        rhs = (r[up_in] + r[lo_in].conj()).view(float).reshape(n, n, 2)
+        xb = np.matmul(half_inv, rhs).view(complex).ravel()
+        x = np.empty(n * n + 1, dtype=complex)
+        x[up], x[lo] = xb, xb.conj()
+        return x[:-1].reshape(n, n)
+
+    return apply, adjoint, solve
+
+
+def admm_maximize(c, apply, adjoint, solve, radius, rho, max_iter):
+    """Maximize Re<c, x> subject to op_norm(apply(x)) <= radius.
+
+    ADMM with over-relaxation RELAX: the splitting variable, a complex matrix, is
+    projected onto the spectral ball by singular-value clipping; solve inverts the
+    Gram of apply and returns a new array, kept without a copy.  Each iterate is
+    rescaled onto the ball and the best rescaled one is kept; the run stops once
+    STALL_ITERS iterations in a row fail to improve it by the relative margin
+    STALL_TOL.  Returns (best x, iterations run, stalled).  Deterministic: starts
+    from zero.
+    """
+    best_x = np.zeros_like(c)
+    z = u = np.zeros_like(apply(best_x))
+    c_rho = c / rho
+    best_val, stall, it = 0.0, 0, 0
     for it in range(1, max_iter + 1):
-        x = gram_inv @ (wx / rho + d.T @ (z - u))
-        dx = d @ x
+        x = solve(c_rho + adjoint(z - u))
+        dx = apply(x)
         # track the rescaled (always feasible) objective of the current iterate
-        sig = op_norm(to_matrix(dx))
-        if sig > 0.0:
-            scaled = float(wx @ x) * (radius / sig)
-            if scaled > best_val * (1.0 + STALL_TOL) or (best_val == 0.0 and scaled > 0.0):
-                best_val = scaled
-                best_x = x.copy()
-                stall = 0
-            else:
-                stall += 1
+        sig = op_norm(dx)
+        scaled = float(np.vdot(c, x).real) * (radius / sig) if sig > 0.0 else 0.0
+        if scaled > best_val * (1.0 + STALL_TOL):  # best_val >= 0, so only gains count
+            best_val, best_x, stall = scaled, x, 0
         else:
             stall += 1
         if stall >= STALL_ITERS:
             break
-        dxr = RELAX * dx + (1.0 - RELAX) * z
-        zm = clip_spectral(to_matrix(dxr + u), radius)
-        z = np.concatenate([zm.real.ravel(), zm.imag.ravel()])
-        u = u + dxr - z
+        v = RELAX * dx + (1.0 - RELAX) * z + u
+        z = clip_spectral(v, radius)
+        u = v - z
     return best_x, it, stall >= STALL_ITERS
-
-
-_operator_cache: dict = {}
-
-
-def _dz_operator(order: int, theta: float):
-    """Realified matrix of the dz map on hermitian parameters, plus cached inverse Gram."""
-    key = (order, float(theta))
-    if key not in _operator_cache:
-        _operator_cache[key] = realified_operator(
-            lambda e: dz(MoyalElement(theta, _hermitian_unpack(e, order))).coeffs, order * order)
-    return _operator_cache[key]
 
 
 @dataclass(frozen=True)
@@ -239,9 +263,11 @@ def optimize_distance(s1: MoyalPureState, s2: MoyalPureState, order: int,
     """Maximize the evaluation gap over self-adjoint elements of the given order.
 
     Solves max <w, a> subject to the spectral-norm budget on the derivative
-    with `admm_maximize`.  The returned certificate is rescaled to unit
-    commutator norm, so the reported value is a feasible lower bound wherever
-    the iteration stops.
+    with `admm_maximize` over `plane_closures`: O(n^2) stencils and the n
+    zero-padded band inverses, n^3 floats, so orders whose cube exceeds
+    MAX_OPERATOR_ENTRIES (311 and above) are refused.  The returned certificate
+    is rescaled to unit commutator norm, so the reported value is a feasible
+    lower bound wherever the iteration stops.
     """
     if s1.theta != s2.theta:
         raise ParameterError("states carry different theta")
@@ -249,18 +275,18 @@ def optimize_distance(s1: MoyalPureState, s2: MoyalPureState, order: int,
         raise ParameterError(
             f"order {order} too small; need at least max state support + 2 "
             f"= {max(s1.support, s2.support) + 2}")
-    if 2 * (order + 1) ** 2 * order ** 2 > MAX_OPERATOR_ENTRIES:  # from order 62 on
-        raise ParameterError(f"order {order} too large: the optimizer's operator would exceed "
-                             f"{MAX_OPERATOR_ENTRIES:.0e} entries; lower the order")
+    if order ** 3 > MAX_OPERATOR_ENTRIES:  # from order 311 on
+        raise ParameterError(f"order {order} too large: the optimizer's band inverses would "
+                             f"exceed {MAX_OPERATOR_ENTRIES:.0e} entries; lower the order")
     theta = s1.theta
     n = order
-    wx = _objective_vector(difference_matrix(s1, s2, n))
-    if not np.any(wx):
+    w = difference_matrix(s1, s2, n)
+    if not np.any(w):
         return OptimizeResult(0.0, zero(theta, n), 0, True, 0.0)
 
-    d, gram_inv = _dz_operator(n, theta)
-    best_x, it, converged = admm_maximize(wx, d, gram_inv, n + 1, SPECTRAL_RADIUS, rho, max_iter)
-    a_best = MoyalElement(theta, _hermitian_unpack(best_x, n))
+    best_x, it, converged = admm_maximize(w.conj(), *plane_closures(n, theta),
+                                          SPECTRAL_RADIUS, rho, max_iter)
+    a_best = MoyalElement(theta, best_x)
     cn = commutator_norm(a_best)
     if cn == 0.0:
         return OptimizeResult(0.0, a_best, it, converged, 0.0)
@@ -329,7 +355,7 @@ def staircase_candidates(k_max: int, theta: float):
 
 def moyal_report(s1: MoyalPureState, s2: MoyalPureState, order: int = 16,
                  optimize: bool = True, probe: bool = False,
-                 **optimizer_kwargs) -> DistanceReport:
+                 rho: float = 1.0, max_iter: int = 100000) -> DistanceReport:
     """Assemble a full bracketed report for a pair of states.
 
     The certificate lower bound is `probes.radial_gap` (O(support), unit norm by
@@ -353,7 +379,7 @@ def moyal_report(s1: MoyalPureState, s2: MoyalPureState, order: int = 16,
 
     opt_val = opt_iters = opt_resid = opt_conv = None
     if optimize and order >= max(s1.support, s2.support) + 2:
-        res = optimize_distance(s1, s2, order, **optimizer_kwargs)
+        res = optimize_distance(s1, s2, order, rho=rho, max_iter=max_iter)
         opt_val, opt_iters = res.value, res.iterations
         opt_resid, opt_conv = res.feasibility_residual, res.converged
 

@@ -276,7 +276,8 @@ def closed_form_vector_trace_distance(m: Index) -> float:
 
 
 def torus_report(s1: TorusState, s2: TorusState, optimize: bool = False,
-                 box_radius: int | None = None, **optimizer_kwargs) -> DistanceReport:
+                 box_radius: int | None = None, rho: float = 0.05,
+                 max_iter: int = 2000) -> DistanceReport:
     """Bracketed distance report between torus states.
 
     Only (vector, tracial) pairs carry a closed form; other supported pairs
@@ -317,7 +318,8 @@ def torus_report(s1: TorusState, s2: TorusState, optimize: bool = False,
 
     opt_val = opt_iters = opt_resid = opt_conv = None
     if optimize and not same_functional:
-        res = optimize_torus_distance(s1, s2, box_radius=box_radius, **optimizer_kwargs)
+        res = optimize_torus_distance(s1, s2, box_radius=box_radius, rho=rho,
+                                      max_iter=max_iter)
         opt_val, opt_iters = res.value, res.iterations
         opt_resid, opt_conv = res.feasibility_residual, res.converged
         box_used = max(box_used, res.box_radius)
@@ -411,7 +413,14 @@ def optimize_torus_distance(s1: TorusState, s2: TorusState,
 
     d, gram_inv = realified_operator(
         lambda e: box_matrix(deriv(_element_from_params(e, sites, theta)), box_radius), npar)
-    best_x, it, converged = admm_maximize(wx, d, gram_inv, side * side, 1.0, rho, max_iter)
+
+    def apply(x):
+        v = (d @ x).reshape(2, side * side, side * side)
+        return v[0] + 1j * v[1]
+
+    best_x, it, converged = admm_maximize(
+        wx, apply, lambda y: d.T @ np.concatenate([y.real.ravel(), y.imag.ravel()]),
+        gram_inv.__matmul__, 1.0, rho, max_iter)
     a_best = _element_from_params(best_x, sites, theta)
     validation = box_radius + 2
     norm = torus_commutator_norm(a_best, box_radius=validation)

@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from specdist.calculus import radial_bump, staircase
-from specdist.distance import (CandidateRejected, _hermitian_unpack, _objective_vector,
-                               analytic_upper_bound, basis_distance, certificate_lower_bound,
-                               moyal_report, optimize_distance, staircase_candidates,
+from specdist.algebra import MoyalElement
+from specdist.calculus import dz, radial_bump, staircase
+from specdist.distance import (SPECTRAL_RADIUS, CandidateRejected, admm_maximize,
+                               analytic_upper_bound, band_inverses, basis_distance,
+                               certificate_lower_bound, moyal_report, optimize_distance,
+                               plane_closures, realified_operator, staircase_candidates,
                                triangle_residual)
 from specdist.errors import ParameterError, PreconditionError, UnboundedSupportError
 from specdist.lipschitz import commutator_norm
 from specdist.probes import radial_gap
-from specdist.states import basis_state, finite_state, zeta_state
+from specdist.states import basis_state, difference_matrix, finite_state, zeta_state
 
 from conftest import THETAS
 
@@ -112,7 +114,8 @@ def test_upper_bound_unavailable_for_zeta_states():
 
 
 def _loop_unpack(x, n):
-    # index-loop oracle for the hermitian parametrization
+    # the dense oracle's hermitian parametrization: the diagonal, then (re, im) pairs of
+    # the strict upper triangle in row-major order
     a = np.zeros((n, n), dtype=complex)
     a[np.arange(n), np.arange(n)] = x[:n]
     k = n
@@ -137,6 +140,17 @@ def _loop_objective(w):
     return out
 
 
+def _loop_pack(g):
+    # parameter gradient of x -> Re <A(x), g>: Re g_pp, then (re, im) of g_mq + conj(g_qm)
+    n = g.shape[0]
+    out = list(np.diag(g).real)
+    for m in range(n):
+        for q in range(m + 1, n):
+            h = g[m, q] + np.conj(g[q, m])
+            out += [h.real, h.imag]
+    return np.array(out)
+
+
 def _random_hermitian(rng, n):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return g + g.conj().T
@@ -144,7 +158,7 @@ def _random_hermitian(rng, n):
 
 def test_hermitian_unpack_is_hermitian(rng):
     for n in (1, 2, 5, 12):
-        a = _hermitian_unpack(rng.standard_normal(n * n), n)
+        a = _loop_unpack(rng.standard_normal(n * n), n)
         assert a.shape == (n, n)
         assert np.array_equal(a, a.conj().T)
 
@@ -153,17 +167,108 @@ def test_objective_vector_is_gradient_of_pairing(rng):
     for n in (1, 2, 5, 12):
         w = _random_hermitian(rng, n)
         x = rng.standard_normal(n * n)
-        pairing = np.sum(w * _hermitian_unpack(x, n))
+        pairing = np.sum(w * _loop_unpack(x, n))
         assert abs(pairing.imag) < 1e-12
-        assert _objective_vector(w) @ x == pytest.approx(pairing.real, abs=1e-12)
+        assert _loop_objective(w) @ x == pytest.approx(pairing.real, abs=1e-12)
+        assert _loop_pack(w.conj()) @ x == pytest.approx(pairing.real, abs=1e-12)
 
 
-def test_hermitian_helpers_match_loop_oracle_bitwise(rng):
-    for n in (1, 2, 5, 12):
-        x = rng.standard_normal(n * n)
-        w = _random_hermitian(rng, n)
-        assert _hermitian_unpack(x, n).tobytes() == _loop_unpack(x, n).tobytes()
-        assert _objective_vector(w).tobytes() == _loop_objective(w).tobytes()
+def _dense_dz(n, theta):
+    # the realified dz operator on the hermitian parametrization, and its inverse Gram
+    return realified_operator(lambda e: dz(MoyalElement(theta, _loop_unpack(e, n))).coeffs,
+                              n * n)
+
+
+def _dense_closures(d, gram_inv, side):
+    nz = side * side
+
+    def apply(x):
+        v = d @ x
+        return v[:nz].reshape(side, side) + 1j * v[nz:].reshape(side, side)
+
+    def adjoint(y):
+        return d.T @ np.concatenate([y.real.ravel(), y.imag.ravel()])
+
+    return apply, adjoint, gram_inv.__matmul__
+
+
+def test_plane_stencils_match_the_dense_operator(rng):
+    for theta in THETAS:
+        for n in range(1, 13):
+            d, _ = _dense_dz(n, theta)
+            apply, adjoint, _ = plane_closures(n, theta)
+            scale = np.max(np.abs(d))
+            cols = [apply(_loop_unpack(e, n)).ravel() for e in np.eye(n * n)]
+            stencil = np.array([np.concatenate([c.real, c.imag]) for c in cols]).T
+            assert np.max(np.abs(stencil - d)) <= 1e-14 * scale
+            for _ in range(3):
+                y = rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1))
+                want = d.T @ np.concatenate([y.real.ravel(), y.imag.ravel()])
+                assert np.max(np.abs(_loop_pack(adjoint(y)) - want)) <= 1e-14 * scale
+                x = _random_hermitian(rng, n)
+                lhs = np.vdot(apply(x), y).real
+                rhs = np.vdot(x, adjoint(y)).real
+                assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+def test_band_inverses_match_the_dense_gram_inverse():
+    for theta in THETAS:
+        for n in range(1, 13):
+            _, gram_inv = _dense_dz(n, theta)
+            inv = band_inverses(n, theta)
+            # parameter index of the real part of x[i, i+k]; the imaginary part follows it
+            upper = {(m, q): n + 2 * j for j, (m, q) in enumerate(zip(*np.triu_indices(n, 1)))}
+            want = np.zeros((n * n, n * n))
+            for k in range(n):
+                if k == 0:
+                    want[:n, :n] = inv[0]
+                    continue
+                idx = np.array([upper[(i, i + k)] for i in range(n - k)])
+                block = 0.5 * inv[k, :n - k, :n - k]  # a real/imaginary pair counts twice
+                want[np.ix_(idx, idx)] = block
+                want[np.ix_(idx + 1, idx + 1)] = block
+                assert not np.any(inv[k, n - k:]) and not np.any(inv[k, :, n - k:])
+            assert np.max(np.abs(want - gram_inv)) <= 1e-10 * np.max(np.abs(gram_inv))
+
+
+def _dense_optimizer_value(s1, s2, n):
+    theta = s1.theta
+    d, gram_inv = _dense_dz(n, theta)
+    wx = _loop_objective(difference_matrix(s1, s2, n))
+    best_x, it, _ = admm_maximize(wx, *_dense_closures(d, gram_inv, n + 1), SPECTRAL_RADIUS,
+                                  1.0, 100000)
+    a = MoyalElement(theta, _loop_unpack(best_x, n))
+    cert = (1.0 / commutator_norm(a)) * a
+    return abs(s1.expect(cert) - s2.expect(cert)), it
+
+
+def test_optimizer_matches_the_dense_admm_oracle():
+    pairs = [
+        (basis_state(0, 1.0), basis_state(1, 1.0), 8),
+        (basis_state(1, 0.5), basis_state(4, 0.5), 10),
+        (basis_state(0, 2.0), basis_state(3, 2.0), 16),
+        (finite_state([1.0, 0.7, 0.2], 1.0), basis_state(0, 1.0), 7),
+        (finite_state([1.0, 0.5j, 0.25], 1.0), finite_state([0.2, 1.0], 1.0), 6),
+        (finite_state([0.6, 0.8j], 2.0), finite_state([1.0, 2.0, 2.0, 1j], 2.0), 7),
+        (finite_state([1.0, -1.0j, 0.5], 0.5), basis_state(4, 0.5), 8),
+    ]
+    for s1, s2, n in pairs:
+        res = optimize_distance(s1, s2, n)
+        value, iterations = _dense_optimizer_value(s1, s2, n)
+        assert res.iterations == iterations
+        assert abs(res.value - value) <= 1e-9
+
+
+def test_optimizer_reaches_the_closed_form_at_order_128():
+    res = optimize_distance(basis_state(0, 1.0), basis_state(3, 1.0), 128)
+    assert res.value == pytest.approx(basis_distance(0, 3, 1.0), rel=1e-3)
+    assert res.feasibility_residual <= 1e-9
+
+
+def test_optimizer_order_ceiling():
+    # the band inverses hold order**3 floats: 310 is the last order under 3e7
+    with pytest.raises(ParameterError, match="too large"):
+        optimize_distance(basis_state(0, 1.0), basis_state(1, 1.0), 311)
 
 
 def test_optimizer_one_step_pair():
@@ -246,6 +351,14 @@ def test_report_certificate_is_the_radial_gap():
         rep = moyal_report(s1, s2, optimize=False)
         assert rep.certificate_id == f"radial({max(s1.support, s2.support) - 1})"
         assert rep.certificate_lower == radial_gap(s1, s2)
+
+
+def test_report_rejects_unknown_keywords():
+    s1, s2 = basis_state(0, 1.0), basis_state(1, 1.0)
+    with pytest.raises(TypeError):
+        moyal_report(s1, s2, optimize=False, tol=1e-9)
+    with pytest.raises(TypeError):
+        moyal_report(s1, zeta_state(1.2, 50, 1.0), order=8, bogus=3)
 
 
 def test_report_schema_keys():

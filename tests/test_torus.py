@@ -161,6 +161,14 @@ def test_report_same_state_zero():
     assert rep.closed_form == 0.0  # opposite indices generate the same functional
 
 
+def test_report_rejects_unknown_keywords():
+    with pytest.raises(TypeError):
+        torus_report(vector_state(0.37, (1, 0)), tracial_state(0.37), bogus=3)
+    with pytest.raises(TypeError):
+        torus_report(vector_state(0.37, (1, 0)), tracial_state(0.37), optimize=True,
+                     support_radius=2)
+
+
 def test_report_vector_vector_bounds_only():
     theta = 0.37
     rep = torus_report(vector_state(theta, (1, 0)), vector_state(theta, (0, 1)))
