@@ -9,8 +9,7 @@ from .algebra import (MoyalElement, basis, frechet_seminorm, inner, integral, in
                       radial, sobolev_norm, star, zero)
 from .calculus import DerivativeCoefficients, dz, dzbar, radial_bump, reconstruct, staircase
 from .distance import (DistanceReport, OptimizeResult, analytic_upper_bound, basis_distance,
-                       certificate_lower_bound, moyal_report, optimize_distance,
-                       triangle_residual)
+                       moyal_report, optimize_distance, triangle_residual)
 from .errors import ParameterError, PreconditionError, UnboundedSupportError
 from .lipschitz import BallReport, ball_report, commutator_norm, op_norm, radial_in_ball
 from .probes import (ProbeSeries, ProbeSpec, asymptotic_fit, crossover_index, divergence_flag,

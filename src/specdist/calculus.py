@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import MoyalElement
+from .algebra import MoyalElement, radial
 from .errors import ParameterError
 
 DZ = "dz"
@@ -120,11 +120,7 @@ def staircase(m0: int, theta: float) -> MoyalElement:
     if m0 < 0:
         raise ParameterError(f"m0 must be a natural number, got {m0}")
     inv = 1.0 / np.sqrt(np.arange(m0 + 1, dtype=float) + 1.0)
-    suffix = np.cumsum(inv[::-1])[::-1]
-    diag = np.sqrt(theta / 2.0) * suffix
-    c = np.zeros((m0 + 1, m0 + 1), dtype=complex)
-    np.fill_diagonal(c, diag)
-    return MoyalElement(theta, c)
+    return radial(theta, np.sqrt(theta / 2.0) * np.cumsum(inv[::-1])[::-1])
 
 
 def radial_bump(n: int, theta: float) -> MoyalElement:

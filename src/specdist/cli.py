@@ -114,15 +114,30 @@ def _emit_csv(rows, args) -> None:
     _write("\n".join(",".join(str(c) for c in row) for row in rows) + "\n", args)
 
 
-def _load_spec_file(args) -> dict:
-    if getattr(args, "spec_file", None):
-        with open(args.spec_file) as fh:
-            return json.load(fh)
-    return {}
+def _load_json_file(path: str, option: str, build):
+    """build(payload) for the JSON object in the file an option names; bad content ends
+    in a ParameterError that names the file."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise TypeError(f"expected a JSON object, got {type(payload).__name__}")
+        return build(payload)
+    except KeyError as exc:
+        raise ParameterError(f"{option} {path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{option} {path}: {exc}") from None
+
+
+def _pair_spec(d: dict) -> dict:
+    """A --spec-file payload: optional state spec strings a and b, optional number theta."""
+    if not all(isinstance(d.get(key, ""), str) for key in ("a", "b")):
+        raise TypeError("'a' and 'b' must be state spec strings")
+    return {**d, "theta": float(d["theta"])} if "theta" in d else d
 
 
 def cmd_moyal_distance(args) -> int:
-    spec = _load_spec_file(args)
+    spec = _load_json_file(args.spec_file, "--spec-file", _pair_spec) if args.spec_file else {}
     a_text = spec.get("a", args.a)
     b_text = spec.get("b", args.b)
     theta = float(spec.get("theta", args.theta))
@@ -163,11 +178,19 @@ def _parse_grid(text: str, points: int):
 
 
 def _parse_fit_top(text: str) -> float:
-    return float(text[:-3]) if text.endswith("dec") else float(text)
+    try:
+        if math.isfinite(float(text.removesuffix("dec"))):
+            return float(text.removesuffix("dec"))
+    except ValueError:
+        pass
+    raise ParameterError(f"--fit-top expects a finite number of decades, got {text!r}")
 
 
 def cmd_probe(args) -> int:
-    a_text, b_text = args.pair.split(",")
+    try:
+        a_text, b_text = args.pair.split(",")
+    except ValueError:
+        raise ParameterError(f"--pair expects two specs a,b, got {args.pair!r}") from None
     spec1 = probes.parse_probe_spec(a_text)
     spec2 = probes.parse_probe_spec(b_text)
     grid = _parse_grid(args.grid, args.points)
@@ -199,8 +222,7 @@ def cmd_verify(args) -> int:
 
 def cmd_ball_check(args) -> int:
     if args.element_file:
-        with open(args.element_file) as fh:
-            element = MoyalElement.from_dict(json.load(fh))
+        element = _load_json_file(args.element_file, "--element-file", MoyalElement.from_dict)
     elif args.staircase is not None:
         element = staircase(args.staircase, args.theta)
     elif args.bump is not None:

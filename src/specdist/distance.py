@@ -1,27 +1,26 @@
 """Spectral-distance estimation between pure states of the truncated plane.
 
 Four independent mechanisms are combined into a bracketed report: the closed
-form for diagonal basis states, certificate lower bounds from feasible
-elements, an analytic upper bound from the inversion formula, and a convex
-optimizer over truncated self-adjoint elements.
+form for diagonal basis states, the radial certificate lower bound of
+`probes.radial_gap`, an analytic upper bound from the inversion formula, and
+a convex optimizer over truncated self-adjoint elements.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import probes
 from .algebra import MoyalElement, zero
-from .calculus import staircase
 from .errors import ParameterError, PreconditionError, UnboundedSupportError
-from .lipschitz import BallReport, ball_report, commutator_norm, op_norm
+from .lipschitz import commutator_norm, op_norm
 from .states import MoyalPureState, difference_matrix
 
 SPECTRAL_RADIUS = 1.0 / math.sqrt(2.0)  # derivative budget of the unit commutator ball
-MAX_OPERATOR_ENTRIES = 3e7  # ceiling on an optimizer's stored operator (240 MB of floats)
+MAX_OPERATOR_ENTRIES = 3e7  # ceiling on an optimizer's size (240 MB as stored floats)
 STALL_ITERS = 50  # admm_maximize stops after this many non-improving iterations in a row
 STALL_TOL = 1e-8  # relative margin an iterate must clear to count as an improvement
 RELAX = 1.7  # ADMM over-relaxation factor
@@ -44,35 +43,6 @@ def triangle_residual(m: int, p: int, n: int, theta: float) -> float:
     if not (m <= p <= n):
         raise PreconditionError(f"indices must satisfy m <= p <= n, got {(m, p, n)}")
     return basis_distance(m, n, theta) - basis_distance(m, p, theta) - basis_distance(p, n, theta)
-
-
-class CandidateRejected(ValueError):
-    """A certificate candidate failed the Lipschitz-ball check."""
-
-    def __init__(self, label: str, report: BallReport):
-        super().__init__(f"candidate {label} is outside the unit ball "
-                         f"(commutator norm {report.commutator_norm:.6g})")
-        self.label = label
-        self.report = report
-
-
-def certificate_lower_bound(s1: MoyalPureState, s2: MoyalPureState, candidates, labels):
-    """Best evaluation gap over feasible candidate elements.
-
-    Every candidate must lie in the unit Lipschitz ball (checked; a failing
-    candidate raises CandidateRejected carrying its BallReport).  Returns
-    (value, label) for the maximizing candidate; the value is a valid lower
-    bound on the spectral distance.
-    """
-    best, best_label = 0.0, ""
-    for a, label in zip(candidates, labels):
-        rep = ball_report(a)
-        if not rep.member:
-            raise CandidateRejected(label, rep)
-        gap = abs(s1.expect(a) - s2.expect(a))
-        if gap > best or not best_label:
-            best, best_label = gap, label
-    return best, best_label
 
 
 def analytic_upper_bound(s1: MoyalPureState, s2: MoyalPureState) -> float:
@@ -127,24 +97,6 @@ def clip_spectral(mat: np.ndarray, radius: float) -> np.ndarray:
         sig = np.sqrt(np.maximum(lam, 0.0))
         factor = np.where(sig > radius, radius / np.where(sig > 0, sig, 1.0), 1.0)
         return mat @ (v * factor) @ v.conj().T
-
-
-def realified_operator(apply, npar: int):
-    """Real matrix of a linear map from npar real parameters to complex matrices, with
-    the inverse of its Gram matrix.  Rows hold the real parts, then the imaginary parts,
-    of the image's entries in row-major order."""
-    e = np.zeros(npar)
-    for i in range(npar):
-        e[i] = 1.0
-        col = apply(e).ravel()
-        e[i] = 0.0
-        if i == 0:
-            # column-major: columns fill contiguously, and the layout fixes the BLAS
-            # rounding on d
-            d = np.empty((2 * col.size, npar), order="F")
-        d[:col.size, i] = col.real
-        d[col.size:, i] = col.imag
-    return d, np.linalg.inv(d.T @ d)
 
 
 def band_inverses(order: int, theta: float) -> np.ndarray:
@@ -328,29 +280,9 @@ class DistanceReport:
         return self.analytic_upper - max(lowers)
 
     def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "order": self.truncation_order,
-            "state_a": self.state_a,
-            "state_b": self.state_b,
-            "closed_form": self.closed_form,
-            "certificate_lower": self.certificate_lower,
-            "certificate_id": self.certificate_id,
-            "analytic_upper": self.analytic_upper,
-            "optimizer_lower": self.optimizer_lower,
-            "feasibility_residual": self.feasibility_residual,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "bracket_width": self.bracket_width,
-            "divergence": self.divergence,
-        }
-
-
-def staircase_candidates(k_max: int, theta: float):
-    """The staircase family up to index k_max, with labels."""
-    elements = [staircase(k, theta) for k in range(k_max + 1)]
-    labels = [f"staircase({k})" for k in range(k_max + 1)]
-    return elements, labels
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["order"] = d.pop("truncation_order")
+        return {**d, "bracket_width": self.bracket_width}
 
 
 def moyal_report(s1: MoyalPureState, s2: MoyalPureState, order: int = 16,

@@ -15,8 +15,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .distance import (MAX_OPERATOR_ENTRIES, DistanceReport, admm_maximize,
-                       realified_operator)
+from .distance import MAX_OPERATOR_ENTRIES, DistanceReport, admm_maximize
 from .errors import ParameterError
 from .lipschitz import op_norm
 
@@ -181,6 +180,22 @@ def vector_state(theta: float, m: Index) -> TorusState:
 # operator norms on GNS index boxes
 # ---------------------------------------------------------------------------
 
+def box_shifts(ps, theta: float, box_radius: int):
+    """Box layout of left multiplication by U^p on [-R, R]^2, for each p of ps in turn:
+    (rows, cols, phases, counts), the flat row-major (n1, n2) indices of the entries kept
+    in the box, their phases exp(i pi theta (p1 n2 - p2 n1)) and their number per p.
+    Each p fills its own twisted diagonal, rows = cols + p1 (2R+1) + p2."""
+    r = box_radius
+    side = 2 * r + 1
+    n1, n2 = np.indices((side, side)).reshape(2, -1) - r
+    p = np.array(ps, dtype=int).reshape(-1, 2)
+    keep = (np.abs(n1 + p[:, :1]) <= r) & (np.abs(n2 + p[:, 1:]) <= r)
+    which, cols = np.nonzero(keep)
+    p1, p2 = p[which, 0], p[which, 1]
+    phases = np.exp(1j * np.pi * theta * (p1 * n2[cols] - p2 * n1[cols]))
+    return cols + p1 * side + p2, cols, phases, keep.sum(axis=1)
+
+
 def box_matrix(a: TorusElement, box_radius: int) -> np.ndarray:
     """Matrix of left multiplication restricted to the index box [-R, R]^2.
 
@@ -191,22 +206,10 @@ def box_matrix(a: TorusElement, box_radius: int) -> np.ndarray:
     if r < a.support_radius + 1:
         raise ParameterError(
             f"box radius {r} undersized for support radius {a.support_radius}")
-    side = 2 * r + 1
-    size = side * side
-
-    grid = np.arange(-r, r + 1)
-    n1 = np.repeat(grid, side)  # box points in row-major (n1, n2) order
-    n2 = np.tile(grid, side)
-    col = (n1 + r) * side + (n2 + r)
-
+    size = (2 * r + 1) ** 2
+    rows, cols, phases, counts = box_shifts(list(a.terms), a.theta, r)
     t = np.zeros((size, size), dtype=complex)
-    for p, c in a.terms.items():
-        t1 = n1 + p[0]
-        t2 = n2 + p[1]
-        ok = (np.abs(t1) <= r) & (np.abs(t2) <= r)
-        phases = np.exp(1j * np.pi * a.theta * (p[0] * n2[ok] - p[1] * n1[ok]))
-        rows = (t1[ok] + r) * side + (t2[ok] + r)
-        t[rows, col[ok]] += c * phases
+    t[rows, cols] += np.repeat(list(a.terms.values()), counts) * phases
     return t
 
 
@@ -224,15 +227,13 @@ def commutator_norm_converged(a: TorusElement, tol: float = 1e-9,
     Returns (norm, box radius used, converged flag); the value is the max of
     the two derivation norms and approaches the true norm from below.
     """
-    d1 = deriv(a)
-    d2 = deriv_bar(a)
-    if not d1.terms and not d2.terms:
-        return 0.0, a.support_radius + 1, True
     r = a.support_radius + 1
-    prev = max(torus_op_norm(d1, r), torus_op_norm(d2, r))
+    if not deriv(a).terms and not deriv_bar(a).terms:
+        return 0.0, r, True
+    prev = torus_commutator_norm(a, r)
     while 2 * r <= max_radius:
         r *= 2
-        cur = max(torus_op_norm(d1, r), torus_op_norm(d2, r))
+        cur = torus_commutator_norm(a, r)
         if abs(cur - prev) < tol:
             return cur, r, True
         prev = cur
@@ -266,14 +267,6 @@ def coefficient_bound(m: Index) -> float:
 # ---------------------------------------------------------------------------
 # distance reports
 # ---------------------------------------------------------------------------
-
-def closed_form_vector_trace_distance(m: Index) -> float:
-    """Coefficient bound 1/(2 pi |m1 + i m2|) reported for the (vector, tracial) pair.
-
-    This is an upper bound, not the distance: the distance is 1/(pi^2 |m1 + i m2|).
-    """
-    return coefficient_bound(m)
-
 
 def torus_report(s1: TorusState, s2: TorusState, optimize: bool = False,
                  box_radius: int | None = None, rho: float = 0.05,
@@ -314,7 +307,8 @@ def torus_report(s1: TorusState, s2: TorusState, optimize: bool = False,
         cert_val, cert_id = best
         upper = float(sum(coefficient_bound(m) for m in ms))
         if "tracial" in kinds and len(ms) == 1:
-            closed = closed_form_vector_trace_distance(ms[0])
+            # the coefficient bound, an upper bound: the distance is 1/(pi^2 |m1 + i m2|)
+            closed = coefficient_bound(ms[0])
 
     opt_val = opt_iters = opt_resid = opt_conv = None
     if optimize and not same_functional:
@@ -371,6 +365,34 @@ def _element_from_params(x: np.ndarray, sites, theta: float) -> TorusElement:
     return TorusElement(theta, terms)
 
 
+def torus_closures(sites, theta: float, box_radius: int):
+    """`admm_maximize`'s (apply, adjoint, solve) for the box restriction of `deriv` on the
+    realified parameters (re, im) of the hermitian sites.  Site p sets the twisted
+    diagonals of p and -p (`box_shifts`), which no other site touches, so the Gram
+    matrix is diagonal, 2 (2 pi)^2 (p1^2 + p2^2) (2R+1-|p1|)(2R+1-|p2|) for both
+    parameters of site p, and solve divides by it."""
+    n = len(sites)
+    k = np.array([2j * np.pi * (p[0] + 1j * p[1]) for p in sites])  # deriv's factor at p
+    rows, cols, phases, counts = box_shifts(sites + [(-p[0], -p[1]) for p in sites],
+                                            theta, box_radius)
+    size = (2 * box_radius + 1) ** 2
+    # the box exceeds the support, so every count is positive, as np.add.reduceat needs
+    flat, starts = rows * size + cols, np.cumsum(counts) - counts
+    gram = np.repeat(2.0 * np.abs(k) ** 2 * counts[:n], 2)
+
+    def apply(x):  # deriv puts k c_p at site p and -k conj(c_p) at -p
+        c = x.view(complex)
+        out = np.zeros(size * size, dtype=complex)
+        out[flat] = np.repeat(np.concatenate([k * c, -k * c.conj()]), counts) * phases
+        return out.reshape(size, size)
+
+    def adjoint(y):
+        t = np.add.reduceat(phases * y.ravel()[flat].conj(), starts)
+        return (np.conj(k * t[:n]) - k * t[n:]).view(float)
+
+    return apply, adjoint, lambda r: r / gram
+
+
 def optimize_torus_distance(s1: TorusState, s2: TorusState,
                             support_radius: int | None = None,
                             box_radius: int | None = None,
@@ -397,11 +419,13 @@ def optimize_torus_distance(s1: TorusState, s2: TorusState,
     sites = _hermitian_sites(support_radius)
     npar = 2 * len(sites)
     side = 2 * box_radius + 1
+    # caps the problem size: nothing of this size is stored, but every iteration takes
+    # two SVDs of (2R+1)^2 x (2R+1)^2 box matrices
     if npar * 2 * side ** 4 > MAX_OPERATOR_ENTRIES:
         raise ParameterError(
             f"optimizer size guard: support radius {support_radius} with box radius "
-            f"{box_radius} needs a {side * side}x{side * side} operator per parameter; "
-            "choose smaller radii")
+            f"{box_radius} gives {npar} parameters on {side * side}x{side * side} box "
+            "matrices, past the cap on the SVD work; choose smaller radii")
 
     def gap(x: np.ndarray) -> float:
         el = _element_from_params(x, sites, theta)
@@ -411,16 +435,8 @@ def optimize_torus_distance(s1: TorusState, s2: TorusState,
     if not np.any(wx):
         return TorusOptimizeResult(0.0, unit(theta) * 0.0, 0, True, 0.0, box_radius)
 
-    d, gram_inv = realified_operator(
-        lambda e: box_matrix(deriv(_element_from_params(e, sites, theta)), box_radius), npar)
-
-    def apply(x):
-        v = (d @ x).reshape(2, side * side, side * side)
-        return v[0] + 1j * v[1]
-
-    best_x, it, converged = admm_maximize(
-        wx, apply, lambda y: d.T @ np.concatenate([y.real.ravel(), y.imag.ravel()]),
-        gram_inv.__matmul__, 1.0, rho, max_iter)
+    best_x, it, converged = admm_maximize(wx, *torus_closures(sites, theta, box_radius),
+                                          1.0, rho, max_iter)
     a_best = _element_from_params(best_x, sites, theta)
     validation = box_radius + 2
     norm = torus_commutator_norm(a_best, box_radius=validation)

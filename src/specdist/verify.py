@@ -19,8 +19,7 @@ import numpy as np
 from . import probes, torus
 from .algebra import MoyalElement, inner, integral, involution, radial, sobolev_norm, star
 from .calculus import dz, dzbar, reconstruct, staircase
-from .distance import (analytic_upper_bound, basis_distance, certificate_lower_bound,
-                       optimize_distance, staircase_candidates)
+from .distance import analytic_upper_bound, basis_distance, optimize_distance
 from .lipschitz import ENTRY_BOUND, ball_report, commutator_norm, op_norm, radial_in_ball
 from .states import basis_state, diagonal_difference, finite_state, zeta_state
 
@@ -165,11 +164,10 @@ def submultiplicativity(a, b):
 
 
 def basis_pair_saturation(m, n, theta):
-    """Best staircase certificate and analytic upper bound of basis states m > n
-    both equal the closed form: returns ((certificate, upper), closed form)."""
+    """The radial certificate and the analytic upper bound of basis states m > n both
+    equal the closed form: returns ((certificate, upper), closed form)."""
     s1, s2 = basis_state(m, theta), basis_state(n, theta)
-    cert, _ = certificate_lower_bound(s1, s2, *staircase_candidates(m, theta))
-    return (cert, analytic_upper_bound(s1, s2)), basis_distance(m, n, theta)
+    return (probes.radial_gap(s1, s2), analytic_upper_bound(s1, s2)), basis_distance(m, n, theta)
 
 
 def staircase_cross_path(m0, s1, s2, element=None):
@@ -353,17 +351,14 @@ def distance_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
         (finite_state([1.0, 0.5, 0.25], 0.5), basis_state(2, 0.5)),
     ]
     for i, (s1, s2) in enumerate(cases):
-        elements, labels = staircase_candidates(max(s1.support, s2.support), s1.theta)
-        cert, _ = certificate_lower_bound(s1, s2, elements, labels)
+        cert = probes.radial_gap(s1, s2)
         upper = analytic_upper_bound(s1, s2)
         res = optimize_distance(s1, s2, order=10)
         feasible.flag(res.feasibility_residual > 1e-9,
                       f"case {i}: residual {res.feasibility_residual:.3g}")
         ok = (cert <= upper + 1e-9 and res.value <= upper + 1e-9
               and res.value >= cert - solver_slack - solver_slack * cert)
-        if not ok:
-            bracket.violations.append(
-                f"case {i}: cert {cert}, optimizer {res.value}, upper {upper}")
+        bracket.flag(not ok, f"case {i}: cert {cert}, optimizer {res.value}, upper {upper}")
     vals = [optimize_distance(cases[1][0], cases[1][1], order=k).value for k in (6, 8, 10)]
     monotone.flag(not (vals[0] <= vals[1] + 1e-6 and vals[1] <= vals[2] + 1e-6), f"values {vals}")
 
@@ -374,9 +369,7 @@ def distance_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
         s1 = finite_state(w, theta)
         s2 = basis_state(int(rng.integers(0, 4)), theta)
         s1p = finite_state(w * np.exp(1j * rng.uniform(0, 2 * np.pi)), theta)
-        elements, labels = staircase_candidates(4, theta)
-        c1, _ = certificate_lower_bound(s1, s2, elements, labels)
-        c2, _ = certificate_lower_bound(s1p, s2, elements, labels)
+        c1, c2 = (probes.radial_gap(s, s2) for s in (s1, s1p))
         u1, u2 = (analytic_upper_bound(s, s2) for s in (s1, s1p))
         phase.flag(abs(c1 - c2) > 1e-12 or abs(u1 - u2) > 1e-12, f"instance {i}")
 

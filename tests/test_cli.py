@@ -125,6 +125,44 @@ def test_negative_probe_basis_index_exits_one():
                                                   "--format=json"))
 
 
+def test_malformed_spec_file_exits_one(tmp_path):
+    # each payload used to end in an AttributeError, TypeError or KeyError traceback
+    payloads = ([1, 2], {"a": 3, "b": "basis:0"}, {"a": "basis:0", "b": ["basis:1"]},
+                {"a": "basis:0", "b": "basis:1", "theta": None}, "basis:0")
+    for i, payload in enumerate(payloads):
+        path = tmp_path / f"spec{i}.json"
+        path.write_text(json.dumps(payload))
+        run = _run_subprocess("moyal-distance", f"--spec-file={path}", "--no-optimize")
+        _assert_clean_parameter_error(run)
+        assert f"--spec-file {path}" in run.stderr
+
+
+def test_malformed_element_file_exits_one(tmp_path):
+    payloads = ([[1.0]], {"re": [[0.0]], "im": [[0.0]]}, {"theta": 1.0, "im": [[0.0]]},
+                {"theta": None, "re": [[0.0]], "im": [[0.0]]},
+                {"theta": 1.0, "re": [[0.0, 1.0]], "im": [[0.0, 1.0]]})
+    for i, payload in enumerate(payloads):
+        path = tmp_path / f"element{i}.json"
+        path.write_text(json.dumps(payload))
+        run = _run_subprocess("ball-check", f"--element-file={path}")
+        _assert_clean_parameter_error(run)
+        assert f"--element-file {path}" in run.stderr
+    path = tmp_path / "broken.json"
+    path.write_text("{")
+    _assert_clean_parameter_error(_run_subprocess("ball-check", f"--element-file={path}"))
+
+
+def test_bad_probe_options_are_named(capsys):
+    for argv, option in ((("--pair", "zeta:1.2"), "--pair"),
+                         (("--pair", "zeta:1.2,basis:0,basis:1"), "--pair"),
+                         (("--pair", "zeta:1.2,basis:0", "--fit-top", "abc"), "--fit-top"),
+                         (("--pair", "zeta:1.2,basis:0", "--fit-top", "nandec"), "--fit-top")):
+        code, out, err = run_cli(capsys, "probe", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {option}") and repr(argv[-1]) in err
+    _assert_clean_parameter_error(_run_subprocess("probe", "--pair=zeta:1.2"))
+
+
 def test_scale_must_be_finite(capsys):
     for value in ("nan", "inf", "x"):
         code, out, err = run_cli(capsys, "ball-check", "--bump", "3", "--scale", value)

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from specdist.algebra import MoyalElement
-from specdist.calculus import dz, radial_bump, staircase
-from specdist.distance import (SPECTRAL_RADIUS, CandidateRejected, admm_maximize,
-                               analytic_upper_bound, band_inverses, basis_distance,
-                               certificate_lower_bound, moyal_report, optimize_distance,
-                               plane_closures, realified_operator, staircase_candidates,
-                               triangle_residual)
+from specdist.calculus import dz
+from specdist.distance import (SPECTRAL_RADIUS, admm_maximize, analytic_upper_bound,
+                               band_inverses, basis_distance, moyal_report, optimize_distance,
+                               plane_closures, triangle_residual)
 from specdist.errors import ParameterError, PreconditionError, UnboundedSupportError
 from specdist.lipschitz import commutator_norm
 from specdist.probes import radial_gap
@@ -36,31 +34,13 @@ def test_triangle_residuals():
 def test_certificate_reaches_closed_form():
     for theta in THETAS:
         for (m, n) in [(1, 0), (3, 1), (5, 0)]:
-            elements, labels = staircase_candidates(m, theta)
-            val, label = certificate_lower_bound(
-                basis_state(m, theta), basis_state(n, theta), elements, labels)
+            val = radial_gap(basis_state(m, theta), basis_state(n, theta))
             assert val == pytest.approx(basis_distance(m, n, theta), abs=1e-13)
-            assert label.startswith("staircase(")
 
 
 def test_certificate_identical_states_zero():
     s = basis_state(2, 1.0)
-    val, _ = certificate_lower_bound(s, s, *staircase_candidates(3, 1.0))
-    assert val == 0.0
-
-
-def test_certificate_single_bump_candidate():
-    theta = 2.0
-    val, _ = certificate_lower_bound(basis_state(1, theta), basis_state(0, theta),
-                                     [radial_bump(0, theta)], ["bump(0)"])
-    assert val == pytest.approx(math.sqrt(theta / 2), abs=1e-14)
-
-
-def test_certificate_rejects_infeasible_candidate():
-    with pytest.raises(CandidateRejected) as err:
-        certificate_lower_bound(basis_state(0, 1.0), basis_state(1, 1.0),
-                                [2.0 * staircase(2, 1.0)], ["scaled"])
-    assert err.value.report.commutator_norm == pytest.approx(2.0, abs=1e-10)
+    assert radial_gap(s, s) == 0.0
 
 
 def test_upper_bound_equals_closed_form_for_basis_pairs():
@@ -79,8 +59,7 @@ def test_upper_bound_dominates_certificate_for_finite_states():
     s1 = basis_state(0, 1.0)
     s2 = finite_state([1.0, 1.0], 1.0)
     upper = analytic_upper_bound(s1, s2)
-    val, _ = certificate_lower_bound(s1, s2, *staircase_candidates(2, 1.0))
-    assert 0 < val <= upper + 1e-12
+    assert 0 < radial_gap(s1, s2) <= upper + 1e-12
 
 
 def test_upper_bound_against_brute_force_weight_sum():
@@ -174,9 +153,15 @@ def test_objective_vector_is_gradient_of_pairing(rng):
 
 
 def _dense_dz(n, theta):
-    # the realified dz operator on the hermitian parametrization, and its inverse Gram
-    return realified_operator(lambda e: dz(MoyalElement(theta, _loop_unpack(e, n))).coeffs,
-                              n * n)
+    # the realified dz operator on the hermitian parametrization, one column per
+    # parameter (real parts of the image's entries, then imaginary parts), and its
+    # inverse Gram
+    cols = []
+    for e in np.eye(n * n):
+        t = dz(MoyalElement(theta, _loop_unpack(e, n))).coeffs
+        cols.append(np.concatenate([t.real.ravel(), t.imag.ravel()]))
+    d = np.array(cols).T
+    return d, np.linalg.inv(d.T @ d)
 
 
 def _dense_closures(d, gram_inv, side):

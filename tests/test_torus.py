@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from specdist.distance import realified_operator
+from specdist.distance import admm_maximize
 from specdist.errors import ParameterError
 from specdist.torus import (TorusElement, _element_from_params, _hermitian_sites, bicharacter,
-                            box_matrix, coefficient_bound, commutator_norm_converged, deriv,
-                            deriv_bar, involution, optimize_torus_distance, product,
-                            torus_commutator_norm, torus_op_norm, torus_report, trace,
-                            tracial_state, unit, vector_state, weyl, weyl_certificate)
+                            box_matrix, box_shifts, coefficient_bound, commutator_norm_converged,
+                            deriv, deriv_bar, involution, optimize_torus_distance, product,
+                            torus_closures, torus_commutator_norm, torus_op_norm, torus_report,
+                            trace, tracial_state, unit, vector_state, weyl, weyl_certificate)
 from specdist.verify import bicharacter_identities, weyl_certificate_gap
 
 THETAS = (0.0, 0.25, 1 / 3, 0.37, math.sqrt(2) - 1)
@@ -202,17 +202,113 @@ def _column_list_operator(sites, theta, box_radius):
     return d, np.linalg.inv(d.T @ d)
 
 
-def test_realified_operator_matches_column_list_oracle():
-    theta = 0.37
-    for support_radius, box_radius in ((1, 3), (2, 4)):
+# (theta, support radius, box radius) of the closure checks
+CLOSURE_CASES = ((0.37, 1, 3), (0.37, 2, 4), (0.25, 3, 5), (0.5, 3, 7))
+
+
+def _gram_closed_form(sites, box_radius):
+    side = 2 * box_radius + 1
+    return np.repeat([2 * (2 * np.pi) ** 2 * (p1 * p1 + p2 * p2) * (side - abs(p1))
+                      * (side - abs(p2)) for p1, p2 in sites], 2)
+
+
+def test_box_shifts_fill_one_twisted_diagonal_per_mode():
+    theta, r = 0.37, 4
+    side = 2 * r + 1
+    a = TorusElement(theta, {(1, 0): 1.0, (-2, 3): 2j, (0, -1): 0.5, (3, 3): -1.0})
+    rows, cols, phases, counts = box_shifts(list(a.terms), theta, r)
+    assert counts.tolist() == [(side - abs(p1)) * (side - abs(p2)) for p1, p2 in a.terms]
+    for p, (lo, hi) in zip(a.terms, zip(np.cumsum(counts) - counts, np.cumsum(counts))):
+        assert np.array_equal(rows[lo:hi], cols[lo:hi] + p[0] * side + p[1])
+        n1, n2 = np.divmod(cols[lo:hi], side) - np.array(r)
+        assert np.all((np.abs(n1 + p[0]) <= r) & (np.abs(n2 + p[1]) <= r))
+        want = np.exp(1j * np.pi * theta * (p[0] * n2 - p[1] * n1))
+        assert np.max(np.abs(phases[lo:hi] - want)) <= 1e-15
+    hit = np.zeros((side * side, side * side), dtype=int)
+    np.add.at(hit, (rows, cols), 1)
+    assert hit.max() == 1  # every entry of the box matrix receives at most one term
+    assert np.array_equal(box_matrix(a, r) != 0, hit == 1)
+
+
+def test_torus_closures_match_the_column_list_operator(rng):
+    for theta, support_radius, box_radius in CLOSURE_CASES:
         sites = _hermitian_sites(support_radius)
-        d_ref, gram_ref = _column_list_operator(sites, theta, box_radius)
-        d, gram_inv = realified_operator(
-            lambda e: box_matrix(deriv(_element_from_params(e, sites, theta)), box_radius),
-            2 * len(sites))
-        assert d.shape == d_ref.shape and d.flags.f_contiguous
-        assert d.tobytes() == d_ref.tobytes()
-        assert gram_inv.tobytes() == gram_ref.tobytes()
+        d, gram_inv = _column_list_operator(sites, theta, box_radius)
+        apply, adjoint, solve = torus_closures(sites, theta, box_radius)
+        nz = (2 * box_radius + 1) ** 2
+        for _ in range(3):
+            x = rng.standard_normal(d.shape[1])
+            want = d @ x
+            got = apply(x)
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got.real.ravel() - want[:nz * nz])) <= 1e-12 * scale
+            assert np.max(np.abs(got.imag.ravel() - want[nz * nz:])) <= 1e-12 * scale
+            y = rng.standard_normal((nz, nz)) + 1j * rng.standard_normal((nz, nz))
+            want = d.T @ np.concatenate([y.real.ravel(), y.imag.ravel()])
+            assert np.max(np.abs(adjoint(y) - want)) <= 1e-12 * np.max(np.abs(want))
+            r = rng.standard_normal(d.shape[1])
+            want = gram_inv @ r
+            assert np.max(np.abs(solve(r) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_torus_gram_is_the_closed_form_diagonal():
+    for theta, support_radius, box_radius in CLOSURE_CASES:
+        sites = _hermitian_sites(support_radius)
+        d, _ = _column_list_operator(sites, theta, box_radius)
+        gram = d.T @ d
+        diag = _gram_closed_form(sites, box_radius)
+        assert np.max(np.abs(np.diag(gram) - diag)) <= 1e-12 * np.max(diag)
+        assert np.max(np.abs(gram - np.diag(np.diag(gram)))) <= 1e-12 * np.max(diag)
+        _, _, solve = torus_closures(sites, theta, box_radius)
+        ones = np.ones(len(diag))
+        assert np.max(np.abs(solve(ones) * diag - 1.0)) <= 1e-14
+
+
+def _dense_torus_optimizer(s1, s2, support_radius, box_radius):
+    # optimize_torus_distance's steps, with closures over the column-list operator
+    theta = s1.theta
+    sites = _hermitian_sites(support_radius)
+    d, gram_inv = _column_list_operator(sites, theta, box_radius)
+    nz = (2 * box_radius + 1) ** 2
+
+    def gap(x):
+        el = _element_from_params(x, sites, theta)
+        return float(np.real(s1.expect(el) - s2.expect(el)))
+
+    def apply(x):
+        v = d @ x
+        return v[:nz * nz].reshape(nz, nz) + 1j * v[nz * nz:].reshape(nz, nz)
+
+    wx = np.array([gap(e) for e in np.eye(d.shape[1])])
+    best_x, it, _ = admm_maximize(
+        wx, apply, lambda y: d.T @ np.concatenate([y.real.ravel(), y.imag.ravel()]),
+        gram_inv.__matmul__, 1.0, 0.05, 2000)
+    a = _element_from_params(best_x, sites, theta)
+    cert = (1.0 / torus_commutator_norm(a, box_radius=box_radius + 2)) * a
+    return abs(s1.expect(cert) - s2.expect(cert)), it
+
+
+def test_optimizer_matches_the_dense_oracle():
+    # (1, 0) at box 5, and (1, 1) at the default radii: support 3, box 7
+    for theta, m, box_arg, box_radius in ((0.25, (1, 0), 5, 5), (0.37, (1, 1), None, 7)):
+        s1, s2 = vector_state(theta, m), tracial_state(theta)
+        res = optimize_torus_distance(s1, s2, box_radius=box_arg)
+        assert res.box_radius == box_radius
+        value, iterations = _dense_torus_optimizer(s1, s2, 3, box_radius)
+        assert res.iterations == iterations
+        assert abs(res.value - value) <= 1e-12
+
+
+def test_optimizer_size_guard_is_unchanged():
+    # refused exactly when npar * 2 (2R+1)^4 > 3e7, with npar = (2 support + 1)^2 - 1;
+    # a state against itself returns right after the guard
+    s = tracial_state(0.37)
+    for support_radius, last_box in ((1, 18), (2, 13), (3, 11)):
+        res = optimize_torus_distance(s, s, support_radius=support_radius, box_radius=last_box)
+        assert res.iterations == 0 and res.box_radius == last_box
+        with pytest.raises(ParameterError, match="size guard"):
+            optimize_torus_distance(s, s, support_radius=support_radius,
+                                    box_radius=last_box + 1)
 
 
 def test_element_json_roundtrip():
