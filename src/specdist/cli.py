@@ -152,6 +152,8 @@ def cmd_moyal_distance(args) -> int:
 
 
 def cmd_torus_distance(args) -> int:
+    if args.box is not None and not args.optimize:
+        raise ParameterError("--box sets the optimizer's box radius and needs --optimize")
     theta = args.theta
     if args.m is not None:
         s1 = torus.vector_state(theta, _index_pair(args.m, f"--m {args.m}"))

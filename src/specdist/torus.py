@@ -420,7 +420,8 @@ def optimize_torus_distance(s1: TorusState, s2: TorusState,
     npar = 2 * len(sites)
     side = 2 * box_radius + 1
     # caps the problem size: nothing of this size is stored, but every iteration takes
-    # two SVDs of (2R+1)^2 x (2R+1)^2 box matrices
+    # one or two SVDs of (2R+1)^2 x (2R+1)^2 box matrices (the clip, and the norm where
+    # admm_maximize's one-vector bound cannot settle the stall rule)
     if npar * 2 * side ** 4 > MAX_OPERATOR_ENTRIES:
         raise ParameterError(
             f"optimizer size guard: support radius {support_radius} with box radius "

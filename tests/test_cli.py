@@ -240,6 +240,12 @@ def test_torus_distance_with_optimizer(capsys):
     assert 0 < report["optimizer_lower"] <= report["analytic_upper"] + 1e-6
 
 
+def test_torus_box_requires_the_optimizer(capsys):
+    code, out, err = run_cli(capsys, "torus-distance", "--m", "1,0", "--box", "5")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--box" in err
+
+
 def test_probe_output_deterministic(capsys):
     args = ("probe", "--pair", "zeta:1.3,basis:0", "--grid", "1e2:1e3", "--points", "6")
     _, out1, _ = run_cli(capsys, *args)

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from specdist import distance, torus
 from specdist.algebra import MoyalElement
 from specdist.calculus import dz
-from specdist.distance import (SPECTRAL_RADIUS, admm_maximize, analytic_upper_bound,
-                               band_inverses, basis_distance, moyal_report, optimize_distance,
-                               plane_closures, triangle_residual)
+from specdist.distance import (RELAX, SPECTRAL_RADIUS, STALL_ITERS, STALL_TOL, admm_maximize,
+                               analytic_upper_bound, band_inverses, basis_distance,
+                               clip_spectral, moyal_report, optimize_distance, plane_closures,
+                               triangle_residual)
 from specdist.errors import ParameterError, PreconditionError, UnboundedSupportError
-from specdist.lipschitz import commutator_norm
+from specdist.lipschitz import commutator_norm, op_norm
 from specdist.probes import radial_gap
 from specdist.states import basis_state, difference_matrix, finite_state, zeta_state
 
@@ -242,6 +244,67 @@ def test_optimizer_matches_the_dense_admm_oracle():
         value, iterations = _dense_optimizer_value(s1, s2, n)
         assert res.iterations == iterations
         assert abs(res.value - value) <= 1e-9
+
+
+def _unscreened_admm(c, apply, adjoint, solve, radius, rho, max_iter):
+    # admm_maximize as it was before the norm screen: one op_norm SVD every iteration
+    best_x = np.zeros_like(c)
+    z = u = np.zeros_like(apply(best_x))
+    c_rho = c / rho
+    best_val, stall, it = 0.0, 0, 0
+    for it in range(1, max_iter + 1):
+        x = solve(c_rho + adjoint(z - u))
+        dx = apply(x)
+        sig = op_norm(dx)
+        scaled = float(np.vdot(c, x).real) * (radius / sig) if sig > 0.0 else 0.0
+        if scaled > best_val * (1.0 + STALL_TOL):
+            best_val, best_x, stall = scaled, x, 0
+        else:
+            stall += 1
+        if stall >= STALL_ITERS:
+            break
+        v = RELAX * dx + (1.0 - RELAX) * z + u
+        z = clip_spectral(v, radius)[0]
+        u = v - z
+    return best_x, it, stall >= STALL_ITERS
+
+
+def test_norm_screen_leaves_every_iterate_bit_identical(monkeypatch):
+    # the arguments the plane and torus optimizers hand to admm_maximize, and its results
+    calls = []
+
+    def record(*args):
+        calls.append((args, admm_maximize(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(distance, "admm_maximize", record)
+    monkeypatch.setattr(torus, "admm_maximize", record)
+    optimize_distance(finite_state([1.0, 2.0, 3.0], 1.0), basis_state(0, 1.0), 12)
+    optimize_distance(basis_state(1, 0.5), basis_state(5, 0.5), 24)
+    torus.optimize_torus_distance(torus.vector_state(0.25, (1, 0)), torus.tracial_state(0.25),
+                                  box_radius=5)
+    torus.optimize_torus_distance(torus.vector_state(0.37, (1, 1)), torus.tracial_state(0.37))
+    assert len(calls) == 4
+    for args, (best_x, it, stalled) in calls:
+        want_x, want_it, want_stalled = _unscreened_admm(*args)
+        assert np.array_equal(best_x, want_x)
+        assert (it, stalled) == (want_it, want_stalled)
+
+
+def test_clip_spectral_eigh_fallback_matches_the_svd(rng, monkeypatch):
+    mat = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    sigma = np.linalg.svd(mat, compute_uv=False)[0]
+    radius = 0.5 * sigma
+    want, q = clip_spectral(mat, radius)
+    assert np.linalg.norm(mat @ q) == pytest.approx(sigma, rel=1e-12)
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    got, q = clip_spectral(mat, radius)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.linalg.norm(mat @ q) == pytest.approx(sigma, rel=1e-12)
 
 
 def test_optimizer_reaches_the_closed_form_at_order_128():

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from specdist import distance
 from specdist.distance import admm_maximize
 from specdist.errors import ParameterError
+from specdist.lipschitz import op_norm
 from specdist.torus import (TorusElement, _element_from_params, _hermitian_sites, bicharacter,
                             box_matrix, box_shifts, coefficient_bound, commutator_norm_converged,
                             deriv, deriv_bar, involution, optimize_torus_distance, product,
@@ -297,6 +299,21 @@ def test_optimizer_matches_the_dense_oracle():
         value, iterations = _dense_torus_optimizer(s1, s2, 3, box_radius)
         assert res.iterations == iterations
         assert abs(res.value - value) <= 1e-12
+
+
+def test_optimizer_skips_most_tracking_norms(monkeypatch):
+    # admm_maximize takes an iterate's norm only where its one-vector bound cannot
+    # rule out an improvement
+    calls = []
+
+    def counted(m):
+        calls.append(m.shape)
+        return op_norm(m)
+
+    monkeypatch.setattr(distance, "op_norm", counted)
+    res = optimize_torus_distance(vector_state(0.25, (1, 0)), tracial_state(0.25), box_radius=5)
+    assert res.iterations == 136
+    assert 0 < len(calls) < res.iterations // 2
 
 
 def test_optimizer_size_guard_is_unchanged():
