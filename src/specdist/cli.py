@@ -33,25 +33,24 @@ class _Parser(argparse.ArgumentParser):
     # usage problems are parameter errors (exit 1), not suite failures
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit2(message)
-
-
-class SystemExit2(Exception):
-    def __init__(self, message):
-        super().__init__(message)
+        raise ParameterError(message)
 
 
 def parse_state_spec(text: str, theta: float) -> MoyalPureState:
     """State mini-grammar: basis:m | zeta:s:Mcut | finite:w0,w1,..."""
     parts = text.split(":")
     kind = parts[0]
-    if kind == "basis" and len(parts) == 2:
-        return basis_state(int(parts[1]), theta)
-    if kind == "zeta" and len(parts) == 3:
-        return zeta_state(float(parts[1]), int(parts[2]), theta)
-    if kind == "finite" and len(parts) == 2:
-        weights = [complex(w) for w in parts[1].split(",")]
-        return finite_state(weights, theta)
+    try:
+        if kind == "basis" and len(parts) == 2:
+            return basis_state(int(parts[1]), theta)
+        if kind == "zeta" and len(parts) == 3:
+            return zeta_state(float(parts[1]), int(parts[2]), theta)
+        if kind == "finite" and len(parts) == 2:
+            return finite_state([complex(w) for w in parts[1].split(",")], theta)
+    except ParameterError:  # the state's own message, e.g. non-finite or all-zero weights
+        raise
+    except ValueError:  # a number that does not parse
+        pass
     raise ParameterError(f"cannot parse state spec {text!r}")
 
 
@@ -143,8 +142,7 @@ def cmd_moyal_distance(args) -> int:
     theta = float(spec.get("theta", args.theta))
     if a_text is None or b_text is None:
         raise ParameterError("state specs --a and --b are required")
-    s1 = parse_state_spec(a_text, theta)
-    s2 = parse_state_spec(b_text, theta)
+    s1, s2 = (parse_state_spec(text, theta) for text in (a_text, b_text))
     report = moyal_report(s1, s2, order=args.order, optimize=not args.no_optimize,
                           probe=args.probe, max_iter=args.max_iter)
     _emit(report.to_dict(), args)
@@ -303,9 +301,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args._t0 = t0
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMETER
     except (ParameterError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER

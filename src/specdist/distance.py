@@ -2,8 +2,8 @@
 
 Four independent mechanisms are combined into a bracketed report: the closed
 form for diagonal basis states, the radial certificate lower bound of
-`probes.radial_gap`, an analytic upper bound from the inversion formula, and
-a convex optimizer over truncated self-adjoint elements.
+`probes.radial_gap`, the band-transport upper bound of the rotation symmetry,
+and a convex optimizer over truncated self-adjoint elements.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .lipschitz import commutator_norm, op_norm
 from .states import MoyalPureState, difference_matrix
 
 SPECTRAL_RADIUS = 1.0 / math.sqrt(2.0)  # derivative budget of the unit commutator ball
-MAX_OPERATOR_ENTRIES = 3e7  # ceiling on an optimizer's size (240 MB as stored floats)
+MAX_OPERATOR_ENTRIES = 3e7  # ceiling on an optimizer's or upper bound's arrays (240 MB of floats)
 STALL_ITERS = 50  # admm_maximize stops after this many non-improving iterations in a row
 STALL_TOL = 1e-8  # relative margin an iterate must clear to count as an improvement
 RELAX = 1.7  # ADMM over-relaxation factor
@@ -57,37 +57,44 @@ def triangle_residual(m: int, p: int, n: int, theta: float) -> float:
 
 
 def analytic_upper_bound(s1: MoyalPureState, s2: MoyalPureState) -> float:
-    """Upper bound on the distance between finitely supported states.
+    """Band-transport upper bound B = sum_{p,q} l[p, q] |T[p, q]| for finitely supported states.
 
-    Off-diagonal coefficients of any ball member are bounded through the
-    inversion formula by K[p,q] = sqrt(2 theta) * sum_k 1/(sqrt(p-k)+sqrt(q-k));
-    the diagonal part uses the sharper telescoping bound with unit Lipschitz
-    steps sqrt(theta/2)/sqrt(j+1).  For basis-state pairs this reproduces the
-    closed form exactly.
+    T[p, q] = sum_{i>=0} W[p+i, q+i] (W = `difference_matrix`) are tail sums along diagonals;
+    l[p, q] = sqrt(2 theta)/(sqrt(p) + sqrt(q)), halved on row and column 0, l[0, 0] = 0.
+    Proof: the distance is max |sum(W * a)| over self-adjoint a with ||dz a||, ||dzbar a|| <=
+    1/sqrt(2).  The rotation action, conjugation by the unitary diag(e^{i m phi}), turns dz and
+    dzbar by a phase, so they shift bands by one: for band k of a, x_j = a[j, j+k], the entries
+    (sqrt(j+k) x_j - sqrt(j) x_{j-1})/sqrt(theta) of dz a (row j) and (sqrt(j) x_j - sqrt(j+k)
+    x_{j-1})/sqrt(theta) of dzbar a (row j-1) see band k only, and are at most 1/sqrt(2).  Row
+    0 gives |x_0| <= l[0, k] and their sum |x_j - x_{j-1}| <= l[j, j+k]; by parts sum_j
+    W[j, j+k] x_j = x_0 T[0, k] + sum_{j>=1} (x_j - x_{j-1}) T[j, j+k], with T[0, 0] = tr W = 0
+    and band -k band k conjugated.  On basis pairs B is the closed form, R of
+    `probes.radial_gap`.  Rounding (u = 2^-53, Higham's bounds): with S the same sums of
+    M = |c1||c1|^T + |c2||c2|^T >= |W|, W errs by 4u M, tail sums by (n - 1)u S, l, moduli and
+    products by 8u, row sums and fsum by n u, so B exceeds the computed value by at most
+    (2n + 12)u sum(l S); squared norms 1 +- nu move W by 2 nu M; underflow errs by at most
+    n^3 2^-1070 (1 + theta).  The returned value adds a term for each of the three.
     """
-    if s1.kind == "zeta" or s2.kind == "zeta":
-        raise UnboundedSupportError(
-            "analytic upper bound is only available for finitely supported states")
-    theta = s1.theta
     n = max(s1.support, s2.support)
+    if "zeta" in (s1.kind, s2.kind) or n * n > MAX_OPERATOR_ENTRIES:  # support 5,478 on
+        raise UnboundedSupportError(
+            f"analytic upper bound needs finitely supported states with support^2 <= "
+            f"{MAX_OPERATOR_ENTRIES:.0e}; got {s1.kind} and {s2.kind} states, support {n}")
     w = difference_matrix(s1, s2, n)
-
-    sq = np.sqrt(np.arange(n, dtype=float))
-    off = 0.0
-    for p in range(n):
-        for q in range(n):
-            if p == q or w[p, q] == 0:
-                continue
-            k = np.arange(min(p, q) + 1)
-            kpq = math.sqrt(2.0 * theta) * float(np.sum(1.0 / (sq[p - k] + sq[q - k])))
-            off += abs(w[p, q]) * kpq
-
-    diag = np.real(np.diag(w))
-    tail = np.cumsum(diag[::-1])[::-1]  # tail[j] = sum_{p >= j} w_pp
-    bound = off
-    for j in range(n - 1):
-        bound += math.sqrt(theta / 2.0) / math.sqrt(j + 1.0) * abs(float(tail[j + 1]))
-    return float(bound)
+    if np.array_equal(s1.c, s2.c):
+        return 0.0
+    a = np.abs([np.pad(s.c, (0, n - s.support)) for s in (s1, s2)])
+    m = a.T @ a
+    for p in range(n - 2, -1, -1):  # row p becomes the tail sums of its diagonals
+        w[p, :-1] += w[p + 1, 1:]
+        m[p, :-1] += m[p + 1, 1:]
+    den = np.sqrt(np.arange(n, dtype=float))
+    den = den[:, None] + den
+    den[0], den[:, 0], den[0, 0] = 2.0 * den[0], 2.0 * den[:, 0], np.inf
+    ell = np.divide(math.sqrt(2.0 * s1.theta), den, out=den)
+    bound, slack = (math.fsum(np.einsum("ij,ij->i", ell, np.abs(x))) for x in (w, m))
+    nu = max(abs(1.0 - math.fsum(x ** 2)) for x in a)
+    return bound + (4 * (n + 8) * 2.0 ** -53 + 2 * nu) * slack + 2.0 ** -1022 * (1.0 + s1.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +303,7 @@ class DistanceReport:
     def bracket_width(self) -> float | None:
         if self.analytic_upper is None:
             return None
-        lowers = [self.certificate_lower]
-        if self.optimizer_lower is not None:
-            lowers.append(self.optimizer_lower)
-        return self.analytic_upper - max(lowers)
+        return self.analytic_upper - max(self.certificate_lower, self.optimizer_lower or 0.0)
 
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -314,28 +318,25 @@ def moyal_report(s1: MoyalPureState, s2: MoyalPureState, order: int = 16,
 
     The certificate lower bound is `probes.radial_gap` (O(support), unit norm by
     construction, so no ball check), reported as radial(top index).  Pairs with a
-    zeta-type state get no upper bound; with probe=True a divergence flag computed
-    from the growth of the staircase bound is attached.
+    zeta-type state or a support above 5,477 get no upper bound; with probe=True a
+    divergence flag computed from the growth of the staircase bound is attached.
     """
     if s1.theta != s2.theta:
         raise ParameterError("states carry different theta")
     if order < 1:
         raise ParameterError(f"truncation order must be at least 1, got {order}")
     theta = s1.theta
-    closed = None
-    if s1.kind == "basis" and s2.kind == "basis":
-        closed = basis_distance(s1.meta["index"], s2.meta["index"], theta)
+    closed = (basis_distance(s1.meta["index"], s2.meta["index"], theta)
+              if s1.kind == s2.kind == "basis" else None)
 
     try:
         upper = analytic_upper_bound(s1, s2)
     except UnboundedSupportError:
         upper = None
 
-    opt_val = opt_iters = opt_resid = opt_conv = None
+    res = None
     if optimize and order >= max(s1.support, s2.support) + 2:
         res = optimize_distance(s1, s2, order, rho=rho, max_iter=max_iter)
-        opt_val, opt_iters = res.value, res.iterations
-        opt_resid, opt_conv = res.feasibility_residual, res.converged
 
     divergence = None
     if probe and "zeta" in (s1.kind, s2.kind):
@@ -351,9 +352,9 @@ def moyal_report(s1: MoyalPureState, s2: MoyalPureState, order: int = 16,
         certificate_id=f"radial({max(s1.support, s2.support) - 1})",
         closed_form=closed,
         analytic_upper=upper,
-        optimizer_lower=opt_val,
-        iterations=opt_iters,
-        feasibility_residual=opt_resid,
-        converged=opt_conv,
+        optimizer_lower=res and res.value,
+        iterations=res and res.iterations,
+        feasibility_residual=res and res.feasibility_residual,
+        converged=res and res.converged,
         divergence=divergence,
     )

@@ -103,16 +103,20 @@ def zeta_state(s: float, m_cut: int, theta: float) -> MoyalPureState:
 
 
 def finite_state(weights, theta: float) -> MoyalPureState:
-    """State from an arbitrary finite weight vector, normalized automatically."""
+    """State from a finite weight vector, normalized after an exact power-of-two rescale."""
     w = np.asarray(list(weights), dtype=complex)
     if w.ndim != 1 or w.size == 0:
         raise ParameterError("weights must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(w)):
         raise ParameterError("weights must be finite")
+    e = math.frexp(float(np.max(np.abs(w.view(float)))))[1]  # no over- or underflow below
+    w = np.ldexp(w.view(float), -e).view(complex)
     nrm = float(np.linalg.norm(w))
     if nrm == 0.0:
         raise ParameterError("weights must not all vanish")
-    return MoyalPureState(theta, w / nrm, kind="finite", meta={"norm_factor": nrm})
+    with np.errstate(over="ignore"):  # a norm past the float range is recorded as inf
+        factor = float(np.ldexp(nrm, e))
+    return MoyalPureState(theta, w / nrm, kind="finite", meta={"norm_factor": factor})
 
 
 def diagonal_difference(s1: MoyalPureState, s2: MoyalPureState) -> np.ndarray:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from specdist.cli import main
+from specdist.distance import basis_distance
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +49,18 @@ def test_moyal_distance_zeta_probe(capsys):
     assert report["certificate_lower"] > 0
 
 
+def test_moyal_distance_upper_bound_past_the_size_cap(capsys):
+    # support 5,478 squared exceeds MAX_OPERATOR_ENTRIES: no n x n difference matrix is
+    # built and the upper bound is null, as for zeta pairs
+    code, out, _ = run_cli(capsys, "moyal-distance", "--a", "basis:5477", "--b", "basis:0",
+                           "--no-optimize")
+    assert code == 0
+    report = json.loads(out)
+    assert report["closed_form"] == pytest.approx(basis_distance(5477, 0, 1.0), rel=1e-15)
+    assert report["certificate_lower"] == pytest.approx(report["closed_form"], rel=1e-12)
+    assert report["analytic_upper"] is None and report["bracket_width"] is None
+
+
 def test_moyal_distance_deterministic_output(capsys):
     args = ("moyal-distance", "--theta", "2", "--a", "finite:1,1", "--b", "basis:0",
             "--order", "8")
@@ -83,6 +96,13 @@ def test_parameter_errors_exit_one(capsys):
     assert "error" in err
     code, _, _ = run_cli(capsys, "moyal-distance", "--a", "zeta:0.5:100", "--b", "basis:0")
     assert code == 1
+    # a number that does not parse names the spec; the state's own messages survive
+    for spec, message in (("finite:", None), ("finite:1,,2", None), ("basis:x", None),
+                          ("zeta:1.2:x", None), ("finite:0,0", "weights must not all vanish"),
+                          ("finite:nan,1", "weights must be finite")):
+        code, out, err = run_cli(capsys, "moyal-distance", "--a", spec, "--b", "basis:0")
+        assert code == 1 and out == ""
+        assert err == f"error: {message or f'cannot parse state spec {spec!r}'}\n"
 
 
 def _run_subprocess(*argv):

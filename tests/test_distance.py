@@ -64,34 +64,108 @@ def test_upper_bound_dominates_certificate_for_finite_states():
     assert 0 < radial_gap(s1, s2) <= upper + 1e-12
 
 
-def test_upper_bound_against_brute_force_weight_sum():
-    # independent evaluation: off-diagonal weights against the inversion-sum
-    # envelope, diagonal weights against telescoped unit steps
-    theta = 2.0
-    s1 = finite_state([0.6, 0.8j], theta)
-    s2 = finite_state([1.0, 2.0, 2.0], theta)
-    n = 3
-    c1 = np.zeros(n, complex)
-    c1[:2] = s1.c
-    c2 = s2.c
-    w = np.outer(c1.conj(), c1) - np.outer(c2.conj(), c2)
-    want = 0.0
+def _envelope(s1, s2):
+    # the inversion-formula envelope the band bound replaced: off-diagonal weights against
+    # K[p, q] = sqrt(2 theta) sum_k 1/(sqrt(p-k) + sqrt(q-k)), diagonal weights against
+    # telescoped unit steps
+    theta, n = s1.theta, max(s1.support, s2.support)
+    w = difference_matrix(s1, s2, n)
+    out = 0.0
     for p in range(n):
         for q in range(n):
-            if p == q:
-                continue
-            envelope = math.sqrt(2 * theta) * sum(
-                1.0 / (math.sqrt(p - k) + math.sqrt(q - k)) for k in range(min(p, q) + 1))
-            want += abs(w[p, q]) * envelope
+            if p != q:
+                out += abs(w[p, q]) * math.sqrt(2 * theta) * sum(
+                    1.0 / (math.sqrt(p - k) + math.sqrt(q - k)) for k in range(min(p, q) + 1))
     for j in range(n - 1):
         tail = sum(w[p, p].real for p in range(j + 1, n))
-        want += math.sqrt(theta / 2) / math.sqrt(j + 1) * abs(tail)
-    assert analytic_upper_bound(s1, s2) == pytest.approx(want, rel=1e-13)
+        out += math.sqrt(theta / 2) / math.sqrt(j + 1) * abs(tail)
+    return out
+
+
+def _band_loop(s1, s2, real=float, sqrt=math.sqrt):
+    # band by band: weight 1 on band 0 and 2 on band k > 0 (its conjugate band -k), tail
+    # sums T_j of the band against l_j = sqrt(2 theta)/(sqrt(j) + sqrt(j+k)) for j >= 1
+    # and the anchor l_0 = sqrt(theta/2)/sqrt(k); real and sqrt set the precision
+    theta, n = real(s1.theta), max(s1.support, s2.support)
+    c1, c2 = ([complex(x) for x in s.c] + [0j] * (n - s.support) for s in (s1, s2))
+    total = real(0)
+    for k in range(n):
+        for j in range(n - k):
+            re = im = real(0)
+            for m in range(j, n - k):
+                for c, sign in ((c1, 1), (c2, -1)):
+                    x, y = c[m], c[m + k]  # conj(x) y
+                    re += sign * (real(x.real) * real(y.real) + real(x.imag) * real(y.imag))
+                    im += sign * (real(x.real) * real(y.imag) - real(x.imag) * real(y.real))
+            if j > 0:
+                ell = sqrt(2 * theta) / (sqrt(real(j)) + sqrt(real(j + k)))
+            else:
+                ell = sqrt(theta / 2) / sqrt(real(k)) if k else real(0)
+            total += (1 if k == 0 else 2) * ell * sqrt(re * re + im * im)
+    return total
+
+
+def _random_pairs(rng, count):
+    # complex finite pairs with supports 2 to 6, theta cycling through THETAS
+    return [tuple(finite_state(rng.standard_normal(k) + 1j * rng.standard_normal(k), THETAS[i % 3])
+                  for k in rng.integers(2, 7, 2)) for i in range(count)]
+
+
+def test_upper_bound_against_brute_force_weight_sum():
+    # restated for the band-transport bound: it agrees with an independent band-by-band
+    # loop and never exceeds the inversion-formula envelope it replaced
+    pairs = [(finite_state([0.6, 0.8j], 2.0), finite_state([1.0, 2.0, 2.0], 2.0)),
+             (finite_state([1.0, 2.0, 3.0], 1.0), basis_state(0, 1.0))]
+    for s1, s2 in pairs + _random_pairs(np.random.default_rng(11), 12):
+        got = analytic_upper_bound(s1, s2)
+        assert got == pytest.approx(_band_loop(s1, s2), rel=1e-13)
+        assert got <= _envelope(s1, s2)
+    assert analytic_upper_bound(*pairs[1]) == pytest.approx(2.50254, abs=1e-5)
+
+
+def test_upper_bound_dominates_optimizer_on_random_pairs():
+    for s1, s2 in _random_pairs(np.random.default_rng(12), 10):
+        order = 4 * max(s1.support, s2.support)
+        # a feasible lower bound wherever the iteration stops, so a cap keeps it cheap
+        res = optimize_distance(s1, s2, order=order, max_iter=500)
+        assert 0.0 < res.value <= analytic_upper_bound(s1, s2)
+
+
+def test_upper_bound_dominates_gaps_of_random_ball_members():
+    rng = np.random.default_rng(13)
+    for s1, s2 in _random_pairs(rng, 10):
+        upper = analytic_upper_bound(s1, s2)
+        for _ in range(30):
+            order = max(s1.support, s2.support) + int(rng.integers(0, 4))
+            x = rng.standard_normal((order, order)) + 1j * rng.standard_normal((order, order))
+            a = MoyalElement(s1.theta, x + x.conj().T)
+            a = (1.0 / commutator_norm(a)) * a
+            assert abs(s1.expect(a) - s2.expect(a)) <= upper
+
+
+def test_upper_bound_holds_in_floating_point():
+    # at least the same formula evaluated in extended precision, also where equal
+    # diagonals (the same moduli, other phases) make band 0 cancel
+    rng = np.random.default_rng(14)
+    for i in range(24):
+        theta = THETAS[i % 3]
+        n = int(rng.integers(2, 9))
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        if i % 2:
+            d = np.abs(c) * np.exp(2j * np.pi * rng.random(n))
+        else:
+            d = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        s1, s2 = finite_state(c, theta), finite_state(d, theta)
+        exact = _band_loop(s1, s2, real=np.longdouble, sqrt=np.sqrt)
+        assert analytic_upper_bound(s1, s2) >= exact
 
 
 def test_upper_bound_unavailable_for_zeta_states():
     with pytest.raises(UnboundedSupportError):
         analytic_upper_bound(basis_state(0, 1.0), zeta_state(1.2, 50, 1.0))
+    # and past the size cap: support 5,478 squared exceeds MAX_OPERATOR_ENTRIES
+    with pytest.raises(UnboundedSupportError, match=r"3e\+07.*support 5478"):
+        analytic_upper_bound(basis_state(5477, 1.0), basis_state(0, 1.0))
 
 
 def _loop_unpack(x, n):

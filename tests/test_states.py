@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,16 @@ def test_finite_state_normalizes_and_records_factor():
     st = finite_state([3.0, 4.0], 1.0)
     assert st.meta["norm_factor"] == pytest.approx(5.0, abs=1e-14)
     assert float(np.sum(np.abs(st.c) ** 2)) == pytest.approx(1.0, abs=1e-15)
+    # weights whose squared norm overflows or underflows, without warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big, small = finite_state([1e200, 1.0], 1.0), finite_state([1e-200], 1.0)
+    assert big.c[0] == 1.0 and big.c[1] == pytest.approx(1e-200, rel=1e-15)
+    assert big.meta["norm_factor"] == pytest.approx(1e200, rel=1e-15)
+    assert small.c[0] == 1.0 and small.meta["norm_factor"] == pytest.approx(1e-200, rel=1e-15)
+    # the rescale is exact: ordinary weights keep the bits of plain division by the norm
+    w = np.random.default_rng(3).standard_normal(7) * (1 + 1j) * 1e-3
+    assert np.array_equal(finite_state(w, 1.0).c, w / np.linalg.norm(w))
 
 
 def test_finite_state_single_weight_is_basis_like():
