@@ -240,7 +240,7 @@ class OptimizeResult:
 
 
 def optimize_distance(s1: MoyalPureState, s2: MoyalPureState, order: int,
-                      rho: float = 1.0, max_iter: int = 100000) -> OptimizeResult:
+                      max_iter: int = 100000) -> OptimizeResult:
     """Maximize the evaluation gap over self-adjoint elements of the given order.
 
     Solves max <w, a> subject to the spectral-norm budget on the derivative
@@ -266,7 +266,7 @@ def optimize_distance(s1: MoyalPureState, s2: MoyalPureState, order: int,
         return OptimizeResult(0.0, zero(theta, n), 0, True, 0.0)
 
     best_x, it, converged = admm_maximize(w.conj(), *plane_closures(n, theta),
-                                          SPECTRAL_RADIUS, rho, max_iter)
+                                          SPECTRAL_RADIUS, 1.0, max_iter)  # rho = 1
     a_best = MoyalElement(theta, best_x)
     cn = commutator_norm(a_best)
     if cn == 0.0:
@@ -313,7 +313,7 @@ class DistanceReport:
 
 def moyal_report(s1: MoyalPureState, s2: MoyalPureState, order: int = 16,
                  optimize: bool = True, probe: bool = False,
-                 rho: float = 1.0, max_iter: int = 100000) -> DistanceReport:
+                 max_iter: int = 100000) -> DistanceReport:
     """Assemble a full bracketed report for a pair of states.
 
     The certificate lower bound is `probes.radial_gap` (O(support), unit norm by
@@ -336,7 +336,7 @@ def moyal_report(s1: MoyalPureState, s2: MoyalPureState, order: int = 16,
 
     res = None
     if optimize and order >= max(s1.support, s2.support) + 2:
-        res = optimize_distance(s1, s2, order, rho=rho, max_iter=max_iter)
+        res = optimize_distance(s1, s2, order, max_iter=max_iter)
 
     divergence = None
     if probe and "zeta" in (s1.kind, s2.kind):

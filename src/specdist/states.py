@@ -16,6 +16,15 @@ from .errors import ParameterError
 from .zeta import zeta, zeta_partial
 
 NORMALIZATION_TOL = 1e-12
+# largest coefficient vector a basis or zeta state may allocate; every bound and the
+# radial certificate take memory linear in it (about 68 bytes per index)
+MAX_SUPPORT = 2 ** 22
+
+
+def _check_support(size: int) -> None:
+    if size > MAX_SUPPORT:
+        raise ParameterError(f"state support {size} exceeds the cap MAX_SUPPORT = "
+                             f"{MAX_SUPPORT}; choose a smaller index or cut-off")
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,6 +82,7 @@ def basis_state(m: int, theta: float) -> MoyalPureState:
     """The m-th diagonal pure state (reads off a[m, m])."""
     if m < 0:
         raise ParameterError(f"basis index must be a natural number, got {m}")
+    _check_support(m + 1)
     c = np.zeros(m + 1, dtype=complex)
     c[m] = 1.0
     return MoyalPureState(theta, c, kind="basis", meta={"index": m})
@@ -89,6 +99,7 @@ def zeta_state(s: float, m_cut: int, theta: float) -> MoyalPureState:
         raise ParameterError(f"zeta states require a finite s > 1, got {s}")
     if m_cut < 1:
         raise ParameterError(f"m_cut must be at least 1, got {m_cut}")
+    _check_support(m_cut + 1)
     m = np.arange(m_cut + 1, dtype=float)
     w = (m + 1.0) ** (-s)
     c = np.sqrt(w)

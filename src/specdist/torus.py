@@ -27,9 +27,11 @@ def bicharacter(m: Index, n: Index, theta: float) -> complex:
 
     Derived from the phase-normalized generator convention and the defining
     exchange relation of the two unitaries; checked against all bicharacter
-    identities in the test suite.
+    identities in the test suite.  The phase has period 2 in theta, so theta
+    enters reduced by math.fmod (exact, and the identity for |theta| < 2), which
+    keeps pi theta k finite for every finite theta.
     """
-    return complex(np.exp(1j * np.pi * theta * (m[0] * n[1] - m[1] * n[0])))
+    return complex(np.exp(1j * np.pi * math.fmod(theta, 2.0) * (m[0] * n[1] - m[1] * n[0])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +186,8 @@ def box_shifts(ps, theta: float, box_radius: int):
     """Box layout of left multiplication by U^p on [-R, R]^2, for each p of ps in turn:
     (rows, cols, phases, counts), the flat row-major (n1, n2) indices of the entries kept
     in the box, their phases exp(i pi theta (p1 n2 - p2 n1)) and their number per p.
-    Each p fills its own twisted diagonal, rows = cols + p1 (2R+1) + p2."""
+    Each p fills its own twisted diagonal, rows = cols + p1 (2R+1) + p2.  As in
+    `bicharacter`, theta enters reduced modulo 2."""
     r = box_radius
     side = 2 * r + 1
     n1, n2 = np.indices((side, side)).reshape(2, -1) - r
@@ -192,7 +195,7 @@ def box_shifts(ps, theta: float, box_radius: int):
     keep = (np.abs(n1 + p[:, :1]) <= r) & (np.abs(n2 + p[:, 1:]) <= r)
     which, cols = np.nonzero(keep)
     p1, p2 = p[which, 0], p[which, 1]
-    phases = np.exp(1j * np.pi * theta * (p1 * n2[cols] - p2 * n1[cols]))
+    phases = np.exp(1j * np.pi * math.fmod(theta, 2.0) * (p1 * n2[cols] - p2 * n1[cols]))
     return cols + p1 * side + p2, cols, phases, keep.sum(axis=1)
 
 
@@ -220,40 +223,20 @@ def torus_op_norm(a: TorusElement, box_radius: int) -> float:
     return op_norm(box_matrix(a, box_radius))
 
 
-def commutator_norm_converged(a: TorusElement, tol: float = 1e-9,
-                              max_radius: int = 16) -> tuple[float, int, bool]:
-    """Dirac commutator norm with the doubling box rule.
-
-    Returns (norm, box radius used, converged flag); the value is the max of
-    the two derivation norms and approaches the true norm from below.
-    """
-    r = a.support_radius + 1
-    if not deriv(a).terms and not deriv_bar(a).terms:
-        return 0.0, r, True
-    prev = torus_commutator_norm(a, r)
-    while 2 * r <= max_radius:
-        r *= 2
-        cur = torus_commutator_norm(a, r)
-        if abs(cur - prev) < tol:
-            return cur, r, True
-        prev = cur
-    return prev, r, False
-
-
-def torus_commutator_norm(a: TorusElement, box_radius: int | None = None) -> float:
-    """Dirac commutator norm: max of the two derivation operator norms.
-
-    With an explicit box radius the norm is evaluated on that box; otherwise
-    the box doubles until the value stabilizes.
-    """
-    if box_radius is not None:
-        return max(torus_op_norm(deriv(a), box_radius),
-                   torus_op_norm(deriv_bar(a), box_radius))
-    return commutator_norm_converged(a)[0]
+def torus_commutator_norm(a: TorusElement, box_radius: int) -> float:
+    """Dirac commutator norm on the given box: max of the two derivation box norms."""
+    return max(torus_op_norm(deriv(a), box_radius), torus_op_norm(deriv_bar(a), box_radius))
 
 
 def weyl_certificate(m: Index, theta: float) -> TorusElement:
-    """The Weyl monomial scaled to unit Dirac commutator norm: U^M / (2 pi (m1 + i m2))."""
+    """The Weyl monomial scaled to unit Dirac commutator norm: c = U^M / (2 pi (m1 + i m2)).
+
+    The norm is exactly 1 in the full algebra, with no box: deriv multiplies the
+    coefficient by 2i pi (m1 + i m2) and deriv_bar by 2i pi (m1 - i m2), so
+    deriv(c) = i U^M and deriv_bar(c) = i (m1 - i m2)/(m1 + i m2) U^M, unimodular
+    multiples of the unitary U^M (U^-M U^M = 1 since the bicharacter of M with -M
+    is 1), and left multiplication by a unitary has operator norm 1.
+    """
     if (m[0], m[1]) == (0, 0):
         raise ParameterError("certificate index must be nonzero")
     return weyl(theta, m, 1.0 / (2.0 * np.pi * (m[0] + 1j * m[1])))
@@ -269,12 +252,14 @@ def coefficient_bound(m: Index) -> float:
 # ---------------------------------------------------------------------------
 
 def torus_report(s1: TorusState, s2: TorusState, optimize: bool = False,
-                 box_radius: int | None = None, rho: float = 0.05,
-                 max_iter: int = 2000) -> DistanceReport:
+                 box_radius: int | None = None, max_iter: int = 2000) -> DistanceReport:
     """Bracketed distance report between torus states.
 
     Only (vector, tracial) pairs carry a closed form; other supported pairs
-    get certificate and coefficient-bound brackets.
+    get certificate and coefficient-bound brackets.  The certificate lower bound
+    is the larger gap of the two Weyl certificates, whose norm is 1 by
+    construction, so no box is built; the reported order is the optimizer's box
+    radius, 0 without the optimizer.
     """
     if s1.theta != s2.theta:
         raise ParameterError("states carry different theta")
@@ -296,15 +281,12 @@ def torus_report(s1: TorusState, s2: TorusState, optimize: bool = False,
     if same_functional:
         closed = 0.0
     else:
-        candidates = [(weyl_certificate(m, theta), f"weyl_certificate({m[0]},{m[1]})")
-                      for m in ms]
-        best = (0.0, "")
-        for cand, label in candidates:
-            norm, box_used, _ = commutator_norm_converged(cand)
-            gap = abs(s1.expect(cand) - s2.expect(cand)) / max(norm, 1.0)
-            if gap > best[0] or not best[1]:
-                best = (gap, label)
-        cert_val, cert_id = best
+        def gap(m):
+            c = weyl_certificate(m, theta)
+            return abs(s1.expect(c) - s2.expect(c))
+
+        best = max(ms, key=gap)  # the first of equal gaps
+        cert_val, cert_id = gap(best), f"weyl_certificate({best[0]},{best[1]})"
         upper = float(sum(coefficient_bound(m) for m in ms))
         if "tracial" in kinds and len(ms) == 1:
             # the coefficient bound, an upper bound: the distance is 1/(pi^2 |m1 + i m2|)
@@ -312,11 +294,10 @@ def torus_report(s1: TorusState, s2: TorusState, optimize: bool = False,
 
     opt_val = opt_iters = opt_resid = opt_conv = None
     if optimize and not same_functional:
-        res = optimize_torus_distance(s1, s2, box_radius=box_radius, rho=rho,
-                                      max_iter=max_iter)
+        res = optimize_torus_distance(s1, s2, box_radius=box_radius, max_iter=max_iter)
         opt_val, opt_iters = res.value, res.iterations
         opt_resid, opt_conv = res.feasibility_residual, res.converged
-        box_used = max(box_used, res.box_radius)
+        box_used = res.box_radius
 
     return DistanceReport(
         theta=theta,
@@ -396,7 +377,7 @@ def torus_closures(sites, theta: float, box_radius: int):
 def optimize_torus_distance(s1: TorusState, s2: TorusState,
                             support_radius: int | None = None,
                             box_radius: int | None = None,
-                            rho: float = 0.05, max_iter: int = 2000) -> TorusOptimizeResult:
+                            max_iter: int = 2000) -> TorusOptimizeResult:
     """Maximize the evaluation gap over self-adjoint box-supported elements.
 
     The plane optimizer's `admm_maximize`, with the spectral constraint on the
@@ -437,7 +418,7 @@ def optimize_torus_distance(s1: TorusState, s2: TorusState,
         return TorusOptimizeResult(0.0, unit(theta) * 0.0, 0, True, 0.0, box_radius)
 
     best_x, it, converged = admm_maximize(wx, *torus_closures(sites, theta, box_radius),
-                                          1.0, rho, max_iter)
+                                          1.0, 0.05, max_iter)  # radius 1, rho = 0.05
     a_best = _element_from_params(best_x, sites, theta)
     validation = box_radius + 2
     norm = torus_commutator_norm(a_best, box_radius=validation)

@@ -154,9 +154,14 @@ def test_criterion_8_certificate_norms_and_upper_bound():
     worst_norm = 0.0
     worst_upper = 0.0
     for m in _torus_indices():
-        norm, _, converged = torus.commutator_norm_converged(torus.weyl_certificate(m, theta))
-        assert converged
-        worst_norm = max(worst_norm, abs(norm - 1.0))
+        # deriv and deriv_bar send the certificate to unimodular multiples of the
+        # unitary U^M; its box norms are 1 at the radii the old doubling rule used
+        cert = torus.weyl_certificate(m, theta)
+        for d in (torus.deriv(cert), torus.deriv_bar(cert)):
+            assert list(d.terms) == [m] and abs(abs(d.terms[m]) - 1.0) <= 1e-15
+        r = cert.support_radius + 1
+        for radius in (r, 2 * r):
+            worst_norm = max(worst_norm, abs(torus.torus_commutator_norm(cert, radius) - 1.0))
         rep = torus.torus_report(torus.vector_state(theta, m), torus.tracial_state(theta))
         worst_upper = max(worst_upper, abs(rep.analytic_upper - 1.0 / (2 * np.pi * abs(m[0] + 1j * m[1]))))
     rng = np.random.default_rng(SEED + 2)

@@ -260,6 +260,32 @@ def test_torus_distance_with_optimizer(capsys):
     assert 0 < report["optimizer_lower"] <= report["analytic_upper"] + 1e-6
 
 
+def test_torus_theta_enters_modulo_two(capsys):
+    # the algebra has period 2 in theta; phases of any finite theta stay finite
+    code, out, _ = run_cli(capsys, "torus-distance", "--theta", "1e308", "--m", "1,0",
+                           "--optimize", "--box", "5")
+    assert code == 0
+    report = json.loads(out)
+    assert all(math.isfinite(report[k]) for k in ("certificate_lower", "optimizer_lower",
+                                                  "bracket_width"))
+    # a short run is enough to compare: both stop at the same iteration cap
+    reports = []
+    for theta in ("2.37", "0.37"):
+        code, out, _ = run_cli(capsys, "torus-distance", "--theta", theta, "--m", "1,1",
+                               "--optimize", "--box", "5", "--max-iter", "40")
+        reports.append(json.loads(out))
+    for key in ("certificate_lower", "optimizer_lower", "feasibility_residual"):
+        assert abs(reports[0][key] - reports[1][key]) <= 1e-12
+    assert reports[0]["iterations"] == reports[1]["iterations"]
+
+
+def test_state_support_cap_exits_one():
+    for spec in ("basis:99999999", "zeta:1.5:99999999"):
+        run = _run_subprocess("moyal-distance", f"--a={spec}", "--b=basis:0", "--no-optimize")
+        _assert_clean_parameter_error(run)
+        assert "MAX_SUPPORT" in run.stderr
+
+
 def test_torus_box_requires_the_optimizer(capsys):
     code, out, err = run_cli(capsys, "torus-distance", "--m", "1,0", "--box", "5")
     assert code == 1 and out == ""

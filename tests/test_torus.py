@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from specdist import distance
+from specdist import distance, torus
 from specdist.distance import admm_maximize
 from specdist.errors import ParameterError
 from specdist.lipschitz import op_norm
 from specdist.torus import (TorusElement, _element_from_params, _hermitian_sites, bicharacter,
-                            box_matrix, box_shifts, coefficient_bound, commutator_norm_converged,
-                            deriv, deriv_bar, involution, optimize_torus_distance, product,
-                            torus_closures, torus_commutator_norm, torus_op_norm, torus_report,
-                            trace, tracial_state, unit, vector_state, weyl, weyl_certificate)
+                            box_matrix, box_shifts, coefficient_bound, deriv, deriv_bar,
+                            involution, optimize_torus_distance, product, torus_closures,
+                            torus_commutator_norm, torus_op_norm, torus_report, trace,
+                            tracial_state, unit, vector_state, weyl, weyl_certificate)
 from specdist.verify import bicharacter_identities, weyl_certificate_gap
 
 THETAS = (0.0, 0.25, 1 / 3, 0.37, math.sqrt(2) - 1)
@@ -125,16 +125,44 @@ def test_box_requires_headroom():
 
 
 def test_certificate_commutator_norm_is_one():
+    # deriv(c) = i U^M and deriv_bar(c) = i (m1 - i m2)/(m1 + i m2) U^M
     for m in [(1, 0), (0, 1), (3, 4), (-2, 3)]:
-        norm, radius, converged = commutator_norm_converged(weyl_certificate(m, 0.37))
-        assert norm == pytest.approx(1.0, abs=1e-12)
-        assert converged
+        c = weyl_certificate(m, 0.37)
+        for d in (deriv(c), deriv_bar(c)):
+            assert list(d.terms) == [m] and abs(abs(d.terms[m]) - 1.0) <= 1e-15
+        r = c.support_radius + 1
+        for radius in (r, 2 * r):
+            assert torus_commutator_norm(c, radius) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_commutator_norm_homogeneous_and_zero():
     c = weyl_certificate((2, -1), 0.37)
     assert torus_commutator_norm(3.0 * c, box_radius=5) == pytest.approx(3.0, rel=1e-12)
-    assert torus_commutator_norm(unit(0.37)) == 0.0
+    assert torus_commutator_norm(unit(0.37), box_radius=2) == 0.0
+
+
+def test_certificate_report_builds_no_box(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a certificate-only report built a box matrix")
+
+    monkeypatch.setattr(torus, "box_matrix", refuse)
+    theta = 0.37
+    rep = torus_report(vector_state(theta, (100, 0)), tracial_state(theta))
+    assert rep.certificate_lower == pytest.approx(1 / (400 * np.pi), abs=1e-18)
+    assert rep.truncation_order == 0
+    # the larger of the two gaps, the first of equal ones
+    for a, b, best in (((2, -5), (3, 4), "(3,4)"), ((4, 3), (3, 4), "(4,3)")):
+        rep = torus_report(vector_state(theta, a), vector_state(theta, b))
+        assert rep.certificate_id == f"weyl_certificate{best}"
+
+
+def test_phases_reduce_theta_modulo_two():
+    a = TorusElement(2.37, {(1, 0): 1.0, (0, 1): 0.5j, (-1, 2): 0.25})
+    b = TorusElement(0.37, a.terms)
+    assert abs(bicharacter((1, 2), (3, -1), 2.37) - bicharacter((1, 2), (3, -1), 0.37)) < 1e-12
+    assert np.max(np.abs(box_matrix(a, 4) - box_matrix(b, 4))) < 1e-12
+    for theta in (1e308, -1e300):
+        assert np.all(np.isfinite(box_matrix(TorusElement(theta, a.terms), 4)))
 
 
 def test_box_matrix_adjoint_symmetry():
