@@ -15,13 +15,9 @@ import math
 import sys
 import time
 
-from . import probes, torus, verify
-from .algebra import MoyalElement
-from .calculus import radial_bump, staircase
-from .distance import moyal_report
+# each subcommand imports the modules it runs when it runs, so a job loads no
+# numerics it does not use (moyal-distance never loads torus or verify)
 from .errors import ParameterError
-from .lipschitz import ball_report
-from .states import MoyalPureState, basis_state, finite_state, zeta_state
 
 EXIT_OK = 0
 EXIT_PARAMETER = 1
@@ -36,8 +32,10 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
-def parse_state_spec(text: str, theta: float) -> MoyalPureState:
-    """State mini-grammar: basis:m | zeta:s:Mcut | finite:w0,w1,..."""
+def parse_state_spec(text: str, theta: float):
+    """MoyalPureState of the mini-grammar basis:m | zeta:s:Mcut | finite:w0,w1,..."""
+    from .states import basis_state, finite_state, zeta_state
+
     parts = text.split(":")
     kind = parts[0]
     try:
@@ -84,8 +82,10 @@ def _index_pair(text: str, spec: str) -> tuple:
     return m1, m2
 
 
-def parse_torus_state(text: str, theta: float) -> torus.TorusState:
-    """Torus state mini-grammar: tracial | phi:m1,m2"""
+def parse_torus_state(text: str, theta: float):
+    """TorusState of the mini-grammar tracial | phi:m1,m2"""
+    from . import torus
+
     if text == "tracial":
         return torus.tracial_state(theta)
     parts = text.split(":")
@@ -136,6 +136,8 @@ def _pair_spec(d: dict) -> dict:
 
 
 def cmd_moyal_distance(args) -> int:
+    from .distance import moyal_report
+
     spec = _load_json_file(args.spec_file, "--spec-file", _pair_spec) if args.spec_file else {}
     a_text = spec.get("a", args.a)
     b_text = spec.get("b", args.b)
@@ -150,6 +152,8 @@ def cmd_moyal_distance(args) -> int:
 
 
 def cmd_torus_distance(args) -> int:
+    from . import torus
+
     if args.box is not None and not args.optimize:
         raise ParameterError("--box sets the optimizer's box radius and needs --optimize")
     theta = args.theta
@@ -168,13 +172,15 @@ def cmd_torus_distance(args) -> int:
 
 
 def _parse_grid(text: str, points: int):
+    from .probes import default_grid
+
     try:
         lo, hi = (float(v) for v in text.split(":"))
     except ValueError:
         lo = hi = math.nan
     if not (math.isfinite(lo) and math.isfinite(hi) and lo > 0 and hi > 0):
         raise ParameterError(f"--grid expects lo:hi with finite positive values, got {text!r}")
-    return probes.default_grid(lo, hi, points)
+    return default_grid(lo, hi, points)
 
 
 def _parse_fit_top(text: str) -> float:
@@ -187,6 +193,8 @@ def _parse_fit_top(text: str) -> float:
 
 
 def cmd_probe(args) -> int:
+    from . import probes
+
     try:
         a_text, b_text = args.pair.split(",")
     except ValueError:
@@ -209,9 +217,10 @@ def cmd_probe(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
+    from .verify import run_suites
+
     failed = False
-    for result in verify.run_suites(names):
+    for result in run_suites(None if args.suite == "all" else [args.suite]):
         status = "PASS" if result.passed else "FAIL"
         print(f"suite {result.name}: {status}")
         for line in result.summary_lines():
@@ -221,6 +230,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ball_check(args) -> int:
+    from .algebra import MoyalElement
+    from .calculus import radial_bump, staircase
+    from .lipschitz import ball_report
+
     if args.element_file:
         element = _load_json_file(args.element_file, "--element-file", MoyalElement.from_dict)
     elif args.staircase is not None:
@@ -279,7 +292,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("verify", help="run the self-check suites")
-    p.add_argument("--suite", default="all", choices=["all"] + list(verify.SUITES))
+    p.add_argument("--suite", default="all",
+                   help="one suite of specdist.verify.SUITES, or all")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("ball-check", help="Lipschitz-ball membership report")

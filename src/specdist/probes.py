@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .states import MoyalPureState, diagonal_difference
+from .states import MAX_SUPPORT, MoyalPureState, diagonal_difference
 from .zeta import zeta, zeta_partial, zeta_tail
 
 TRUNCATED = "truncated"
@@ -219,7 +219,11 @@ def probe_series(spec1: ProbeSpec, spec2: ProbeSpec, m0_grid, theta: float = 1.0
     grid = [int(g) for g in m0_grid]
     if any(g < 0 for g in grid):
         raise ParameterError("grid indices must be natural numbers")
-    ev = _GridEvaluator((spec1, spec2), max(grid), normalization, cutoff_factor)
+    top = max(grid)
+    if top > MAX_SUPPORT - 1:  # the prefix tables hold top + 1 floats each
+        raise ParameterError(f"grid top {top} exceeds the cap MAX_SUPPORT - 1 = "
+                             f"{MAX_SUPPORT - 1}; choose a smaller grid")
+    ev = _GridEvaluator((spec1, spec2), top, normalization, cutoff_factor)
     pref = math.sqrt(theta / 2.0)
     return np.array([
         pref * abs(ev.weighted_sum(spec1, g) - ev.weighted_sum(spec2, g)) for g in grid

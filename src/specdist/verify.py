@@ -20,6 +20,7 @@ from . import probes, torus
 from .algebra import MoyalElement, inner, integral, involution, radial, sobolev_norm, star
 from .calculus import dz, dzbar, reconstruct, staircase
 from .distance import analytic_upper_bound, basis_distance, optimize_distance
+from .errors import ParameterError
 from .lipschitz import ENTRY_BOUND, ball_report, commutator_norm, op_norm, radial_in_ball
 from .states import basis_state, diagonal_difference, finite_state, zeta_state
 
@@ -350,16 +351,20 @@ def distance_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
         (basis_state(0, 2.0), finite_state([1.0, 1.0], 2.0)),
         (finite_state([1.0, 0.5, 0.25], 0.5), basis_state(2, 0.5)),
     ]
+    at_order_10 = []
     for i, (s1, s2) in enumerate(cases):
         cert = probes.radial_gap(s1, s2)
         upper = analytic_upper_bound(s1, s2)
         res = optimize_distance(s1, s2, order=10)
+        at_order_10.append(res.value)
         feasible.flag(res.feasibility_residual > 1e-9,
                       f"case {i}: residual {res.feasibility_residual:.3g}")
         ok = (cert <= upper + 1e-9 and res.value <= upper + 1e-9
               and res.value >= cert - solver_slack - solver_slack * cert)
         bracket.flag(not ok, f"case {i}: cert {cert}, optimizer {res.value}, upper {upper}")
-    vals = [optimize_distance(cases[1][0], cases[1][1], order=k).value for k in (6, 8, 10)]
+    # the optimizer is deterministic: case 1 at order 10 is the run above
+    vals = [optimize_distance(cases[1][0], cases[1][1], order=k).value for k in (6, 8)]
+    vals.append(at_order_10[1])
     monotone.flag(not (vals[0] <= vals[1] + 1e-6 and vals[1] <= vals[2] + 1e-6), f"values {vals}")
 
     phase = CheckResult("global_phase_invariance", 20)
@@ -514,4 +519,10 @@ SUITES = {
 
 
 def run_suites(names=None, seed: int = DEFAULT_SEED):
-    return [SUITES[n](seed) for n in (SUITES if names is None else names)]
+    """Run the named suites, or all of SUITES when names is None."""
+    names = list(SUITES) if names is None else names
+    unknown = [n for n in names if n not in SUITES]
+    if unknown:
+        raise ParameterError(f"unknown suite {unknown[0]!r}; choose all or one of "
+                             f"{', '.join(SUITES)}")
+    return [SUITES[n](seed) for n in names]

@@ -286,6 +286,13 @@ def test_state_support_cap_exits_one():
         assert "MAX_SUPPORT" in run.stderr
 
 
+def test_probe_grid_top_above_the_support_cap_exits_one():
+    # 5e6 is just above MAX_SUPPORT - 1 and still affordable to run without the cap
+    run = _run_subprocess("probe", "--pair=zeta:1.2,basis:0", "--grid=1e2:5e6", "--format=json")
+    _assert_clean_parameter_error(run)
+    assert "MAX_SUPPORT" in run.stderr and "5000000" in run.stderr
+
+
 def test_torus_box_requires_the_optimizer(capsys):
     code, out, err = run_cli(capsys, "torus-distance", "--m", "1,0", "--box", "5")
     assert code == 1 and out == ""
@@ -332,6 +339,12 @@ def test_verify_torus_suite_reports_known_gap(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "torus")
     assert code == 2
     assert "certificate_meets_coefficient_bound" in out
+
+
+def test_verify_unknown_suite_exits_one(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "bogus")
+    assert code == 1 and out == ""
+    assert err.startswith("error: unknown suite 'bogus'") and "distance" in err
 
 
 def test_ball_check_staircase(capsys):

@@ -9,7 +9,7 @@ from specdist.probes import (ProbeSpec, asymptotic_fit, crossover_index, crossov
                              divergence_flag, estimate_checks, inv_sqrt_suffix_sum,
                              parse_probe_spec, probe_series, radial_gap, staircase_gap,
                              zeta_weight_gap)
-from specdist.states import basis_state, finite_state, zeta_state
+from specdist.states import MAX_SUPPORT, basis_state, finite_state, zeta_state
 from specdist.verify import radial_cross_path, staircase_cross_path
 from specdist.zeta import zeta, zeta_partial, zeta_tail
 
@@ -187,6 +187,11 @@ def test_fit_refuses_empty_window():
     with pytest.raises(ParameterError):
         asymptotic_fit(ProbeSpec("basis", index=0), ProbeSpec("zeta", s=1.2),
                        [10, 100, 1000], fit_window=(2000, 3000))
+
+
+def test_probe_series_refuses_a_grid_top_above_the_support_cap():
+    with pytest.raises(ParameterError, match="MAX_SUPPORT"):
+        probe_series(ProbeSpec("basis", index=0), ProbeSpec("zeta", s=1.2), [10, MAX_SUPPORT])
 
 
 def test_fit_requires_zeta_component():
