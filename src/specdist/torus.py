@@ -400,9 +400,10 @@ def optimize_torus_distance(s1: TorusState, s2: TorusState,
     sites = _hermitian_sites(support_radius)
     npar = 2 * len(sites)
     side = 2 * box_radius + 1
-    # caps the problem size: nothing of this size is stored, but every iteration takes
-    # one or two SVDs of (2R+1)^2 x (2R+1)^2 box matrices (the clip, and the norm where
-    # admm_maximize's one-vector bound cannot settle the stall rule)
+    # caps the problem size: nothing of this size is stored, but every iteration past
+    # the opening ones, whose clips admm_maximize settles by a Schur bound, takes one or
+    # two SVDs of (2R+1)^2 x (2R+1)^2 box matrices (the clip, and the norm where its
+    # one-vector bound cannot settle the stall rule)
     if npar * 2 * side ** 4 > MAX_OPERATOR_ENTRIES:
         raise ParameterError(
             f"optimizer size guard: support radius {support_radius} with box radius "
@@ -421,11 +422,18 @@ def optimize_torus_distance(s1: TorusState, s2: TorusState,
                                           1.0, 0.05, max_iter)  # radius 1, rho = 0.05
     a_best = _element_from_params(best_x, sites, theta)
     validation = box_radius + 2
-    norm = torus_commutator_norm(a_best, box_radius=validation)
+    # the commutator norm on the validation box, from one SVD instead of two: a_best and
+    # cert are self-adjoint (c_-p = conj(c_p)), so deriv_bar's coefficient at p,
+    # 2i pi (p1 - i p2) c_p, is the conjugate of deriv's at -p, and deriv_bar(a) =
+    # deriv(a)*.  The two products round as conjugates, the box keeps U^p's entry
+    # (n+p, n) exactly when it keeps U^-p's entry (n, n+p), and their phases are computed
+    # at opposite angles, so box_matrix(deriv_bar(a)) is box_matrix(deriv(a)).conj().T
+    # bit for bit; the two norms differ only by the SVD's rounding on the transpose.
+    norm = torus_op_norm(deriv(a_best), validation)
     if norm == 0.0:
         return TorusOptimizeResult(0.0, a_best, it, converged, 0.0, box_radius)
     cert = (1.0 / norm) * a_best
     value = abs(s1.expect(cert) - s2.expect(cert))
-    residual = abs(torus_commutator_norm(cert, box_radius=validation) - 1.0)
+    residual = abs(torus_op_norm(deriv(cert), validation) - 1.0)
     return TorusOptimizeResult(float(value), cert, it, converged,
                                float(residual), box_radius)

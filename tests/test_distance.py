@@ -9,7 +9,7 @@ from specdist.calculus import dz
 from specdist.distance import (RELAX, SPECTRAL_RADIUS, STALL_ITERS, STALL_TOL, admm_maximize,
                                analytic_upper_bound, band_inverses, basis_distance,
                                clip_spectral, moyal_report, optimize_distance, plane_closures,
-                               triangle_residual)
+                               schur_bound, triangle_residual)
 from specdist.errors import ParameterError, PreconditionError, UnboundedSupportError
 from specdist.lipschitz import commutator_norm, op_norm
 from specdist.probes import radial_gap
@@ -358,7 +358,10 @@ def test_norm_screen_leaves_every_iterate_bit_identical(monkeypatch):
     torus.optimize_torus_distance(torus.vector_state(0.25, (1, 0)), torus.tracial_state(0.25),
                                   box_radius=5)
     torus.optimize_torus_distance(torus.vector_state(0.37, (1, 1)), torus.tracial_state(0.37))
-    assert len(calls) == 4
+    # skips its clip SVDs up to iteration 10, then clips: the switch is covered
+    torus.optimize_torus_distance(torus.vector_state(0.37, (1, 0)),
+                                  torus.vector_state(0.37, (0, 1)), box_radius=5)
+    assert len(calls) == 5
     for args, (best_x, it, stalled) in calls:
         want_x, want_it, want_stalled = _unscreened_admm(*args)
         assert np.array_equal(best_x, want_x)
@@ -379,6 +382,60 @@ def test_clip_spectral_eigh_fallback_matches_the_svd(rng, monkeypatch):
     got, q = clip_spectral(mat, radius)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert np.linalg.norm(mat @ q) == pytest.approx(sigma, rel=1e-12)
+
+
+def test_clip_spectral_returns_its_input_inside_the_ball(rng, monkeypatch):
+    # the identity clip is the input itself on both paths, so skipping it is exact
+    mat = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    sigma = np.linalg.svd(mat)[1][0]  # the clip's own SVD, as it rounds
+    for radius in (sigma, 2.0 * sigma):
+        assert clip_spectral(mat, radius)[0] is mat
+    assert clip_spectral(mat, 0.99 * sigma)[0] is not mat
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    got, q = clip_spectral(mat, 1.01 * sigma)
+    assert got is mat
+    assert np.linalg.norm(mat @ q) == pytest.approx(sigma, rel=1e-12)
+    assert clip_spectral(mat, 0.99 * sigma)[0] is not mat
+
+
+def test_schur_bound_is_above_the_computed_largest_singular_value(rng):
+    def check(m, tight):
+        sigma = np.linalg.svd(m, compute_uv=False)[0]
+        assert schur_bound(m) >= sigma
+        if tight:  # here only the margin lies between the two
+            assert schur_bound(m) <= sigma * (1.0 + 1e-9)
+
+    for shape in ((1, 1), (5, 5), (9, 4), (30, 31), (225, 225)):
+        check(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), False)
+        # rank 1 with unimodular factors: ||m||_1 ||m||_inf = sigma^2 exactly
+        u, v = (np.exp(2j * np.pi * rng.random(k)) for k in shape)
+        check(0.7 * np.outer(u, v), True)
+        check(np.outer(rng.standard_normal(shape[0]), rng.standard_normal(shape[1])), False)
+        # weighted partial permutation: every row and column sum is one |entry|
+        m = np.zeros(shape, dtype=complex)
+        k = min(shape)
+        m[rng.permutation(shape[0])[:k], rng.permutation(shape[1])[:k]] = (
+            rng.standard_normal(k) + 1j * rng.standard_normal(k))
+        check(m, True)
+
+
+def test_plane_finite_pair_takes_every_clip_svd(monkeypatch):
+    # the first clip moves something, so the Schur bound is never taken (a call fails)
+    clips = []
+
+    def counted(mat, radius):
+        clips.append(mat.shape)
+        return clip_spectral(mat, radius)
+
+    monkeypatch.setattr(distance, "clip_spectral", counted)
+    monkeypatch.setattr(distance, "schur_bound", None)
+    res = optimize_distance(finite_state([1.0, 2.0, 3.0], 1.0), basis_state(0, 1.0), 12)
+    assert res.iterations == 5915
+    assert len(clips) == 5914
 
 
 def test_optimizer_reaches_the_closed_form_at_order_128():

@@ -344,6 +344,43 @@ def test_optimizer_skips_most_tracking_norms(monkeypatch):
     assert 0 < len(calls) < res.iterations // 2
 
 
+def test_optimizer_skips_idle_clip_svds(monkeypatch):
+    # while no clip has moved anything, a Schur bound within the radius stands in for
+    # the clip's SVD; iteration counts are those of a clip SVD every iteration
+    clips, clip = [], distance.clip_spectral
+
+    def counted(mat, radius):
+        clips.append(mat.shape)
+        return clip(mat, radius)
+
+    monkeypatch.setattr(distance, "clip_spectral", counted)
+    res = optimize_torus_distance(vector_state(0.37, (1, 1)), tracial_state(0.37))
+    assert (res.iterations, len(clips)) == (51, 1)  # 50 clips, none moves anything
+    clips.clear()
+    res = optimize_torus_distance(vector_state(0.25, (1, 0)), tracial_state(0.25), box_radius=5)
+    assert (res.iterations, len(clips)) == (136, 116)  # the first 21 of 135 move nothing
+
+
+def test_validation_box_of_deriv_bar_is_the_adjoint_of_derivs():
+    # for self-adjoint a, deriv_bar(a) = deriv(a)*, bit for bit on every box, so the
+    # optimizer takes the validation commutator norm from one SVD
+    rng = np.random.default_rng(14)
+    for _ in range(30):
+        support = int(rng.integers(1, 4))
+        sites = _hermitian_sites(support)
+        theta = float(rng.uniform(-3.0, 3.0))
+        a = _element_from_params(rng.standard_normal(2 * len(sites)), sites, theta)
+        a = float(rng.uniform(0.1, 10.0)) * a
+        assert involution(a).terms == a.terms
+        for radius in range(support + 2, support + 5):
+            want = np.ascontiguousarray(box_matrix(deriv(a), radius).conj().T)
+            got = box_matrix(deriv_bar(a), radius)
+            assert np.array_equal(got.view(float), want.view(float))
+            # the same singular values, up to the SVD's rounding on the transpose
+            assert torus_op_norm(deriv_bar(a), radius) == pytest.approx(
+                torus_op_norm(deriv(a), radius), rel=1e-13)
+
+
 def test_optimizer_size_guard_is_unchanged():
     # refused exactly when npar * 2 (2R+1)^4 > 3e7, with npar = (2 support + 1)^2 - 1;
     # a state against itself returns right after the guard
