@@ -16,6 +16,12 @@ import numpy as np
 from .errors import ParameterError
 
 
+def check_theta(theta: float) -> None:
+    """Refuse a deformation parameter that is not positive and finite."""
+    if not (math.isfinite(theta) and theta > 0):
+        raise ParameterError(f"theta must be positive and finite, got {theta}")
+
+
 @dataclass(frozen=True, eq=False)
 class MoyalElement:
     """A finitely supported element: deformation parameter and square coefficient array.
@@ -28,8 +34,7 @@ class MoyalElement:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta) and self.theta > 0):
-            raise ParameterError(f"theta must be positive and finite, got {self.theta}")
+        check_theta(self.theta)
         # own copy, so freezing never touches caller-held arrays
         c = np.array(self.coeffs, dtype=complex, order="C")
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -81,9 +86,17 @@ class MoyalElement:
 
     @staticmethod
     def from_dict(d: dict) -> "MoyalElement":
+        """Inverse of `to_dict`.  Refuses non-finite coefficients, which no report could
+        print as JSON, and an "order" that disagrees with the coefficient shape."""
         re = np.asarray(d["re"], dtype=float)
         im = np.asarray(d["im"], dtype=float)
-        return MoyalElement(float(d["theta"]), re + 1j * im)
+        if not (np.isfinite(re).all() and np.isfinite(im).all()):
+            raise ParameterError("coefficients must be finite")
+        a = MoyalElement(float(d["theta"]), re + 1j * im)
+        if "order" in d and d["order"] != a.order:
+            raise ParameterError(f"order {d['order']!r} disagrees with the "
+                                 f"{a.order}x{a.order} coefficients")
+        return a
 
 
 def _check_theta(a: MoyalElement, b: MoyalElement) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import MoyalElement, radial
+from .algebra import MoyalElement, check_theta, radial
 from .errors import ParameterError
 
 DZ = "dz"
@@ -117,6 +117,7 @@ def staircase(m0: int, theta: float) -> MoyalElement:
     derivative coefficients have modulus 1/sqrt(2), so its Dirac commutator
     norm is exactly 1; it realizes the distance between diagonal basis states.
     """
+    check_theta(theta)
     if m0 < 0:
         raise ParameterError(f"m0 must be a natural number, got {m0}")
     inv = 1.0 / np.sqrt(np.arange(m0 + 1, dtype=float) + 1.0)
@@ -129,6 +130,7 @@ def radial_bump(n: int, theta: float) -> MoyalElement:
     Lies on the boundary of the Lipschitz ball and realizes the one-step
     distance between adjacent basis states.
     """
+    check_theta(theta)
     if n < 0:
         raise ParameterError(f"index must be a natural number, got {n}")
     c = np.zeros((n + 1, n + 1), dtype=complex)

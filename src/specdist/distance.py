@@ -16,7 +16,7 @@ import numpy as np
 from . import probes
 from .algebra import MoyalElement, zero
 from .errors import ParameterError, PreconditionError, UnboundedSupportError
-from .lipschitz import commutator_norm, op_norm
+from .lipschitz import commutator_norm, op_norm, split_blocks
 from .states import MoyalPureState, difference_matrix
 
 SPECTRAL_RADIUS = 1.0 / math.sqrt(2.0)  # derivative budget of the unit commutator ball
@@ -114,26 +114,65 @@ def schur_bound(mat: np.ndarray) -> float:
     return math.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max()) * (1.0 + SCHUR_MARGIN)
 
 
+def _clip_stack(stack: np.ndarray, radius: float):
+    """Clip a matrix, or each matrix of a (k, p, q) stack, to largest singular value <= radius.
+
+    Returns (top, v, clipped): the largest singular value(s), unit top right singular
+    vector(s), and the clipped matrix or stack, None when no singular value exceeds
+    radius.  1x1 matrices are scaled directly.  Falls back to eigendecompositions of the
+    Gram matrices when the LAPACK divide-and-conquer SVD fails to converge (a known
+    sporadic failure).
+    """
+    if stack.shape[-2:] == (1, 1):
+        top = np.abs(stack[..., 0, 0])
+        scale = radius / np.maximum(top, radius)
+        return top, np.ones(top.shape + (1,)), stack * scale[..., None, None]
+    try:
+        u, s, vt = np.linalg.svd(stack, full_matrices=False)
+        top, v = s[..., 0], vt[..., 0, :].conj()
+        if top.max() <= radius:
+            return top, v, None
+        return top, v, (u * np.minimum(s, radius)[..., None, :]) @ vt
+    except np.linalg.LinAlgError:
+        lam, v = np.linalg.eigh(stack.conj().swapaxes(-1, -2) @ stack)
+        sig = np.sqrt(np.maximum(lam, 0.0))
+        top, v_top = sig[..., -1], v[..., :, -1]
+        if top.max() <= radius:
+            return top, v_top, None
+        factor = np.where(sig > radius, radius / np.where(sig > 0, sig, 1.0), 1.0)
+        return top, v_top, stack @ (v * factor[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
 def clip_spectral(mat: np.ndarray, radius: float):
     """Nearest matrix (in Frobenius norm) with largest singular value <= radius.
 
     Returns (clipped matrix, unit top right singular vector of mat); the clipped matrix
     is mat itself, not a rounded reconstruction, when no singular value exceeds radius.
-    Falls back to an eigendecomposition of the Gram matrix when the LAPACK
-    divide-and-conquer SVD fails to converge (a known sporadic failure).
+    The clip acts block by block on `split_blocks`: blocks within the radius keep their
+    entries, the others are clipped and scattered back, and the vector is that of the
+    block with the largest singular value, embedded in the full space.
     """
-    try:
-        u, s, vt = np.linalg.svd(mat)
-        if s[0] <= radius:
-            return mat, vt[0].conj()
-        return (u * np.minimum(s, radius)) @ vt, vt[0].conj()
-    except np.linalg.LinAlgError:
-        lam, v = np.linalg.eigh(mat.conj().T @ mat)
-        sig = np.sqrt(np.maximum(lam, 0.0))
-        if sig[-1] <= radius:
-            return mat, v[:, -1]
-        factor = np.where(sig > radius, radius / np.where(sig > 0, sig, 1.0), 1.0)
-        return mat @ (v * factor) @ v.conj().T, v[:, -1]
+    blocks = split_blocks(mat)
+    if blocks is None:
+        _, q, clipped = _clip_stack(mat, radius)
+        return (mat if clipped is None else clipped), q
+    q, best, parts = np.zeros(mat.shape[1], dtype=complex), 0.0, []
+    for ri, ci, stack in blocks:
+        top, v, clipped = _clip_stack(stack, radius)
+        j = int(np.argmax(top))
+        if top[j] > best:
+            best, q[:], cols = top[j], 0.0, ci[j] >= 0
+            q[ci[j][cols]] = v[j][cols]
+        parts.append((ri, ci, stack if clipped is None
+                      else np.where((top > radius)[:, None, None], clipped, stack)))
+    if best <= radius:
+        return mat, q
+    # every nonzero lies in a block: scatter the blocks into zeros, padding into a spare slot
+    out = np.zeros(mat.size + 1, dtype=complex)
+    for ri, ci, part in parts:
+        real = (ri >= 0)[:, :, None] & (ci >= 0)[:, None, :]
+        out[np.where(real, ri[:, :, None] * mat.shape[1] + ci[:, None, :], mat.size)] = part
+    return out[:-1].reshape(mat.shape), q
 
 
 def band_inverses(order: int, theta: float) -> np.ndarray:

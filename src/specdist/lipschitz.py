@@ -21,23 +21,89 @@ from .errors import ParameterError, PreconditionError
 ENTRY_BOUND = 1.0 / np.sqrt(2.0)
 
 
+def split_blocks(m: np.ndarray):
+    """Split m along the connected components of its nonzero pattern, the bipartite
+    graph that joins row i to column j wherever m[i, j] != 0.
+
+    Returns None when the nonzero count proves there is one component: two components
+    with r and r' rows and c and c' columns hold at most rc + r'c' <= 1 + (rows - 1)
+    (cols - 1) nonzeros.  Otherwise returns a list of (rows, cols, stack): the row and
+    column indices of k components, shape (k, p) and (k, q), padded with -1, and their
+    blocks, shape (k, p, q), padded with zeros.  Components are grouped by ceil(log2)
+    of their row and of their column count, so padding at most doubles a side.  Rows
+    and columns without a nonzero belong to no block.  Each labelling pass hooks every
+    tree root to the least root it shares an edge with, then jumps every node to its
+    root.  No pass runs when no row or column holds two nonzeros (every component is
+    one entry), or when the count bound proves that the nonzero rows and columns form
+    one component.
+    """
+    n_rows, n_cols = m.shape
+    count = np.count_nonzero(m)
+    if count > 1 + (n_rows - 1) * (n_cols - 1):
+        return None
+    nz = m != 0
+    rows, cols = np.flatnonzero(nz.any(axis=1)), np.flatnonzero(nz.any(axis=0))
+    if count == rows.size == cols.size:  # no row or column holds two nonzeros
+        r, c = np.nonzero(nz)
+        return [(r[:, None], c[:, None], m[r, c][:, None, None])] if count else []
+    if count > 1 + (rows.size - 1) * (cols.size - 1):  # the same bound, on the nonzero lines
+        return [(rows[None], cols[None], m[np.ix_(rows, cols)][None])]
+    r, c = np.divmod(np.flatnonzero(nz), n_cols)
+    root = np.arange(n_rows + n_cols)  # row nodes, then column nodes
+    while np.any(hook := root[r] != root[c + n_rows]):
+        a, b = root[r][hook], root[c + n_rows][hook]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(root, up := root[root]):
+            root = up
+    comp = (np.cumsum(root == np.arange(root.size)) - 1)[root]  # roots numbered in order
+    sides = []  # rows, then columns: (component, position in the component, size)
+    for cs in (comp[:n_rows], comp[n_rows:]):
+        size = np.bincount(cs, minlength=comp.max() + 1)
+        order = np.argsort(cs, kind="stable")
+        pos = np.empty_like(order)
+        pos[order] = np.arange(order.size) - (np.cumsum(size) - size)[cs[order]]
+        sides.append((cs, pos, size))
+    (_, _, n_r), (_, _, n_c) = sides
+    # a node with no nonzero is a component with no column or no row: it gets no key
+    key = np.where((n_r > 0) & (n_c > 0), np.frexp(n_r - 1)[1] * 64 + np.frexp(n_c - 1)[1], -1)
+    out = []
+    for k in np.flatnonzero(np.bincount(key[key >= 0])):  # not np.unique, which imports numpy.ma
+        members = key == k
+        slot = np.cumsum(members) - 1  # a member component's place in the group
+        index = []
+        for cs, pos, size in sides:
+            ix = np.full((members.sum(), size[members].max()), -1)
+            keep = np.flatnonzero(members[cs])
+            ix[slot[cs[keep]], pos[keep]] = keep
+            index.append(ix)
+        ri, ci = index
+        real = (ri >= 0)[:, :, None] & (ci >= 0)[:, None, :]
+        out.append((ri, ci, np.where(real, m[ri[:, :, None], ci[:, None, :]], 0)))
+    return out
+
+
 def op_norm(coeffs) -> float:
     """Largest singular value of a coefficient matrix, computed exactly.
 
-    A weighted partial permutation (at most one nonzero entry in every row and
-    every column) has a diagonal Gram matrix with entries |entry|^2, so its norm
-    is its largest entry modulus; every other matrix, screened out cheaply by
-    its nonzero count when dense, gets a full singular-value decomposition.
+    The norm is the largest of the norms of the blocks of `split_blocks`: a 1x1
+    block's is its entry's modulus (so a weighted partial permutation gets its largest
+    entry modulus), larger blocks take one batched SVD per group, and a matrix the
+    nonzero count proves to be one block, such as every dense one, takes one SVD.
     """
     m = np.asarray(coeffs, dtype=complex)
     if m.size == 0:
         return 0.0
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {m.shape}")
-    nz = m != 0
-    if nz.sum() <= min(m.shape) and all(nz.sum(axis).max() <= 1 for axis in (0, 1)):
-        return float(np.abs(m).max())
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    blocks = split_blocks(m)
+    if blocks is None:
+        return float(np.linalg.svd(m, compute_uv=False)[0])
+    norm = 0.0
+    for _, _, b in blocks:
+        s = (np.abs(b[:, 0, 0]) if b.shape[1:] == (1, 1)
+             else np.linalg.svd(b, compute_uv=False)[:, 0])
+        norm = max(norm, float(s.max()))
+    return norm
 
 
 def commutator_norm(a: MoyalElement) -> float:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import check_theta
 from .errors import ParameterError
 from .states import MAX_SUPPORT, MoyalPureState, diagonal_difference
 from .zeta import zeta, zeta_partial, zeta_tail
@@ -214,8 +215,7 @@ def probe_series(spec1: ProbeSpec, spec2: ProbeSpec, m0_grid, theta: float = 1.0
     Nothing large is materialized: the truncated normalization for zeta specs
     is evaluated through tail-corrected partial sums, so grids to 1e6 are fast.
     """
-    if not (math.isfinite(theta) and theta > 0):
-        raise ParameterError(f"theta must be positive and finite, got {theta}")
+    check_theta(theta)
     grid = [int(g) for g in m0_grid]
     if any(g < 0 for g in grid):
         raise ParameterError("grid indices must be natural numbers")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import MoyalElement
+from .algebra import MoyalElement, check_theta
 from .errors import ParameterError
 from .zeta import zeta, zeta_partial
 
@@ -37,8 +37,7 @@ class MoyalPureState:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta) and self.theta > 0):
-            raise ParameterError(f"theta must be positive and finite, got {self.theta}")
+        check_theta(self.theta)
         v = np.array(self.c, dtype=complex, order="C")
         if v.ndim != 1 or v.size == 0:
             raise ParameterError("state coefficients must be a nonempty 1-d sequence")

@@ -132,6 +132,15 @@ def test_non_finite_theta_exits_one():
             _assert_clean_parameter_error(_run_subprocess(*argv, f"--theta={theta}"))
 
 
+def test_ball_check_refuses_a_negative_theta_before_any_arithmetic():
+    # the radial elements used to take sqrt(theta / 2) first and print numpy's warning
+    for argv in (("ball-check", "--staircase=5"), ("ball-check", "--bump=3")):
+        for theta in ("-1", "-inf"):
+            run = _run_subprocess(*argv, f"--theta={theta}")
+            _assert_clean_parameter_error(run)
+            assert "theta must be positive and finite" in run.stderr
+
+
 def test_non_finite_state_input_exits_one():
     for argv in (("moyal-distance", "--a=finite:nan,1", "--b=basis:0", "--no-optimize"),
                  ("moyal-distance", "--a=finite:inf,1", "--b=basis:0", "--no-optimize"),
@@ -158,9 +167,14 @@ def test_malformed_spec_file_exits_one(tmp_path):
 
 
 def test_malformed_element_file_exits_one(tmp_path):
+    # json writes and reads NaN and Infinity; a NaN coefficient used to print
+    # "commutator_norm": NaN, which is not JSON, and exit 0
     payloads = ([[1.0]], {"re": [[0.0]], "im": [[0.0]]}, {"theta": 1.0, "im": [[0.0]]},
                 {"theta": None, "re": [[0.0]], "im": [[0.0]]},
-                {"theta": 1.0, "re": [[0.0, 1.0]], "im": [[0.0, 1.0]]})
+                {"theta": 1.0, "re": [[0.0, 1.0]], "im": [[0.0, 1.0]]},
+                {"theta": 1.0, "re": [[0.0, math.nan], [1.0, 0.0]], "im": [[0.0] * 2] * 2},
+                {"theta": 1.0, "re": [[0.0] * 2] * 2, "im": [[0.0, -math.inf], [0.0, 0.0]]},
+                {"theta": 1.0, "order": 3, "re": [[0.0, 1.0], [1.0, 0.0]], "im": [[0.0] * 2] * 2})
     for i, payload in enumerate(payloads):
         path = tmp_path / f"element{i}.json"
         path.write_text(json.dumps(payload))

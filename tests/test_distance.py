@@ -15,7 +15,7 @@ from specdist.lipschitz import commutator_norm, op_norm
 from specdist.probes import radial_gap
 from specdist.states import basis_state, difference_matrix, finite_state, zeta_state
 
-from conftest import THETAS
+from conftest import THETAS, permuted_blocks, random_block_shapes
 
 
 def test_closed_form_values():
@@ -400,6 +400,35 @@ def test_clip_spectral_returns_its_input_inside_the_ball(rng, monkeypatch):
     assert got is mat
     assert np.linalg.norm(mat @ q) == pytest.approx(sigma, rel=1e-12)
     assert clip_spectral(mat, 0.99 * sigma)[0] is not mat
+
+
+def test_blockwise_clip_matches_the_dense_clip(rng):
+    cases = [random_block_shapes(rng) for _ in range(150)] + [[(1, 1)] * 6, [(1, 1), (1, 2)]]
+    for shapes in cases:
+        m = permuted_blocks(rng, shapes, *rng.integers(0, 3, size=2))
+        u, s, vt = np.linalg.svd(m, full_matrices=False)
+        radius = s[0] * rng.uniform(0.1, 0.95)
+        want = (u * np.minimum(s, radius)) @ vt
+        got, q = clip_spectral(m, radius)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        assert np.linalg.norm(q) == pytest.approx(1.0, rel=1e-14)
+        assert np.linalg.norm(m @ q) == pytest.approx(s[0], rel=1e-13)
+        # nothing above the radius: the input itself
+        same, q = clip_spectral(m, s[0] * (1.0 + 1e-12))
+        assert same is m and np.linalg.norm(m @ q) == pytest.approx(s[0], rel=1e-13)
+
+
+def test_plane_basis_pair_iteration_counts_with_elementwise_clips(monkeypatch):
+    # basis-pair iterates are single bands: every clip and norm is elementwise, and the
+    # iteration counts are those of dense SVD clips
+    def fail(*args, **kwargs):
+        raise AssertionError("no SVD expected")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    for (m, n), iterations in (((0, 3), 110), ((1, 4), 106), ((2, 6), 98)):
+        res = optimize_distance(basis_state(m, 1.0), basis_state(n, 1.0), 32)
+        assert res.iterations == iterations
+        assert res.value == pytest.approx(basis_distance(m, n, 1.0), rel=1e-3)
 
 
 def test_schur_bound_is_above_the_computed_largest_singular_value(rng):

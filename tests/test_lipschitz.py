@@ -6,11 +6,11 @@ import pytest
 from specdist.algebra import MoyalElement, zero
 from specdist.calculus import dz, radial_bump, staircase
 from specdist.errors import ParameterError, PreconditionError
-from specdist.lipschitz import ball_report, commutator_norm, op_norm, radial_in_ball
+from specdist.lipschitz import ball_report, commutator_norm, op_norm, radial_in_ball, split_blocks
 from specdist.verify import (ball_entry_bound, radial_membership_agreement,
                              self_adjoint_norm_symmetry, submultiplicativity)
 
-from conftest import THETAS, rand_coeffs, rand_element
+from conftest import THETAS, permuted_blocks, rand_coeffs, rand_element, random_block_shapes
 
 
 def test_op_norm_partial_isometry():
@@ -71,6 +71,36 @@ def test_partial_permutation_norm_matches_svd(rng):
             assert op_norm(m) == np.abs(m).max()
             assert op_norm(m) == pytest.approx(np.linalg.svd(m, compute_uv=False)[0],
                                                rel=1e-14)
+
+
+def test_op_norm_of_permuted_block_matrices_matches_the_dense_svd(rng):
+    # square, rectangular and 1x1 blocks with empty rows and columns: split_blocks finds
+    # every block, unless the nonzero count proves there is one, and the norm is the
+    # dense SVD's
+    for _ in range(300):
+        shapes = random_block_shapes(rng)
+        m = permuted_blocks(rng, shapes, *rng.integers(0, 3, size=2))
+        blocks = split_blocks(m)
+        if blocks is None:
+            assert len(shapes) == 1
+        else:
+            found = [(int((ri[k] >= 0).sum()), int((ci[k] >= 0).sum()))
+                     for ri, ci, _ in blocks for k in range(len(ri))]
+            assert sorted(found) == sorted(shapes)
+        assert op_norm(m) == pytest.approx(np.linalg.svd(m, compute_uv=False)[0], rel=1e-13)
+
+
+def test_split_blocks_nonzero_count_bound_is_tight():
+    # an entry beside a full (rows-1) x (cols-1) block is two blocks with
+    # 1 + (rows-1)(cols-1) nonzeros; one more nonzero joins them
+    for rows, cols in ((2, 2), (5, 3), (4, 7)):
+        m = np.zeros((rows, cols))
+        m[0, 0], m[1:, 1:] = 2.0, 1.0
+        assert sum(len(ri) for ri, _, _ in split_blocks(m)) == 2
+        assert op_norm(m) == pytest.approx(max(2.0, math.sqrt((rows - 1) * (cols - 1))),
+                                           rel=1e-14)
+        m[0, 1] = 1.0
+        assert split_blocks(m) is None
 
 
 def test_op_norm_two_ones_in_one_row_or_column():

@@ -361,6 +361,33 @@ def test_optimizer_skips_idle_clip_svds(monkeypatch):
     assert (res.iterations, len(clips)) == (136, 116)  # the first 21 of 135 move nothing
 
 
+def test_box_svds_split_along_the_dual_action(monkeypatch):
+    # on M = (1, 0) the iterates live on the sites (k, 0) with k odd (the dual action at
+    # t = (pi, 0) negates the objective), so a box matrix splits by the line n2 and the
+    # parity of n1: 22 blocks of at most 6 x 6 in the box of radius 5, 30 of at most
+    # 8 x 8 in the validation box, where a dense SVD took 121 x 121 and 225 x 225
+    shapes, svd = [], np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    res = optimize_torus_distance(vector_state(0.25, (1, 0)), tracial_state(0.25), box_radius=5)
+    assert res.iterations == 136
+    assert set(shapes) == {(22, 6, 6), (30, 8, 8)}
+
+
+def test_split_box_optimizer_keeps_the_iteration_counts():
+    # counts of the dense clips, for (0, 1) at theta 0.5 and the vector pair (1, 0), (0, 1)
+    # (two parity blocks); (1, 0) and (1, 1) are pinned above
+    res = optimize_torus_distance(vector_state(0.5, (0, 1)), tracial_state(0.5), box_radius=5)
+    assert res.iterations == 136
+    res = optimize_torus_distance(vector_state(0.37, (1, 0)), vector_state(0.37, (0, 1)),
+                                  box_radius=5)
+    assert res.iterations == 90
+
+
 def test_validation_box_of_deriv_bar_is_the_adjoint_of_derivs():
     # for self-adjoint a, deriv_bar(a) = deriv(a)*, bit for bit on every box, so the
     # optimizer takes the validation commutator norm from one SVD
