@@ -416,6 +416,15 @@ def test_blockwise_clip_matches_the_dense_clip(rng):
         # nothing above the radius: the input itself
         same, q = clip_spectral(m, s[0] * (1.0 + 1e-12))
         assert same is m and np.linalg.norm(m @ q) == pytest.approx(s[0], rel=1e-13)
+    # a block within the radius keeps its entries exactly, beside one of its shape that
+    # is clipped
+    small, big = (permuted_blocks(rng, [(2, 3)]) for _ in range(2))
+    m = np.zeros((4, 6), dtype=complex)
+    m[:2, :3] = 0.5 * small / np.linalg.svd(small, compute_uv=False)[0]
+    m[2:, 3:] = 3.0 * big / np.linalg.svd(big, compute_uv=False)[0]
+    got, _ = clip_spectral(m, 1.0)
+    assert np.array_equal(got[:2], m[:2]) and not np.any(got[2:, :3])
+    assert np.linalg.svd(got[2:, 3:], compute_uv=False)[0] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_plane_basis_pair_iteration_counts_with_elementwise_clips(monkeypatch):
