@@ -82,28 +82,39 @@ def split_blocks(m: np.ndarray):
     return out
 
 
+def _block_singular_values(m: np.ndarray):
+    """Yield the singular values of m block by block along `split_blocks`, one array per
+    group: a 1x1 block's is its entry's modulus, larger blocks take one batched SVD per
+    group, and a matrix the nonzero count proves to be one block, such as every dense
+    one, takes one SVD.  Padding adds only zeros; together the arrays hold every
+    singular value of m."""
+    blocks = split_blocks(m)
+    if blocks is None:
+        yield np.linalg.svd(m, compute_uv=False)
+        return
+    for _, _, b in blocks:
+        yield (np.abs(b[:, 0, 0]) if b.shape[1:] == (1, 1)
+               else np.linalg.svd(b, compute_uv=False))
+
+
 def op_norm(coeffs) -> float:
     """Largest singular value of a coefficient matrix, computed exactly.
 
-    The norm is the largest of the norms of the blocks of `split_blocks`: a 1x1
-    block's is its entry's modulus (so a weighted partial permutation gets its largest
-    entry modulus), larger blocks take one batched SVD per group, and a matrix the
-    nonzero count proves to be one block, such as every dense one, takes one SVD.
+    The norm is the largest of the norms of the blocks of `split_blocks`, so a weighted
+    partial permutation gets its largest entry modulus with no SVD.
     """
     m = np.asarray(coeffs, dtype=complex)
     if m.size == 0:
         return 0.0
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {m.shape}")
-    blocks = split_blocks(m)
-    if blocks is None:
-        return float(np.linalg.svd(m, compute_uv=False)[0])
-    norm = 0.0
-    for _, _, b in blocks:
-        s = (np.abs(b[:, 0, 0]) if b.shape[1:] == (1, 1)
-             else np.linalg.svd(b, compute_uv=False)[:, 0])
-        norm = max(norm, float(s.max()))
-    return norm
+    return max((float(s.max()) for s in _block_singular_values(m)), default=0.0)
+
+
+def nuclear_norm(m: np.ndarray) -> float:
+    """Sum of the singular values of a 2-d array, the dual norm of `op_norm`, block by
+    block along `split_blocks`."""
+    return float(sum(s.sum() for s in _block_singular_values(m)))
 
 
 def commutator_norm(a: MoyalElement) -> float:

@@ -260,8 +260,8 @@ class ProbeSeries:
 
 
 def default_grid(lo: float = 1e2, hi: float = 1e6, points: int = 25) -> tuple:
-    g = np.unique(np.round(np.logspace(math.log10(lo), math.log10(hi), points)).astype(int))
-    return tuple(int(x) for x in g)
+    g = np.round(np.logspace(math.log10(lo), math.log10(hi), points)).astype(int)
+    return tuple(sorted(set(g.tolist())))  # np.unique's values; it would import numpy.ma
 
 
 def asymptotic_fit(spec1: ProbeSpec, spec2: ProbeSpec, m0_grid,

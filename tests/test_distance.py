@@ -6,12 +6,12 @@ import pytest
 from specdist import distance, torus
 from specdist.algebra import MoyalElement
 from specdist.calculus import dz
-from specdist.distance import (RELAX, SPECTRAL_RADIUS, STALL_ITERS, STALL_TOL, admm_maximize,
-                               analytic_upper_bound, band_inverses, basis_distance,
-                               clip_spectral, moyal_report, optimize_distance, plane_closures,
-                               schur_bound, triangle_residual)
+from specdist.distance import (GAP_EVERY, GAP_TOL, RELAX, SPECTRAL_RADIUS, STALL_ITERS,
+                               STALL_TOL, admm_maximize, analytic_upper_bound, band_inverses,
+                               basis_distance, clip_spectral, moyal_report, optimize_distance,
+                               plane_closures, schur_bound, triangle_residual)
 from specdist.errors import ParameterError, PreconditionError, UnboundedSupportError
-from specdist.lipschitz import commutator_norm, op_norm
+from specdist.lipschitz import commutator_norm, nuclear_norm, op_norm
 from specdist.probes import radial_gap
 from specdist.states import basis_state, difference_matrix, finite_state, zeta_state
 
@@ -321,7 +321,8 @@ def test_optimizer_matches_the_dense_admm_oracle():
 
 
 def _unscreened_admm(c, apply, adjoint, solve, radius, rho, max_iter):
-    # admm_maximize as it was before the norm screen: one op_norm SVD every iteration
+    # admm_maximize without the norm screen, the Schur gate or the cached dual: one
+    # op_norm SVD and one clip SVD every iteration, the dual bound at every check
     best_x = np.zeros_like(c)
     z = u = np.zeros_like(apply(best_x))
     c_rho = c / rho
@@ -336,11 +337,15 @@ def _unscreened_admm(c, apply, adjoint, solve, radius, rho, max_iter):
         else:
             stall += 1
         if stall >= STALL_ITERS:
-            break
+            return best_x, it, True
+        if it % GAP_EVERY == 0:
+            dual = rho * radius * nuclear_norm(apply(solve(c_rho - adjoint(u))) + u)
+            if best_val >= dual * (1.0 - GAP_TOL):
+                return best_x, it, True
         v = RELAX * dx + (1.0 - RELAX) * z + u
         z = clip_spectral(v, radius)[0]
         u = v - z
-    return best_x, it, stall >= STALL_ITERS
+    return best_x, it, False
 
 
 def test_norm_screen_leaves_every_iterate_bit_identical(monkeypatch):
@@ -362,10 +367,62 @@ def test_norm_screen_leaves_every_iterate_bit_identical(monkeypatch):
     torus.optimize_torus_distance(torus.vector_state(0.37, (1, 0)),
                                   torus.vector_state(0.37, (0, 1)), box_radius=5)
     assert len(calls) == 5
-    for args, (best_x, it, stalled) in calls:
-        want_x, want_it, want_stalled = _unscreened_admm(*args)
+    for args, (best_x, it, converged) in calls:
+        want_x, want_it, want_converged = _unscreened_admm(*args)
         assert np.array_equal(best_x, want_x)
-        assert (it, stalled) == (want_it, want_stalled)
+        assert (it, converged) == (want_it, want_converged)
+
+
+def test_weak_duality_on_the_plane_and_torus_closures(rng):
+    # the gap exit's certificate: for every Y, Y' = Y + apply(solve(c - adjoint(Y))) has
+    # Herm(adjoint(Y')) = Herm(c), so radius ||Y'||_* bounds Re<c, x> on the ball
+    def check(c, apply, adjoint, solve, radius, random_x, herm):
+        shape = apply(random_x()).shape
+        for _ in range(5):
+            y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            y = y + apply(solve(c - adjoint(y)))
+            assert np.max(np.abs(herm(adjoint(y)) - herm(c))) <= 1e-12
+            bound = radius * nuclear_norm(y)
+            for _ in range(5):
+                x = random_x()
+                x = x * (radius / op_norm(apply(x)))
+                assert np.vdot(c, x).real <= bound + 1e-12
+
+    for theta in THETAS:
+        for n in (2, 5, 12):
+            c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            check(c, *plane_closures(n, theta), SPECTRAL_RADIUS,
+                  lambda: _random_hermitian(rng, n), lambda a: 0.5 * (a + a.conj().T))
+        for support, box in ((1, 3), (2, 5)):
+            sites = torus._hermitian_sites(support)
+            c = rng.standard_normal(2 * len(sites))
+            check(c, *torus.torus_closures(sites, theta, box), 1.0,
+                  lambda: rng.standard_normal(c.size), lambda a: a)  # real parameters
+
+
+# (iterations, value) of optimize_distance under the stall rule alone, before the gap exit
+STALL_RULE_RUNS = [
+    (finite_state([1.0, 2.0, 3.0], 1.0), basis_state(0, 1.0), 12, 5915, 1.3253554082054975),
+    (finite_state([-0.7817, -0.4848], 2.0),
+     finite_state([-0.3586, -0.4167, 0.6048, 0.2257, -0.3439], 2.0), 14, 1381, 2.058399913670684),
+    (finite_state([1.0, 0.5, 0.25], 0.5), basis_state(2, 0.5), 10, 2332, 0.9165461156872743),
+    (basis_state(0, 1.0), basis_state(1, 1.0), 10, 51, 0.7071067811865475),
+    (basis_state(0, 2.0), finite_state([1.0, 1.0], 2.0), 10, 4141, 1.1074801856210046),
+    (basis_state(0, 2.0), finite_state([1.0, 1.0], 2.0), 6, 521, 1.096911724293122),
+    (basis_state(0, 2.0), finite_state([1.0, 1.0], 2.0), 8, 488, 1.1056717474994004),
+    (basis_state(0, 1.0), basis_state(3, 1.0), 32, 110, 1.615355071277084),
+    (basis_state(1, 1.0), basis_state(4, 1.0), 32, 106, 1.2618016804794885),
+    (basis_state(2, 1.0), basis_state(6, 1.0), 32, 98, 1.366704576207691),
+]
+
+
+def test_gap_exit_is_no_longer_and_keeps_the_value_within_its_tolerance():
+    # f12, f14 and m of the benchmark, the verify distance suite's pairs and b32: the
+    # stall-rule value is feasible, so the gap exit stops within GAP_TOL of it or above
+    for s1, s2, order, iterations, value in STALL_RULE_RUNS:
+        res = optimize_distance(s1, s2, order)
+        assert res.converged and res.iterations <= iterations
+        assert res.value >= value * (1.0 - GAP_TOL)
 
 
 def test_clip_spectral_eigh_fallback_matches_the_svd(rng, monkeypatch):
@@ -434,7 +491,7 @@ def test_plane_basis_pair_iteration_counts_with_elementwise_clips(monkeypatch):
         raise AssertionError("no SVD expected")
 
     monkeypatch.setattr(np.linalg, "svd", fail)
-    for (m, n), iterations in (((0, 3), 110), ((1, 4), 106), ((2, 6), 98)):
+    for (m, n), iterations in (((0, 3), 30), ((1, 4), 30), ((2, 6), 20)):
         res = optimize_distance(basis_state(m, 1.0), basis_state(n, 1.0), 32)
         assert res.iterations == iterations
         assert res.value == pytest.approx(basis_distance(m, n, 1.0), rel=1e-3)
@@ -472,8 +529,8 @@ def test_plane_finite_pair_takes_every_clip_svd(monkeypatch):
     monkeypatch.setattr(distance, "clip_spectral", counted)
     monkeypatch.setattr(distance, "schur_bound", None)
     res = optimize_distance(finite_state([1.0, 2.0, 3.0], 1.0), basis_state(0, 1.0), 12)
-    assert res.iterations == 5915
-    assert len(clips) == 5914
+    assert res.iterations == 680  # the gap exit; the stall rule alone took 5,915
+    assert len(clips) == 679
 
 
 def test_optimizer_reaches_the_closed_form_at_order_128():

@@ -6,7 +6,8 @@ import pytest
 from specdist.algebra import MoyalElement, zero
 from specdist.calculus import dz, radial_bump, staircase
 from specdist.errors import ParameterError, PreconditionError
-from specdist.lipschitz import ball_report, commutator_norm, op_norm, radial_in_ball, split_blocks
+from specdist.lipschitz import (ball_report, commutator_norm, nuclear_norm, op_norm,
+                                radial_in_ball, split_blocks)
 from specdist.verify import (ball_entry_bound, radial_membership_agreement,
                              self_adjoint_norm_symmetry, submultiplicativity)
 
@@ -88,6 +89,17 @@ def test_op_norm_of_permuted_block_matrices_matches_the_dense_svd(rng):
                      for ri, ci, _ in blocks for k in range(len(ri))]
             assert sorted(found) == sorted(shapes)
         assert op_norm(m) == pytest.approx(np.linalg.svd(m, compute_uv=False)[0], rel=1e-13)
+
+
+def test_nuclear_norm_of_permuted_block_matrices_matches_the_dense_svd(rng):
+    # the sum over op_norm's blocks: square, rectangular and 1x1 blocks with empty rows
+    # and columns, a weighted partial permutation (1x1 blocks alone), and zero
+    cases = [permuted_blocks(rng, random_block_shapes(rng), *rng.integers(0, 3, size=2))
+             for _ in range(300)]
+    cases += [permuted_blocks(rng, [(1, 1)] * 7, 2, 1), np.zeros((4, 3), dtype=complex)]
+    for m in cases:
+        want = np.linalg.svd(m, compute_uv=False).sum()
+        assert nuclear_norm(m) == pytest.approx(want, rel=1e-13)
 
 
 def test_split_blocks_nonzero_count_bound_is_tight():

@@ -69,6 +69,17 @@ def test_subcommand_loads_only_its_modules(argv):
     assert loaded == sorted(f"specdist.{m}" for m in LOADED[argv] | {"cli"})
 
 
+def test_probes_load_no_numpy_ma():
+    # np.unique's first call imports numpy.ma, about 11 ms of a probe job; default_grid
+    # serves both the probe subcommand and the divergence flag of moyal-distance --probe
+    run = _RUN_AND_LIST.replace('sorted(m for m in sys.modules if m.startswith("specdist."))',
+                                '"numpy.ma" in sys.modules')
+    for argv in (("probe", "--pair", "zeta:1.1,zeta:1.4", "--grid", "1e2:1e4", "--points", "6"),
+                 ("moyal-distance", "--a", "basis:0", "--b", "zeta:1.2:1000", "--probe",
+                  "--no-optimize")):
+        assert _fresh(run, *argv) == [0, False]
+
+
 def test_attribute_loads_its_module_on_first_use():
     loaded = _fresh("import json, sys, specdist\n"
                     "before = sorted(m for m in sys.modules if m.startswith('specdist.'))\n"

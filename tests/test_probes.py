@@ -199,6 +199,15 @@ def test_fit_requires_zeta_component():
         asymptotic_fit(ProbeSpec("basis", index=0), ProbeSpec("basis", index=1), [10, 100])
 
 
+def test_default_grid_is_np_unique_of_the_rounded_grid():
+    # ascending and descending ranges, repeats after rounding, and a single value
+    for lo, hi in ((1e2, 1e6), (1e3, 1e5), (1.0, 10.0), (0.3, 40.0), (1e6, 1e2), (7.0, 7.0)):
+        for points in (0, 1, 2, 6, 16, 25, 100, 1000):
+            g = np.logspace(math.log10(lo), math.log10(hi), points)
+            want = tuple(int(x) for x in np.unique(np.round(g).astype(int)))
+            assert probes.default_grid(lo, hi, points) == want
+
+
 def test_fit_slope_smoke():
     series = asymptotic_fit(ProbeSpec("basis", index=0), ProbeSpec("zeta", s=1.2),
                             probes.default_grid(1e3, 1e5, 15))

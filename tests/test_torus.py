@@ -340,7 +340,7 @@ def test_optimizer_skips_most_tracking_norms(monkeypatch):
 
     monkeypatch.setattr(distance, "op_norm", counted)
     res = optimize_torus_distance(vector_state(0.25, (1, 0)), tracial_state(0.25), box_radius=5)
-    assert res.iterations == 136
+    assert res.iterations == 110
     assert 0 < len(calls) < res.iterations // 2
 
 
@@ -358,7 +358,7 @@ def test_optimizer_skips_idle_clip_svds(monkeypatch):
     assert (res.iterations, len(clips)) == (51, 1)  # 50 clips, none moves anything
     clips.clear()
     res = optimize_torus_distance(vector_state(0.25, (1, 0)), tracial_state(0.25), box_radius=5)
-    assert (res.iterations, len(clips)) == (136, 116)  # the first 21 of 135 move nothing
+    assert (res.iterations, len(clips)) == (110, 90)  # the first 21 of 109 move nothing
 
 
 def test_box_svds_split_along_the_dual_action(monkeypatch):
@@ -374,7 +374,7 @@ def test_box_svds_split_along_the_dual_action(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recorded)
     res = optimize_torus_distance(vector_state(0.25, (1, 0)), tracial_state(0.25), box_radius=5)
-    assert res.iterations == 136
+    assert res.iterations == 110
     assert set(shapes) == {(22, 6, 6), (30, 8, 8)}
 
 
@@ -382,7 +382,7 @@ def test_split_box_optimizer_keeps_the_iteration_counts():
     # counts of the dense clips, for (0, 1) at theta 0.5 and the vector pair (1, 0), (0, 1)
     # (two parity blocks); (1, 0) and (1, 1) are pinned above
     res = optimize_torus_distance(vector_state(0.5, (0, 1)), tracial_state(0.5), box_radius=5)
-    assert res.iterations == 136
+    assert res.iterations == 110
     res = optimize_torus_distance(vector_state(0.37, (1, 0)), vector_state(0.37, (0, 1)),
                                   box_radius=5)
     assert res.iterations == 90
