@@ -2,8 +2,9 @@
 index grids, the weight-gap sequence and its crossover, mean-value estimates,
 and log-log slope fits certifying power-law growth of the lower bound.
 
-Grid evaluation uses prefix sums so each grid point costs O(1) after an
-O(max m0) precomputation; grids up to 1e6 are cheap.
+Grid evaluation is one prefix-sum sweep over the sorted grid, O(max m0) in time
+and bounded in memory by the largest gap between grid points; grids up to 1e6 are
+cheap.
 """
 
 from __future__ import annotations
@@ -161,73 +162,71 @@ def spec_of_state(state: MoyalPureState) -> ProbeSpec:
     return ProbeSpec("fixed", weights=tuple(float(x) for x in np.abs(state.c) ** 2))
 
 
-class _GridEvaluator:
-    """Prefix-sum tables shared by all grid points of one probe run."""
-
-    def __init__(self, specs, max_m0: int, normalization: str, cutoff_factor: int):
-        if normalization not in (TRUNCATED, EXACT):
-            raise ParameterError(f"unknown normalization {normalization!r}")
-        self.normalization = normalization
-        self.cutoff_factor = cutoff_factor
-        j = np.arange(max_m0 + 1, dtype=float)
-        self.s_prefix = np.cumsum(1.0 / np.sqrt(j + 1.0))
-        self.tables = {}
-        for spec in specs:
-            if spec.kind == "zeta" and spec.s not in self.tables:
-                w = (j + 1.0) ** (-spec.s)
-                self.tables[spec.s] = self._prefix_pair(w)
-            elif spec.kind == "fixed" and ("fixed", spec.weights) not in self.tables:
-                w = np.asarray(spec.weights, dtype=float)
-                self.tables[("fixed", spec.weights)] = self._prefix_pair(w)
-
-    def _prefix_pair(self, w: np.ndarray):
-        x = np.cumsum(w)
-        s_shift = np.concatenate([[0.0], self.s_prefix[: w.size - 1]])
-        t = np.cumsum(s_shift * w)
-        return x, t
-
-    def weighted_sum(self, spec: ProbeSpec, m0: int) -> float:
-        """sum_{m<=m0} u(m, m0) * (normalized weight of spec at m)."""
-        s_m0 = self.s_prefix[m0]
-        if spec.kind == "basis":
-            if spec.index > m0:
-                return 0.0
-            lower = self.s_prefix[spec.index - 1] if spec.index >= 1 else 0.0
-            return float(s_m0 - lower)
-        if spec.kind == "zeta":
-            x, t = self.tables[spec.s]
-            raw = s_m0 * x[m0] - t[m0]
-            if self.normalization == EXACT:
-                z = zeta(spec.s)
-            else:
-                z = zeta_partial(spec.s, self.cutoff_factor * m0 + 1)
-            return float(raw / z)
-        x, t = self.tables[("fixed", spec.weights)]
-        j = min(m0, len(spec.weights) - 1)
-        return float(s_m0 * x[j] - t[j])
-
-
 def probe_series(spec1: ProbeSpec, spec2: ProbeSpec, m0_grid, theta: float = 1.0,
                  normalization: str = TRUNCATED,
                  cutoff_factor: int = DEFAULT_CUTOFF_FACTOR) -> np.ndarray:
-    """Certificate bound over a grid of staircase indices, from state specs.
+    """Certificate bound sqrt(theta/2) |F1(m0) - F2(m0)| over a grid of staircase indices.
 
-    Nothing large is materialized: the truncated normalization for zeta specs
-    is evaluated through tail-corrected partial sums, so grids to 1e6 are fast.
+    F(m0) = sum_{m<=m0} u(m, m0) w_m = S X - T at m0, where S_k = sum_{j<=k} 1/sqrt(j+1),
+    X_k = sum_{j<=k} w_j, T_k = sum_{j<=k} S_{j-1} w_j and w is the spec's weight vector:
+    an indicator for "basis", the given weights zero-padded for "fixed", and (m+1)^-s for
+    "zeta", F then divided by zeta(s) ("exact") or by the partial sum of its first
+    cutoff_factor m0 + 1 terms ("truncated").  One sweep over the sorted distinct grid
+    carries S, X and T from each grid point to the next by np.cumsum with the running
+    value prepended.  np.cumsum adds in sequence, so they equal full-array prefix sums bit
+    for bit; memory is bounded by the largest gap between grid points, time is O(top).
+    Values come back in the caller's grid order, duplicates included.
     """
     check_theta(theta)
+    if normalization not in (TRUNCATED, EXACT):
+        raise ParameterError(f"unknown normalization {normalization!r}")
     grid = [int(g) for g in m0_grid]
-    if any(g < 0 for g in grid):
+    if not grid:
+        raise ParameterError("the grid of staircase indices m0 is empty")
+    if min(grid) < 0:
         raise ParameterError("grid indices must be natural numbers")
     top = max(grid)
-    if top > MAX_SUPPORT - 1:  # the prefix tables hold top + 1 floats each
+    if top > MAX_SUPPORT - 1:  # the sweep's time is O(top)
         raise ParameterError(f"grid top {top} exceeds the cap MAX_SUPPORT - 1 = "
                              f"{MAX_SUPPORT - 1}; choose a smaller grid")
-    ev = _GridEvaluator((spec1, spec2), top, normalization, cutoff_factor)
+    specs = (spec1, spec2)  # by position: hashing a long fixed spec costs milliseconds
+    fixed = [np.asarray(sp.weights[: top + 1], dtype=float) for sp in specs]
+    xt = [(0.0, 0.0)] * 2
+    # a basis spec reads S just below its index, so the sweep stops there too
+    s_at = {-1: 0.0}
+    stops = sorted(set(grid) | {sp.index - 1 for sp in specs
+                                if sp.kind == "basis" and 0 < sp.index <= top})
+    grid_set, f_at, prev = set(grid), {}, -1
+    for g in stops:
+        j = np.arange(prev + 1, g + 1, dtype=float)
+        s_seg = np.cumsum(np.concatenate(([s_at[prev]], 1.0 / np.sqrt(j + 1.0))))
+        s_at[g] = s_g = s_seg[-1]
+        for i, sp in enumerate(specs):
+            if sp.kind == "zeta":
+                w = (j + 1.0) ** (-sp.s)
+            elif sp.kind == "fixed":
+                part = fixed[i][prev + 1: g + 1]
+                w = np.concatenate((part, np.zeros(j.size - part.size)))
+            else:
+                continue
+            x, t = xt[i]
+            xt[i] = (np.cumsum(np.concatenate(([x], w)))[-1],
+                     np.cumsum(np.concatenate(([t], s_seg[:-1] * w)))[-1])
+        prev = g
+        if g not in grid_set:
+            continue
+        f_at[g] = []
+        for sp, (x, t) in zip(specs, xt):
+            if sp.kind == "basis":
+                f = s_g - s_at[sp.index - 1] if sp.index <= g else 0.0
+            else:
+                f = s_g * x - t
+                if sp.kind == "zeta":
+                    f /= zeta(sp.s) if normalization == EXACT \
+                        else zeta_partial(sp.s, cutoff_factor * g + 1)
+            f_at[g].append(float(f))
     pref = math.sqrt(theta / 2.0)
-    return np.array([
-        pref * abs(ev.weighted_sum(spec1, g) - ev.weighted_sum(spec2, g)) for g in grid
-    ])
+    return np.array([pref * abs(f_at[g][0] - f_at[g][1]) for g in grid])
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ import numpy as np
 from .errors import ParameterError
 
 _DIRECT_TERMS = 100_000
-_DIRECT_LIMIT = 2_000_000
 
 
 def zeta_tail(s: float, k: int) -> float:
@@ -37,12 +36,13 @@ def zeta(s: float) -> float:
 
 
 def zeta_partial(s: float, k: int) -> float:
-    """sum_{m=1}^{k} m^-s; direct for moderate k, zeta minus tail for huge k."""
+    """sum_{m=1}^{k} m^-s; summed directly up to _DIRECT_TERMS terms, where zeta() stops
+    summing, and zeta(s) minus the Euler-Maclaurin tail above, in O(1)."""
     if s <= 1:
         raise ParameterError(f"partial zeta sums are used only for s > 1, got {s}")
     if k <= 0:
         return 0.0
-    if k <= _DIRECT_LIMIT:
+    if k <= _DIRECT_TERMS:
         m = np.arange(1, k + 1, dtype=float)
         return float(np.sum((m ** (-s))[::-1]))
     return zeta(s) - zeta_tail(s, k)

@@ -90,6 +90,18 @@ def test_moyal_distance_spec_file(tmp_path, capsys):
     assert report["closed_form"] == pytest.approx(1 + 1 / math.sqrt(2), abs=1e-12)
 
 
+def test_moyal_distance_probe_with_a_support_above_the_probe_grid(tmp_path, capsys):
+    # a finite state with more weights than the probe grid's top + 2 once failed with a
+    # numpy broadcast error
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps({"a": "finite:" + ",".join(["1"] * 100_010),
+                                "b": "zeta:1.2:1000"}))
+    code, out, _ = run_cli(capsys, "moyal-distance", "--spec-file", str(spec),
+                           "--no-optimize", "--probe")
+    assert code == 0
+    assert json.loads(out)["divergence"] in ("divergent", "inconclusive")
+
+
 def test_parameter_errors_exit_one(capsys):
     code, _, err = run_cli(capsys, "moyal-distance", "--a", "nonsense:1", "--b", "basis:0")
     assert code == 1

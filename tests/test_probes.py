@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,98 @@ def test_probe_series_fixed_weights_path():
     b = probe_series(spec, ProbeSpec("basis", index=0), [4])[0]
     direct = staircase_gap(4, st, basis_state(0, 1.0))
     assert b == pytest.approx(direct, rel=1e-12)
+
+
+def _prefix_table_series(spec1, spec2, grid, theta, normalization, cutoff_factor=100):
+    """The probe bound from full prefix tables over 0..top, as probe_series computed it
+    before the sweep; truncated normalizations are direct smallest-first sums."""
+    top = max(grid)
+    j = np.arange(top + 1, dtype=float)
+    s_prefix = np.cumsum(1.0 / np.sqrt(j + 1.0))
+    s_shift = np.concatenate([[0.0], s_prefix[:-1]])
+
+    def weighted_sum(spec, m0):
+        if spec.kind == "basis":
+            if spec.index > m0:
+                return 0.0
+            return float(s_prefix[m0] - (s_prefix[spec.index - 1] if spec.index else 0.0))
+        if spec.kind == "zeta":
+            w = (j + 1.0) ** (-spec.s)
+        else:
+            w = np.zeros(top + 1)
+            n = min(len(spec.weights), top + 1)
+            w[:n] = spec.weights[:n]
+        raw = s_prefix[m0] * np.cumsum(w)[m0] - np.cumsum(s_shift * w)[m0]
+        if spec.kind != "zeta":
+            return float(raw)
+        if normalization == "exact":
+            return float(raw / zeta(spec.s))
+        m = np.arange(1, cutoff_factor * m0 + 2, dtype=float)
+        return float(raw / np.sum((m ** (-spec.s))[::-1]))
+
+    pref = math.sqrt(theta / 2.0)
+    return np.array([pref * abs(weighted_sum(spec1, g) - weighted_sum(spec2, g)) for g in grid])
+
+
+def test_probe_series_matches_full_prefix_tables():
+    # unsorted grid with repeats; basis indices 0, between grid points, at one, above the top;
+    # fixed weights shorter and longer than the top; two zeta specs
+    grid = [700, 3, 1500, 0, 45, 700, 3, 4000, 1001]
+    rng = np.random.default_rng(17)
+    short = ProbeSpec("fixed", weights=tuple(rng.uniform(0.0, 1.0, 60) / 30.0))
+    long = ProbeSpec("fixed", weights=tuple(rng.uniform(0.0, 1.0, 6000) / 3000.0))
+    specs = [ProbeSpec("basis", index=i) for i in (0, 20, 45, 5000)] \
+        + [ProbeSpec("zeta", s=1.1), ProbeSpec("zeta", s=1.4), short, long]
+    for theta in (0.5, 2.0):
+        for i, spec1 in enumerate(specs):
+            for spec2 in specs[i + 1:]:
+                exact = probe_series(spec1, spec2, grid, theta, normalization="exact")
+                want = _prefix_table_series(spec1, spec2, grid, theta, "exact")
+                assert np.array_equal(exact, want), (spec1.label(), spec2.label())
+        # the truncated normalization of zeta:1.1 differs from the direct sum in its last
+        # bits; partners whose sums nearly cancel it (basis:20 against zeta:1.4 sits at
+        # 0.42 between two sums near 70) would amplify that, so none is paired with it
+        for spec in specs[:4] + specs[5:]:
+            truncated = probe_series(spec, specs[4], grid, theta)
+            want = _prefix_table_series(spec, specs[4], grid, theta, "truncated")
+            np.testing.assert_allclose(truncated, want, rtol=1e-14, atol=0.0,
+                                       err_msg=spec.label())
+
+
+def test_probe_series_fixed_weights_beyond_the_grid_top():
+    # more weights than top + 2 once failed with a numpy broadcast error
+    weights = (1.0 / 300,) * 300
+    b = probe_series(ProbeSpec("fixed", weights=weights), ProbeSpec("zeta", s=1.2), [10, 100])
+    st = finite_state(np.ones(300), 1.0)
+    for m0, got in zip((10, 100), b):
+        direct = staircase_gap(m0, st, zeta_state(1.2, 100 * m0, 1.0))
+        assert got == pytest.approx(direct, rel=1e-12)
+
+
+def test_probe_series_refuses_an_empty_grid():
+    with pytest.raises(ParameterError, match="grid"):
+        probe_series(ProbeSpec("basis", index=0), ProbeSpec("zeta", s=1.2), [])
+
+
+def test_zeta_partial_above_the_direct_range_matches_the_direct_sum():
+    for s in (1.01, 1.05, 1.1, 1.5, 2.0, 3.0):
+        for k in (100_001, 654_321, 2_000_000):
+            m = np.arange(1, k + 1, dtype=float)
+            direct = float(np.sum((m ** (-s))[::-1]))
+            assert zeta_partial(s, k) == pytest.approx(direct, rel=2e-15, abs=0.0), (s, k)
+
+
+def test_probe_series_memory_is_bounded_by_the_grid_gaps():
+    # the 1e2..1e6 grid once held six full-length tables and 16 MB partial-sum temporaries
+    grid = probes.default_grid(1e2, 1e6, 25)
+    zeta(1.1), zeta(1.4)  # cached values, outside the measurement
+    tracemalloc.start()
+    try:
+        probe_series(ProbeSpec("zeta", s=1.1), ProbeSpec("zeta", s=1.4), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def test_fit_refuses_identical_specs():
