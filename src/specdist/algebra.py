@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import ParameterError
 
+MAX_OPERATOR_ENTRIES = 3e7  # ceiling on the entries of a dense element, optimizer or bound
+
 
 def check_theta(theta: float) -> None:
     """Refuse a deformation parameter that is not positive and finite."""

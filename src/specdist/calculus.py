@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import MoyalElement, check_theta, radial
+from .algebra import MAX_OPERATOR_ENTRIES, MoyalElement, check_theta, radial
 from .errors import ParameterError
 
 DZ = "dz"
@@ -110,6 +110,14 @@ def reconstruct(a00: complex, alpha: DerivativeCoefficients,
     return MoyalElement(alpha.theta, out)
 
 
+def _check_index(n: int, name: str) -> None:
+    """Refuse n < 0, or an order n + 1 with entries past MAX_OPERATOR_ENTRIES, before allocating."""
+    if n < 0:
+        raise ParameterError(f"{name} must be a natural number, got {n}")
+    if (n + 1) ** 2 > MAX_OPERATOR_ENTRIES:
+        raise ParameterError(f"an element of order {n + 1} is past the cap MAX_OPERATOR_ENTRIES")
+
+
 def staircase(m0: int, theta: float) -> MoyalElement:
     """Radial element whose diagonal decreases by one unit Lipschitz step per index.
 
@@ -118,8 +126,7 @@ def staircase(m0: int, theta: float) -> MoyalElement:
     norm is exactly 1; it realizes the distance between diagonal basis states.
     """
     check_theta(theta)
-    if m0 < 0:
-        raise ParameterError(f"m0 must be a natural number, got {m0}")
+    _check_index(m0, "m0")
     inv = 1.0 / np.sqrt(np.arange(m0 + 1, dtype=float) + 1.0)
     return radial(theta, np.sqrt(theta / 2.0) * np.cumsum(inv[::-1])[::-1])
 
@@ -131,8 +138,7 @@ def radial_bump(n: int, theta: float) -> MoyalElement:
     distance between adjacent basis states.
     """
     check_theta(theta)
-    if n < 0:
-        raise ParameterError(f"index must be a natural number, got {n}")
+    _check_index(n, "index")
     c = np.zeros((n + 1, n + 1), dtype=complex)
     c[n, n] = np.sqrt(theta / 2.0) / np.sqrt(n + 1.0)
     return MoyalElement(theta, c)

@@ -172,14 +172,16 @@ def cmd_torus_distance(args) -> int:
 
 
 def _parse_grid(text: str, points: int):
-    from .probes import default_grid
+    from .probes import MAX_SUPPORT, default_grid
 
     try:
         lo, hi = (float(v) for v in text.split(":"))
     except ValueError:
         lo = hi = math.nan
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo > 0 and hi > 0):
-        raise ParameterError(f"--grid expects lo:hi with finite positive values, got {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo >= 1 and hi >= 1):  # no m0 = 0 point
+        raise ParameterError(f"--grid expects lo:hi with finite values of at least 1, got {text!r}")
+    if points > MAX_SUPPORT:  # all held before deduplication; no more can be distinct
+        raise ParameterError(f"--points {points} exceeds the cap MAX_SUPPORT = {MAX_SUPPORT}")
     return default_grid(lo, hi, points)
 
 
@@ -236,12 +238,16 @@ def cmd_ball_check(args) -> int:
 
     if args.element_file:
         element = _load_json_file(args.element_file, "--element-file", MoyalElement.from_dict)
-    elif args.staircase is not None:
-        element = staircase(args.staircase, args.theta)
-    elif args.bump is not None:
-        element = radial_bump(args.bump, args.theta)
-    else:
+    elif args.staircase is None and args.bump is None:
         raise ParameterError("provide --element-file, --staircase, or --bump")
+    else:
+        option, build, index = (("--staircase", staircase, args.staircase)
+                                if args.staircase is not None
+                                else ("--bump", radial_bump, args.bump))
+        try:
+            element = build(index, args.theta)
+        except ParameterError as exc:  # named, as --element-file names its file
+            raise ParameterError(f"{option} {index}: {exc}") from None
     if args.scale != 1.0:
         element = args.scale * element
     _emit(ball_report(element, args.tol).to_dict(), args)

@@ -14,13 +14,12 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import probes
-from .algebra import MoyalElement, zero
+from .algebra import MAX_OPERATOR_ENTRIES, MoyalElement, zero
 from .errors import ParameterError, PreconditionError, UnboundedSupportError
 from .lipschitz import commutator_norm, nuclear_norm, op_norm, split_blocks
 from .states import MoyalPureState, difference_matrix
 
 SPECTRAL_RADIUS = 1.0 / math.sqrt(2.0)  # derivative budget of the unit commutator ball
-MAX_OPERATOR_ENTRIES = 3e7  # ceiling on an optimizer's or upper bound's arrays (240 MB of floats)
 STALL_ITERS = 50  # admm_maximize stops after this many non-improving iterations in a row
 STALL_TOL = 1e-8  # relative margin an iterate must clear to count as an improvement
 RELAX = 1.7  # ADMM over-relaxation factor
@@ -32,21 +31,11 @@ GAP_TOL = 1e-4
 # an SVD, about one iteration's work, and checking every 10th iteration ends a run at
 # most 9 iterations after the gap has closed
 GAP_EVERY = 10
-# admm_maximize skips an iterate's norm when ||dx q|| (1 - NORM_MARGIN), q the unit top
-# right singular vector of the last clip, shows it cannot improve; that needs the bound
-# to stay below the computed norm.  Exactly, ||dx q|| <= ||dx||.  In floating point the
-# computed ||q||, the matvec with its 2-norm, and the backward-stable SVD's largest
-# singular value each err by at most O(n^1.5 u) relative to ||dx||: with n <= 1369, the
-# side of dx under MAX_OPERATOR_ENTRIES, and u = 1.1e-16, n^1.5 u = 5.6e-12 (the worst
-# error measured on the benchmark's optimizer jobs is 1.1e-15).  Rounding is monotone, so
-# cx (radius / bound) then rounds to at least cx (radius / norm).  Iterates that do not
-# improve fall 1e-9 to 1e-8 below the STALL_TOL bar, so a margin that large would screen
-# none of them.
-NORM_MARGIN = 1e-10
 # `schur_bound` inflates sqrt(||m||_1 ||m||_inf) by SCHUR_MARGIN so that it also bounds the
 # SVD's computed largest singular value.  The computed |entries|, their n-term sums, the
 # product and the square root err by at most (n + 3) u relative, and the backward-stable
-# SVD's value by O(n^1.5 u): 5.6e-12 at n = 1369, as above.
+# SVD's value by O(n^1.5 u): 5.6e-12 at n = 1369, the side of a clipped matrix under
+# MAX_OPERATOR_ENTRIES (u = 1.1e-16).
 SCHUR_MARGIN = 1e-10
 
 
@@ -125,62 +114,49 @@ def schur_bound(mat: np.ndarray) -> float:
 def _clip_stack(stack: np.ndarray, radius: float):
     """Clip a matrix, or each matrix of a (k, p, q) stack, to largest singular value <= radius.
 
-    Returns (top, v, clipped): the largest singular value(s), unit top right singular
-    vector(s), and the clipped matrix or stack, None when no singular value exceeds
-    radius.  1x1 matrices are scaled directly.  Falls back to eigendecompositions of the
-    Gram matrices when the LAPACK divide-and-conquer SVD fails to converge (a known
-    sporadic failure).
+    Returns (top, clipped): the largest singular value(s), and the clipped matrix or
+    stack, None when no singular value exceeds radius.  1x1 matrices are scaled
+    directly.  Falls back to eigendecompositions of the Gram matrices when the LAPACK
+    divide-and-conquer SVD fails to converge (a known sporadic failure).
     """
     if stack.shape[-2:] == (1, 1):
         top = np.abs(stack[..., 0, 0])
         scale = radius / np.maximum(top, radius)
-        return top, np.ones(top.shape + (1,)), stack * scale[..., None, None]
+        return top, (None if top.max() <= radius else stack * scale[..., None, None])
     try:
         u, s, vt = np.linalg.svd(stack, full_matrices=False)
-        top, v = s[..., 0], vt[..., 0, :].conj()
-        if top.max() <= radius:
-            return top, v, None
-        return top, v, (u * np.minimum(s, radius)[..., None, :]) @ vt
+        return s[..., 0], (None if s[..., 0].max() <= radius
+                           else (u * np.minimum(s, radius)[..., None, :]) @ vt)
     except np.linalg.LinAlgError:
         lam, v = np.linalg.eigh(stack.conj().swapaxes(-1, -2) @ stack)
         sig = np.sqrt(np.maximum(lam, 0.0))
-        top, v_top = sig[..., -1], v[..., :, -1]
-        if top.max() <= radius:
-            return top, v_top, None
         factor = np.where(sig > radius, radius / np.where(sig > 0, sig, 1.0), 1.0)
-        return top, v_top, stack @ (v * factor[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        return sig[..., -1], (None if sig[..., -1].max() <= radius
+                              else stack @ (v * factor[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
-def clip_spectral(mat: np.ndarray, radius: float):
+def clip_spectral(mat: np.ndarray, radius: float) -> np.ndarray:
     """Nearest matrix (in Frobenius norm) with largest singular value <= radius.
 
-    Returns (clipped matrix, unit top right singular vector of mat); the clipped matrix
-    is mat itself, not a rounded reconstruction, when no singular value exceeds radius.
-    The clip acts block by block on `split_blocks`: blocks within the radius keep their
-    entries, the others are clipped and scattered back, and the vector is that of the
-    block with the largest singular value, embedded in the full space.
+    Returns mat itself, not a rounded reconstruction, when no singular value exceeds
+    radius.  The clip acts block by block on `split_blocks`: blocks within the radius
+    keep their entries, the others are clipped and scattered back.
     """
     blocks = split_blocks(mat)
     if blocks is None:
-        _, q, clipped = _clip_stack(mat, radius)
-        return (mat if clipped is None else clipped), q
-    q, best, parts = np.zeros(mat.shape[1], dtype=complex), 0.0, []
-    for ri, ci, stack in blocks:
-        top, v, clipped = _clip_stack(stack, radius)
-        j = int(np.argmax(top))
-        if top[j] > best:
-            best, q[:], cols = top[j], 0.0, ci[j] >= 0
-            q[ci[j][cols]] = v[j][cols]
-        parts.append((ri, ci, stack if clipped is None
-                      else np.where((top > radius)[:, None, None], clipped, stack)))
-    if best <= radius:
-        return mat, q
+        clipped = _clip_stack(mat, radius)[1]
+        return mat if clipped is None else clipped
+    clips = [_clip_stack(stack, radius) for _, _, stack in blocks]
+    if all(clipped is None for _, clipped in clips):
+        return mat
     # every nonzero lies in a block: scatter the blocks into zeros, padding into a spare slot
     out = np.zeros(mat.size + 1, dtype=complex)
-    for ri, ci, part in parts:
+    for (ri, ci, stack), (top, clipped) in zip(blocks, clips):
+        if clipped is not None:
+            stack = np.where((top > radius)[:, None, None], clipped, stack)
         real = (ri >= 0)[:, :, None] & (ci >= 0)[:, None, :]
-        out[np.where(real, ri[:, :, None] * mat.shape[1] + ci[:, None, :], mat.size)] = part
-    return out[:-1].reshape(mat.shape), q
+        out[np.where(real, ri[:, :, None] * mat.shape[1] + ci[:, None, :], mat.size)] = stack
+    return out[:-1].reshape(mat.shape)
 
 
 def band_inverses(order: int, theta: float) -> np.ndarray:
@@ -274,27 +250,19 @@ def admm_maximize(c, apply, adjoint, solve, radius, rho, max_iter):
       problem only, not the distance, so the bound is not reported.  While no clip has
       moved anything, u = 0 and Y' = apply(solve(c)) is computed once.
     - The stall rule: STALL_ITERS iterations in a row fail to improve the best value by
-      the relative margin STALL_TOL.  An iterate's norm is an SVD only when needed: the
-      top right singular vector q of the last clip gives the lower bound ||apply(x) q||
-      for one matrix-vector product, and an iterate whose value rescaled by that bound
-      (less NORM_MARGIN) cannot clear the stall bar is counted as a stall without one,
-      as is one with Re<c, x> <= 0.  Every decision is the one the exact norm would make.
+      the relative margin STALL_TOL.  Every iterate's norm is `op_norm(apply(x))`.
 
     The gap exit only adds a stop, so no run is longer than under the stall rule alone.
 
-    The clip is an SVD only when needed too.  Until a clip first moves anything, z = v
-    and u = 0, and a v whose `schur_bound` is within the radius is taken as its own
-    clip without the SVD: `clip_spectral` would return it unchanged, so the iterates
-    are those of an SVD clip every iteration, and the norm screen keeps the last clip's
-    q.  The first clip always runs, so the screen has a vector; once a clip has moved
-    something the bound is never taken again.  A torus `d` job (M = (1, 1), theta
-    0.37, box 7) takes 1 clip SVD instead of 50, a (1, 0) job at box 5 90 instead of
-    109; on the benchmark's plane pairs the first or second clip already moves something.
+    The clip is an SVD only when needed.  Until a clip first moves anything, z = v and
+    u = 0, and a v whose `schur_bound` is within the radius is taken as its own clip
+    without the SVD: `clip_spectral` would return it unchanged, so the iterates are
+    those of an SVD clip every iteration.  Once a clip has moved something the bound is
+    never taken again.
     Returns (best x, iterations run, converged).  Deterministic: starts from zero.
     """
     best_x = np.zeros_like(c)
     z = u = np.zeros_like(apply(best_x))
-    q = np.zeros(z.shape[1], dtype=complex)  # no bound before the first clip
     c_rho = c / rho
     best_val, stall, it, idle = 0.0, 0, 0, True  # idle: no clip has moved anything yet
     dual = None  # radius ||Y'||_*, the bound of the gap exit
@@ -302,17 +270,12 @@ def admm_maximize(c, apply, adjoint, solve, radius, rho, max_iter):
         x = solve(c_rho + adjoint(z - u))
         dx = apply(x)
         # track the rescaled (always feasible) objective of the current iterate
-        cx, bar = float(np.vdot(c, x).real), best_val * (1.0 + STALL_TOL)
-        lower = math.sqrt(np.vdot(y := dx @ q, y).real) * (1.0 - NORM_MARGIN)
-        if cx <= 0.0 or 0.0 < lower and cx * (radius / lower) <= bar:
-            stall += 1  # as with the exact norm: cx <= 0 <= bar, or cx (radius / sig) <= bar
+        sig = op_norm(dx)
+        scaled = float(np.vdot(c, x).real) * (radius / sig) if sig > 0.0 else 0.0
+        if scaled > best_val * (1.0 + STALL_TOL):
+            best_val, best_x, stall = scaled, x, 0
         else:
-            sig = op_norm(dx)
-            scaled = cx * (radius / sig) if sig > 0.0 else 0.0
-            if scaled > bar:
-                best_val, best_x, stall = scaled, x, 0
-            else:
-                stall += 1
+            stall += 1
         if stall >= STALL_ITERS:
             return best_x, it, True
         if it % GAP_EVERY == 0:
@@ -324,10 +287,10 @@ def admm_maximize(c, apply, adjoint, solve, radius, rho, max_iter):
             if best_val >= dual * (1.0 - GAP_TOL):
                 return best_x, it, True
         v = RELAX * dx + (1.0 - RELAX) * z + u
-        if idle and it > 1 and schur_bound(v) <= radius:
+        if idle and schur_bound(v) <= radius:
             z = v  # the clip's own result, and u stays exactly 0
         else:
-            z, q = clip_spectral(v, radius)
+            z = clip_spectral(v, radius)
             idle = idle and z is v
             u = v - z
     return best_x, it, False

@@ -400,13 +400,13 @@ def optimize_torus_distance(s1: TorusState, s2: TorusState,
     sites = _hermitian_sites(support_radius)
     npar = 2 * len(sites)
     side = 2 * box_radius + 1
-    # caps the problem size: nothing of this size is stored, but every iteration past
-    # the opening ones, whose clips admm_maximize settles by a Schur bound, takes one or
-    # two SVDs of a (2R+1)^2 x (2R+1)^2 box matrix (the clip, and the norm where its
-    # one-vector bound cannot settle the stall rule).  Those split into the blocks of
-    # the box matrix's nonzero pattern, small when the iterates live on a sublattice
-    # (M = (1, 0) at box 5: 22 blocks of at most 6 x 6), but iterates spread over the
-    # whole lattice can leave one block, and the cap is for that case.
+    # caps the problem size: nothing of this size is stored, but every iteration takes
+    # an SVD of a (2R+1)^2 x (2R+1)^2 box matrix for its norm, and every one past the
+    # opening ones, whose clips admm_maximize settles by a Schur bound, a second for
+    # the clip.  Those split into the blocks of the box matrix's nonzero pattern, small
+    # when the iterates live on a sublattice (M = (1, 0) at box 5: 22 blocks of at most
+    # 6 x 6), but iterates spread over the whole lattice can leave one block, and the
+    # cap is for that case.
     if npar * 2 * side ** 4 > MAX_OPERATOR_ENTRIES:
         raise ParameterError(
             f"optimizer size guard: support radius {support_radius} with box radius "

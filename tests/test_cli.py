@@ -242,7 +242,7 @@ def test_counts_must_be_positive(capsys):
 
 
 def test_probe_grid_is_validated(capsys):
-    for grid in ("0:10", "1e3", "-1:1e3", "nan:1e3", "1e2:inf", "a:b", "1:2:3"):
+    for grid in ("0:10", "1e3", "-1:1e3", "nan:1e3", "1e2:inf", "a:b", "1:2:3", "0.4:1e3"):
         code, out, err = run_cli(capsys, "probe", "--pair", "zeta:1.2,basis:0", f"--grid={grid}")
         assert code == 1 and out == ""
         assert err.startswith("error: --grid") and repr(grid) in err
@@ -317,6 +317,19 @@ def test_probe_grid_top_above_the_support_cap_exits_one():
     run = _run_subprocess("probe", "--pair=zeta:1.2,basis:0", "--grid=1e2:5e6", "--format=json")
     _assert_clean_parameter_error(run)
     assert "MAX_SUPPORT" in run.stderr and "5000000" in run.stderr
+
+
+def test_sizes_above_their_caps_are_refused_before_allocating():
+    # an order-5,478 dense element exceeds MAX_OPERATOR_ENTRIES, and a grid of more than
+    # MAX_SUPPORT points, built before it is deduplicated, cannot hold more distinct ones;
+    # at 1e5 and 1e8 the two used to end in a MemoryError traceback
+    for argv, option in ((("ball-check", "--staircase=5477"), "--staircase 5477"),
+                         (("ball-check", "--bump=5477"), "--bump 5477"),
+                         (("probe", "--pair=zeta:1.2,basis:0", "--points=4194305"),
+                          "--points 4194305")):
+        run = _run_subprocess(*argv)
+        _assert_clean_parameter_error(run)
+        assert run.stderr.startswith(f"error: {option}")
 
 
 def test_torus_box_requires_the_optimizer(capsys):

@@ -6,7 +6,8 @@ import pytest
 from specdist.algebra import MoyalElement, zero
 from specdist.calculus import dz, radial_bump, staircase
 from specdist.errors import ParameterError, PreconditionError
-from specdist.lipschitz import (ball_report, commutator_norm, nuclear_norm, op_norm,
+from specdist.lipschitz import (LAYOUT_CACHE_SIZE, _block_layout, _nonzero_pattern,
+                                ball_report, commutator_norm, nuclear_norm, op_norm,
                                 radial_in_ball, split_blocks)
 from specdist.verify import (ball_entry_bound, radial_membership_agreement,
                              self_adjoint_norm_symmetry, submultiplicativity)
@@ -113,6 +114,69 @@ def test_split_blocks_nonzero_count_bound_is_tight():
                                            rel=1e-14)
         m[0, 1] = 1.0
         assert split_blocks(m) is None
+
+
+def _assert_same_groups(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for x, y in zip(g, w):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()  # bit for bit
+
+
+def test_split_blocks_labels_each_pattern_once(rng):
+    # four blocks of two shape classes, with empty rows and columns: neither the
+    # single-entry nor the one-block exit applies, so the layout comes from the cache
+    shapes = [(2, 3), (3, 2), (2, 2), (4, 4)]
+    m = permuted_blocks(rng, shapes, 2, 1)
+    _block_layout.cache_clear()
+    first = split_blocks(m)
+    assert _block_layout.cache_info()[:2] == (0, 1)  # (hits, misses)
+    _assert_same_groups(split_blocks(m), first)
+    assert _block_layout.cache_info()[:2] == (1, 1)
+    _block_layout.cache_clear()
+    _assert_same_groups(split_blocks(m), first)
+    # the same pattern with other values: the cached layout, the blocks of the new matrix
+    scaled = split_blocks(2.0 * m)
+    assert _block_layout.cache_info()[:2] == (1, 1)
+    for (_, _, s), (_, _, f) in zip(scaled, first):
+        assert np.array_equal(s, 2.0 * f)
+    # the same shape with another pattern gets its own labelling
+    other = permuted_blocks(rng, shapes, 2, 1)
+    assert not np.array_equal(other != 0, m != 0)
+    blocks = split_blocks(other)
+    assert _block_layout.cache_info()[:2] == (1, 2)
+    found = [(int((ri[k] >= 0).sum()), int((ci[k] >= 0).sum()))
+             for ri, ci, _ in blocks for k in range(len(ri))]
+    assert sorted(found) == sorted(shapes)
+    for ri, ci, stack in blocks:  # read-only indices; the blocks are the caller's
+        for ix in (ri, ci):
+            assert not ix.flags.writeable
+            with pytest.raises(ValueError):
+                ix[0, 0] = 0
+        assert stack.flags.writeable
+
+
+def test_split_blocks_cache_stays_within_its_maxsize(rng):
+    _block_layout.cache_clear()
+    for _ in range(LAYOUT_CACHE_SIZE + 5):
+        split_blocks(permuted_blocks(rng, [(2, 2), (2, 3), (3, 3)], 1, 1))
+    info = _block_layout.cache_info()
+    assert info.misses == LAYOUT_CACHE_SIZE + 5
+    assert info.maxsize == info.currsize == LAYOUT_CACHE_SIZE
+
+
+def test_nonzero_pattern_matches_the_complex_comparison(rng):
+    # the float view reads -0.0 as zero, and NaN and subnormal parts as nonzero, in
+    # either part; transposed and strided input falls back to m != 0
+    tiny = 5e-324
+    values = np.array([0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                       np.nan, complex(0.0, np.nan), tiny, complex(0.0, -tiny), 1.0, 1j],
+                      dtype=complex)
+    m = rng.permutation(np.resize(values, 7 * 9)).reshape(7, 9)
+    for a in (m, m.T, np.asfortranarray(m), m[::2], m[:, ::2], m.real):
+        assert np.array_equal(_nonzero_pattern(a), a != 0)
+    assert np.count_nonzero(_nonzero_pattern(m)) == np.count_nonzero(m)
 
 
 def test_op_norm_two_ones_in_one_row_or_column():
