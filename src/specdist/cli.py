@@ -213,7 +213,7 @@ def cmd_probe(args) -> int:
         payload = series.summary_dict()
         payload["pair"] = [spec1.label(), spec2.label()]
         payload["theta"] = args.theta
-        payload["divergence"] = probes.divergence_flag(spec1, spec2, theta=args.theta)
+        payload["divergence"] = probes.divergence_flag(spec1, spec2)
         _emit(payload, args)
     return EXIT_OK
 

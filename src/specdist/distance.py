@@ -384,8 +384,8 @@ def moyal_report(s1: MoyalPureState, s2: MoyalPureState, order: int = 16,
 
     The certificate lower bound is `probes.radial_gap` (O(support), unit norm by
     construction, so no ball check), reported as radial(top index).  Pairs with a
-    zeta-type state or a support above 5,477 get no upper bound; with probe=True a
-    divergence flag computed from the growth of the staircase bound is attached.
+    zeta-type state or a support above 5,477 get no upper bound; with probe=True the
+    divergence verdict of probes.divergence_flag on the untruncated states is attached.
     """
     if s1.theta != s2.theta:
         raise ParameterError("states carry different theta")
@@ -404,11 +404,6 @@ def moyal_report(s1: MoyalPureState, s2: MoyalPureState, order: int = 16,
     if optimize and order >= max(s1.support, s2.support) + 2:
         res = optimize_distance(s1, s2, order, max_iter=max_iter)
 
-    divergence = None
-    if probe and "zeta" in (s1.kind, s2.kind):
-        divergence = probes.divergence_flag(probes.spec_of_state(s1), probes.spec_of_state(s2),
-                                            theta=theta)
-
     return DistanceReport(
         theta=theta,
         truncation_order=order,
@@ -422,5 +417,6 @@ def moyal_report(s1: MoyalPureState, s2: MoyalPureState, order: int = 16,
         iterations=res and res.iterations,
         feasibility_residual=res and res.feasibility_residual,
         converged=res and res.converged,
-        divergence=divergence,
+        divergence=(probes.divergence_flag(probes.spec_of_state(s1), probes.spec_of_state(s2))
+                    if probe else None),
     )

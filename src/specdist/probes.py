@@ -1,6 +1,7 @@
 """Quantitative divergence machinery: staircase-certificate bounds over large
 index grids, the weight-gap sequence and its crossover, mean-value estimates,
-and log-log slope fits certifying power-law growth of the lower bound.
+log-log slope fits of the lower bound's growth, and the divergence verdict the
+radial certificate proves.
 
 Grid evaluation is one prefix-sum sweep over the sorted grid, O(max m0) in time
 and bounded in memory by the largest gap between grid points; grids up to 1e6 are
@@ -122,44 +123,36 @@ def radial_gap(s1: MoyalPureState, s2: MoyalPureState, steps=None) -> float:
 class ProbeSpec:
     """Diagonal-weight description of a state for grid probes.
 
-    kind "basis" uses an indicator weight at `index`; kind "zeta" uses
-    (m+1)^-s weights with either the exact zeta normalization or the running
-    truncated normalization; kind "fixed" carries an explicit weight vector.
+    kind "basis" uses an indicator weight at `index`; kind "zeta" uses (m+1)^-s
+    weights with either the exact zeta normalization or the running truncated
+    normalization.  spec_of_state gives a finite state kind "finite" and nothing
+    else: only the divergence verdict reads it, and probe_series refuses it.
     """
 
     kind: str
     index: int = 0
     s: float = 0.0
-    weights: tuple = ()
 
     def label(self) -> str:
-        if self.kind == "basis":
-            return f"basis:{self.index}"
-        if self.kind == "zeta":
-            return f"zeta:{self.s}"
-        return f"fixed[{len(self.weights)}]"
+        return f"basis:{self.index}" if self.kind == "basis" else f"zeta:{self.s}"
 
 
 def parse_probe_spec(text: str) -> ProbeSpec:
+    """ProbeSpec of basis:m (a natural number m) or zeta:s (a finite s > 1)."""
     parts = text.split(":")
-    if parts[0] == "basis" and len(parts) >= 2:
-        if int(parts[1]) < 0:
-            raise ParameterError(f"basis index must be a natural number, got {parts[1]}")
-        return ProbeSpec("basis", index=int(parts[1]))
-    if parts[0] == "zeta" and len(parts) >= 2:
-        s = float(parts[1])
-        if not (math.isfinite(s) and s > 1):
-            raise ParameterError(f"zeta spec requires a finite s > 1, got {s}")
-        return ProbeSpec("zeta", s=s)
-    raise ParameterError(f"cannot parse probe state spec {text!r}")
+    try:
+        if parts[0] == "basis" and len(parts) == 2 and int(parts[1]) >= 0:
+            return ProbeSpec("basis", index=int(parts[1]))
+        if parts[0] == "zeta" and len(parts) == 2 and 1 < float(parts[1]) < math.inf:
+            return ProbeSpec("zeta", s=float(parts[1]))
+    except ValueError:  # a number that does not parse
+        pass
+    raise ParameterError(f"cannot parse probe state spec {text!r}: expected basis:m with "
+                         "a natural number m or zeta:s with a finite s > 1")
 
 
 def spec_of_state(state: MoyalPureState) -> ProbeSpec:
-    if state.kind == "basis":
-        return ProbeSpec("basis", index=state.meta["index"])
-    if state.kind == "zeta":
-        return ProbeSpec("zeta", s=state.meta["s"])
-    return ProbeSpec("fixed", weights=tuple(float(x) for x in np.abs(state.c) ** 2))
+    return ProbeSpec(state.kind, index=state.meta.get("index", 0), s=state.meta.get("s", 0.0))
 
 
 def probe_series(spec1: ProbeSpec, spec2: ProbeSpec, m0_grid, theta: float = 1.0,
@@ -169,17 +162,20 @@ def probe_series(spec1: ProbeSpec, spec2: ProbeSpec, m0_grid, theta: float = 1.0
 
     F(m0) = sum_{m<=m0} u(m, m0) w_m = S X - T at m0, where S_k = sum_{j<=k} 1/sqrt(j+1),
     X_k = sum_{j<=k} w_j, T_k = sum_{j<=k} S_{j-1} w_j and w is the spec's weight vector:
-    an indicator for "basis", the given weights zero-padded for "fixed", and (m+1)^-s for
-    "zeta", F then divided by zeta(s) ("exact") or by the partial sum of its first
-    cutoff_factor m0 + 1 terms ("truncated").  One sweep over the sorted distinct grid
-    carries S, X and T from each grid point to the next by np.cumsum with the running
-    value prepended.  np.cumsum adds in sequence, so they equal full-array prefix sums bit
-    for bit; memory is bounded by the largest gap between grid points, time is O(top).
+    an indicator for "basis" and (m+1)^-s for "zeta", F then divided by zeta(s) ("exact")
+    or by the partial sum of its first cutoff_factor m0 + 1 terms ("truncated").  One
+    sweep over the sorted distinct grid carries S, X and T from each grid point to the
+    next by np.cumsum with the running value prepended.  np.cumsum adds in sequence, so
+    they equal full-array prefix sums bit for bit; memory is bounded by the largest gap
+    between grid points, time is O(top).
     Values come back in the caller's grid order, duplicates included.
     """
     check_theta(theta)
     if normalization not in (TRUNCATED, EXACT):
         raise ParameterError(f"unknown normalization {normalization!r}")
+    specs = (spec1, spec2)
+    if any(sp.kind not in ("basis", "zeta") for sp in specs):
+        raise ParameterError("probe series take basis and zeta specs only")
     grid = [int(g) for g in m0_grid]
     if not grid:
         raise ParameterError("the grid of staircase indices m0 is empty")
@@ -189,8 +185,6 @@ def probe_series(spec1: ProbeSpec, spec2: ProbeSpec, m0_grid, theta: float = 1.0
     if top > MAX_SUPPORT - 1:  # the sweep's time is O(top)
         raise ParameterError(f"grid top {top} exceeds the cap MAX_SUPPORT - 1 = "
                              f"{MAX_SUPPORT - 1}; choose a smaller grid")
-    specs = (spec1, spec2)  # by position: hashing a long fixed spec costs milliseconds
-    fixed = [np.asarray(sp.weights[: top + 1], dtype=float) for sp in specs]
     xt = [(0.0, 0.0)] * 2
     # a basis spec reads S just below its index, so the sweep stops there too
     s_at = {-1: 0.0}
@@ -202,13 +196,9 @@ def probe_series(spec1: ProbeSpec, spec2: ProbeSpec, m0_grid, theta: float = 1.0
         s_seg = np.cumsum(np.concatenate(([s_at[prev]], 1.0 / np.sqrt(j + 1.0))))
         s_at[g] = s_g = s_seg[-1]
         for i, sp in enumerate(specs):
-            if sp.kind == "zeta":
-                w = (j + 1.0) ** (-sp.s)
-            elif sp.kind == "fixed":
-                part = fixed[i][prev + 1: g + 1]
-                w = np.concatenate((part, np.zeros(j.size - part.size)))
-            else:
+            if sp.kind != "zeta":
                 continue
+            w = (j + 1.0) ** (-sp.s)
             x, t = xt[i]
             xt[i] = (np.cumsum(np.concatenate(([x], w)))[-1],
                      np.cumsum(np.concatenate(([t], s_seg[:-1] * w)))[-1])
@@ -220,10 +210,8 @@ def probe_series(spec1: ProbeSpec, spec2: ProbeSpec, m0_grid, theta: float = 1.0
             if sp.kind == "basis":
                 f = s_g - s_at[sp.index - 1] if sp.index <= g else 0.0
             else:
-                f = s_g * x - t
-                if sp.kind == "zeta":
-                    f /= zeta(sp.s) if normalization == EXACT \
-                        else zeta_partial(sp.s, cutoff_factor * g + 1)
+                f = (s_g * x - t) / (zeta(sp.s) if normalization == EXACT
+                                     else zeta_partial(sp.s, cutoff_factor * g + 1))
             f_at[g].append(float(f))
     pref = math.sqrt(theta / 2.0)
     return np.array([pref * abs(f_at[g][0] - f_at[g][1]) for g in grid])
@@ -302,31 +290,27 @@ def asymptotic_fit(spec1: ProbeSpec, spec2: ProbeSpec, m0_grid,
     )
 
 
-_UNDECIDABLE_PAIR = (1.25, 1.5)
+def divergence_flag(spec1: ProbeSpec, spec2: ProbeSpec) -> str | None:
+    """Verdict on the distance between the untruncated states of two specs: None for
+    equal specs or when neither is zeta, else "divergent" when the least zeta exponent
+    s is at most 3/2 and "inconclusive" above.
 
-
-def divergence_flag(spec1: ProbeSpec, spec2: ProbeSpec, theta: float = 1.0) -> str | None:
-    """Growth verdict for a state pair: "divergent", "inconclusive", or None.
-
-    The exponent pair (5/4, 3/2) is never flagged divergent: the two-term
-    expansion of the bound cancels at leading order there, so growth of this
-    certificate proves nothing.
+    Proof.  The radial certificate of radial_steps cut at K (steps sigma_k/sqrt(k+1),
+    k < K) has commutator norm exactly 1, and as the differences d_p of the diagonal
+    weights sum to 0 its gap is R_K = sqrt(theta/2) sum_{k<K} |T_{k+1}|/sqrt(k+1), with
+    T_j = sum_{p>=j} d_p.  The zeta state's weights summed from j up give
+    sum_{m>j} m^-s / zeta(s) >= (j+1)^(1-s) / ((s-1) zeta(s)).  The other state's sum is
+    0 beyond a basis index or a finite support, and at most j^(1-s')/((s'-1) zeta(s')) =
+    o(j^(1-s)) for a larger exponent s'.  So |T_{k+1}| >= c (k+2)^(1-s) with c > 0 for
+    all large k, and R_K grows like sum_k k^(1/2-s), which diverges exactly when
+    s <= 3/2 (the harmonic series at s = 3/2): the distance, at least every R_K, is
+    infinite.  Above 3/2 the tails are O(j^(1-s)) and R_K converges, so this certificate
+    decides nothing.
     """
-    if spec1 == spec2:
+    ss = [sp.s for sp in (spec1, spec2) if sp.kind == "zeta"]
+    if spec1 == spec2 or not ss:
         return None
-    ss = sorted(sp.s for sp in (spec1, spec2) if sp.kind == "zeta")
-    if len(ss) == 2 and abs(ss[0] - _UNDECIDABLE_PAIR[0]) < 1e-12 \
-            and abs(ss[1] - _UNDECIDABLE_PAIR[1]) < 1e-12:
-        return "inconclusive"
-    if not ss:
-        return None
-    grid = default_grid(1e2, 1e5, 10)
-    try:
-        series = asymptotic_fit(spec1, spec2, grid, fit_window=(grid[0], grid[-1]), theta=theta)
-    except ParameterError:
-        return "inconclusive"
-    growing = series.b_values[-1] > 2.0 * series.b_values[0]
-    return "divergent" if growing and series.fitted_slope > 0.05 else "inconclusive"
+    return "divergent" if min(ss) <= 1.5 else "inconclusive"
 
 
 # ---------------------------------------------------------------------------

@@ -255,11 +255,21 @@ def torus_report(s1: TorusState, s2: TorusState, optimize: bool = False,
                  box_radius: int | None = None, max_iter: int = 2000) -> DistanceReport:
     """Bracketed distance report between torus states.
 
-    Only (vector, tracial) pairs carry a closed form; other supported pairs
-    get certificate and coefficient-bound brackets.  The certificate lower bound
-    is the larger gap of the two Weyl certificates, whose norm is 1 by
+    Only (vector, tracial) pairs carry a closed form, 1/(pi^2 |m1 + i m2|); other
+    supported pairs get certificate and coefficient-bound brackets.  The certificate
+    lower bound is the larger gap of the two Weyl certificates, whose norm is 1 by
     construction, so no box is built; the reported order is the optimizer's box
     radius, 0 without the optimizer.
+
+    Proof of the closed form (Rieffel, Doc. Math. 3 (1998)).  Averaging over the
+    subgroup of the dual action that fixes U^M is a contraction that commutes with both
+    derivations and fixes the trace and phi_M, so the supremum may be taken over
+    self-adjoint f(U^M).  spec(U^M) is the whole circle, so the commutator norm of f(U^M)
+    is 2 pi |M| sup|f'| and the constraint is sup|f'| <= 1/(2 pi |M|).  The gap is
+    |phi_M(f) - tau(f)| = |Re f^(1)|, f^(1) = (1/2pi) int f(t) e^(-it) dt, and by parts
+    |Re f^(1)| = |(1/2pi) int f'(t) sin t dt| <= (1/2pi) int |f'||sin t| dt
+    <= 4/(2pi * 2pi |M|) = 1/(pi^2 |M|), which the triangle wave with
+    f' = -sign(sin t)/(2 pi |M|) attains.
     """
     if s1.theta != s2.theta:
         raise ParameterError("states carry different theta")
@@ -289,8 +299,7 @@ def torus_report(s1: TorusState, s2: TorusState, optimize: bool = False,
         cert_val, cert_id = gap(best), f"weyl_certificate({best[0]},{best[1]})"
         upper = float(sum(coefficient_bound(m) for m in ms))
         if "tracial" in kinds and len(ms) == 1:
-            # the coefficient bound, an upper bound: the distance is 1/(pi^2 |m1 + i m2|)
-            closed = coefficient_bound(ms[0])
+            closed = 1.0 / (np.pi ** 2 * abs(ms[0][0] + 1j * ms[0][1]))
 
     opt_val = opt_iters = opt_resid = opt_conv = None
     if optimize and not same_functional:

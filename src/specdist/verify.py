@@ -23,6 +23,7 @@ from .distance import analytic_upper_bound, basis_distance, optimize_distance
 from .errors import ParameterError
 from .lipschitz import ENTRY_BOUND, ball_report, commutator_norm, op_norm, radial_in_ball
 from .states import basis_state, diagonal_difference, finite_state, zeta_state
+from .zeta import zeta
 
 DEFAULT_SEED = 20100324
 
@@ -432,11 +433,20 @@ def probes_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
         crossover.flag(plus <= 0 or deviation(plus, minus) > 1e-9,
                        f"({s1v},{s2v}): masses {plus} vs {minus}")
 
-    honesty = CheckResult("undecidable_pair_never_flagged", 1)
+    # (5/4, 3/2), whose bound's two-term expansion cancels at leading order, is divergent,
+    # and its exact-normalization tail T_k = P(3/2, k) - P(5/4, k), P(s, k) = sum_{m<=k}
+    # m^-s / zeta(s), is positive for k = 1..1e5 (computed in place in two arrays)
+    critical = CheckResult("cancelling_pair_flagged_divergent", 1)
     flag = probes.divergence_flag(probes.ProbeSpec("zeta", s=1.25),
                                   probes.ProbeSpec("zeta", s=1.5))
-    honesty.flag(flag == "divergent", f"flag {flag!r}")
-    return SuiteResult("probes", [consistency, growth, estimates, crossover, honesty])
+    tail, minus = (np.arange(1.0, 1e5 + 1.0) for _ in range(2))
+    for x, s in ((tail, 1.5), (minus, 1.25)):
+        np.cumsum(np.power(x, -s, out=x), out=x)
+        x /= zeta(s)
+    tail -= minus
+    critical.flag(flag != "divergent" or tail.min() <= 0.0,
+                  f"flag {flag!r}, least tail {tail.min()} at k = {tail.argmin() + 1}")
+    return SuiteResult("probes", [consistency, growth, estimates, crossover, critical])
 
 
 def torus_suite(seed: int = DEFAULT_SEED) -> SuiteResult:

@@ -1,8 +1,9 @@
-"""The benchmark's correctness rules on its optimizer jobs, run in-process.
+"""The benchmark's correctness rules on its optimizer and probe jobs, run in-process.
 
-For the first canonical variant of every `plane-optimize` and `torus` slot, the CLI's
-output must pass `perfbench.check.problems` against the committed reference: the rule
-a benchmark run applies to every job it times.
+For the first canonical variant of every `plane-optimize` and `torus` slot, and for
+every variant of the slots that report divergence verdicts (`plane-bounds` p2, p3, z5
+and z6, `selfcheck` probes), the CLI's output must pass `perfbench.check.problems`
+against the committed reference: the rule a benchmark run applies to every job it times.
 """
 
 import json
@@ -22,14 +23,31 @@ finally:
     sys.dont_write_bytecode = _write_bytecode
 
 
-@pytest.mark.parametrize("workload", ["plane-optimize", "torus"])
-def test_first_variant_of_every_slot_passes_the_benchmark_check(workload, tmp_path,
-                                                                 monkeypatch, capsys):
+def _check(workload, variants, tmp_path, monkeypatch, capsys):
     reference = json.loads((ROOT / "perfbench" / "reference" / f"{workload}.json").read_text())
     monkeypatch.chdir(tmp_path)  # where the jobs' input files are written
-    for slot in workloads.slots(workload):
-        job = workloads.materialize(slot[0])
+    for variant in variants:
+        job = workloads.materialize(variant)
         workloads.write_inputs([job], tmp_path)
         code = main(list(job.argv))
         assert check.problems(job.cmd, capsys.readouterr().out, code,
                               reference[job.key]) == [], job.key
+
+
+@pytest.mark.parametrize("workload", ["plane-optimize", "torus"])
+def test_first_variant_of_every_slot_passes_the_benchmark_check(workload, tmp_path,
+                                                                 monkeypatch, capsys):
+    _check(workload, [slot[0] for slot in workloads.slots(workload)],
+           tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("workload, names", [("plane-bounds", {"p2", "p3", "z5", "z6"}),
+                                             ("selfcheck", {"probes"})],
+                         ids=["plane-bounds", "selfcheck"])
+def test_every_variant_of_the_verdict_slots_passes_the_benchmark_check(workload, names,
+                                                                       tmp_path, monkeypatch,
+                                                                       capsys):
+    variants = [v for slot in workloads.slots(workload) for v in slot
+                if v.key.rsplit(".", 1)[0] in names]
+    assert len(variants) == {"plane-bounds": 11, "selfcheck": 1}[workload]
+    _check(workload, variants, tmp_path, monkeypatch, capsys)

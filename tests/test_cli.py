@@ -92,14 +92,14 @@ def test_moyal_distance_spec_file(tmp_path, capsys):
 
 def test_moyal_distance_probe_with_a_support_above_the_probe_grid(tmp_path, capsys):
     # a finite state with more weights than the probe grid's top + 2 once failed with a
-    # numpy broadcast error
+    # numpy broadcast error; the verdict now reads only the zeta exponent 1.2 <= 3/2
     spec = tmp_path / "big.json"
     spec.write_text(json.dumps({"a": "finite:" + ",".join(["1"] * 100_010),
                                 "b": "zeta:1.2:1000"}))
     code, out, _ = run_cli(capsys, "moyal-distance", "--spec-file", str(spec),
                            "--no-optimize", "--probe")
     assert code == 0
-    assert json.loads(out)["divergence"] in ("divergent", "inconclusive")
+    assert json.loads(out)["divergence"] == "divergent"
 
 
 def test_parameter_errors_exit_one(capsys):
@@ -164,6 +164,15 @@ def test_non_finite_state_input_exits_one():
 def test_negative_probe_basis_index_exits_one():
     _assert_clean_parameter_error(_run_subprocess("probe", "--pair=zeta:1.2,basis:-1",
                                                   "--format=json"))
+
+
+def test_bad_probe_specs_are_named(capsys):
+    # a fractional basis index once ended in int()'s message, which names no spec
+    for pair, bad in (("basis:1.5,zeta:1.2", "basis:1.5"), ("zeta:1.2:5,basis:0", "zeta:1.2:5"),
+                      ("zeta:1.2,basis:3:x", "basis:3:x")):
+        code, out, err = run_cli(capsys, "probe", "--pair", pair)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot parse probe state spec {bad!r}")
 
 
 def test_malformed_spec_file_exits_one(tmp_path):
@@ -265,7 +274,7 @@ def test_torus_distance_shorthand(capsys):
     code, out, _ = run_cli(capsys, "torus-distance", "--theta", "0.37", "--m", "3,4")
     assert code == 0
     report = json.loads(out)
-    assert report["closed_form"] == pytest.approx(1 / (10 * np.pi), abs=1e-9)
+    assert report["closed_form"] == pytest.approx(1 / (5 * np.pi ** 2), abs=1e-9)
     assert report["state_a"] == "phi:3,4"
     assert report["state_b"] == "tracial"
 
@@ -274,7 +283,7 @@ def test_torus_distance_explicit_states(capsys):
     code, out, _ = run_cli(capsys, "torus-distance", "--theta", "0.25",
                            "--a", "phi:1,0", "--b", "tracial")
     assert code == 0
-    assert json.loads(out)["closed_form"] == pytest.approx(1 / (2 * np.pi), abs=1e-12)
+    assert json.loads(out)["closed_form"] == pytest.approx(1 / np.pi ** 2, abs=1e-12)
 
 
 def test_torus_distance_with_optimizer(capsys):

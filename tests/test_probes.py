@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -170,15 +171,6 @@ def test_probe_series_matches_split_form():
         assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_probe_series_fixed_weights_path():
-    st = finite_state([0.8, 0.6], 1.0)
-    spec = probes.spec_of_state(st)
-    assert spec.kind == "fixed"
-    b = probe_series(spec, ProbeSpec("basis", index=0), [4])[0]
-    direct = staircase_gap(4, st, basis_state(0, 1.0))
-    assert b == pytest.approx(direct, rel=1e-12)
-
-
 def _prefix_table_series(spec1, spec2, grid, theta, normalization, cutoff_factor=100):
     """The probe bound from full prefix tables over 0..top, as probe_series computed it
     before the sweep; truncated normalizations are direct smallest-first sums."""
@@ -192,15 +184,8 @@ def _prefix_table_series(spec1, spec2, grid, theta, normalization, cutoff_factor
             if spec.index > m0:
                 return 0.0
             return float(s_prefix[m0] - (s_prefix[spec.index - 1] if spec.index else 0.0))
-        if spec.kind == "zeta":
-            w = (j + 1.0) ** (-spec.s)
-        else:
-            w = np.zeros(top + 1)
-            n = min(len(spec.weights), top + 1)
-            w[:n] = spec.weights[:n]
+        w = (j + 1.0) ** (-spec.s)
         raw = s_prefix[m0] * np.cumsum(w)[m0] - np.cumsum(s_shift * w)[m0]
-        if spec.kind != "zeta":
-            return float(raw)
         if normalization == "exact":
             return float(raw / zeta(spec.s))
         m = np.arange(1, cutoff_factor * m0 + 2, dtype=float)
@@ -212,13 +197,10 @@ def _prefix_table_series(spec1, spec2, grid, theta, normalization, cutoff_factor
 
 def test_probe_series_matches_full_prefix_tables():
     # unsorted grid with repeats; basis indices 0, between grid points, at one, above the top;
-    # fixed weights shorter and longer than the top; two zeta specs
+    # two zeta specs
     grid = [700, 3, 1500, 0, 45, 700, 3, 4000, 1001]
-    rng = np.random.default_rng(17)
-    short = ProbeSpec("fixed", weights=tuple(rng.uniform(0.0, 1.0, 60) / 30.0))
-    long = ProbeSpec("fixed", weights=tuple(rng.uniform(0.0, 1.0, 6000) / 3000.0))
     specs = [ProbeSpec("basis", index=i) for i in (0, 20, 45, 5000)] \
-        + [ProbeSpec("zeta", s=1.1), ProbeSpec("zeta", s=1.4), short, long]
+        + [ProbeSpec("zeta", s=1.1), ProbeSpec("zeta", s=1.4)]
     for theta in (0.5, 2.0):
         for i, spec1 in enumerate(specs):
             for spec2 in specs[i + 1:]:
@@ -233,16 +215,6 @@ def test_probe_series_matches_full_prefix_tables():
             want = _prefix_table_series(spec, specs[4], grid, theta, "truncated")
             np.testing.assert_allclose(truncated, want, rtol=1e-14, atol=0.0,
                                        err_msg=spec.label())
-
-
-def test_probe_series_fixed_weights_beyond_the_grid_top():
-    # more weights than top + 2 once failed with a numpy broadcast error
-    weights = (1.0 / 300,) * 300
-    b = probe_series(ProbeSpec("fixed", weights=weights), ProbeSpec("zeta", s=1.2), [10, 100])
-    st = finite_state(np.ones(300), 1.0)
-    for m0, got in zip((10, 100), b):
-        direct = staircase_gap(m0, st, zeta_state(1.2, 100 * m0, 1.0))
-        assert got == pytest.approx(direct, rel=1e-12)
 
 
 def test_probe_series_refuses_an_empty_grid():
@@ -314,20 +286,38 @@ def test_fit_slope_smoke():
 
 
 def test_divergence_flags():
-    assert divergence_flag(ProbeSpec("basis", index=0), ProbeSpec("zeta", s=1.2)) == "divergent"
-    assert divergence_flag(ProbeSpec("zeta", s=1.25), ProbeSpec("zeta", s=1.5)) == "inconclusive"
-    assert divergence_flag(ProbeSpec("zeta", s=1.2), ProbeSpec("zeta", s=1.2)) is None
-    # decaying bound for s > 3/2 must not be claimed divergent
-    assert divergence_flag(ProbeSpec("basis", index=0), ProbeSpec("zeta", s=2.5)) != "divergent"
+    # the radial-certificate theorem: divergent exactly when the least zeta exponent is at
+    # most 3/2, s = 3/2 and the pair (5/4, 3/2) included
+    verdicts = {"divergent": [("basis:0", "zeta:1.2"), ("zeta:1.25", "zeta:1.5"),
+                              ("basis:0", "zeta:1.5"), ("basis:30", "zeta:1.5")],
+                "inconclusive": [("basis:0", "zeta:1.51"), ("basis:3", "zeta:1.7"),
+                                 ("zeta:1.75", "zeta:1.8"), ("basis:0", "zeta:2.5")],
+                None: [("zeta:1.2", "zeta:1.2"), ("basis:2", "basis:2"), ("basis:0", "basis:3")]}
+    for verdict, pairs in verdicts.items():
+        for a, b in pairs:
+            spec1, spec2 = parse_probe_spec(a), parse_probe_spec(b)
+            assert divergence_flag(spec1, spec2) == verdict, (a, b)
+            assert divergence_flag(spec2, spec1) == verdict, (b, a)
+
+
+def test_divergence_flags_of_states():
+    # a finite state's spec keeps only its kind, all the verdict reads
+    finite = probes.spec_of_state(finite_state([0.8, 0.6], 1.0))
+    assert finite == ProbeSpec("finite")
+    assert divergence_flag(finite, probes.spec_of_state(zeta_state(1.4, 50, 1.0))) == "divergent"
+    assert divergence_flag(finite, probes.spec_of_state(basis_state(3, 1.0))) is None
+    with pytest.raises(ParameterError, match="basis and zeta"):
+        probe_series(finite, ProbeSpec("zeta", s=1.2), [10])
 
 
 def test_parse_probe_spec():
     assert parse_probe_spec("basis:3") == ProbeSpec("basis", index=3)
     assert parse_probe_spec("zeta:1.2") == ProbeSpec("zeta", s=1.2)
-    with pytest.raises(ParameterError):
-        parse_probe_spec("zeta:0.9")
-    with pytest.raises(ParameterError):
-        parse_probe_spec("nonsense")
+    # exactly two fields; every refusal names the spec
+    for text in ("zeta:0.9", "nonsense", "zeta:1.2:5", "basis:3:x", "basis:1.5", "basis:-1",
+                 "zeta:nan", "zeta:inf"):
+        with pytest.raises(ParameterError, match=re.escape(f"probe state spec {text!r}")):
+            parse_probe_spec(text)
 
 
 def test_estimate_checks_spot_values():

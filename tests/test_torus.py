@@ -175,7 +175,8 @@ def test_box_matrix_adjoint_symmetry():
 def test_report_vector_vs_trace():
     theta = 0.37
     rep = torus_report(vector_state(theta, (3, 4)), tracial_state(theta))
-    assert rep.closed_form == pytest.approx(1 / (10 * np.pi), abs=1e-15)
+    # the distance 1/(pi^2 |M|) lies between the certificate and the coefficient bound
+    assert rep.closed_form == pytest.approx(1 / (5 * np.pi ** 2), abs=1e-15)
     assert rep.analytic_upper == pytest.approx(1 / (10 * np.pi), abs=1e-15)
     # the scaled Weyl certificate realizes exactly half the coefficient bound
     assert rep.certificate_lower == pytest.approx(1 / (20 * np.pi), abs=1e-14)
