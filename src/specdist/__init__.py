@@ -19,7 +19,7 @@ _API = {
     "distance": ("DistanceReport", "OptimizeResult", "analytic_upper_bound", "basis_distance",
                  "moyal_report", "optimize_distance", "triangle_residual"),
     "errors": ("ParameterError", "PreconditionError", "UnboundedSupportError"),
-    "lipschitz": ("BallReport", "ball_report", "commutator_norm", "op_norm", "radial_in_ball"),
+    "lipschitz": ("BallReport", "ball_report", "commutator_norm", "op_norm"),
     "probes": ("ProbeSeries", "ProbeSpec", "asymptotic_fit", "crossover_index",
                "divergence_flag", "estimate_checks", "inv_sqrt_suffix_sum", "probe_series",
                "radial_gap", "staircase_gap", "zeta_weight_gap"),

@@ -53,33 +53,31 @@ class DerivativeCoefficients:
         return d
 
 
+def dz_stencil(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """dz's recurrence on an n x n coefficient array, written into one (n+1) x (n+1) array:
+    out[m, j] = s[j+1] x[m, j+1] - s[m] x[m-1, j], with s[i] = sqrt(i/theta) for i <= n and
+    the entries of x past its edges zero."""
+    n = x.shape[0]
+    out = np.zeros((n + 1, n + 1), dtype=complex)
+    np.multiply(x[:, 1:], s[1:n], out=out[:n, :n - 1])
+    out[1:, :n] -= s[1:, None] * x
+    return out
+
+
 def dz(a: MoyalElement) -> DerivativeCoefficients:
     """Coefficients of the (d1 - i*d2)/sqrt(2) derivation of a.
 
     Output order is a.order + 1; exact for finitely supported input.
     """
-    n = a.order
-    th = a.theta
-    ap = np.zeros((n + 1, n + 2), dtype=complex)
-    ap[:n, :n] = a.coeffs
-    cols = np.arange(n + 1, dtype=float)
-    out = np.sqrt((cols + 1.0) / th)[None, :] * ap[:, 1 : n + 2]
-    rows = np.arange(1, n + 1, dtype=float)
-    out[1:, :] -= np.sqrt(rows / th)[:, None] * ap[: n, : n + 1]
-    return DerivativeCoefficients(th, out, DZ)
+    s = np.sqrt(np.arange(a.order + 1) / a.theta)
+    return DerivativeCoefficients(a.theta, dz_stencil(a.coeffs, s), DZ)
 
 
 def dzbar(a: MoyalElement) -> DerivativeCoefficients:
-    """Coefficients of the (d1 + i*d2)/sqrt(2) derivation of a (mirror of dz)."""
-    n = a.order
-    th = a.theta
-    ap = np.zeros((n + 2, n + 1), dtype=complex)
-    ap[:n, :n] = a.coeffs
-    rows = np.arange(n + 1, dtype=float)
-    out = np.sqrt((rows + 1.0) / th)[:, None] * ap[1 : n + 2, :]
-    cols = np.arange(1, n + 1, dtype=float)
-    out[:, 1:] -= np.sqrt(cols / th)[None, :] * ap[: n + 1, : n]
-    return DerivativeCoefficients(th, out, DZBAR)
+    """Coefficients of the (d1 + i*d2)/sqrt(2) derivation of a: the transpose of dz's
+    recurrence on the transpose."""
+    s = np.sqrt(np.arange(a.order + 1) / a.theta)
+    return DerivativeCoefficients(a.theta, dz_stencil(a.coeffs.T, s).T, DZBAR)
 
 
 def reconstruct(a00: complex, alpha: DerivativeCoefficients,

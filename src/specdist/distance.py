@@ -15,8 +15,9 @@ import numpy as np
 
 from . import probes
 from .algebra import MAX_OPERATOR_ENTRIES, MoyalElement, zero
+from .calculus import dz_stencil
 from .errors import ParameterError, PreconditionError, UnboundedSupportError
-from .lipschitz import commutator_norm, nuclear_norm, op_norm, split_blocks
+from .lipschitz import clip_spectral, commutator_norm, nuclear_norm, op_norm
 from .states import MoyalPureState, difference_matrix
 
 SPECTRAL_RADIUS = 1.0 / math.sqrt(2.0)  # derivative budget of the unit commutator ball
@@ -111,54 +112,6 @@ def schur_bound(mat: np.ndarray) -> float:
     return math.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max()) * (1.0 + SCHUR_MARGIN)
 
 
-def _clip_stack(stack: np.ndarray, radius: float):
-    """Clip a matrix, or each matrix of a (k, p, q) stack, to largest singular value <= radius.
-
-    Returns (top, clipped): the largest singular value(s), and the clipped matrix or
-    stack, None when no singular value exceeds radius.  1x1 matrices are scaled
-    directly.  Falls back to eigendecompositions of the Gram matrices when the LAPACK
-    divide-and-conquer SVD fails to converge (a known sporadic failure).
-    """
-    if stack.shape[-2:] == (1, 1):
-        top = np.abs(stack[..., 0, 0])
-        scale = radius / np.maximum(top, radius)
-        return top, (None if top.max() <= radius else stack * scale[..., None, None])
-    try:
-        u, s, vt = np.linalg.svd(stack, full_matrices=False)
-        return s[..., 0], (None if s[..., 0].max() <= radius
-                           else (u * np.minimum(s, radius)[..., None, :]) @ vt)
-    except np.linalg.LinAlgError:
-        lam, v = np.linalg.eigh(stack.conj().swapaxes(-1, -2) @ stack)
-        sig = np.sqrt(np.maximum(lam, 0.0))
-        factor = np.where(sig > radius, radius / np.where(sig > 0, sig, 1.0), 1.0)
-        return sig[..., -1], (None if sig[..., -1].max() <= radius
-                              else stack @ (v * factor[..., None, :]) @ v.conj().swapaxes(-1, -2))
-
-
-def clip_spectral(mat: np.ndarray, radius: float) -> np.ndarray:
-    """Nearest matrix (in Frobenius norm) with largest singular value <= radius.
-
-    Returns mat itself, not a rounded reconstruction, when no singular value exceeds
-    radius.  The clip acts block by block on `split_blocks`: blocks within the radius
-    keep their entries, the others are clipped and scattered back.
-    """
-    blocks = split_blocks(mat)
-    if blocks is None:
-        clipped = _clip_stack(mat, radius)[1]
-        return mat if clipped is None else clipped
-    clips = [_clip_stack(stack, radius) for _, _, stack in blocks]
-    if all(clipped is None for _, clipped in clips):
-        return mat
-    # every nonzero lies in a block: scatter the blocks into zeros, padding into a spare slot
-    out = np.zeros(mat.size + 1, dtype=complex)
-    for (ri, ci, stack), (top, clipped) in zip(blocks, clips):
-        if clipped is not None:
-            stack = np.where((top > radius)[:, None, None], clipped, stack)
-        real = (ri >= 0)[:, :, None] & (ci >= 0)[:, None, :]
-        out[np.where(real, ri[:, :, None] * mat.shape[1] + ci[:, None, :], mat.size)] = stack
-    return out[:-1].reshape(mat.shape)
-
-
 def band_inverses(order: int, theta: float) -> np.ndarray:
     """Inverse Gram blocks of dz on hermitian order x order matrices, one per band.
 
@@ -189,13 +142,13 @@ def band_inverses(order: int, theta: float) -> np.ndarray:
 def plane_closures(order: int, theta: float):
     """`admm_maximize`'s (apply, adjoint, solve) for dz on hermitian order x order matrices.
 
-    apply is the O(n^2) stencil dz(x)[m, j] = s(j+1) x[m, j+1] - s(m) x[m-1, j] with
+    apply is `calculus.dz_stencil`, dz(x)[m, j] = s(j+1) x[m, j+1] - s(m) x[m-1, j] with
     s(i) = sqrt(i/theta), adjoint its Frobenius adjoint; solve(r) is the hermitian x
     whose Gram image is the hermitian part of r: one batched matmul by `band_inverses`.
     """
     n = order
     s = np.sqrt(np.arange(n + 1) / theta).astype(complex)  # complex: no casts per call
-    row, col, neg_col = s[1:n], s[1:, None], -s[1:, None]
+    row, neg_col = s[1:n], -s[1:, None]
     k, i = np.divmod(np.arange(n * n), n)
     valid = i < n - k
     # flat indices of x[i, i+k] and x[i+k, i], band by band; past a band's end the
@@ -205,12 +158,6 @@ def plane_closures(order: int, theta: float):
     up_in, lo_in = up % (n * n), lo % (n * n)
     # halved (the inverses scale as theta), since solve gathers r plus its adjoint
     half_inv = band_inverses(n, 0.5 * theta)
-
-    def apply(x):
-        out = np.zeros((n + 1, n + 1), dtype=complex)
-        np.multiply(x[:, 1:], row, out=out[:n, :n - 1])
-        out[1:, :n] -= col * x
-        return out
 
     def adjoint(y):
         out = neg_col * y[1:, :n]
@@ -225,7 +172,7 @@ def plane_closures(order: int, theta: float):
         x[up], x[lo] = xb, xb.conj()
         return x[:-1].reshape(n, n)
 
-    return apply, adjoint, solve
+    return (lambda x: dz_stencil(x, s)), adjoint, solve
 
 
 def admm_maximize(c, apply, adjoint, solve, radius, rho, max_iter):

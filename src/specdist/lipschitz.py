@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import MoyalElement
 from .calculus import dz, dzbar
-from .errors import ParameterError, PreconditionError
+from .errors import ParameterError
 
 #: entrywise bound satisfied by every derivative coefficient of a ball member
 ENTRY_BOUND = 1.0 / np.sqrt(2.0)
@@ -32,8 +32,7 @@ def _nonzero_pattern(m: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
 def _block_layout(shape: tuple, packed: bytes) -> tuple:
-    """`split_blocks`' read-only (rows, cols, real) per group for a pattern packed by
-    np.packbits; real marks the entries of the padded blocks that are not padding."""
+    """`split_blocks`' read-only flat index per group for a pattern packed by np.packbits."""
     n_rows, n_cols = shape
     nz = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n_rows * n_cols)
     r, c = np.divmod(np.flatnonzero(nz), n_cols)
@@ -52,24 +51,24 @@ def _block_layout(shape: tuple, packed: bytes) -> tuple:
         pos[order] = np.arange(order.size) - (np.cumsum(size) - size)[cs[order]]
         sides.append((cs, pos, size))
     (_, _, n_r), (_, _, n_c) = sides
-    # a node with no nonzero is a component with no column or no row: it gets no key
-    key = np.where((n_r > 0) & (n_c > 0), np.frexp(n_r - 1)[1] * 64 + np.frexp(n_c - 1)[1], -1)
-    out = []
-    for k in np.flatnonzero(np.bincount(key[key >= 0])):  # not np.unique, which imports numpy.ma
-        members = key == k
-        slot = np.cumsum(members) - 1  # a member component's place in the group
-        index = []
-        for cs, pos, size in sides:
-            ix = np.full((members.sum(), size[members].max()), -1)
+    # a node with no nonzero is a component with no column or no row: it is in no group
+    groups = {}  # (p, q) with p <= q: the indices of its p x q and its q x p components
+    for shape in sorted({s for s in zip(n_r.tolist(), n_c.tolist()) if min(s)}):
+        members = (n_r == shape[0]) & (n_c == shape[1])
+        slot = np.cumsum(members) - 1  # a member component's place among its shape
+        lines = []
+        for (cs, pos, _), side in zip(sides, shape):
+            ix = np.empty((members.sum(), side), dtype=np.intp)
             keep = np.flatnonzero(members[cs])
             ix[slot[cs[keep]], pos[keep]] = keep
-            index.append(ix)
-        ri, ci = index
-        layout = (ri, ci, (ri >= 0)[:, :, None] & (ci >= 0)[:, None, :])
-        for part in layout:
-            part.flags.writeable = False
-        out.append(layout)
-    return tuple(out)
+            lines.append(ix)
+        flat = lines[0][:, :, None] * n_cols + lines[1][:, None, :]
+        groups.setdefault(tuple(sorted(shape)), []).append(
+            flat if shape[0] <= shape[1] else flat.swapaxes(1, 2))  # a tall block transposed
+    out = tuple(np.concatenate(g) for _, g in sorted(groups.items()))
+    for index in out:
+        index.flags.writeable = False
+    return out
 
 
 def split_blocks(m: np.ndarray):
@@ -78,16 +77,16 @@ def split_blocks(m: np.ndarray):
 
     Returns None when the nonzero count proves there is one component: two components
     with r and r' rows and c and c' columns hold at most rc + r'c' <= 1 + (rows - 1)
-    (cols - 1) nonzeros.  Otherwise returns a list of (rows, cols, stack): the row and
-    column indices of k components, shape (k, p) and (k, q), padded with -1, and their
-    blocks, shape (k, p, q), padded with zeros.  Components are grouped by ceil(log2)
-    of their row and of their column count, so padding at most doubles a side.  Rows
-    and columns without a nonzero belong to no block.  A pattern is labelled once and
-    its read-only layout cached (LAYOUT_CACHE_SIZE patterns); each pass hooks every tree
-    root to the least root it shares an edge with, then jumps every node to its root.
-    No pass runs when no row or column holds two nonzeros (every component is one
-    entry), or when the count bound proves that the nonzero rows and columns form one
-    component.
+    (cols - 1) nonzeros.  Otherwise returns a list of (index, stack) per group of
+    components of one shape: index, shape (k, p, q) with p <= q, holds flat indices into
+    m's entries and stack = m.ravel()[index] the k blocks.  A component with more rows
+    than columns joins the group of its transpose through the transposed index, which
+    gathers B^T, with B's singular values.  Rows and columns without a nonzero belong to
+    no block.  A pattern is labelled once and its read-only indices cached
+    (LAYOUT_CACHE_SIZE patterns); each pass hooks every tree root to the least root it
+    shares an edge with, then jumps every node to its root.  No pass runs when no row or
+    column holds two nonzeros (every component is one entry), or when the count bound
+    proves that the nonzero rows and columns form one component.
     """
     n_rows, n_cols = m.shape
     nz = _nonzero_pattern(m)
@@ -96,25 +95,26 @@ def split_blocks(m: np.ndarray):
         return None
     rows, cols = np.flatnonzero(nz.any(axis=1)), np.flatnonzero(nz.any(axis=0))
     if count == rows.size == cols.size:  # no row or column holds two nonzeros
-        r, c = np.nonzero(nz)
-        return [(r[:, None], c[:, None], m[r, c][:, None, None])] if count else []
-    if count > 1 + (rows.size - 1) * (cols.size - 1):  # the same bound, on the nonzero lines
-        return [(rows[None], cols[None], m[np.ix_(rows, cols)][None])]
-    return [(ri, ci, np.where(real, m[ri[:, :, None], ci[:, None, :]], 0))
-            for ri, ci, real in _block_layout(m.shape, np.packbits(nz).tobytes())]
+        layout = [np.flatnonzero(nz)[:, None, None]] if count else []
+    elif count > 1 + (rows.size - 1) * (cols.size - 1):  # the same bound, on the nonzero lines
+        index = rows[:, None] * n_cols + cols
+        layout = [(index.T if rows.size > cols.size else index)[None]]
+    else:
+        layout = _block_layout(m.shape, np.packbits(nz).tobytes())
+    entries = m.ravel()
+    return [(index, entries[index]) for index in layout]
 
 
 def _block_singular_values(m: np.ndarray):
     """Yield the singular values of m block by block along `split_blocks`, one array per
     group: a 1x1 block's is its entry's modulus, larger blocks take one batched SVD per
     group, and a matrix the nonzero count proves to be one block, such as every dense
-    one, takes one SVD.  Padding adds only zeros; together the arrays hold every
-    singular value of m."""
+    one, takes one SVD.  Together the arrays hold every nonzero singular value of m."""
     blocks = split_blocks(m)
     if blocks is None:
         yield np.linalg.svd(m, compute_uv=False)
         return
-    for _, _, b in blocks:
+    for _, b in blocks:
         yield (np.abs(b[:, 0, 0]) if b.shape[1:] == (1, 1)
                else np.linalg.svd(b, compute_uv=False))
 
@@ -137,6 +137,51 @@ def nuclear_norm(m: np.ndarray) -> float:
     """Sum of the singular values of a 2-d array, the dual norm of `op_norm`, block by
     block along `split_blocks`."""
     return float(sum(s.sum() for s in _block_singular_values(m)))
+
+
+def _clip_stack(stack: np.ndarray, radius: float):
+    """Clip a matrix, or each matrix of a (k, p, q) stack, to largest singular value <= radius.
+
+    Returns (top, clipped): the largest singular value(s), and the clipped matrix or
+    stack, None when no singular value exceeds radius.  1x1 matrices are scaled
+    directly.  Falls back to eigendecompositions of the Gram matrices when the LAPACK
+    divide-and-conquer SVD fails to converge (a known sporadic failure).
+    """
+    if stack.shape[-2:] == (1, 1):
+        top = np.abs(stack[..., 0, 0])
+        scale = radius / np.maximum(top, radius)
+        return top, (None if top.max() <= radius else stack * scale[..., None, None])
+    try:
+        u, s, vt = np.linalg.svd(stack, full_matrices=False)
+        return s[..., 0], (None if s[..., 0].max() <= radius
+                           else (u * np.minimum(s, radius)[..., None, :]) @ vt)
+    except np.linalg.LinAlgError:
+        lam, v = np.linalg.eigh(stack.conj().swapaxes(-1, -2) @ stack)
+        sig = np.sqrt(np.maximum(lam, 0.0))
+        factor = np.where(sig > radius, radius / np.where(sig > 0, sig, 1.0), 1.0)
+        return sig[..., -1], (None if sig[..., -1].max() <= radius
+                              else stack @ (v * factor[..., None, :]) @ v.conj().swapaxes(-1, -2))
+
+
+def clip_spectral(mat: np.ndarray, radius: float) -> np.ndarray:
+    """Nearest matrix (in Frobenius norm) with largest singular value <= radius.
+
+    Returns mat itself, not a rounded reconstruction, when no singular value exceeds
+    radius.  The clip acts block by block on `split_blocks`: blocks within the radius
+    keep their entries, the others are clipped and scattered back through their index.
+    """
+    blocks = split_blocks(mat)
+    if blocks is None:
+        clipped = _clip_stack(mat, radius)[1]
+        return mat if clipped is None else clipped
+    clips = [_clip_stack(stack, radius) for _, stack in blocks]
+    if all(clipped is None for _, clipped in clips):
+        return mat
+    out = np.zeros(mat.size, dtype=complex)  # every nonzero lies in a block
+    for (index, stack), (top, clipped) in zip(blocks, clips):
+        out[index] = (stack if clipped is None
+                      else np.where((top > radius)[:, None, None], clipped, stack))
+    return out.reshape(mat.shape)
 
 
 def commutator_norm(a: MoyalElement) -> float:
@@ -182,15 +227,3 @@ def ball_report(a: MoyalElement, tol: float = 1e-9) -> BallReport:
         member=bool(cn <= 1.0 + tol),
         violations=tuple(violations),
     )
-
-
-def radial_in_ball(a: MoyalElement, tol: float = 1e-9) -> bool:
-    """Ball membership for radial elements via the entrywise criterion.
-
-    For radial input the derivative matrices are sub/super-diagonal, so the
-    entrywise bound 1/sqrt(2) is equivalent to membership.
-    """
-    if not a.is_radial:
-        raise PreconditionError("entrywise ball criterion requires a radial element")
-    worst = max(float(np.max(np.abs(dz(a).coeffs))), float(np.max(np.abs(dzbar(a).coeffs))))
-    return bool(np.sqrt(2.0) * worst <= 1.0 + tol)

@@ -404,7 +404,9 @@ def optimize_torus_distance(s1: TorusState, s2: TorusState,
     if box_radius is None:
         box_radius = 2 * support_radius + 1
     if box_radius < support_radius + 2:
-        raise ParameterError("box radius must exceed the support radius by at least 2")
+        raise ParameterError(f"box radius {box_radius} is too small for support radius "
+                             f"{support_radius}; the smallest accepted box radius is "
+                             f"{support_radius + 2}")
 
     sites = _hermitian_sites(support_radius)
     npar = 2 * len(sites)
@@ -413,8 +415,8 @@ def optimize_torus_distance(s1: TorusState, s2: TorusState,
     # an SVD of a (2R+1)^2 x (2R+1)^2 box matrix for its norm, and every one past the
     # opening ones, whose clips admm_maximize settles by a Schur bound, a second for
     # the clip.  Those split into the blocks of the box matrix's nonzero pattern, small
-    # when the iterates live on a sublattice (M = (1, 0) at box 5: 22 blocks of at most
-    # 6 x 6), but iterates spread over the whole lattice can leave one block, and the
+    # when the iterates live on a sublattice (M = (1, 0) at box 5: 22 blocks of 5 x 6 or
+    # 6 x 5), but iterates spread over the whole lattice can leave one block, and the
     # cap is for that case.
     if npar * 2 * side ** 4 > MAX_OPERATOR_ENTRIES:
         raise ParameterError(

@@ -347,6 +347,15 @@ def test_torus_box_requires_the_optimizer(capsys):
     assert err.startswith("error:") and "--box" in err
 
 
+def test_torus_box_refusal_names_the_smallest_accepted_box(capsys):
+    # the support radius is 3 max(|m1|, |m2|), and the box must exceed it by 2
+    for m, box, support in (("1,0", "4", 3), ("2,0", "7", 6)):
+        code, out, err = run_cli(capsys, "torus-distance", "--m", m, "--optimize", "--box", box)
+        assert code == 1 and out == ""
+        assert err == (f"error: box radius {box} is too small for support radius {support}; "
+                       f"the smallest accepted box radius is {support + 2}\n")
+
+
 def test_probe_output_deterministic(capsys):
     args = ("probe", "--pair", "zeta:1.3,basis:0", "--grid", "1e2:1e3", "--points", "6")
     _, out1, _ = run_cli(capsys, *args)

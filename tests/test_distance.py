@@ -8,10 +8,10 @@ from specdist.algebra import MoyalElement
 from specdist.calculus import dz
 from specdist.distance import (GAP_EVERY, GAP_TOL, RELAX, SPECTRAL_RADIUS, STALL_ITERS,
                                STALL_TOL, admm_maximize, analytic_upper_bound, band_inverses,
-                               basis_distance, clip_spectral, moyal_report, optimize_distance,
-                               plane_closures, schur_bound, triangle_residual)
+                               basis_distance, moyal_report, optimize_distance, plane_closures,
+                               schur_bound, triangle_residual)
 from specdist.errors import ParameterError, PreconditionError, UnboundedSupportError
-from specdist.lipschitz import commutator_norm, nuclear_norm, op_norm
+from specdist.lipschitz import clip_spectral, commutator_norm, nuclear_norm, op_norm
 from specdist.probes import radial_gap
 from specdist.states import basis_state, difference_matrix, finite_state, zeta_state
 
@@ -270,6 +270,15 @@ def test_plane_stencils_match_the_dense_operator(rng):
                 lhs = np.vdot(apply(x), y).real
                 rhs = np.vdot(x, adjoint(y)).real
                 assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+def test_plane_apply_is_calculus_dz_bit_for_bit(rng):
+    # the optimizer's dz is calculus' recurrence, not a stencil of its own
+    for n in (2, 5, 12):
+        for theta in THETAS:
+            apply, _, _ = plane_closures(n, theta)
+            x = _random_hermitian(rng, n)
+            assert apply(x).tobytes() == dz(MoyalElement(theta, x)).coeffs.tobytes()
 
 
 def test_band_inverses_match_the_dense_gram_inverse():

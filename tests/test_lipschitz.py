@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from specdist.algebra import MoyalElement, zero
+from specdist.algebra import zero
 from specdist.calculus import dz, radial_bump, staircase
-from specdist.errors import ParameterError, PreconditionError
+from specdist.errors import ParameterError
 from specdist.lipschitz import (LAYOUT_CACHE_SIZE, _block_layout, _nonzero_pattern,
                                 ball_report, commutator_norm, nuclear_norm, op_norm,
-                                radial_in_ball, split_blocks)
+                                split_blocks)
 from specdist.verify import (ball_entry_bound, radial_membership_agreement,
                              self_adjoint_norm_symmetry, submultiplicativity)
 
@@ -75,6 +75,11 @@ def test_partial_permutation_norm_matches_svd(rng):
                                                rel=1e-14)
 
 
+def _block_shapes(blocks):
+    """The shape of every block of `split_blocks`, a tall one as its transpose."""
+    return sorted(index.shape[1:] for index, _ in blocks for _ in index)
+
+
 def test_op_norm_of_permuted_block_matrices_matches_the_dense_svd(rng):
     # square, rectangular and 1x1 blocks with empty rows and columns: split_blocks finds
     # every block, unless the nonzero count proves there is one, and the norm is the
@@ -86,10 +91,25 @@ def test_op_norm_of_permuted_block_matrices_matches_the_dense_svd(rng):
         if blocks is None:
             assert len(shapes) == 1
         else:
-            found = [(int((ri[k] >= 0).sum()), int((ci[k] >= 0).sum()))
-                     for ri, ci, _ in blocks for k in range(len(ri))]
-            assert sorted(found) == sorted(shapes)
+            assert _block_shapes(blocks) == sorted((min(s), max(s)) for s in shapes)
         assert op_norm(m) == pytest.approx(np.linalg.svd(m, compute_uv=False)[0], rel=1e-13)
+
+
+def test_split_blocks_groups_partition_the_nonzeros(rng):
+    # tall and wide blocks with empty rows and columns, and the single-entry and
+    # one-block exits: the groups' indices are disjoint and cover exactly the nonzeros
+    # (every block is dense), each stack is its index's gather bit for bit, and no
+    # stack is tall
+    cases = [random_block_shapes(rng) for _ in range(200)]
+    cases = [s + [(q, p) for p, q in s[:2]] for s in cases] + [[(1, 1)] * 5, [(5, 2)], [(2, 5)]]
+    for shapes in cases:
+        m = permuted_blocks(rng, shapes, *rng.integers(1, 3, size=2))
+        covered = np.zeros(m.size, dtype=int)
+        for index, stack in split_blocks(m):
+            assert stack.shape == index.shape and index.shape[1] <= index.shape[2]
+            assert stack.tobytes() == m.ravel()[index].tobytes()
+            np.add.at(covered, index.ravel(), 1)
+        assert np.array_equal(covered.reshape(m.shape), (m != 0).astype(int))
 
 
 def test_nuclear_norm_of_permuted_block_matrices_matches_the_dense_svd(rng):
@@ -109,7 +129,7 @@ def test_split_blocks_nonzero_count_bound_is_tight():
     for rows, cols in ((2, 2), (5, 3), (4, 7)):
         m = np.zeros((rows, cols))
         m[0, 0], m[1:, 1:] = 2.0, 1.0
-        assert sum(len(ri) for ri, _, _ in split_blocks(m)) == 2
+        assert sum(len(index) for index, _ in split_blocks(m)) == 2
         assert op_norm(m) == pytest.approx(max(2.0, math.sqrt((rows - 1) * (cols - 1))),
                                            rel=1e-14)
         m[0, 1] = 1.0
@@ -125,8 +145,9 @@ def _assert_same_groups(got, want):
 
 
 def test_split_blocks_labels_each_pattern_once(rng):
-    # four blocks of two shape classes, with empty rows and columns: neither the
-    # single-entry nor the one-block exit applies, so the layout comes from the cache
+    # four blocks in three groups, a 3 x 2 block with its 2 x 3 transpose, with empty
+    # rows and columns: neither the single-entry nor the one-block exit applies, so the
+    # layout comes from the cache
     shapes = [(2, 3), (3, 2), (2, 2), (4, 4)]
     m = permuted_blocks(rng, shapes, 2, 1)
     _block_layout.cache_clear()
@@ -139,21 +160,19 @@ def test_split_blocks_labels_each_pattern_once(rng):
     # the same pattern with other values: the cached layout, the blocks of the new matrix
     scaled = split_blocks(2.0 * m)
     assert _block_layout.cache_info()[:2] == (1, 1)
-    for (_, _, s), (_, _, f) in zip(scaled, first):
+    for (_, s), (_, f) in zip(scaled, first):
         assert np.array_equal(s, 2.0 * f)
     # the same shape with another pattern gets its own labelling
     other = permuted_blocks(rng, shapes, 2, 1)
     assert not np.array_equal(other != 0, m != 0)
     blocks = split_blocks(other)
     assert _block_layout.cache_info()[:2] == (1, 2)
-    found = [(int((ri[k] >= 0).sum()), int((ci[k] >= 0).sum()))
-             for ri, ci, _ in blocks for k in range(len(ri))]
-    assert sorted(found) == sorted(shapes)
-    for ri, ci, stack in blocks:  # read-only indices; the blocks are the caller's
-        for ix in (ri, ci):
-            assert not ix.flags.writeable
-            with pytest.raises(ValueError):
-                ix[0, 0] = 0
+    assert len(blocks) == 3
+    assert _block_shapes(blocks) == [(2, 2), (2, 3), (2, 3), (4, 4)]
+    for index, stack in blocks:  # read-only indices; the blocks are the caller's
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0, 0, 0] = 0
         assert stack.flags.writeable
 
 
@@ -232,14 +251,9 @@ def test_ball_report_json():
 
 
 def test_radial_membership():
-    assert radial_in_ball(staircase(4, 0.5))
-    assert radial_in_ball(radial_bump(2, 2.0))
-    assert not radial_in_ball(3.0 * radial_bump(0, 2.0))
-
-
-def test_radial_membership_requires_radial():
-    with pytest.raises(PreconditionError):
-        radial_in_ball(MoyalElement(1.0, [[0, 1], [0, 0]]))
+    assert ball_report(staircase(4, 0.5)).member
+    assert ball_report(radial_bump(2, 2.0)).member
+    assert not ball_report(3.0 * radial_bump(0, 2.0)).member
 
 
 def test_radial_membership_agrees_with_ball_report(rng):

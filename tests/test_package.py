@@ -17,7 +17,7 @@ PUBLIC = """
     DistanceReport OptimizeResult analytic_upper_bound basis_distance moyal_report
     optimize_distance triangle_residual
     ParameterError PreconditionError UnboundedSupportError
-    BallReport ball_report commutator_norm op_norm radial_in_ball
+    BallReport ball_report commutator_norm op_norm
     ProbeSeries ProbeSpec asymptotic_fit crossover_index divergence_flag estimate_checks
     inv_sqrt_suffix_sum probe_series radial_gap staircase_gap zeta_weight_gap
     MoyalPureState basis_state diagonal_difference difference_matrix finite_state zeta_state

@@ -349,8 +349,9 @@ def test_optimizer_skips_idle_clip_svds(monkeypatch):
 def test_box_svds_split_along_the_dual_action(monkeypatch):
     # on M = (1, 0) the iterates live on the sites (k, 0) with k odd (the dual action at
     # t = (pi, 0) negates the objective), so a box matrix splits by the line n2 and the
-    # parity of n1: 22 blocks of at most 6 x 6 in the box of radius 5, 30 of at most
-    # 8 x 8 in the validation box, where a dense SVD took 121 x 121 and 225 x 225
+    # parity of n1: 22 blocks of 5 x 6 or 6 x 5 in the box of radius 5, 30 of 7 x 8 or
+    # 8 x 7 in the validation box, each group taken as 5 x 6 and 7 x 8 by transposing
+    # the tall blocks, where a dense SVD took 121 x 121 and 225 x 225
     shapes, svd = [], np.linalg.svd
 
     def recorded(a, *args, **kwargs):
@@ -360,7 +361,7 @@ def test_box_svds_split_along_the_dual_action(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recorded)
     res = optimize_torus_distance(vector_state(0.25, (1, 0)), tracial_state(0.25), box_radius=5)
     assert res.iterations == 110
-    assert set(shapes) == {(22, 6, 6), (30, 8, 8)}
+    assert set(shapes) == {(22, 5, 6), (30, 7, 8)}
 
 
 def test_split_box_optimizer_keeps_the_iteration_counts():
