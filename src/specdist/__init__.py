@@ -14,12 +14,12 @@ from importlib import import_module as _import_module
 _API = {
     "algebra": ("MoyalElement", "basis", "frechet_seminorm", "inner", "integral", "involution",
                 "radial", "sobolev_norm", "star", "zero"),
-    "calculus": ("DerivativeCoefficients", "dz", "dzbar", "radial_bump", "reconstruct",
-                 "staircase"),
+    "calculus": ("dz", "dzbar", "radial_bump", "reconstruct", "staircase"),
     "distance": ("DistanceReport", "OptimizeResult", "analytic_upper_bound", "basis_distance",
                  "moyal_report", "optimize_distance", "triangle_residual"),
     "errors": ("ParameterError", "PreconditionError", "UnboundedSupportError"),
-    "lipschitz": ("BallReport", "ball_report", "commutator_norm", "op_norm"),
+    "lipschitz": ("BallReport", "ball_report", "commutator_norm", "op_norm",
+                  "radial_ball_report"),
     "probes": ("ProbeSeries", "ProbeSpec", "asymptotic_fit", "crossover_index",
                "divergence_flag", "estimate_checks", "inv_sqrt_suffix_sum", "probe_series",
                "radial_gap", "staircase_gap", "zeta_weight_gap"),

@@ -48,12 +48,6 @@ class MoyalElement:
     def order(self) -> int:
         return self.coeffs.shape[0]
 
-    @property
-    def is_radial(self) -> bool:
-        """True iff all off-diagonal coefficients vanish exactly."""
-        off = self.coeffs - np.diag(np.diag(self.coeffs))
-        return not np.any(off)
-
     def pad(self, order: int) -> "MoyalElement":
         """Zero-pad to at least the given order (no-op if already large enough)."""
         if order <= self.order:

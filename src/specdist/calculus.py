@@ -8,49 +8,10 @@ elements, with no lossy truncation row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .algebra import MAX_OPERATOR_ENTRIES, MoyalElement, check_theta, radial
 from .errors import ParameterError
-
-DZ = "dz"
-DZBAR = "dzbar"
-
-
-@dataclass(frozen=True, eq=False)
-class DerivativeCoefficients:
-    """Coefficient array of a derivative, tagged with which derivation produced it.
-
-    Kept distinct from MoyalElement so the sqrt(2) normalization of the
-    derivations cannot be applied twice by accident.
-    """
-
-    theta: float
-    coeffs: np.ndarray = field(repr=False)
-    kind: str = DZ
-
-    def __post_init__(self):
-        if self.kind not in (DZ, DZBAR):
-            raise ParameterError(f"unknown derivative kind {self.kind!r}")
-        c = np.array(self.coeffs, dtype=complex, order="C")
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.shape[0]
-
-    def as_element(self) -> MoyalElement:
-        """Reinterpret the coefficient array as an algebra element."""
-        return MoyalElement(self.theta, self.coeffs)
-
-    def to_dict(self) -> dict:
-        d = self.as_element().to_dict()
-        # wire-format tags for the two derivations
-        d["kind"] = {DZ: "del", DZBAR: "delbar"}[self.kind]
-        return d
 
 
 def dz_stencil(x: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -64,25 +25,20 @@ def dz_stencil(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def dz(a: MoyalElement) -> DerivativeCoefficients:
-    """Coefficients of the (d1 - i*d2)/sqrt(2) derivation of a.
-
-    Output order is a.order + 1; exact for finitely supported input.
-    """
+def dz(a: MoyalElement) -> MoyalElement:
+    """The (d1 - i*d2)/sqrt(2) derivation of a, of order a.order + 1: exact on finite support."""
     s = np.sqrt(np.arange(a.order + 1) / a.theta)
-    return DerivativeCoefficients(a.theta, dz_stencil(a.coeffs, s), DZ)
+    return MoyalElement(a.theta, dz_stencil(a.coeffs, s))
 
 
-def dzbar(a: MoyalElement) -> DerivativeCoefficients:
-    """Coefficients of the (d1 + i*d2)/sqrt(2) derivation of a: the transpose of dz's
-    recurrence on the transpose."""
+def dzbar(a: MoyalElement) -> MoyalElement:
+    """The (d1 + i*d2)/sqrt(2) derivation of a: dz's recurrence on the transpose, transposed."""
     s = np.sqrt(np.arange(a.order + 1) / a.theta)
-    return DerivativeCoefficients(a.theta, dz_stencil(a.coeffs.T, s).T, DZBAR)
+    return MoyalElement(a.theta, dz_stencil(a.coeffs.T, s).T)
 
 
-def reconstruct(a00: complex, alpha: DerivativeCoefficients,
-                beta: DerivativeCoefficients) -> MoyalElement:
-    """Invert the two derivations: rebuild the element from a00 and both coefficient arrays.
+def reconstruct(a00: complex, alpha: MoyalElement, beta: MoyalElement) -> MoyalElement:
+    """Invert the two derivations: rebuild a from a00, alpha = dz a and beta = dzbar a.
 
     a[p, q] = [p == q] a00 + sqrt(theta) * sum_{k=0}^{min(p,q)} f[p-k, q-k], with
     f[i, j] = (alpha[i, j-1] + beta[i-1, j]) / (sqrt(i) + sqrt(j)); entries with a
@@ -116,27 +72,37 @@ def _check_index(n: int, name: str) -> None:
         raise ParameterError(f"an element of order {n + 1} is past the cap MAX_OPERATOR_ENTRIES")
 
 
-def staircase(m0: int, theta: float) -> MoyalElement:
-    """Radial element whose diagonal decreases by one unit Lipschitz step per index.
+def staircase_diagonal(m0: int, theta: float) -> np.ndarray:
+    """Diagonal of the staircase, which decreases by one unit Lipschitz step per index.
 
-    Entry p (for p <= m0) is sqrt(theta/2) * sum_{k=p}^{m0} 1/sqrt(k+1).  All
-    derivative coefficients have modulus 1/sqrt(2), so its Dirac commutator
+    Entry p (for p <= m0) is sqrt(theta/2) * sum_{k=p}^{m0} 1/sqrt(k+1).  All derivative
+    coefficients of its radial element have modulus 1/sqrt(2), so its Dirac commutator
     norm is exactly 1; it realizes the distance between diagonal basis states.
     """
     check_theta(theta)
     _check_index(m0, "m0")
     inv = 1.0 / np.sqrt(np.arange(m0 + 1, dtype=float) + 1.0)
-    return radial(theta, np.sqrt(theta / 2.0) * np.cumsum(inv[::-1])[::-1])
+    return np.sqrt(theta / 2.0) * np.cumsum(inv[::-1])[::-1]
 
 
-def radial_bump(n: int, theta: float) -> MoyalElement:
-    """Single-entry radial element sqrt(theta/2)/sqrt(n+1) at diagonal index n.
+def staircase(m0: int, theta: float) -> MoyalElement:
+    """The radial element with diagonal `staircase_diagonal(m0, theta)`."""
+    return radial(theta, staircase_diagonal(m0, theta))
 
-    Lies on the boundary of the Lipschitz ball and realizes the one-step
-    distance between adjacent basis states.
+
+def bump_diagonal(n: int, theta: float) -> np.ndarray:
+    """Diagonal with the single entry sqrt(theta/2)/sqrt(n+1) at index n.
+
+    Its radial element lies on the boundary of the Lipschitz ball and realizes the
+    one-step distance between adjacent basis states.
     """
     check_theta(theta)
     _check_index(n, "index")
-    c = np.zeros((n + 1, n + 1), dtype=complex)
-    c[n, n] = np.sqrt(theta / 2.0) / np.sqrt(n + 1.0)
-    return MoyalElement(theta, c)
+    d = np.zeros(n + 1, dtype=complex)
+    d[n] = np.sqrt(theta / 2.0) / np.sqrt(n + 1.0)
+    return d
+
+
+def radial_bump(n: int, theta: float) -> MoyalElement:
+    """The radial element with diagonal `bump_diagonal(n, theta)`."""
+    return radial(theta, bump_diagonal(n, theta))

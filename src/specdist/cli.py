@@ -233,24 +233,26 @@ def cmd_verify(args) -> int:
 
 def cmd_ball_check(args) -> int:
     from .algebra import MoyalElement
-    from .calculus import radial_bump, staircase
-    from .lipschitz import ball_report
+    from .calculus import bump_diagonal, staircase_diagonal
+    from .lipschitz import ball_report, radial_ball_report
 
     if args.element_file:
         element = _load_json_file(args.element_file, "--element-file", MoyalElement.from_dict)
     elif args.staircase is None and args.bump is None:
         raise ParameterError("provide --element-file, --staircase, or --bump")
-    else:
-        option, build, index = (("--staircase", staircase, args.staircase)
+    else:  # a radial element, checked from its diagonal
+        option, build, index = (("--staircase", staircase_diagonal, args.staircase)
                                 if args.staircase is not None
-                                else ("--bump", radial_bump, args.bump))
+                                else ("--bump", bump_diagonal, args.bump))
         try:
             element = build(index, args.theta)
         except ParameterError as exc:  # named, as --element-file names its file
             raise ParameterError(f"{option} {index}: {exc}") from None
-    if args.scale != 1.0:
-        element = args.scale * element
-    _emit(ball_report(element, args.tol).to_dict(), args)
+    if args.scale != 1.0:  # coefficients times complex(scale), for an element or a diagonal
+        element = element * complex(args.scale)
+    report = (ball_report(element, args.tol) if args.element_file
+              else radial_ball_report(args.theta, element, args.tol))
+    _emit(report.to_dict(), args)
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import MoyalElement
+from .algebra import MoyalElement, check_theta
 from .calculus import dz, dzbar
 from .errors import ParameterError
 
@@ -206,24 +206,48 @@ class BallReport:
         }
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 <= tol < np.inf:
+        raise ParameterError(f"tolerance must be finite and nonnegative, got {tol}")
+
+
+def _report(top: float, tol: float, violations: list) -> BallReport:
+    """The report of commutator norm sqrt(2) * top."""
+    cn = float(np.sqrt(2.0) * top)
+    return BallReport(commutator_norm=cn, slack=1.0 - cn, member=bool(cn <= 1.0 + tol),
+                      violations=tuple(violations))
+
+
 def ball_report(a: MoyalElement, tol: float = 1e-9) -> BallReport:
     """Check membership of the unit Lipschitz ball and list entrywise violations.
 
     Every derivative coefficient of a member has modulus at most 1/sqrt(2), so
     each listed violation certifies non-membership on its own.
     """
-    if not 0 <= tol < np.inf:
-        raise ParameterError(f"tolerance must be finite and nonnegative, got {tol}")
+    _check_tol(tol)
     al = dz(a).coeffs
     be = dzbar(a).coeffs
-    cn = float(np.sqrt(2.0) * max(op_norm(al), op_norm(be)))
     violations = []
     for mat in (al, be):
         rows, cols = np.nonzero(np.abs(mat) > ENTRY_BOUND + tol)
         violations.extend((int(r), int(c), float(abs(mat[r, c]))) for r, c in zip(rows, cols))
-    return BallReport(
-        commutator_norm=cn,
-        slack=1.0 - cn,
-        member=bool(cn <= 1.0 + tol),
-        violations=tuple(violations),
-    )
+    return _report(max(op_norm(al), op_norm(be)), tol, violations)
+
+
+def radial_ball_report(theta: float, diag, tol: float = 1e-9) -> BallReport:
+    """`ball_report(radial(theta, diag), tol)`, bit for bit, in O(n): dz of a radial element
+    is the band dz[m, m-1] = s[m] d[m] - s[m] d[m-1] (m = 1..n, s[m] = sqrt(m/theta), d[n] = 0),
+    computed in `dz_stencil`'s order, dzbar is its transpose, and a band's norm is its
+    largest modulus, `op_norm`'s 1x1 rule."""
+    d = np.asarray(diag, dtype=complex)
+    check_theta(theta)
+    _check_tol(tol)
+    n = d.size
+    s = np.sqrt(np.arange(n + 1) / theta)
+    band = np.zeros(n, dtype=complex)  # band[m - 1] = dz[m, m - 1]
+    np.multiply(d[1:], s[1:n], out=band[:n - 1])
+    band -= s[1:] * d
+    mod = np.abs(band)
+    over = [(int(m), int(m) - 1, float(abs(band[m - 1])))  # dz's violations; dzbar's follow
+            for m in np.flatnonzero(mod > ENTRY_BOUND + tol) + 1]
+    return _report(float(mod.max(initial=0.0)), tol, over + [(c, r, v) for r, c, v in over])

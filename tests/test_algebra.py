@@ -120,11 +120,6 @@ def test_seminorm_values():
     assert frechet_seminorm(zero(1.0, 3), 4) == 0.0
 
 
-def test_radial_detection():
-    assert radial(1.0, [1.0, 2.0]).is_radial
-    assert not basis(1.0, 0, 1).is_radial
-
-
 def test_json_roundtrip(rng):
     a = rand_element(rng, 0.5, 6)
     d = a.to_dict()

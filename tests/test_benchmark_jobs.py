@@ -1,9 +1,10 @@
 """The benchmark's correctness rules on its optimizer and probe jobs, run in-process.
 
 For every canonical variant of the `plane-optimize` and `torus` slots, whose optimizer
-values move in their last digits when the rounding of a norm or clip changes, and of the
+values move in their last digits when the rounding of a norm or clip changes, of the
 slots that report divergence verdicts (`plane-bounds` p2, p3, z5 and z6, `selfcheck`
-probes), the CLI's output must pass `perfbench.check.problems` against the committed
+probes) and of the `plane-bounds` ball checks (s1023 takes the radial path, e63-e256 the
+dense one), the CLI's output must pass `perfbench.check.problems` against the committed
 reference: the rule a benchmark run applies to every job it times.
 """
 
@@ -43,13 +44,24 @@ def test_every_optimizer_variant_passes_the_benchmark_check(workload, tmp_path, 
     _check(workload, variants, tmp_path, monkeypatch, capsys)
 
 
+def _variants(workload, names):
+    return [v for slot in workloads.slots(workload) for v in slot
+            if v.key.rsplit(".", 1)[0] in names]
+
+
 @pytest.mark.parametrize("workload, names", [("plane-bounds", {"p2", "p3", "z5", "z6"}),
                                              ("selfcheck", {"probes"})],
                          ids=["plane-bounds", "selfcheck"])
 def test_every_variant_of_the_verdict_slots_passes_the_benchmark_check(workload, names,
                                                                        tmp_path, monkeypatch,
                                                                        capsys):
-    variants = [v for slot in workloads.slots(workload) for v in slot
-                if v.key.rsplit(".", 1)[0] in names]
+    variants = _variants(workload, names)
     assert len(variants) == {"plane-bounds": 11, "selfcheck": 1}[workload]
     _check(workload, variants, tmp_path, monkeypatch, capsys)
+
+
+def test_every_ball_check_variant_passes_the_benchmark_check(tmp_path, monkeypatch, capsys):
+    variants = _variants("plane-bounds", {"s1023", "e63", "e64", "e128", "e256"})
+    assert [v.key for v in variants] == ["s1023.0", "s1023.1", "s1023.2", "e63.0", "e64.0",
+                                         "e128.0", "e256.0"]
+    _check("plane-bounds", variants, tmp_path, monkeypatch, capsys)

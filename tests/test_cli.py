@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -416,6 +417,33 @@ def test_ball_check_staircase(capsys):
     report = json.loads(out)
     assert report["member"] is False
     assert report["violations"]
+
+
+def test_ball_check_radial_errors(capsys):
+    for argv, message in (
+            (("--staircase", "3", "--theta", "0"),
+             "--staircase 3: theta must be positive and finite, got 0.0"),
+            (("--bump", "3", "--theta", "nan"),
+             "--bump 3: theta must be positive and finite, got nan"),
+            (("--staircase", "-1"), "--staircase -1: m0 must be a natural number, got -1"),
+            (("--staircase", "5477"),
+             "--staircase 5477: an element of order 5478 is past the cap MAX_OPERATOR_ENTRIES"),
+            (("--bump", "5477"),
+             "--bump 5477: an element of order 5478 is past the cap MAX_OPERATOR_ENTRIES")):
+        assert run_cli(capsys, "ball-check", *argv) == (1, "", f"error: {message}\n")
+
+
+def test_ball_check_at_the_cap_stays_small(capsys):
+    # the staircase is checked from its diagonal: the dense element alone would be 480 MB
+    run_cli(capsys, "ball-check", "--staircase", "5476")  # warm-up: imports and caches
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "ball-check", "--staircase", "5476")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out)["member"] is True
+    assert peak < 2e6
 
 
 def test_ball_check_element_file(tmp_path, capsys):

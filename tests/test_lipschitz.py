@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from specdist.algebra import zero
+from specdist.algebra import radial, zero
 from specdist.calculus import dz, radial_bump, staircase
 from specdist.errors import ParameterError
 from specdist.lipschitz import (LAYOUT_CACHE_SIZE, _block_layout, _nonzero_pattern,
                                 ball_report, commutator_norm, nuclear_norm, op_norm,
-                                split_blocks)
+                                radial_ball_report, split_blocks)
 from specdist.verify import (ball_entry_bound, radial_membership_agreement,
                              self_adjoint_norm_symmetry, submultiplicativity)
 
@@ -260,8 +260,40 @@ def test_radial_membership_agrees_with_ball_report(rng):
     for i in range(40):
         theta = THETAS[i % 3]
         diag = rng.uniform(-1, 1, int(rng.integers(2, 10)))
-        radial_member, ball_member = radial_membership_agreement(theta, diag, rng)
-        assert radial_member == ball_member
+        (member, radial_rep), (svd_member, dense_rep) = radial_membership_agreement(theta, diag,
+                                                                                    rng)
+        assert member == svd_member
+        assert radial_rep == dense_rep
+
+
+def test_radial_ball_report_is_ball_report_of_the_radial_element(rng):
+    # random complex diagonals whose derivative entries have modulus between 0.35 and
+    # 0.71 before the scale, so members and violations both occur
+    violations = 0
+    for order in range(1, 41):
+        for theta in THETAS:
+            steps = (rng.uniform(0.5, 1.0, order) * np.exp(2j * np.pi * rng.uniform(size=order))
+                     * np.sqrt(theta / 2.0 / np.arange(1, order + 1)))
+            base = np.cumsum(steps[::-1])[::-1]
+            for scale in (0.0, -1.5, 0.5, 1.0, 2.0, 3.0):
+                for tol in (0.0, 1e-9):
+                    got = radial_ball_report(theta, scale * base, tol)
+                    want = ball_report(radial(theta, scale * base), tol)
+                    assert got == want
+                    assert got.to_dict() == want.to_dict()
+                    violations += len(got.violations)
+    assert violations > 0
+
+
+def test_radial_ball_report_refuses_what_ball_report_of_radial_refuses():
+    assert radial_ball_report(1.0, []) == ball_report(radial(1.0, []))
+    for theta, tol in ((0.0, 1e-9), (math.nan, 1e-9), (-1.0, math.nan), (1.0, math.nan),
+                       (1.0, math.inf), (1.0, -1e-9)):
+        with pytest.raises(ParameterError) as dense:
+            ball_report(radial(theta, [1.0, 0.5]), tol)
+        with pytest.raises(ParameterError) as diagonal:
+            radial_ball_report(theta, [1.0, 0.5], tol)
+        assert str(diagonal.value) == str(dense.value)
 
 
 def test_ball_entry_bound_after_rescaling(rng):
