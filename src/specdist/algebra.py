@@ -19,9 +19,11 @@ MAX_OPERATOR_ENTRIES = 3e7  # ceiling on the entries of a dense element, optimiz
 
 
 def check_theta(theta: float) -> None:
-    """Refuse a deformation parameter that is not positive and finite."""
+    """Refuse a deformation parameter that is not positive and finite, or whose 2 theta is not."""
     if not (math.isfinite(theta) and theta > 0):
         raise ParameterError(f"theta must be positive and finite, got {theta}")
+    if not math.isfinite(2.0 * theta):
+        raise ParameterError(f"theta {theta} is too large: 2 theta overflows")
 
 
 @dataclass(frozen=True, eq=False)

@@ -106,7 +106,8 @@ def _emit(payload: dict, args) -> None:
     if getattr(args, "timing", False):
         payload = dict(payload)
         payload["elapsed_s"] = time.perf_counter() - args._t0
-    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args)
+    # a NaN or infinity is not JSON: json raises ValueError, which ends as exit 1
+    _write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n", args)
 
 
 def _emit_csv(rows, args) -> None:
@@ -249,6 +250,9 @@ def cmd_ball_check(args) -> int:
         except ParameterError as exc:  # named, as --element-file names its file
             raise ParameterError(f"{option} {index}: {exc}") from None
     if args.scale != 1.0:  # coefficients times complex(scale), for an element or a diagonal
+        coeffs = element.coeffs if args.element_file else element
+        if not math.isfinite(float(abs(coeffs).max()) * abs(args.scale)):
+            raise ParameterError(f"--scale {args.scale} overflows the element's coefficients")
         element = element * complex(args.scale)
     report = (ball_report(element, args.tol) if args.element_file
               else radial_ball_report(args.theta, element, args.tol))

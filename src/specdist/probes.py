@@ -162,12 +162,13 @@ def probe_series(spec1: ProbeSpec, spec2: ProbeSpec, m0_grid, theta: float = 1.0
 
     F(m0) = sum_{m<=m0} u(m, m0) w_m = S X - T at m0, where S_k = sum_{j<=k} 1/sqrt(j+1),
     X_k = sum_{j<=k} w_j, T_k = sum_{j<=k} S_{j-1} w_j and w is the spec's weight vector:
-    an indicator for "basis" and (m+1)^-s for "zeta", F then divided by zeta(s) ("exact")
-    or by the partial sum of its first cutoff_factor m0 + 1 terms ("truncated").  One
-    sweep over the sorted distinct grid carries S, X and T from each grid point to the
-    next by np.cumsum with the running value prepended.  np.cumsum adds in sequence, so
-    they equal full-array prefix sums bit for bit; memory is bounded by the largest gap
-    between grid points, time is O(top).
+    the indicator of `index` for "basis" and (m+1)^-s for "zeta", whose F is divided by
+    zeta(s) ("exact") or by the partial sum of its first cutoff_factor m0 + 1 terms
+    ("truncated").  One sweep over the sorted distinct grid carries S, X and T from each
+    grid point to the next by np.cumsum with the running value prepended.  np.cumsum adds
+    in sequence, so they equal full-array prefix sums bit for bit (and as adding 0.0 and
+    multiplying by 1.0 are exact, a basis F is S_m0 - S_{index-1}, 0 below the index);
+    memory is bounded by the largest gap between grid points, time is O(top).
     Values come back in the caller's grid order, duplicates included.
     """
     check_theta(theta)
@@ -185,33 +186,21 @@ def probe_series(spec1: ProbeSpec, spec2: ProbeSpec, m0_grid, theta: float = 1.0
     if top > MAX_SUPPORT - 1:  # the sweep's time is O(top)
         raise ParameterError(f"grid top {top} exceeds the cap MAX_SUPPORT - 1 = "
                              f"{MAX_SUPPORT - 1}; choose a smaller grid")
-    xt = [(0.0, 0.0)] * 2
-    # a basis spec reads S just below its index, so the sweep stops there too
-    s_at = {-1: 0.0}
-    stops = sorted(set(grid) | {sp.index - 1 for sp in specs
-                                if sp.kind == "basis" and 0 < sp.index <= top})
-    grid_set, f_at, prev = set(grid), {}, -1
-    for g in stops:
+    x, t = [0.0, 0.0], [0.0, 0.0]  # X and T of each spec
+    f_at, s_g, prev = {}, 0.0, -1
+    for g in sorted(set(grid)):
         j = np.arange(prev + 1, g + 1, dtype=float)
-        s_seg = np.cumsum(np.concatenate(([s_at[prev]], 1.0 / np.sqrt(j + 1.0))))
-        s_at[g] = s_g = s_seg[-1]
-        for i, sp in enumerate(specs):
-            if sp.kind != "zeta":
-                continue
-            w = (j + 1.0) ** (-sp.s)
-            x, t = xt[i]
-            xt[i] = (np.cumsum(np.concatenate(([x], w)))[-1],
-                     np.cumsum(np.concatenate(([t], s_seg[:-1] * w)))[-1])
-        prev = g
-        if g not in grid_set:
-            continue
+        s_seg = np.cumsum(np.concatenate(([s_g], 1.0 / np.sqrt(j + 1.0))))
+        s_g, prev = s_seg[-1], g
         f_at[g] = []
-        for sp, (x, t) in zip(specs, xt):
-            if sp.kind == "basis":
-                f = s_g - s_at[sp.index - 1] if sp.index <= g else 0.0
-            else:
-                f = (s_g * x - t) / (zeta(sp.s) if normalization == EXACT
-                                     else zeta_partial(sp.s, cutoff_factor * g + 1))
+        for i, sp in enumerate(specs):
+            w = (j == sp.index).astype(float) if sp.kind == "basis" else (j + 1.0) ** (-sp.s)
+            x[i] = np.cumsum(np.concatenate(([x[i]], w)))[-1]
+            t[i] = np.cumsum(np.concatenate(([t[i]], s_seg[:-1] * w)))[-1]
+            f = s_g * x[i] - t[i]
+            if sp.kind == "zeta":
+                f /= (zeta(sp.s) if normalization == EXACT
+                      else zeta_partial(sp.s, cutoff_factor * g + 1))
             f_at[g].append(float(f))
     pref = math.sqrt(theta / 2.0)
     return np.array([pref * abs(f_at[g][0] - f_at[g][1]) for g in grid])

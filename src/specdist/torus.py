@@ -408,8 +408,7 @@ def optimize_torus_distance(s1: TorusState, s2: TorusState,
                              f"{support_radius}; the smallest accepted box radius is "
                              f"{support_radius + 2}")
 
-    sites = _hermitian_sites(support_radius)
-    npar = 2 * len(sites)
+    npar = (2 * support_radius + 1) ** 2 - 1  # 2 len(_hermitian_sites), before it is built
     side = 2 * box_radius + 1
     # caps the problem size: nothing of this size is stored, but every iteration takes
     # an SVD of a (2R+1)^2 x (2R+1)^2 box matrix for its norm, and every one past the
@@ -423,6 +422,7 @@ def optimize_torus_distance(s1: TorusState, s2: TorusState,
             f"optimizer size guard: support radius {support_radius} with box radius "
             f"{box_radius} gives {npar} parameters on {side * side}x{side * side} box "
             "matrices, past the cap on the SVD work; choose smaller radii")
+    sites = _hermitian_sites(support_radius)
 
     def gap(x: np.ndarray) -> float:
         el = _element_from_params(x, sites, theta)

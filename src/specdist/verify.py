@@ -18,7 +18,7 @@ import numpy as np
 
 from . import probes, torus
 from .algebra import MoyalElement, inner, integral, involution, radial, sobolev_norm, star
-from .calculus import dz, dzbar, reconstruct, staircase
+from .calculus import dz, dzbar, reconstruct, staircase, staircase_diagonal
 from .distance import analytic_upper_bound, basis_distance, optimize_distance
 from .errors import ParameterError
 from .lipschitz import ENTRY_BOUND, ball_report, commutator_norm, op_norm, radial_ball_report
@@ -174,10 +174,10 @@ def basis_pair_saturation(m, n, theta):
     return (probes.radial_gap(s1, s2), analytic_upper_bound(s1, s2)), basis_distance(m, n, theta)
 
 
-def staircase_cross_path(m0, s1, s2, element=None):
-    """Staircase gap from expectation values on `element` (default: staircase(m0, theta))
-    = probes.staircase_gap."""
-    el = staircase(m0, s1.theta) if element is None else element
+def staircase_cross_path(m0, s1, s2):
+    """Staircase gap from dense expectation values = probes.staircase_gap.  The element is
+    staircase(m0, theta) cut to the larger support, the block that expect reads."""
+    el = radial(s1.theta, staircase_diagonal(m0, s1.theta)[:max(s1.support, s2.support)])
     return abs(s1.expect(el) - s2.expect(el)), probes.staircase_gap(m0, s1, s2)
 
 

@@ -30,9 +30,7 @@ def zeta(s: float) -> float:
     """Riemann zeta for s > 1."""
     if s <= 1:
         raise ParameterError(f"zeta(s) diverges for s <= 1, got {s}")
-    m = np.arange(1, _DIRECT_TERMS + 1, dtype=float)
-    # summed smallest-first for accuracy
-    return float(np.sum((m ** (-s))[::-1])) + zeta_tail(s, _DIRECT_TERMS)
+    return zeta_partial(s, _DIRECT_TERMS) + zeta_tail(s, _DIRECT_TERMS)
 
 
 def zeta_partial(s: float, k: int) -> float:
@@ -44,5 +42,5 @@ def zeta_partial(s: float, k: int) -> float:
         return 0.0
     if k <= _DIRECT_TERMS:
         m = np.arange(1, k + 1, dtype=float)
-        return float(np.sum((m ** (-s))[::-1]))
+        return float(np.sum((m ** (-s))[::-1]))  # summed smallest-first for accuracy
     return zeta(s) - zeta_tail(s, k)

@@ -342,6 +342,30 @@ def test_sizes_above_their_caps_are_refused_before_allocating():
         assert run.stderr.startswith(f"error: {option}")
 
 
+def test_overflowing_inputs_are_refused_not_printed_as_nan():
+    # both used to print NaN or Infinity, which is not JSON, and exit 0
+    for argv, name in ((("ball-check", "--staircase=1", "--theta=1000", "--scale=1e308"),
+                        "--scale 1e+308"),
+                       (("moyal-distance", "--a=basis:0", "--b=basis:1", "--theta=1e308",
+                         "--no-optimize"), "theta 1e+308")):
+        run = _run_subprocess(*argv)
+        _assert_clean_parameter_error(run)
+        assert name in run.stderr
+
+
+def test_torus_size_guard_refuses_before_building_the_sites(capsys):
+    # support radius 900: the guard used to refuse only after a list of 1.6 M sites
+    run_cli(capsys, "torus-distance", "--m", "1,0")  # warm-up: imports
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "torus-distance", "--m", "300,0", "--optimize")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == "" and err.startswith("error: optimizer size guard")
+    assert peak < 5e6
+
+
 def test_torus_box_requires_the_optimizer(capsys):
     code, out, err = run_cli(capsys, "torus-distance", "--m", "1,0", "--box", "5")
     assert code == 1 and out == ""
