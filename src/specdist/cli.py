@@ -254,8 +254,11 @@ def cmd_ball_check(args) -> int:
         if not math.isfinite(float(abs(coeffs).max()) * abs(args.scale)):
             raise ParameterError(f"--scale {args.scale} overflows the element's coefficients")
         element = element * complex(args.scale)
-    report = (ball_report(element, args.tol) if args.element_file
-              else radial_ball_report(args.theta, element, args.tol))
+    try:
+        report = (ball_report(element, args.tol) if args.element_file
+                  else radial_ball_report(args.theta, element, args.tol))
+    except ParameterError as exc:  # a norm that overflows: name the scale, if any, too
+        raise exc if args.scale == 1.0 else ParameterError(f"--scale {args.scale}: {exc}")
     _emit(report.to_dict(), args)
     return EXIT_OK
 

@@ -32,12 +32,6 @@ GAP_TOL = 1e-4
 # an SVD, about one iteration's work, and checking every 10th iteration ends a run at
 # most 9 iterations after the gap has closed
 GAP_EVERY = 10
-# `schur_bound` inflates sqrt(||m||_1 ||m||_inf) by SCHUR_MARGIN so that it also bounds the
-# SVD's computed largest singular value.  The computed |entries|, their n-term sums, the
-# product and the square root err by at most (n + 3) u relative, and the backward-stable
-# SVD's value by O(n^1.5 u): 5.6e-12 at n = 1369, the side of a clipped matrix under
-# MAX_OPERATOR_ENTRIES (u = 1.1e-16).
-SCHUR_MARGIN = 1e-10
 
 
 def basis_distance(m: int, n: int, theta: float) -> float:
@@ -103,14 +97,6 @@ def analytic_upper_bound(s1: MoyalPureState, s2: MoyalPureState) -> float:
 # ---------------------------------------------------------------------------
 # optimizer over truncated self-adjoint elements
 # ---------------------------------------------------------------------------
-
-def schur_bound(mat: np.ndarray) -> float:
-    """Upper bound on the largest singular value of mat, exact and as the SVD computes it:
-    Schur's sqrt(||mat||_1 ||mat||_inf) (largest column and row sums of |mat|), O(n^2),
-    inflated by SCHUR_MARGIN."""
-    a = np.abs(mat)
-    return math.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max()) * (1.0 + SCHUR_MARGIN)
-
 
 def band_inverses(order: int, theta: float) -> np.ndarray:
     """Inverse Gram blocks of dz on hermitian order x order matrices, one per band.
@@ -194,25 +180,17 @@ def admm_maximize(c, apply, adjoint, solve, radius, rho, max_iter):
       = Re<Y', apply(x)> <= ||Y'||_* ||apply(x)|| <= radius ||Y'||_* by von Neumann's
       trace inequality.  The best value is a feasible value, so it is within GAP_TOL of
       the optimum of this problem when the exit is taken.  That bounds the truncated
-      problem only, not the distance, so the bound is not reported.  While no clip has
-      moved anything, u = 0 and Y' = apply(solve(c)) is computed once.
+      problem only, not the distance, so the bound is not reported.
     - The stall rule: STALL_ITERS iterations in a row fail to improve the best value by
       the relative margin STALL_TOL.  Every iterate's norm is `op_norm(apply(x))`.
 
     The gap exit only adds a stop, so no run is longer than under the stall rule alone.
-
-    The clip is an SVD only when needed.  Until a clip first moves anything, z = v and
-    u = 0, and a v whose `schur_bound` is within the radius is taken as its own clip
-    without the SVD: `clip_spectral` would return it unchanged, so the iterates are
-    those of an SVD clip every iteration.  Once a clip has moved something the bound is
-    never taken again.
     Returns (best x, iterations run, converged).  Deterministic: starts from zero.
     """
     best_x = np.zeros_like(c)
     z = u = np.zeros_like(apply(best_x))
     c_rho = c / rho
-    best_val, stall, it, idle = 0.0, 0, 0, True  # idle: no clip has moved anything yet
-    dual = None  # radius ||Y'||_*, the bound of the gap exit
+    best_val, stall, it = 0.0, 0, 0
     for it in range(1, max_iter + 1):
         x = solve(c_rho + adjoint(z - u))
         dx = apply(x)
@@ -226,20 +204,15 @@ def admm_maximize(c, apply, adjoint, solve, radius, rho, max_iter):
         if stall >= STALL_ITERS:
             return best_x, it, True
         if it % GAP_EVERY == 0:
-            if dual is None or not idle:  # while u = 0, Y' is the same every time
-                w = apply(solve(c_rho - adjoint(u)))  # Y' / rho, by linearity, in one array
-                w += u
-                dual = rho * radius * nuclear_norm(w)
-                del w  # not held through the clip, which peaks the memory of an iteration
+            w = apply(solve(c_rho - adjoint(u)))  # Y' / rho, by linearity, in one array
+            w += u
+            dual = rho * radius * nuclear_norm(w)
+            del w  # not held through the clip, which peaks the memory of an iteration
             if best_val >= dual * (1.0 - GAP_TOL):
                 return best_x, it, True
         v = RELAX * dx + (1.0 - RELAX) * z + u
-        if idle and schur_bound(v) <= radius:
-            z = v  # the clip's own result, and u stays exactly 0
-        else:
-            z = clip_spectral(v, radius)
-            idle = idle and z is v
-            u = v - z
+        z = clip_spectral(v, radius)
+        u = v - z
     return best_x, it, False
 
 

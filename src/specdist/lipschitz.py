@@ -211,13 +211,20 @@ def _check_tol(tol: float) -> None:
         raise ParameterError(f"tolerance must be finite and nonnegative, got {tol}")
 
 
-def _report(top: float, tol: float, violations: list) -> BallReport:
+def _check_finite(value: float, theta: float) -> None:
+    if not np.isfinite(value):  # coefficients times sqrt(m/theta), or their norm, overflow
+        raise ParameterError(f"the commutator norm overflows the float range at theta {theta}")
+
+
+def _report(top: float, tol: float, violations: list, theta: float) -> BallReport:
     """The report of commutator norm sqrt(2) * top."""
     cn = float(np.sqrt(2.0) * top)
+    _check_finite(cn, theta)
     return BallReport(commutator_norm=cn, slack=1.0 - cn, member=bool(cn <= 1.0 + tol),
                       violations=tuple(violations))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused, not warned of
 def ball_report(a: MoyalElement, tol: float = 1e-9) -> BallReport:
     """Check membership of the unit Lipschitz ball and list entrywise violations.
 
@@ -229,11 +236,15 @@ def ball_report(a: MoyalElement, tol: float = 1e-9) -> BallReport:
     be = dzbar(a).coeffs
     violations = []
     for mat in (al, be):
-        rows, cols = np.nonzero(np.abs(mat) > ENTRY_BOUND + tol)
+        mod = np.abs(mat)
+        _check_finite(mod.max(initial=0.0), a.theta)  # before the SVDs, which it would fail
+        rows, cols = np.nonzero(mod > ENTRY_BOUND + tol)
         violations.extend((int(r), int(c), float(abs(mat[r, c]))) for r, c in zip(rows, cols))
-    return _report(max(op_norm(al), op_norm(be)), tol, violations)
+    del mod  # not held through the SVDs
+    return _report(max(op_norm(al), op_norm(be)), tol, violations, a.theta)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused, not warned of
 def radial_ball_report(theta: float, diag, tol: float = 1e-9) -> BallReport:
     """`ball_report(radial(theta, diag), tol)`, bit for bit, in O(n): dz of a radial element
     is the band dz[m, m-1] = s[m] d[m] - s[m] d[m-1] (m = 1..n, s[m] = sqrt(m/theta), d[n] = 0),
@@ -250,4 +261,5 @@ def radial_ball_report(theta: float, diag, tol: float = 1e-9) -> BallReport:
     mod = np.abs(band)
     over = [(int(m), int(m) - 1, float(abs(band[m - 1])))  # dz's violations; dzbar's follow
             for m in np.flatnonzero(mod > ENTRY_BOUND + tol) + 1]
-    return _report(float(mod.max(initial=0.0)), tol, over + [(c, r, v) for r, c, v in over])
+    return _report(float(mod.max(initial=0.0)), tol, over + [(c, r, v) for r, c, v in over],
+                   theta)

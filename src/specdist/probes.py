@@ -156,14 +156,13 @@ def spec_of_state(state: MoyalPureState) -> ProbeSpec:
 
 
 def probe_series(spec1: ProbeSpec, spec2: ProbeSpec, m0_grid, theta: float = 1.0,
-                 normalization: str = TRUNCATED,
-                 cutoff_factor: int = DEFAULT_CUTOFF_FACTOR) -> np.ndarray:
+                 normalization: str = TRUNCATED) -> np.ndarray:
     """Certificate bound sqrt(theta/2) |F1(m0) - F2(m0)| over a grid of staircase indices.
 
     F(m0) = sum_{m<=m0} u(m, m0) w_m = S X - T at m0, where S_k = sum_{j<=k} 1/sqrt(j+1),
     X_k = sum_{j<=k} w_j, T_k = sum_{j<=k} S_{j-1} w_j and w is the spec's weight vector:
     the indicator of `index` for "basis" and (m+1)^-s for "zeta", whose F is divided by
-    zeta(s) ("exact") or by the partial sum of its first cutoff_factor m0 + 1 terms
+    zeta(s) ("exact") or by the partial sum of its first DEFAULT_CUTOFF_FACTOR m0 + 1 terms
     ("truncated").  One sweep over the sorted distinct grid carries S, X and T from each
     grid point to the next by np.cumsum with the running value prepended.  np.cumsum adds
     in sequence, so they equal full-array prefix sums bit for bit (and as adding 0.0 and
@@ -200,7 +199,7 @@ def probe_series(spec1: ProbeSpec, spec2: ProbeSpec, m0_grid, theta: float = 1.0
             f = s_g * x[i] - t[i]
             if sp.kind == "zeta":
                 f /= (zeta(sp.s) if normalization == EXACT
-                      else zeta_partial(sp.s, cutoff_factor * g + 1))
+                      else zeta_partial(sp.s, DEFAULT_CUTOFF_FACTOR * g + 1))
             f_at[g].append(float(f))
     pref = math.sqrt(theta / 2.0)
     return np.array([pref * abs(f_at[g][0] - f_at[g][1]) for g in grid])
@@ -242,8 +241,7 @@ def default_grid(lo: float = 1e2, hi: float = 1e6, points: int = 25) -> tuple:
 
 def asymptotic_fit(spec1: ProbeSpec, spec2: ProbeSpec, m0_grid,
                    fit_window: tuple | None = None, theta: float = 1.0,
-                   normalization: str = TRUNCATED,
-                   cutoff_factor: int = DEFAULT_CUTOFF_FACTOR) -> ProbeSeries:
+                   normalization: str = TRUNCATED) -> ProbeSeries:
     """Fit the log-log growth of the certificate bound and compare to theory.
 
     The predicted exponent is 3/2 minus the smallest zeta exponent of the
@@ -256,7 +254,7 @@ def asymptotic_fit(spec1: ProbeSpec, spec2: ProbeSpec, m0_grid,
     if not exponents:
         raise ParameterError("slope fits need at least one zeta-type spec")
     grid = [int(g) for g in m0_grid]
-    b = probe_series(spec1, spec2, grid, theta, normalization, cutoff_factor)
+    b = probe_series(spec1, spec2, grid, theta, normalization)
     if fit_window is None:
         hi = max(grid)
         fit_window = (hi / 10 ** 1.5, hi)

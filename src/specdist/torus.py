@@ -411,9 +411,8 @@ def optimize_torus_distance(s1: TorusState, s2: TorusState,
     npar = (2 * support_radius + 1) ** 2 - 1  # 2 len(_hermitian_sites), before it is built
     side = 2 * box_radius + 1
     # caps the problem size: nothing of this size is stored, but every iteration takes
-    # an SVD of a (2R+1)^2 x (2R+1)^2 box matrix for its norm, and every one past the
-    # opening ones, whose clips admm_maximize settles by a Schur bound, a second for
-    # the clip.  Those split into the blocks of the box matrix's nonzero pattern, small
+    # an SVD of a (2R+1)^2 x (2R+1)^2 box matrix for its norm and a second for its
+    # clip.  Those split into the blocks of the box matrix's nonzero pattern, small
     # when the iterates live on a sublattice (M = (1, 0) at box 5: 22 blocks of 5 x 6 or
     # 6 x 5), but iterates spread over the whole lattice can leave one block, and the
     # cap is for that case.

@@ -207,8 +207,8 @@ def weyl_certificate_gap(m, theta):
     return gap, torus.coefficient_bound(m)
 
 
-def algebra_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
-    rng = np.random.default_rng(seed)
+def algebra_suite() -> SuiteResult:
+    rng = np.random.default_rng(DEFAULT_SEED)
     tol = 1e-12
     assoc = CheckResult("associativity", 1000)
     cyclic = CheckResult("trace_cyclicity", 1000)
@@ -236,8 +236,8 @@ def algebra_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
     return SuiteResult("algebra", [assoc, cyclic, antihom, adjoint, mono])
 
 
-def calculus_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
-    rng = np.random.default_rng(seed + 1)
+def calculus_suite() -> SuiteResult:
+    rng = np.random.default_rng(DEFAULT_SEED + 1)
     tol = 1e-12
     leibniz = CheckResult("leibniz_rule", 300)
     for i in range(300):
@@ -262,8 +262,8 @@ def calculus_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
     return SuiteResult("calculus", [leibniz, roundtrip, conj, radial_structure])
 
 
-def lipschitz_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
-    rng = np.random.default_rng(seed + 2)
+def lipschitz_suite() -> SuiteResult:
+    rng = np.random.default_rng(DEFAULT_SEED + 2)
     sqrt2 = CheckResult("self_adjoint_norm_symmetry", 200)
     for i in range(200):
         a = rand_element(rng, THETAS[i % 3], 12)
@@ -302,8 +302,8 @@ def lipschitz_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
     return SuiteResult("lipschitz", [sqrt2, entries, agreement, submult, exact])
 
 
-def states_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
-    rng = np.random.default_rng(seed + 3)
+def states_suite() -> SuiteResult:
+    rng = np.random.default_rng(DEFAULT_SEED + 3)
     norm = CheckResult("normalization", 150)
     positive = CheckResult("positivity_on_staircase", 150)
     zero_sum = CheckResult("difference_sums_to_zero", 150)
@@ -331,8 +331,8 @@ def states_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
     return SuiteResult("states", [norm, positive, zero_sum, tail])
 
 
-def distance_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
-    rng = np.random.default_rng(seed + 4)
+def distance_suite() -> SuiteResult:
+    rng = np.random.default_rng(DEFAULT_SEED + 4)
     saturation = CheckResult("basis_pair_saturation", 0)
     for theta in THETAS:
         for n in range(0, 4):
@@ -404,9 +404,10 @@ def distance_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
                        [saturation, bracket, feasible, monotone, phase, symmetrize])
 
 
-def probes_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
-    rng = np.random.default_rng(seed + 5)
+def probes_suite() -> SuiteResult:
+    rng = np.random.default_rng(DEFAULT_SEED + 5)
     consistency = CheckResult("certificate_gap_cross_path", 12)
+    radial_path = CheckResult("radial_certificate_cross_path", 12)
     for i in range(12):
         theta = THETAS[i % 3]
         m0 = (10, 100, 1000)[i % 3]
@@ -415,6 +416,8 @@ def probes_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
         s2 = zeta_state(1.5, 50, theta) if i % 2 else basis_state(int(rng.integers(0, 20)), theta)
         direct, fast = staircase_cross_path(m0, s1, s2)
         consistency.flag(abs(direct - fast) > 1e-10, f"instance {i}: {direct} vs {fast}")
+        lhs, rhs = radial_cross_path(s1, s2)
+        radial_path.record(i, float(np.max(np.abs(lhs - rhs))), 1e-12)
 
     growth = CheckResult("monotone_divergence", 1)
     grid = probes.default_grid(1e2, 1e6, 16)
@@ -448,11 +451,11 @@ def probes_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
     tail -= minus
     critical.flag(flag != "divergent" or tail.min() <= 0.0,
                   f"flag {flag!r}, least tail {tail.min()} at k = {tail.argmin() + 1}")
-    return SuiteResult("probes", [consistency, growth, estimates, crossover, critical])
+    return SuiteResult("probes", [consistency, radial_path, growth, estimates, crossover, critical])
 
 
-def torus_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
-    rng = np.random.default_rng(seed + 6)
+def torus_suite() -> SuiteResult:
+    rng = np.random.default_rng(DEFAULT_SEED + 6)
     thetas = (0.0, 0.25, 1.0 / 3.0, 0.37, np.sqrt(2.0) - 1.0, 0.9)
 
     bichar = CheckResult("bicharacter_identities", 1000)
@@ -530,11 +533,11 @@ SUITES = {
 }
 
 
-def run_suites(names=None, seed: int = DEFAULT_SEED):
+def run_suites(names=None):
     """Run the named suites, or all of SUITES when names is None."""
     names = list(SUITES) if names is None else names
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise ParameterError(f"unknown suite {unknown[0]!r}; choose all or one of "
                              f"{', '.join(SUITES)}")
-    return [SUITES[n](seed) for n in names]
+    return [SUITES[n]() for n in names]

@@ -342,12 +342,22 @@ def test_sizes_above_their_caps_are_refused_before_allocating():
         assert run.stderr.startswith(f"error: {option}")
 
 
-def test_overflowing_inputs_are_refused_not_printed_as_nan():
-    # both used to print NaN or Infinity, which is not JSON, and exit 0
+def test_overflowing_inputs_are_refused_not_printed_as_nan(tmp_path):
+    # the first two used to print NaN or Infinity, which is not JSON, and exit 0; the last
+    # two, finite coefficients times sqrt(m/theta) past the float range at tiny theta, used
+    # to print numpy warnings and end in a JSON error naming neither theta nor --scale
+    path = tmp_path / "element.json"
+    path.write_text(json.dumps({"theta": 1e-300, "re": [[1e300, 0], [0, 0]],
+                                "im": [[0, 0], [0, 0]]}))
     for argv, name in ((("ball-check", "--staircase=1", "--theta=1000", "--scale=1e308"),
                         "--scale 1e+308"),
                        (("moyal-distance", "--a=basis:0", "--b=basis:1", "--theta=1e308",
-                         "--no-optimize"), "theta 1e+308")):
+                         "--no-optimize"), "theta 1e+308"),
+                       (("ball-check", "--staircase=5476", "--theta=1e-20",
+                         "--scale=1.7976931348623157e308"),
+                        "--scale 1.7976931348623157e+308: the commutator norm overflows the "
+                        "float range at theta 1e-20"),
+                       (("ball-check", f"--element-file={path}"), "theta 1e-300")):
         run = _run_subprocess(*argv)
         _assert_clean_parameter_error(run)
         assert name in run.stderr

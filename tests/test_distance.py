@@ -6,10 +6,9 @@ import pytest
 from specdist import distance, torus
 from specdist.algebra import MoyalElement
 from specdist.calculus import dz
-from specdist.distance import (GAP_EVERY, GAP_TOL, RELAX, SPECTRAL_RADIUS, STALL_ITERS,
-                               STALL_TOL, admm_maximize, analytic_upper_bound, band_inverses,
-                               basis_distance, moyal_report, optimize_distance, plane_closures,
-                               schur_bound, triangle_residual)
+from specdist.distance import (GAP_TOL, SPECTRAL_RADIUS, admm_maximize, analytic_upper_bound,
+                               band_inverses, basis_distance, moyal_report, optimize_distance,
+                               plane_closures, triangle_residual)
 from specdist.errors import ParameterError, PreconditionError, UnboundedSupportError
 from specdist.lipschitz import clip_spectral, commutator_norm, nuclear_norm, op_norm
 from specdist.probes import radial_gap
@@ -329,59 +328,6 @@ def test_optimizer_matches_the_dense_admm_oracle():
         assert abs(res.value - value) <= 1e-9
 
 
-def _unscreened_admm(c, apply, adjoint, solve, radius, rho, max_iter):
-    # admm_maximize without the Schur gate or the cached dual: one clip SVD every
-    # iteration, the dual bound at every check
-    best_x = np.zeros_like(c)
-    z = u = np.zeros_like(apply(best_x))
-    c_rho = c / rho
-    best_val, stall, it = 0.0, 0, 0
-    for it in range(1, max_iter + 1):
-        x = solve(c_rho + adjoint(z - u))
-        dx = apply(x)
-        sig = op_norm(dx)
-        scaled = float(np.vdot(c, x).real) * (radius / sig) if sig > 0.0 else 0.0
-        if scaled > best_val * (1.0 + STALL_TOL):
-            best_val, best_x, stall = scaled, x, 0
-        else:
-            stall += 1
-        if stall >= STALL_ITERS:
-            return best_x, it, True
-        if it % GAP_EVERY == 0:
-            dual = rho * radius * nuclear_norm(apply(solve(c_rho - adjoint(u))) + u)
-            if best_val >= dual * (1.0 - GAP_TOL):
-                return best_x, it, True
-        v = RELAX * dx + (1.0 - RELAX) * z + u
-        z = clip_spectral(v, radius)
-        u = v - z
-    return best_x, it, False
-
-
-def test_schur_gate_and_cached_dual_leave_every_iterate_bit_identical(monkeypatch):
-    # the arguments the plane and torus optimizers hand to admm_maximize, and its results
-    calls = []
-
-    def record(*args):
-        calls.append((args, admm_maximize(*args)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(distance, "admm_maximize", record)
-    monkeypatch.setattr(torus, "admm_maximize", record)
-    optimize_distance(finite_state([1.0, 2.0, 3.0], 1.0), basis_state(0, 1.0), 12)
-    optimize_distance(basis_state(1, 0.5), basis_state(5, 0.5), 24)
-    torus.optimize_torus_distance(torus.vector_state(0.25, (1, 0)), torus.tracial_state(0.25),
-                                  box_radius=5)
-    torus.optimize_torus_distance(torus.vector_state(0.37, (1, 1)), torus.tracial_state(0.37))
-    # skips its clip SVDs up to iteration 10, then clips: the switch is covered
-    torus.optimize_torus_distance(torus.vector_state(0.37, (1, 0)),
-                                  torus.vector_state(0.37, (0, 1)), box_radius=5)
-    assert len(calls) == 5
-    for args, (best_x, it, converged) in calls:
-        want_x, want_it, want_converged = _unscreened_admm(*args)
-        assert np.array_equal(best_x, want_x)
-        assert (it, converged) == (want_it, want_converged)
-
-
 def test_weak_duality_on_the_plane_and_torus_closures(rng):
     # the gap exit's certificate: for every Y, Y' = Y + apply(solve(c - adjoint(Y))) has
     # Herm(adjoint(Y')) = Herm(c), so radius ||Y'||_* bounds Re<c, x> on the ball
@@ -499,45 +445,17 @@ def test_plane_basis_pair_iteration_counts_with_elementwise_clips(monkeypatch):
         assert res.value == pytest.approx(basis_distance(m, n, 1.0), rel=1e-3)
 
 
-def test_schur_bound_is_above_the_computed_largest_singular_value(rng):
-    def check(m, tight):
-        sigma = np.linalg.svd(m, compute_uv=False)[0]
-        assert schur_bound(m) >= sigma
-        if tight:  # here only the margin lies between the two
-            assert schur_bound(m) <= sigma * (1.0 + 1e-9)
-
-    for shape in ((1, 1), (5, 5), (9, 4), (30, 31), (225, 225)):
-        check(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), False)
-        # rank 1 with unimodular factors: ||m||_1 ||m||_inf = sigma^2 exactly
-        u, v = (np.exp(2j * np.pi * rng.random(k)) for k in shape)
-        check(0.7 * np.outer(u, v), True)
-        check(np.outer(rng.standard_normal(shape[0]), rng.standard_normal(shape[1])), False)
-        # weighted partial permutation: every row and column sum is one |entry|
-        m = np.zeros(shape, dtype=complex)
-        k = min(shape)
-        m[rng.permutation(shape[0])[:k], rng.permutation(shape[1])[:k]] = (
-            rng.standard_normal(k) + 1j * rng.standard_normal(k))
-        check(m, True)
-
-
 def test_plane_finite_pair_takes_every_clip_svd(monkeypatch):
-    # the Schur bound is taken once, at iteration 1, and is above the radius; the first
-    # clip moves something, so the bound is never taken again
-    clips, bounds = [], []
+    # one clip per iteration, except the last, which exits on the gap before its clip
+    clips = []
 
     def counted(mat, radius):
         clips.append(mat.shape)
         return clip_spectral(mat, radius)
 
-    def bound(mat):
-        bounds.append(schur_bound(mat))
-        return bounds[-1]
-
     monkeypatch.setattr(distance, "clip_spectral", counted)
-    monkeypatch.setattr(distance, "schur_bound", bound)
     res = optimize_distance(finite_state([1.0, 2.0, 3.0], 1.0), basis_state(0, 1.0), 12)
     assert res.iterations == 680  # the gap exit; the stall rule alone took 5,915
-    assert len(bounds) == 1 and bounds[0] > SPECTRAL_RADIUS
     assert len(clips) == 679
 
 

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from specdist.algebra import radial, zero
+from specdist.algebra import MoyalElement, radial, zero
 from specdist.calculus import dz, radial_bump, staircase
 from specdist.errors import ParameterError
 from specdist.lipschitz import (LAYOUT_CACHE_SIZE, _block_layout, _nonzero_pattern,
@@ -294,6 +295,21 @@ def test_radial_ball_report_refuses_what_ball_report_of_radial_refuses():
         with pytest.raises(ParameterError) as diagonal:
             radial_ball_report(theta, [1.0, 0.5], tol)
         assert str(diagonal.value) == str(dense.value)
+
+
+def test_a_commutator_norm_past_the_float_range_is_refused_without_warnings():
+    # finite coefficients whose derivative overflows at tiny theta, on both paths, and a
+    # finite derivative whose norm times sqrt(2) overflows
+    cases = ((lambda: radial_ball_report(1e-20, [1.5e308, 1e308]), 1e-20),
+             (lambda: ball_report(radial(1e-20, [1.5e308, 1e308])), 1e-20),
+             (lambda: ball_report(MoyalElement(1e-300, [[1e300, 0.0], [0.0, 0.0]])), 1e-300),
+             (lambda: ball_report(MoyalElement(1.0, [[1.5e308, 0.0], [0.0, 0.0]])), 1.0),
+             (lambda: radial_ball_report(1.0, [1.5e308]), 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for report, theta in cases:
+            with pytest.raises(ParameterError, match=f"overflows the float range at theta {theta}"):
+                report()
 
 
 def test_ball_entry_bound_after_rescaling(rng):

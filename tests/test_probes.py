@@ -7,8 +7,8 @@ import pytest
 
 from specdist import probes
 from specdist.errors import ParameterError
-from specdist.probes import (ProbeSpec, asymptotic_fit, crossover_index, crossover_mass,
-                             divergence_flag, estimate_checks, inv_sqrt_suffix_sum,
+from specdist.probes import (DEFAULT_CUTOFF_FACTOR, ProbeSpec, asymptotic_fit, crossover_index,
+                             crossover_mass, divergence_flag, estimate_checks, inv_sqrt_suffix_sum,
                              parse_probe_spec, probe_series, radial_gap, staircase_gap,
                              zeta_weight_gap)
 from specdist.states import MAX_SUPPORT, basis_state, finite_state, zeta_state
@@ -146,12 +146,11 @@ def test_crossover_rejects_bad_exponents():
 def test_probe_series_matches_materialized_states():
     # truncated normalization with cutoff factor c reproduces a state truncated
     # at exactly c * m0
-    m0, factor = 50, 100
+    m0, factor = 50, DEFAULT_CUTOFF_FACTOR
     theta = 1.0
     spec1 = ProbeSpec("basis", index=0)
     spec2 = ProbeSpec("zeta", s=1.3)
-    b = probe_series(spec1, spec2, [m0], theta, normalization="truncated",
-                     cutoff_factor=factor)[0]
+    b = probe_series(spec1, spec2, [m0], theta, normalization="truncated")[0]
     st = zeta_state(1.3, factor * m0, theta)
     direct = staircase_gap(m0, basis_state(0, theta), st)
     assert b == pytest.approx(direct, rel=1e-12)

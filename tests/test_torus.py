@@ -329,9 +329,9 @@ def test_optimizer_matches_the_dense_oracle():
         assert abs(res.value - value) <= 1e-12
 
 
-def test_optimizer_skips_idle_clip_svds(monkeypatch):
-    # while no clip has moved anything, a Schur bound within the radius stands in for
-    # the clip's SVD; iteration counts are those of a clip SVD every iteration
+def test_optimizer_clips_once_per_iteration_before_the_exit(monkeypatch):
+    # every iteration clips, except the last, which exits before its clip; a clip that
+    # moves nothing returns its input, so the iteration counts are those of dense clips
     clips, clip = [], distance.clip_spectral
 
     def counted(mat, radius):
@@ -340,10 +340,10 @@ def test_optimizer_skips_idle_clip_svds(monkeypatch):
 
     monkeypatch.setattr(distance, "clip_spectral", counted)
     res = optimize_torus_distance(vector_state(0.37, (1, 1)), tracial_state(0.37))
-    assert (res.iterations, len(clips)) == (51, 0)  # the Schur bound settles all 50 clips
+    assert (res.iterations, len(clips)) == (51, 50)
     clips.clear()
     res = optimize_torus_distance(vector_state(0.25, (1, 0)), tracial_state(0.25), box_radius=5)
-    assert (res.iterations, len(clips)) == (110, 89)  # the first 21 of 109 move nothing
+    assert (res.iterations, len(clips)) == (110, 109)
 
 
 def test_box_svds_split_along_the_dual_action(monkeypatch):
