@@ -186,15 +186,6 @@ def _parse_grid(text: str, points: int):
     return default_grid(lo, hi, points)
 
 
-def _parse_fit_top(text: str) -> float:
-    try:
-        if math.isfinite(float(text.removesuffix("dec"))):
-            return float(text.removesuffix("dec"))
-    except ValueError:
-        pass
-    raise ParameterError(f"--fit-top expects a finite number of decades, got {text!r}")
-
-
 def cmd_probe(args) -> int:
     from . import probes
 
@@ -205,9 +196,17 @@ def cmd_probe(args) -> int:
     spec1 = probes.parse_probe_spec(a_text)
     spec2 = probes.parse_probe_spec(b_text)
     grid = _parse_grid(args.grid, args.points)
-    decades = _parse_fit_top(args.fit_top)
-    window = (max(grid) / 10 ** decades, max(grid))
-    series = probes.asymptotic_fit(spec1, spec2, grid, fit_window=window, theta=args.theta)
+    try:
+        decades = float(args.fit_top.removesuffix("dec"))
+    except ValueError:
+        raise ParameterError(
+            f"--fit-top expects a number of decades, got {args.fit_top!r}") from None
+    try:
+        series = probes.asymptotic_fit(spec1, spec2, grid, decades, theta=args.theta)
+    except ParameterError as exc:
+        if "decades" in str(exc):  # a refused window width names the option that sets it
+            raise ParameterError(f"--fit-top {args.fit_top!r}: {exc}") from None
+        raise
     if args.format == "csv":
         _emit_csv(series.csv_rows(), args)
     else:

@@ -250,6 +250,9 @@ def optimize_distance(s1: MoyalPureState, s2: MoyalPureState, order: int,
     w = difference_matrix(s1, s2, n)
     if not np.any(w):
         return OptimizeResult(0.0, zero(theta, n), 0, True, 0.0)
+    if not math.isfinite(n / theta):  # the stencil's weights sqrt(m/theta), m <= n
+        raise ParameterError(f"order {n} over theta {theta} overflows the float range; "
+                             "raise theta or lower the order")
 
     best_x, it, converged = admm_maximize(w.conj(), *plane_closures(n, theta),
                                           SPECTRAL_RADIUS, 1.0, max_iter)  # rho = 1

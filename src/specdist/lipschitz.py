@@ -194,7 +194,6 @@ class BallReport:
     """Membership report for the unit Lipschitz ball."""
 
     commutator_norm: float
-    slack: float
     member: bool
     violations: tuple  # (m, n, |entry|) wherever a derivative entry exceeds the bound
 
@@ -220,7 +219,7 @@ def _report(top: float, tol: float, violations: list, theta: float) -> BallRepor
     """The report of commutator norm sqrt(2) * top."""
     cn = float(np.sqrt(2.0) * top)
     _check_finite(cn, theta)
-    return BallReport(commutator_norm=cn, slack=1.0 - cn, member=bool(cn <= 1.0 + tol),
+    return BallReport(commutator_norm=cn, member=bool(cn <= 1.0 + tol),
                       violations=tuple(violations))
 
 

@@ -20,8 +20,6 @@ from .errors import ParameterError
 from .states import MAX_SUPPORT, MoyalPureState, diagonal_difference
 from .zeta import zeta, zeta_partial, zeta_tail
 
-TRUNCATED = "truncated"
-EXACT = "exact"
 DEFAULT_CUTOFF_FACTOR = 100
 
 
@@ -124,9 +122,9 @@ class ProbeSpec:
     """Diagonal-weight description of a state for grid probes.
 
     kind "basis" uses an indicator weight at `index`; kind "zeta" uses (m+1)^-s
-    weights with either the exact zeta normalization or the running truncated
-    normalization.  spec_of_state gives a finite state kind "finite" and nothing
-    else: only the divergence verdict reads it, and probe_series refuses it.
+    weights divided by their running truncated partial sum.  spec_of_state gives a
+    finite state kind "finite" and nothing else: only the divergence verdict reads it,
+    and probe_series refuses it.
     """
 
     kind: str
@@ -155,24 +153,21 @@ def spec_of_state(state: MoyalPureState) -> ProbeSpec:
     return ProbeSpec(state.kind, index=state.meta.get("index", 0), s=state.meta.get("s", 0.0))
 
 
-def probe_series(spec1: ProbeSpec, spec2: ProbeSpec, m0_grid, theta: float = 1.0,
-                 normalization: str = TRUNCATED) -> np.ndarray:
+def probe_series(spec1: ProbeSpec, spec2: ProbeSpec, m0_grid, theta: float = 1.0) -> np.ndarray:
     """Certificate bound sqrt(theta/2) |F1(m0) - F2(m0)| over a grid of staircase indices.
 
     F(m0) = sum_{m<=m0} u(m, m0) w_m = S X - T at m0, where S_k = sum_{j<=k} 1/sqrt(j+1),
     X_k = sum_{j<=k} w_j, T_k = sum_{j<=k} S_{j-1} w_j and w is the spec's weight vector:
     the indicator of `index` for "basis" and (m+1)^-s for "zeta", whose F is divided by
-    zeta(s) ("exact") or by the partial sum of its first DEFAULT_CUTOFF_FACTOR m0 + 1 terms
-    ("truncated").  One sweep over the sorted distinct grid carries S, X and T from each
-    grid point to the next by np.cumsum with the running value prepended.  np.cumsum adds
-    in sequence, so they equal full-array prefix sums bit for bit (and as adding 0.0 and
-    multiplying by 1.0 are exact, a basis F is S_m0 - S_{index-1}, 0 below the index);
-    memory is bounded by the largest gap between grid points, time is O(top).
+    the partial sum of its first DEFAULT_CUTOFF_FACTOR m0 + 1 terms.  One sweep over the
+    sorted distinct grid carries S, X and T from each grid point to the next by np.cumsum
+    with the running value prepended.  np.cumsum adds in sequence, so they equal
+    full-array prefix sums bit for bit (and as adding 0.0 and multiplying by 1.0 are
+    exact, a basis F is S_m0 - S_{index-1}, 0 below the index); memory is bounded by the
+    largest gap between grid points, time is O(top).
     Values come back in the caller's grid order, duplicates included.
     """
     check_theta(theta)
-    if normalization not in (TRUNCATED, EXACT):
-        raise ParameterError(f"unknown normalization {normalization!r}")
     specs = (spec1, spec2)
     if any(sp.kind not in ("basis", "zeta") for sp in specs):
         raise ParameterError("probe series take basis and zeta specs only")
@@ -198,8 +193,7 @@ def probe_series(spec1: ProbeSpec, spec2: ProbeSpec, m0_grid, theta: float = 1.0
             t[i] = np.cumsum(np.concatenate(([t[i]], s_seg[:-1] * w)))[-1]
             f = s_g * x[i] - t[i]
             if sp.kind == "zeta":
-                f /= (zeta(sp.s) if normalization == EXACT
-                      else zeta_partial(sp.s, DEFAULT_CUTOFF_FACTOR * g + 1))
+                f /= zeta_partial(sp.s, DEFAULT_CUTOFF_FACTOR * g + 1)
             f_at[g].append(float(f))
     pref = math.sqrt(theta / 2.0)
     return np.array([pref * abs(f_at[g][0] - f_at[g][1]) for g in grid])
@@ -215,10 +209,6 @@ class ProbeSeries:
     fit_window: tuple
     theory_slope: float
 
-    @property
-    def slope_gap(self) -> float:
-        return self.fitted_slope - self.theory_slope
-
     def csv_rows(self):
         yield ("m0", "B", "log_m0", "log_B")
         for m0, b in zip(self.m0_grid, self.b_values):
@@ -228,7 +218,7 @@ class ProbeSeries:
         return {
             "fitted_slope": self.fitted_slope,
             "theory_slope": self.theory_slope,
-            "gap": self.slope_gap,
+            "gap": self.fitted_slope - self.theory_slope,
             "fit_window": list(self.fit_window),
             "points": len(self.m0_grid),
         }
@@ -239,26 +229,28 @@ def default_grid(lo: float = 1e2, hi: float = 1e6, points: int = 25) -> tuple:
     return tuple(sorted(set(g.tolist())))  # np.unique's values; it would import numpy.ma
 
 
-def asymptotic_fit(spec1: ProbeSpec, spec2: ProbeSpec, m0_grid,
-                   fit_window: tuple | None = None, theta: float = 1.0,
-                   normalization: str = TRUNCATED) -> ProbeSeries:
-    """Fit the log-log growth of the certificate bound and compare to theory.
+def asymptotic_fit(spec1: ProbeSpec, spec2: ProbeSpec, m0_grid, decades: float,
+                   theta: float = 1.0) -> ProbeSeries:
+    """Fit the log-log growth of the certificate bound over the grid's top `decades`
+    decades, (max(grid) / 10**decades, max(grid)), and compare to theory.
 
-    The predicted exponent is 3/2 minus the smallest zeta exponent of the
-    pair.  The default window keeps the top 1.5 decades of the grid to
-    suppress the subleading term.
+    The predicted exponent is 3/2 minus the smallest zeta exponent of the pair; a
+    window at the top of the grid suppresses the subleading term.
     """
     if spec1 == spec2:
         raise ParameterError("identical state specs give a zero series; fit refused")
     exponents = [sp.s for sp in (spec1, spec2) if sp.kind == "zeta"]
     if not exponents:
         raise ParameterError("slope fits need at least one zeta-type spec")
+    try:
+        scale = 10.0 ** decades
+    except OverflowError:
+        scale = math.inf
+    if not 1.0 < scale < math.inf:  # decades > 0 and 10**decades a finite float
+        raise ParameterError(f"a fit window of {decades} decades needs 1 < 10**decades < inf")
     grid = [int(g) for g in m0_grid]
-    b = probe_series(spec1, spec2, grid, theta, normalization)
-    if fit_window is None:
-        hi = max(grid)
-        fit_window = (hi / 10 ** 1.5, hi)
-    lo_w, hi_w = fit_window
+    b = probe_series(spec1, spec2, grid, theta)
+    lo_w, hi_w = max(grid) / scale, max(grid)
     mask = [(lo_w <= g <= hi_w) for g in grid]
     if sum(mask) < 2:
         raise ParameterError("fit window selects fewer than two grid points; widen it")
@@ -314,20 +306,20 @@ def _geometric_indices(lo: int, hi: int) -> list[int]:
     return sorted(set(out))
 
 
-def estimate_checks(m0_max: int = 10 ** 4,
-                    s_values=(1.01, 1.1, 1.25, 1.5),
-                    k_max: int = 10 ** 4) -> list[str]:
-    """Check the four families of closed-form inequalities on geometric grids.
+def estimate_checks() -> list[str]:
+    """Check the four families of closed-form inequalities on geometric grids up to
+    10^4, at the exponents s = 1.01, 1.1, 1.25 and 1.5.
 
     Returns a list of human-readable violations; an empty list means every
     sampled instance holds.  Violations are data here, not errors.
     """
+    top, s_values = 10 ** 4, (1.01, 1.1, 1.25, 1.5)
     violations = []
-    j = np.arange(m0_max + 1, dtype=float)
+    j = np.arange(top + 1, dtype=float)
     s_prefix = np.cumsum(1.0 / np.sqrt(j + 1.0))
 
     # two-sided square-root bound for suffix sums of 1/sqrt(k+1)
-    for m0 in _geometric_indices(1, m0_max):
+    for m0 in _geometric_indices(1, top):
         for m in [x for x in _geometric_indices(1, m0) if x < m0] + [0]:
             mid = 0.5 * (s_prefix[m0] - (s_prefix[m - 1] if m >= 1 else 0.0))
             lo = math.sqrt(m0 + 2.0) - math.sqrt(m + 1.0)
@@ -339,7 +331,7 @@ def estimate_checks(m0_max: int = 10 ** 4,
     # two-sided bound for power partial sums, A >= 1
     for s in s_values:
         w_prefix = np.cumsum((j + 1.0) ** (-s))
-        for m0 in _geometric_indices(2, m0_max):
+        for m0 in _geometric_indices(2, top):
             for a in [x for x in _geometric_indices(1, m0) if x < m0]:
                 val = (s - 1.0) * (w_prefix[m0] - w_prefix[a - 1])
                 lo = (a + 1.0) ** (1.0 - s) - (m0 + 2.0) ** (1.0 - s)
@@ -348,7 +340,7 @@ def estimate_checks(m0_max: int = 10 ** 4,
                     violations.append(f"power-sum bound fails at s={s}, A={a}, m0={m0}: "
                                       f"{lo} <= {val} <= {hi}")
 
-    ks = np.array(_geometric_indices(1, k_max), dtype=float)
+    ks = np.array(_geometric_indices(1, top), dtype=float)
     diff = lambda alpha: (ks + 1.0) ** alpha - ks ** alpha
 
     # mean-value bounds, increasing case alpha in (0, 1]

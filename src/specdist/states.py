@@ -67,15 +67,6 @@ class MoyalPureState:
             return f"zeta:{self.meta['s']}:{self.meta['m_cut']}"
         return f"finite[{self.support}]"
 
-    def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "kind": self.kind,
-            "c_re": self.c.real.tolist(),
-            "c_im": self.c.imag.tolist(),
-            "meta": {k: v for k, v in self.meta.items()},
-        }
-
 
 def basis_state(m: int, theta: float) -> MoyalPureState:
     """The m-th diagonal pure state (reads off a[m, m])."""
@@ -124,9 +115,7 @@ def finite_state(weights, theta: float) -> MoyalPureState:
     nrm = float(np.linalg.norm(w))
     if nrm == 0.0:
         raise ParameterError("weights must not all vanish")
-    with np.errstate(over="ignore"):  # a norm past the float range is recorded as inf
-        factor = float(np.ldexp(nrm, e))
-    return MoyalPureState(theta, w / nrm, kind="finite", meta={"norm_factor": factor})
+    return MoyalPureState(theta, w / nrm, kind="finite")
 
 
 def diagonal_difference(s1: MoyalPureState, s2: MoyalPureState) -> np.ndarray:

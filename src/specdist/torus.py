@@ -77,18 +77,6 @@ class TorusElement:
 
     __rmul__ = __mul__
 
-    def to_dict(self) -> dict:
-        terms = [
-            {"m": [m[0], m[1]], "re": c.real, "im": c.imag}
-            for m, c in sorted(self.terms.items())
-        ]
-        return {"theta": self.theta, "terms": terms}
-
-    @staticmethod
-    def from_dict(d: dict) -> "TorusElement":
-        terms = {(t["m"][0], t["m"][1]): t["re"] + 1j * t["im"] for t in d["terms"]}
-        return TorusElement(float(d["theta"]), terms)
-
 
 def _check_theta(a: TorusElement, b: TorusElement) -> None:
     if a.theta != b.theta:

@@ -209,14 +209,18 @@ def test_malformed_element_file_exits_one(tmp_path):
 
 
 def test_bad_probe_options_are_named(capsys):
+    # a fit window of 400 decades once overflowed and one of -400 divided by zero
+    small = ("--pair", "zeta:1.2,basis:0", "--grid", "1e2:1e3", "--points", "5", "--fit-top")
     for argv, option in ((("--pair", "zeta:1.2"), "--pair"),
                          (("--pair", "zeta:1.2,basis:0,basis:1"), "--pair"),
                          (("--pair", "zeta:1.2,basis:0", "--fit-top", "abc"), "--fit-top"),
-                         (("--pair", "zeta:1.2,basis:0", "--fit-top", "nandec"), "--fit-top")):
+                         (("--pair", "zeta:1.2,basis:0", "--fit-top", "nandec"), "--fit-top"),
+                         (small + ("400",), "--fit-top"), (small + ("-400",), "--fit-top")):
         code, out, err = run_cli(capsys, "probe", *argv)
-        assert code == 1 and out == ""
+        assert code == 1 and out == "" and err.count("\n") == 1
         assert err.startswith(f"error: {option}") and repr(argv[-1]) in err
     _assert_clean_parameter_error(_run_subprocess("probe", "--pair=zeta:1.2"))
+    _assert_clean_parameter_error(_run_subprocess("probe", *small, "400", "--format=json"))
 
 
 def test_scale_must_be_finite(capsys):
@@ -343,9 +347,10 @@ def test_sizes_above_their_caps_are_refused_before_allocating():
 
 
 def test_overflowing_inputs_are_refused_not_printed_as_nan(tmp_path):
-    # the first two used to print NaN or Infinity, which is not JSON, and exit 0; the last
+    # the first two used to print NaN or Infinity, which is not JSON, and exit 0; the next
     # two, finite coefficients times sqrt(m/theta) past the float range at tiny theta, used
-    # to print numpy warnings and end in a JSON error naming neither theta nor --scale
+    # to print numpy warnings and end in a JSON error naming neither theta nor --scale; the
+    # last, the optimizer's weights sqrt(m/theta) past it, in "SVD did not converge"
     path = tmp_path / "element.json"
     path.write_text(json.dumps({"theta": 1e-300, "re": [[1e300, 0], [0, 0]],
                                 "im": [[0, 0], [0, 0]]}))
@@ -357,7 +362,9 @@ def test_overflowing_inputs_are_refused_not_printed_as_nan(tmp_path):
                          "--scale=1.7976931348623157e308"),
                         "--scale 1.7976931348623157e+308: the commutator norm overflows the "
                         "float range at theta 1e-20"),
-                       (("ball-check", f"--element-file={path}"), "theta 1e-300")):
+                       (("ball-check", f"--element-file={path}"), "theta 1e-300"),
+                       (("moyal-distance", "--a=basis:0", "--b=basis:1", "--theta=2e-308"),
+                        "order 16 over theta 2e-308")):
         run = _run_subprocess(*argv)
         _assert_clean_parameter_error(run)
         assert name in run.stderr

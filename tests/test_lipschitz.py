@@ -230,7 +230,6 @@ def test_ball_report_accepts_staircase():
     assert rep.member
     assert rep.violations == ()
     assert rep.commutator_norm == pytest.approx(1.0, abs=1e-12)
-    assert rep.slack == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ball_report_rejects_scaled_staircase():

@@ -8,7 +8,7 @@ import pytest
 from specdist import probes
 from specdist.errors import ParameterError
 from specdist.probes import (DEFAULT_CUTOFF_FACTOR, ProbeSpec, asymptotic_fit, crossover_index,
-                             crossover_mass, divergence_flag, estimate_checks, inv_sqrt_suffix_sum,
+                             crossover_mass, divergence_flag, inv_sqrt_suffix_sum,
                              parse_probe_spec, probe_series, radial_gap, staircase_gap,
                              zeta_weight_gap)
 from specdist.states import MAX_SUPPORT, basis_state, finite_state, zeta_state
@@ -144,25 +144,31 @@ def test_crossover_rejects_bad_exponents():
 
 
 def test_probe_series_matches_materialized_states():
-    # truncated normalization with cutoff factor c reproduces a state truncated
+    # dividing by the partial sum with cutoff factor c reproduces a state truncated
     # at exactly c * m0
     m0, factor = 50, DEFAULT_CUTOFF_FACTOR
     theta = 1.0
     spec1 = ProbeSpec("basis", index=0)
     spec2 = ProbeSpec("zeta", s=1.3)
-    b = probe_series(spec1, spec2, [m0], theta, normalization="truncated")[0]
+    b = probe_series(spec1, spec2, [m0], theta)[0]
     st = zeta_state(1.3, factor * m0, theta)
     direct = staircase_gap(m0, basis_state(0, theta), st)
     assert b == pytest.approx(direct, rel=1e-12)
 
 
-def test_probe_series_exact_normalization():
+def _truncated_partial_sum(s, m0):
+    """Direct smallest-first sum of m^-s over the first DEFAULT_CUTOFF_FACTOR m0 + 1 terms."""
+    m = np.arange(1, DEFAULT_CUTOFF_FACTOR * m0 + 2, dtype=float)
+    return float(np.sum((m ** (-s))[::-1]))
+
+
+def test_probe_series_truncated_normalization():
     spec1 = ProbeSpec("basis", index=0)
     spec2 = ProbeSpec("zeta", s=1.5)
-    b = probe_series(spec1, spec2, [10], normalization="exact")[0]
-    # direct double sum with exact zeta weights
+    b = probe_series(spec1, spec2, [10])[0]
+    # direct double sum with zeta weights divided by their truncated partial sum
     u = [inv_sqrt_suffix_sum(m, 10) for m in range(11)]
-    w = [(m + 1.0) ** -1.5 / zeta(1.5) for m in range(11)]
+    w = [(m + 1.0) ** -1.5 / _truncated_partial_sum(1.5, 10) for m in range(11)]
     w[0] -= 1.0
     want = math.sqrt(0.5) * abs(sum(ui * wi for ui, wi in zip(u, w)))
     assert b == pytest.approx(want, rel=1e-12)
@@ -173,7 +179,7 @@ def test_probe_series_matches_split_form():
     # (1 - head/zeta) * full inverse-sqrt sum, plus the normalized double sum
     # with inner range k <= m-1 (the suffix-sum split forces the m-1)
     s, m0 = 1.25, 37
-    z = zeta(s)
+    z = _truncated_partial_sum(s, m0)
     head = sum((m + 1.0) ** -s for m in range(m0 + 1))
     a1 = (1.0 - head / z) * sum(1.0 / math.sqrt(k + 1.0) for k in range(m0 + 1))
     a2 = sum((m + 1.0) ** -s / z * sum(1.0 / math.sqrt(k + 1.0) for k in range(m))
@@ -181,13 +187,13 @@ def test_probe_series_matches_split_form():
     for theta in (0.5, 1.0, 2.0):
         want = math.sqrt(theta / 2.0) * (a1 + a2)
         got = probe_series(ProbeSpec("basis", index=0), ProbeSpec("zeta", s=s),
-                           [m0], theta=theta, normalization="exact")[0]
+                           [m0], theta=theta)[0]
         assert got == pytest.approx(want, rel=1e-12)
 
 
-def _prefix_table_series(spec1, spec2, grid, theta, normalization, cutoff_factor=100):
+def _prefix_table_series(spec1, spec2, grid, theta):
     """The probe bound from full prefix tables over 0..top, as probe_series computed it
-    before the sweep; truncated normalizations are direct smallest-first sums."""
+    before the sweep."""
     top = max(grid)
     j = np.arange(top + 1, dtype=float)
     s_prefix = np.cumsum(1.0 / np.sqrt(j + 1.0))
@@ -200,10 +206,7 @@ def _prefix_table_series(spec1, spec2, grid, theta, normalization, cutoff_factor
             return float(s_prefix[m0] - (s_prefix[spec.index - 1] if spec.index else 0.0))
         w = (j + 1.0) ** (-spec.s)
         raw = s_prefix[m0] * np.cumsum(w)[m0] - np.cumsum(s_shift * w)[m0]
-        if normalization == "exact":
-            return float(raw / zeta(spec.s))
-        m = np.arange(1, cutoff_factor * m0 + 2, dtype=float)
-        return float(raw / np.sum((m ** (-spec.s))[::-1]))
+        return float(raw / zeta_partial(spec.s, DEFAULT_CUTOFF_FACTOR * m0 + 1))
 
     pref = math.sqrt(theta / 2.0)
     return np.array([pref * abs(weighted_sum(spec1, g) - weighted_sum(spec2, g)) for g in grid])
@@ -218,21 +221,9 @@ def test_probe_series_matches_full_prefix_tables():
     for theta in (0.5, 2.0):
         for i, spec1 in enumerate(specs):
             for spec2 in specs[i + 1:]:
-                label = (spec1.label(), spec2.label())
-                exact = probe_series(spec1, spec2, grid, theta, normalization="exact")
-                want = _prefix_table_series(spec1, spec2, grid, theta, "exact")
-                assert np.array_equal(exact, want), label
-                # a basis spec is not normalized, so basis pairs match bit for bit; a truncated
-                # zeta normalization above the direct range differs from the direct sum in its
-                # last bits, which a pair whose sums nearly cancel amplifies (basis:20 against
-                # zeta:1.4 sits at 0.42 between two sums near 70), so that pair is left out
-                truncated = probe_series(spec1, spec2, grid, theta)
-                want = _prefix_table_series(spec1, spec2, grid, theta, "truncated")
-                if spec2.kind == "basis":
-                    assert np.array_equal(truncated, want), label
-                elif label != ("basis:20", "zeta:1.4"):
-                    np.testing.assert_allclose(truncated, want, rtol=1e-14, atol=0.0,
-                                               err_msg=str(label))
+                got = probe_series(spec1, spec2, grid, theta)
+                want = _prefix_table_series(spec1, spec2, grid, theta)
+                assert np.array_equal(got, want), (spec1.label(), spec2.label())
 
 
 def test_probe_series_refuses_an_empty_grid():
@@ -263,13 +254,18 @@ def test_probe_series_memory_is_bounded_by_the_grid_gaps():
 
 def test_fit_refuses_identical_specs():
     with pytest.raises(ParameterError):
-        asymptotic_fit(ProbeSpec("zeta", s=1.2), ProbeSpec("zeta", s=1.2), [10, 100])
+        asymptotic_fit(ProbeSpec("zeta", s=1.2), ProbeSpec("zeta", s=1.2), [10, 100], 1.5)
 
 
 def test_fit_refuses_empty_window():
-    with pytest.raises(ParameterError):
-        asymptotic_fit(ProbeSpec("basis", index=0), ProbeSpec("zeta", s=1.2),
-                       [10, 100, 1000], fit_window=(2000, 3000))
+    # a window of one grid point; then decades that are not positive or whose power of
+    # ten is not a finite float (400 overflowed and -400 divided by zero)
+    for decades, match in [(0.5, "fewer than two")] + [
+            (d, f"fit window of {d} decades") for d in (0, -1.0, -400.0, 400, 400.0, math.inf,
+                                                         -math.inf, math.nan)]:
+        with pytest.raises(ParameterError, match=match):
+            asymptotic_fit(ProbeSpec("basis", index=0), ProbeSpec("zeta", s=1.2),
+                           [10, 100, 1000], decades)
 
 
 def test_probe_series_refuses_a_grid_top_above_the_support_cap():
@@ -279,7 +275,7 @@ def test_probe_series_refuses_a_grid_top_above_the_support_cap():
 
 def test_fit_requires_zeta_component():
     with pytest.raises(ParameterError):
-        asymptotic_fit(ProbeSpec("basis", index=0), ProbeSpec("basis", index=1), [10, 100])
+        asymptotic_fit(ProbeSpec("basis", index=0), ProbeSpec("basis", index=1), [10, 100], 1.5)
 
 
 def test_default_grid_is_np_unique_of_the_rounded_grid():
@@ -293,7 +289,7 @@ def test_default_grid_is_np_unique_of_the_rounded_grid():
 
 def test_fit_slope_smoke():
     series = asymptotic_fit(ProbeSpec("basis", index=0), ProbeSpec("zeta", s=1.2),
-                            probes.default_grid(1e3, 1e5, 15))
+                            probes.default_grid(1e3, 1e5, 15), 1.5)
     assert series.theory_slope == pytest.approx(0.3, abs=1e-12)
     assert series.fitted_slope == pytest.approx(0.3, abs=0.1)
     rows = list(series.csv_rows())
@@ -349,6 +345,3 @@ def test_estimate_checks_spot_values():
     # mean-value family at alpha = 1/2, k = 4
     assert 0.5 * 4 ** -0.5 >= math.sqrt(5) - 2 >= 0.5 * 5 ** -0.5
 
-
-def test_estimate_checks_empty_on_small_grid():
-    assert estimate_checks(m0_max=256, k_max=256) == []

@@ -406,14 +406,6 @@ def test_optimizer_size_guard_is_unchanged():
                                     box_radius=last_box + 1)
 
 
-def test_element_json_roundtrip():
-    a = TorusElement(0.37, {(1, -2): 1 + 2j, (0, 3): -1.5})
-    d = a.to_dict()
-    assert d["terms"][0]["m"] == [0, 3]  # sorted, deterministic
-    back = TorusElement.from_dict(d)
-    assert back.terms == a.terms
-
-
 def test_theta_mismatch_rejected():
     with pytest.raises(ParameterError):
         product(weyl(0.3, (1, 0)), weyl(0.4, (0, 1)))
