@@ -82,7 +82,7 @@ def staircase_diagonal(m0: int, theta: float) -> np.ndarray:
     check_theta(theta)
     _check_index(m0, "m0")
     inv = 1.0 / np.sqrt(np.arange(m0 + 1, dtype=float) + 1.0)
-    return np.sqrt(theta / 2.0) * np.cumsum(inv[::-1])[::-1]
+    return np.sqrt(2.0 * theta) / 2.0 * np.cumsum(inv[::-1])[::-1]
 
 
 def staircase(m0: int, theta: float) -> MoyalElement:
@@ -99,7 +99,7 @@ def bump_diagonal(n: int, theta: float) -> np.ndarray:
     check_theta(theta)
     _check_index(n, "index")
     d = np.zeros(n + 1, dtype=complex)
-    d[n] = np.sqrt(theta / 2.0) / np.sqrt(n + 1.0)
+    d[n] = np.sqrt(2.0 * theta) / 2.0 / np.sqrt(n + 1.0)
     return d
 
 

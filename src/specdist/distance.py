@@ -43,7 +43,8 @@ def basis_distance(m: int, n: int, theta: float) -> float:
     if m < 0 or n < 0:
         raise ParameterError("basis indices must be natural numbers")
     lo, hi = min(m, n), max(m, n)
-    return math.sqrt(theta / 2.0) * math.fsum(1.0 / math.sqrt(k) for k in range(lo + 1, hi + 1))
+    return (math.sqrt(2.0 * theta) / 2.0
+            * math.fsum(1.0 / math.sqrt(k) for k in range(lo + 1, hi + 1)))
 
 
 def triangle_residual(m: int, p: int, n: int, theta: float) -> float:

@@ -3,9 +3,9 @@ index grids, the weight-gap sequence and its crossover, mean-value estimates,
 log-log slope fits of the lower bound's growth, and the divergence verdict the
 radial certificate proves.
 
-Grid evaluation is one prefix-sum sweep over the sorted grid, O(max m0) in time
-and bounded in memory by the largest gap between grid points; grids up to 1e6 are
-cheap.
+Grid evaluation is one prefix-sum sweep over the sorted grid in blocks of
+SWEEP_BLOCK indices, O(max m0) in time and O(SWEEP_BLOCK) in memory; grids up to
+1e6 are cheap.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import check_theta
 from .errors import ParameterError
-from .states import MAX_SUPPORT, MoyalPureState, diagonal_difference
+from .states import MAX_SUPPORT, SWEEP_BLOCK, MoyalPureState, diagonal_difference
 from .zeta import zeta, zeta_partial, zeta_tail
 
 DEFAULT_CUTOFF_FACTOR = 100
@@ -92,11 +92,28 @@ def radial_steps(d: np.ndarray) -> np.ndarray:
     """Steps sigma_k/sqrt(k+1) of the best radial certificate for the diagonal difference
     d: sigma_k = -sign(T_{k+1}), T_j = sum_{p>=j} d_p.  Where T_{k+1} = 0 (always at the
     last step) the step adds nothing and keeps the sign before it (+1 if none), so dz
-    is one band of modulus 1/sqrt(2) and the commutator norm is exactly 1."""
-    tail = np.cumsum(d[::-1])[::-1]  # tail[j] = T_j
-    sigma = -np.sign(np.append(tail[1:], 0.0))
-    sigma = sigma[np.maximum.accumulate(np.where(sigma != 0, np.arange(sigma.size), 0))]
-    return np.where(sigma != 0, sigma, 1.0) / np.sqrt(np.arange(d.size, dtype=float) + 1.0)
+    is one band of modulus 1/sqrt(2) and the commutator norm is exactly 1.
+
+    One output buffer holds T_{k+1}, then sigma_k, then the step; the zero runs and the
+    divisors are taken block by block, so no other temporary is as long as d.
+    """
+    out = np.empty(d.size)
+    np.cumsum(d[:0:-1], out=out[-2::-1])  # out[k] = T_{k+1}, summed from the top down
+    out[-1] = 0.0
+    np.sign(out, out=out)
+    np.negative(out, out=out)
+    before = 1.0  # the sign before the current block
+    for lo in range(0, d.size, SWEEP_BLOCK):
+        block = out[lo:lo + SWEEP_BLOCK]
+        zeros = np.flatnonzero(block == 0)
+        if zeros.size:  # each zero run takes the sign just before it
+            starts = np.diff(zeros, prepend=-2) != 1
+            first = zeros[starts]
+            fill = np.where(first > 0, block[first - 1], before)
+            block[zeros] = fill[np.cumsum(starts) - 1]
+        before = block[-1]
+        block /= np.sqrt(np.arange(lo + 1, lo + block.size + 1, dtype=float))
+    return out
 
 
 def radial_gap(s1: MoyalPureState, s2: MoyalPureState, steps=None) -> float:
@@ -105,12 +122,14 @@ def radial_gap(s1: MoyalPureState, s2: MoyalPureState, steps=None) -> float:
     |T_{k+1}|/sqrt(k+1), the exact distance between the states averaged over the rotation
     action (a contraction; a 1-d Kantorovich distance on the basis chain): a lower bound
     above every staircase gap, equal to staircase_gap(top) bit for bit where T keeps one sign.
+    The suffix sums overwrite the steps in place: radial_steps' own buffer, or a copy of
+    the caller's steps, which are never written.
     """
     d = diagonal_difference(s1, s2)
-    steps = radial_steps(d) if steps is None else steps
-    n = min(steps.size, d.size)
-    u = np.cumsum(steps[::-1])[::-1]
-    return float(np.sqrt(s1.theta / 2.0) * abs(np.dot(u[:n], d[:n])))
+    u = radial_steps(d) if steps is None else np.array(steps, dtype=float)
+    np.cumsum(u[::-1], out=u[::-1])
+    n = min(u.size, d.size)
+    return float(np.sqrt(2.0 * s1.theta) / 2.0 * abs(np.dot(u[:n], d[:n])))
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +179,12 @@ def probe_series(spec1: ProbeSpec, spec2: ProbeSpec, m0_grid, theta: float = 1.0
     X_k = sum_{j<=k} w_j, T_k = sum_{j<=k} S_{j-1} w_j and w is the spec's weight vector:
     the indicator of `index` for "basis" and (m+1)^-s for "zeta", whose F is divided by
     the partial sum of its first DEFAULT_CUTOFF_FACTOR m0 + 1 terms.  One sweep over the
-    sorted distinct grid carries S, X and T from each grid point to the next by np.cumsum
-    with the running value prepended.  np.cumsum adds in sequence, so they equal
-    full-array prefix sums bit for bit (and as adding 0.0 and multiplying by 1.0 are
-    exact, a basis F is S_m0 - S_{index-1}, 0 below the index); memory is bounded by the
-    largest gap between grid points, time is O(top).
+    sorted distinct grid carries S, X and T from each block of at most SWEEP_BLOCK indices
+    to the next, blocks ending at every grid point, by np.cumsum with the running value
+    prepended.  np.cumsum adds in sequence, so they equal full-array prefix sums bit for
+    bit (and as adding 0.0 and multiplying by 1.0 are exact, a basis F is
+    S_m0 - S_{index-1}, 0 below the index); memory is O(SWEEP_BLOCK) whatever the grid,
+    time is O(top).
     Values come back in the caller's grid order, duplicates included.
     """
     check_theta(theta)
@@ -183,19 +203,22 @@ def probe_series(spec1: ProbeSpec, spec2: ProbeSpec, m0_grid, theta: float = 1.0
     x, t = [0.0, 0.0], [0.0, 0.0]  # X and T of each spec
     f_at, s_g, prev = {}, 0.0, -1
     for g in sorted(set(grid)):
-        j = np.arange(prev + 1, g + 1, dtype=float)
-        s_seg = np.cumsum(np.concatenate(([s_g], 1.0 / np.sqrt(j + 1.0))))
-        s_g, prev = s_seg[-1], g
+        for lo in range(prev + 1, g + 1, SWEEP_BLOCK):
+            j = np.arange(lo, min(lo + SWEEP_BLOCK, g + 1), dtype=float)
+            s_seg = np.cumsum(np.concatenate(([s_g], 1.0 / np.sqrt(j + 1.0))))
+            s_g = s_seg[-1]
+            for i, sp in enumerate(specs):
+                w = (j == sp.index).astype(float) if sp.kind == "basis" else (j + 1.0) ** (-sp.s)
+                x[i] = np.cumsum(np.concatenate(([x[i]], w)))[-1]
+                t[i] = np.cumsum(np.concatenate(([t[i]], s_seg[:-1] * w)))[-1]
+        prev = g
         f_at[g] = []
         for i, sp in enumerate(specs):
-            w = (j == sp.index).astype(float) if sp.kind == "basis" else (j + 1.0) ** (-sp.s)
-            x[i] = np.cumsum(np.concatenate(([x[i]], w)))[-1]
-            t[i] = np.cumsum(np.concatenate(([t[i]], s_seg[:-1] * w)))[-1]
             f = s_g * x[i] - t[i]
             if sp.kind == "zeta":
                 f /= zeta_partial(sp.s, DEFAULT_CUTOFF_FACTOR * g + 1)
             f_at[g].append(float(f))
-    pref = math.sqrt(theta / 2.0)
+    pref = math.sqrt(2.0 * theta) / 2.0
     return np.array([pref * abs(f_at[g][0] - f_at[g][1]) for g in grid])
 
 

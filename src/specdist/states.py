@@ -17,8 +17,11 @@ from .zeta import zeta, zeta_partial
 
 NORMALIZATION_TOL = 1e-12
 # largest coefficient vector a basis or zeta state may allocate; every bound and the
-# radial certificate take memory linear in it (about 68 bytes per index)
+# radial certificate take memory linear in it (about 32 bytes per index at the peak)
 MAX_SUPPORT = 2 ** 22
+# entries per block of the O(support) passes (the normalization check, probes.radial_steps
+# and probes.probe_series), so that none holds a support-sized temporary
+SWEEP_BLOCK = 2 ** 16
 
 
 def _check_support(size: int) -> None:
@@ -41,7 +44,8 @@ class MoyalPureState:
         v = np.array(self.c, dtype=complex, order="C")
         if v.ndim != 1 or v.size == 0:
             raise ParameterError("state coefficients must be a nonempty 1-d sequence")
-        nrm2 = float(np.sum(np.abs(v) ** 2))
+        nrm2 = sum(float(np.sum(np.abs(v[i:i + SWEEP_BLOCK]) ** 2))
+                   for i in range(0, v.size, SWEEP_BLOCK))
         if not abs(nrm2 - 1.0) <= NORMALIZATION_TOL:  # a NaN norm fails too
             raise ParameterError(f"state is not normalized: sum |c|^2 = {nrm2}")
         v.flags.writeable = False
@@ -73,7 +77,7 @@ def basis_state(m: int, theta: float) -> MoyalPureState:
     if m < 0:
         raise ParameterError(f"basis index must be a natural number, got {m}")
     _check_support(m + 1)
-    c = np.zeros(m + 1, dtype=complex)
+    c = np.zeros(m + 1)
     c[m] = 1.0
     return MoyalPureState(theta, c, kind="basis", meta={"index": m})
 
@@ -90,14 +94,14 @@ def zeta_state(s: float, m_cut: int, theta: float) -> MoyalPureState:
     if m_cut < 1:
         raise ParameterError(f"m_cut must be at least 1, got {m_cut}")
     _check_support(m_cut + 1)
-    m = np.arange(m_cut + 1, dtype=float)
-    w = (m + 1.0) ** (-s)
-    c = np.sqrt(w)
+    c = np.arange(1, m_cut + 2, dtype=float)  # one buffer: (m+1), then ^-s, sqrt, normalize
+    c **= -s
+    np.sqrt(c, out=c)
     c /= np.linalg.norm(c)
     partial = zeta_partial(s, m_cut + 1)
     return MoyalPureState(
         theta,
-        c.astype(complex),
+        c,
         kind="zeta",
         meta={"s": s, "m_cut": m_cut, "partial_sum": partial, "zeta": zeta(s)},
     )
@@ -128,8 +132,10 @@ def diagonal_difference(s1: MoyalPureState, s2: MoyalPureState) -> np.ndarray:
         raise ParameterError("states carry different theta")
     n = max(s1.support, s2.support)
     d = np.zeros(n, dtype=float)
-    d[: s1.support] += np.abs(s1.c) ** 2
-    d[: s2.support] -= np.abs(s2.c) ** 2
+    for s, accumulate in ((s1, np.add), (s2, np.subtract)):
+        w = np.abs(s.c)
+        w *= w
+        accumulate(d[: s.support], w, out=d[: s.support])
     return d
 
 

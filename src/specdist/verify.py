@@ -185,7 +185,7 @@ def radial_cross_path(s1, s2):
     """(Expectation gap, ball_report commutator norm) of the radial element built from
     probes.radial_steps = (probes.radial_gap, 1)."""
     steps = probes.radial_steps(diagonal_difference(s1, s2))
-    el = radial(s1.theta, math.sqrt(s1.theta / 2.0) * np.cumsum(steps[::-1])[::-1])
+    el = radial(s1.theta, math.sqrt(2.0 * s1.theta) / 2.0 * np.cumsum(steps[::-1])[::-1])
     lhs = np.array([abs(s1.expect(el) - s2.expect(el)), ball_report(el).commutator_norm])
     return lhs, np.array([probes.radial_gap(s1, s2), 1.0])
 

@@ -62,6 +62,40 @@ def test_moyal_distance_upper_bound_past_the_size_cap(capsys):
     assert report["analytic_upper"] is None and report["bracket_width"] is None
 
 
+def test_the_smallest_theta_keeps_the_closed_form_and_the_probe_fit(capsys):
+    # sqrt(theta / 2) underflowed to 0 at theta = 5e-324: the report gave closed_form and
+    # certificate_lower 0.0 under analytic_upper 1.57e-162, and the probe blamed its fit
+    # window for the vanishing bound
+    code, out, _ = run_cli(capsys, "moyal-distance", "--a", "basis:0", "--b", "basis:1",
+                           "--theta", "5e-324", "--no-optimize")
+    report = json.loads(out)
+    assert code == 0
+    assert report["closed_form"] == report["certificate_lower"] == math.sqrt(2.0) * 2.0 ** -538
+    assert report["certificate_lower"] <= report["analytic_upper"]
+    slopes = []
+    for theta in ("5e-324", "1"):
+        code, out, err = run_cli(capsys, "probe", "--pair", "zeta:1.2,basis:0", "--grid",
+                                 "1e2:1e3", "--points", "5", "--theta", theta, "--format", "json")
+        assert (code, err) == (0, "")
+        slopes.append(json.loads(out)["fitted_slope"])
+    assert slopes[0] == pytest.approx(slopes[1], rel=1e-9)
+
+
+def test_a_million_term_zeta_certificate_stays_small(capsys):
+    # the plane-bounds z6 job; the whole-array certificate peaked at 64 MB
+    argv = ("moyal-distance", "--theta", "1.0", "--a=basis:2", "--b=zeta:1.1:1000000",
+            "--no-optimize", "--probe")
+    run_cli(capsys, *argv)  # warm-up: imports and caches
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out)["divergence"] == "divergent"
+    assert peak < 40e6
+
+
 def test_moyal_distance_deterministic_output(capsys):
     args = ("moyal-distance", "--theta", "2", "--a", "finite:1,1", "--b", "basis:0",
             "--order", "8")

@@ -9,9 +9,10 @@ from specdist import probes
 from specdist.errors import ParameterError
 from specdist.probes import (DEFAULT_CUTOFF_FACTOR, ProbeSpec, asymptotic_fit, crossover_index,
                              crossover_mass, divergence_flag, inv_sqrt_suffix_sum,
-                             parse_probe_spec, probe_series, radial_gap, staircase_gap,
-                             zeta_weight_gap)
-from specdist.states import MAX_SUPPORT, basis_state, finite_state, zeta_state
+                             parse_probe_spec, probe_series, radial_gap, radial_steps,
+                             staircase_gap, zeta_weight_gap)
+from specdist.states import (MAX_SUPPORT, SWEEP_BLOCK, basis_state, diagonal_difference,
+                             finite_state, zeta_state)
 from specdist.verify import radial_cross_path, staircase_cross_path
 from specdist.zeta import zeta, zeta_partial, zeta_tail
 
@@ -111,6 +112,69 @@ def test_radial_gap_is_the_top_staircase_where_the_tail_keeps_one_sign():
             z = zeta_state(s, top, theta)
             for s1, s2 in ((basis_state(0, theta), z), (z, basis_state(0, theta)), (z, other)):
                 assert radial_gap(s1, s2) == staircase_gap(top, s1, s2)
+
+
+def _array_radial_steps(d):
+    """radial_steps as whole-array expressions, the oracle of the in-place version."""
+    tail = np.cumsum(d[::-1])[::-1]  # tail[j] = T_j
+    sigma = -np.sign(np.append(tail[1:], 0.0))
+    sigma = sigma[np.maximum.accumulate(np.where(sigma != 0, np.arange(sigma.size), 0))]
+    return np.where(sigma != 0, sigma, 1.0) / np.sqrt(np.arange(d.size, dtype=float) + 1.0)
+
+
+def _array_radial_gap(s1, s2, steps=None):
+    """radial_gap as whole-array expressions, the oracle of the in-place version."""
+    d = diagonal_difference(s1, s2)
+    steps = _array_radial_steps(d) if steps is None else steps
+    n = min(steps.size, d.size)
+    u = np.cumsum(steps[::-1])[::-1]
+    return float(np.sqrt(s1.theta / 2.0) * abs(np.dot(u[:n], d[:n])))
+
+
+def test_radial_steps_match_the_array_expressions_bit_for_bit(rng):
+    # integer differences sum exactly, so T_{k+1} = 0 on runs that cross block boundaries;
+    # one run starts the vector (+1), one fills whole blocks with the sign before them
+    walk = rng.integers(-3, 4, size=3 * SWEEP_BLOCK + 7).astype(float)
+    walk[rng.random(walk.size) < 0.5] = 0.0
+    carried = np.zeros(2 * SWEEP_BLOCK + 3)
+    carried[5], carried[SWEEP_BLOCK - 2] = -1.0, 1.0
+    zero_tail = np.concatenate([rng.standard_normal(40), np.zeros(30)])
+    cases = [rng.standard_normal(n) for n in (1, 2, 17, SWEEP_BLOCK + 1)]
+    cases += [np.zeros(1), np.ones(1), walk, carried, zero_tail, -zero_tail]
+    for d in cases:
+        assert np.array_equal(radial_steps(d), _array_radial_steps(d)), d.size
+
+
+def test_radial_gap_matches_the_array_expressions_bit_for_bit(rng):
+    theta = 0.5
+    pairs = [(basis_state(1000, theta), basis_state(999, theta)),
+             (basis_state(999, theta), basis_state(1000, theta)),
+             (basis_state(0, theta), basis_state(0, theta)),
+             (finite_state([1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0], theta), basis_state(2, theta)),
+             (zeta_state(1.1, 2 * SWEEP_BLOCK, theta), basis_state(3, theta))]
+    pairs += [(s1, s2) for s1, s2 in _random_finite_pairs(rng, 12)
+              if s1.theta == theta and s2.theta == theta]
+    for s1, s2 in pairs:
+        assert radial_gap(s1, s2) == _array_radial_gap(s1, s2)
+        n = max(s1.support, s2.support)
+        for m0 in (0, n // 2, n - 1, n + 5):  # staircase steps shorter and longer than d
+            steps = 1.0 / np.sqrt(np.arange(m0 + 1, dtype=float) + 1.0)
+            kept = steps.copy()
+            assert radial_gap(s1, s2, steps) == _array_radial_gap(s1, s2, kept)
+            assert np.array_equal(steps, kept)  # the caller's steps are never written
+            assert staircase_gap(m0, s1, s2) == _array_radial_gap(s1, s2, kept)
+
+
+def test_radial_gap_memory_is_linear_in_the_support():
+    # the whole-array version held 48 bytes per index beside the state
+    st, other = zeta_state(1.1, 10 ** 6, 1.0), basis_state(2, 1.0)
+    tracemalloc.start()
+    try:
+        radial_gap(other, st)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * st.support
 
 
 def test_weight_gap_sign_pattern():
@@ -239,8 +303,20 @@ def test_zeta_partial_above_the_direct_range_matches_the_direct_sum():
             assert zeta_partial(s, k) == pytest.approx(direct, rel=2e-15, abs=0.0), (s, k)
 
 
-def test_probe_series_memory_is_bounded_by_the_grid_gaps():
-    # the 1e2..1e6 grid once held six full-length tables and 16 MB partial-sum temporaries
+def test_probe_series_across_several_sweep_blocks_matches_full_prefix_tables():
+    grid = [200_000, 5, 3 * SWEEP_BLOCK + 7]  # the middle gap spans three blocks and more
+    specs = [ProbeSpec("basis", index=i) for i in (2, SWEEP_BLOCK + 3)] \
+        + [ProbeSpec("zeta", s=1.1), ProbeSpec("zeta", s=1.4)]
+    for i, spec1 in enumerate(specs):
+        for spec2 in specs[i + 1:]:
+            got = probe_series(spec1, spec2, grid, 2.0)
+            assert np.array_equal(got, _prefix_table_series(spec1, spec2, grid, 2.0)), \
+                (spec1.label(), spec2.label())
+
+
+def test_probe_series_memory_is_bounded_by_the_sweep_block():
+    # the 1e2..1e6 grid once held six full-length tables and 16 MB partial-sum temporaries,
+    # then temporaries as long as its largest gap (12 MB)
     grid = probes.default_grid(1e2, 1e6, 25)
     zeta(1.1), zeta(1.4)  # cached values, outside the measurement
     tracemalloc.start()
@@ -249,7 +325,7 @@ def test_probe_series_memory_is_bounded_by_the_grid_gaps():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20e6
+    assert peak < 4e6
 
 
 def test_fit_refuses_identical_specs():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from specdist.algebra import basis, zero
 from specdist.calculus import staircase
 from specdist.errors import ParameterError
-from specdist.states import (MoyalPureState, basis_state, diagonal_difference,
+from specdist.states import (SWEEP_BLOCK, MoyalPureState, basis_state, diagonal_difference,
                              finite_state, zeta_state)
 from specdist.zeta import zeta, zeta_partial
 
@@ -49,6 +50,35 @@ def test_zeta_state_weights():
     assert abs(st.c[0]) ** 2 == pytest.approx(1 / zeta(2.0), rel=1e-5)
     assert float(np.sum(np.abs(st.c) ** 2)) == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(np.abs(st.c)) < 0)
+
+
+def test_zeta_state_and_diagonal_difference_match_the_array_expressions():
+    # the in-place versions against the whole-array expressions they replace, bit for bit
+    n = 3 * SWEEP_BLOCK + 5
+    for s in (1.01, 1.1, 1.5, 2.0, 3.7):
+        w = np.sqrt((np.arange(n, dtype=float) + 1.0) ** (-s))
+        w /= np.linalg.norm(w)
+        st = zeta_state(s, n - 1, 1.0)
+        assert np.array_equal(st.c, w.astype(complex))
+        for other in (basis_state(7, 1.0), finite_state([0.3, -1j, 2.0], 1.0), st):
+            for a, b in ((st, other), (other, st)):
+                d = np.zeros(n)
+                d[: a.support] += np.abs(a.c) ** 2
+                d[: b.support] -= np.abs(b.c) ** 2
+                assert np.array_equal(diagonal_difference(a, b), d)
+
+
+def test_zeta_state_memory_is_linear_in_the_support():
+    # 64 bytes per index before the weights were built in one buffer; the state keeps 16
+    m_cut = 10 ** 6
+    zeta(1.1)  # cached value, outside the measurement
+    tracemalloc.start()
+    try:
+        zeta_state(1.1, m_cut, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * (m_cut + 1)
 
 
 def test_zeta_state_metadata():
