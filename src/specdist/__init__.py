@@ -12,17 +12,17 @@ from importlib import import_module as _import_module
 
 # the public API: submodule -> the names it exports as specdist.<name>
 _API = {
-    "algebra": ("MoyalElement", "basis", "frechet_seminorm", "inner", "integral", "involution",
-                "radial", "sobolev_norm", "star", "zero"),
-    "calculus": ("dz", "dzbar", "radial_bump", "reconstruct", "staircase"),
+    "algebra": ("MoyalElement", "basis", "inner", "integral", "involution", "radial",
+                "sobolev_norm", "star", "zero"),
+    "calculus": ("dz", "dzbar", "reconstruct", "staircase"),
     "distance": ("DistanceReport", "OptimizeResult", "analytic_upper_bound", "basis_distance",
-                 "moyal_report", "optimize_distance", "triangle_residual"),
-    "errors": ("ParameterError", "PreconditionError", "UnboundedSupportError"),
+                 "moyal_report", "optimize_distance"),
+    "errors": ("ParameterError", "UnboundedSupportError"),
     "lipschitz": ("BallReport", "ball_report", "commutator_norm", "op_norm",
                   "radial_ball_report"),
     "probes": ("ProbeSeries", "ProbeSpec", "asymptotic_fit", "crossover_index",
-               "divergence_flag", "estimate_checks", "inv_sqrt_suffix_sum", "probe_series",
-               "radial_gap", "staircase_gap", "zeta_weight_gap"),
+               "divergence_flag", "estimate_checks", "probe_series", "radial_gap",
+               "staircase_gap", "zeta_weight_gap"),
     "states": ("MoyalPureState", "basis_state", "diagonal_difference", "difference_matrix",
                "finite_state", "zeta_state"),
     "torus": ("TorusElement", "TorusState", "bicharacter", "torus_commutator_norm",

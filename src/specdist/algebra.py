@@ -155,9 +155,3 @@ def sobolev_norm(a: MoyalElement, s: float, t: float) -> float:
     total = float(np.sum(wm[:, None] * wn[None, :] * np.abs(a.coeffs) ** 2))
     return float(np.sqrt(a.theta ** (s + t) * total))
 
-
-def frechet_seminorm(a: MoyalElement, k: int) -> float:
-    """k-th seminorm of the rapid-decrease topology; equals the (k, k) weighted norm."""
-    if k < 0:
-        raise ParameterError(f"seminorm index must be a natural number, got {k}")
-    return sobolev_norm(a, float(k), float(k))

@@ -17,9 +17,9 @@ from .errors import ParameterError
 def dz_stencil(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     """dz's recurrence on an n x n coefficient array, written into one (n+1) x (n+1) array:
     out[m, j] = s[j+1] x[m, j+1] - s[m] x[m-1, j], with s[i] = sqrt(i/theta) for i <= n and
-    the entries of x past its edges zero."""
+    the entries of x past its edges zero.  The output is real when x and s are."""
     n = x.shape[0]
-    out = np.zeros((n + 1, n + 1), dtype=complex)
+    out = np.zeros((n + 1, n + 1), dtype=np.result_type(x, s))
     np.multiply(x[:, 1:], s[1:n], out=out[:n, :n - 1])
     out[1:, :n] -= s[1:, None] * x
     return out
@@ -102,7 +102,3 @@ def bump_diagonal(n: int, theta: float) -> np.ndarray:
     d[n] = np.sqrt(2.0 * theta) / 2.0 / np.sqrt(n + 1.0)
     return d
 
-
-def radial_bump(n: int, theta: float) -> MoyalElement:
-    """The radial element with diagonal `bump_diagonal(n, theta)`."""
-    return radial(theta, bump_diagonal(n, theta))

@@ -44,12 +44,20 @@ def parse_state_spec(text: str, theta: float):
         if kind == "zeta" and len(parts) == 3:
             return zeta_state(float(parts[1]), int(parts[2]), theta)
         if kind == "finite" and len(parts) == 2:
-            return finite_state([complex(w) for w in parts[1].split(",")], theta)
+            return finite_state([_weight(w) for w in parts[1].split(",")], theta)
     except ParameterError:  # the state's own message, e.g. non-finite or all-zero weights
         raise
     except ValueError:  # a number that does not parse
         pass
     raise ParameterError(f"cannot parse state spec {text!r}")
+
+
+def _weight(text: str):
+    """A finite: weight, read as a float where float() reads it, so real weights stay real."""
+    try:
+        return float(text)
+    except ValueError:
+        return complex(text)
 
 
 def _positive_int(text: str) -> int:

@@ -16,9 +16,9 @@ import numpy as np
 from . import probes
 from .algebra import MAX_OPERATOR_ENTRIES, MoyalElement, zero
 from .calculus import dz_stencil
-from .errors import ParameterError, PreconditionError, UnboundedSupportError
+from .errors import ParameterError, UnboundedSupportError
 from .lipschitz import clip_spectral, commutator_norm, nuclear_norm, op_norm
-from .states import MoyalPureState, difference_matrix
+from .states import SWEEP_BLOCK, MoyalPureState, _check_support, difference_matrix
 
 SPECTRAL_RADIUS = 1.0 / math.sqrt(2.0)  # derivative budget of the unit commutator ball
 STALL_ITERS = 50  # admm_maximize stops after this many non-improving iterations in a row
@@ -32,26 +32,34 @@ GAP_TOL = 1e-4
 # an SVD, about one iteration's work, and checking every 10th iteration ends a run at
 # most 9 iterations after the gap has closed
 GAP_EVERY = 10
+# optimize_distance runs on Re W when |Im W| <= REAL_KAPPA u M entrywise (u = 2^-53,
+# M = |c1||c1|^T + |c2||c2|^T): for states real up to a global phase and rounded part by
+# part (2u relative from the spec and the normalization), |Im(conj(c_m) c_n)| <= 4u
+# |c_m||c_n|, and the products and the difference of W add at most 3u M; 16 leaves room
+REAL_KAPPA = 16
 
 
 def basis_distance(m: int, n: int, theta: float) -> float:
     """Distance between the m-th and n-th diagonal basis states (closed form).
 
     Equals sqrt(theta/2) * sum_{k=lo+1}^{hi} 1/sqrt(k); symmetric, zero on the
-    diagonal, and additive through intermediate indices.
+    diagonal, and additive through intermediate indices.  The sum is math.fsum's, the
+    correctly rounded exact sum, taken in blocks of SWEEP_BLOCK: for k <= MAX_SUPPORT =
+    2^22 each fl(1/sqrt(k)) is at least 2^-11, so a multiple of 2^-63, and 2^32 times it
+    splits exactly into an integer part and a fraction times 2^32, integers of at most
+    2^32 that int64 block sums hold exactly; one int division rounds the total.
     """
     if m < 0 or n < 0:
         raise ParameterError("basis indices must be natural numbers")
     lo, hi = min(m, n), max(m, n)
-    return (math.sqrt(2.0 * theta) / 2.0
-            * math.fsum(1.0 / math.sqrt(k) for k in range(lo + 1, hi + 1)))
-
-
-def triangle_residual(m: int, p: int, n: int, theta: float) -> float:
-    """Residual of the additive decomposition d(m,n) = d(m,p) + d(p,n), m <= p <= n."""
-    if not (m <= p <= n):
-        raise PreconditionError(f"indices must satisfy m <= p <= n, got {(m, p, n)}")
-    return basis_distance(m, n, theta) - basis_distance(m, p, theta) - basis_distance(p, n, theta)
+    _check_support(hi + 1)
+    total = 0  # the exact sum times 2^64
+    for start in range(lo + 1, hi + 1, SWEEP_BLOCK):
+        k = np.arange(start, min(start + SWEEP_BLOCK, hi + 1), dtype=float)
+        frac, whole = np.modf(2.0 ** 32 / np.sqrt(k))
+        frac *= 2.0 ** 32
+        total += (int(whole.astype(np.int64).sum()) << 32) + int(frac.astype(np.int64).sum())
+    return math.sqrt(2.0 * theta) / 2.0 * (total / 2 ** 64)
 
 
 def analytic_upper_bound(s1: MoyalPureState, s2: MoyalPureState) -> float:
@@ -132,9 +140,10 @@ def plane_closures(order: int, theta: float):
     apply is `calculus.dz_stencil`, dz(x)[m, j] = s(j+1) x[m, j+1] - s(m) x[m-1, j] with
     s(i) = sqrt(i/theta), adjoint its Frobenius adjoint; solve(r) is the hermitian x
     whose Gram image is the hermitian part of r: one batched matmul by `band_inverses`.
+    Each keeps its input's dtype, so a real symmetric problem stays real.
     """
     n = order
-    s = np.sqrt(np.arange(n + 1) / theta).astype(complex)  # complex: no casts per call
+    s = np.sqrt(np.arange(n + 1) / theta)
     row, neg_col = s[1:n], -s[1:, None]
     k, i = np.divmod(np.arange(n * n), n)
     valid = i < n - k
@@ -153,9 +162,9 @@ def plane_closures(order: int, theta: float):
 
     def solve(r):
         r = r.ravel()
-        rhs = (r[up_in] + r[lo_in].conj()).view(float).reshape(n, n, 2)
-        xb = np.matmul(half_inv, rhs).view(complex).ravel()
-        x = np.empty(n * n + 1, dtype=complex)
+        rhs = (r[up_in] + r[lo_in].conj()).view(float).reshape(n, n, -1)
+        xb = np.matmul(half_inv, rhs).view(r.dtype).ravel()
+        x = np.empty(n * n + 1, dtype=r.dtype)
         x[up], x[lo] = xb, xb.conj()
         return x[:-1].reshape(n, n)
 
@@ -233,9 +242,12 @@ def optimize_distance(s1: MoyalPureState, s2: MoyalPureState, order: int,
     Solves max <w, a> subject to the spectral-norm budget on the derivative
     with `admm_maximize` over `plane_closures`: O(n^2) stencils and the n
     zero-padded band inverses, n^3 floats, so orders whose cube exceeds
-    MAX_OPERATOR_ENTRIES (311 and above) are refused.  The returned certificate
-    is rescaled to unit commutator norm, so the reported value is a feasible
-    lower bound wherever the iteration stops.
+    MAX_OPERATOR_ENTRIES (311 and above) are refused.  Real inputs stay real: when
+    W = `difference_matrix` is real to rounding (REAL_KAPPA), the iteration runs on real
+    symmetric matrices with Re W, which loses nothing (dz has real weights, so x -> conj(x)
+    keeps the constraint and a real objective).  The returned certificate is rescaled to
+    unit commutator norm, so the reported value is a feasible lower bound wherever the
+    iteration stops.
     """
     if s1.theta != s2.theta:
         raise ParameterError("states carry different theta")
@@ -255,7 +267,10 @@ def optimize_distance(s1: MoyalPureState, s2: MoyalPureState, order: int,
         raise ParameterError(f"order {n} over theta {theta} overflows the float range; "
                              "raise theta or lower the order")
 
-    best_x, it, converged = admm_maximize(w.conj(), *plane_closures(n, theta),
+    a = np.abs([np.pad(s.c, (0, n - s.support)) for s in (s1, s2)])
+    real = np.all(np.abs(w.imag) <= REAL_KAPPA * 2.0 ** -53 * (a.T @ a))
+    best_x, it, converged = admm_maximize(np.ascontiguousarray(w.real) if real else w.conj(),
+                                          *plane_closures(n, theta),
                                           SPECTRAL_RADIUS, 1.0, max_iter)  # rho = 1
     a_best = MoyalElement(theta, best_x)
     cn = commutator_norm(a_best)

@@ -5,9 +5,5 @@ class ParameterError(ValueError):
     """Invalid or mismatched parameters (theta mismatch, bad exponent, undersized box)."""
 
 
-class PreconditionError(ValueError):
-    """An operation was called on an input that violates its stated precondition."""
-
-
 class UnboundedSupportError(ValueError):
     """Raised when a quantity is only defined for finitely supported states."""

@@ -125,7 +125,7 @@ def op_norm(coeffs) -> float:
     The norm is the largest of the norms of the blocks of `split_blocks`, so a weighted
     partial permutation gets its largest entry modulus with no SVD.
     """
-    m = np.asarray(coeffs, dtype=complex)
+    m = np.asarray(coeffs)
     if m.size == 0:
         return 0.0
     if m.ndim != 2:
@@ -177,16 +177,24 @@ def clip_spectral(mat: np.ndarray, radius: float) -> np.ndarray:
     clips = [_clip_stack(stack, radius) for _, stack in blocks]
     if all(clipped is None for _, clipped in clips):
         return mat
-    out = np.zeros(mat.size, dtype=complex)  # every nonzero lies in a block
+    out = np.zeros(mat.size, dtype=mat.dtype)  # every nonzero lies in a block
     for (index, stack), (top, clipped) in zip(blocks, clips):
         out[index] = (stack if clipped is None
                       else np.where((top > radius)[:, None, None], clipped, stack))
     return out.reshape(mat.shape)
 
 
+def _derivatives(a: MoyalElement) -> tuple:
+    """The coefficients of dz(a) and dzbar(a), or of dz(a) alone for a hermitian a: then
+    dzbar(a) = dz(a)^H bit for bit, since `dz_stencil`'s weights are real and conjugation
+    commutes with rounding, so it has dz(a)'s singular values and transposed entries."""
+    al = dz(a).coeffs
+    return (al,) if np.array_equal(a.coeffs, a.coeffs.conj().T) else (al, dzbar(a).coeffs)
+
+
 def commutator_norm(a: MoyalElement) -> float:
     """Operator norm of the Dirac commutator: sqrt(2) * max of the derivative norms."""
-    return float(np.sqrt(2.0) * max(op_norm(dz(a).coeffs), op_norm(dzbar(a).coeffs)))
+    return float(np.sqrt(2.0) * max(op_norm(m) for m in _derivatives(a)))
 
 
 @dataclass(frozen=True)
@@ -228,19 +236,21 @@ def ball_report(a: MoyalElement, tol: float = 1e-9) -> BallReport:
     """Check membership of the unit Lipschitz ball and list entrywise violations.
 
     Every derivative coefficient of a member has modulus at most 1/sqrt(2), so
-    each listed violation certifies non-membership on its own.
+    each listed violation certifies non-membership on its own.  A hermitian a takes
+    one SVD, and dzbar's violations are the transposes of dz's.
     """
     _check_tol(tol)
-    al = dz(a).coeffs
-    be = dzbar(a).coeffs
+    mats = _derivatives(a)
     violations = []
-    for mat in (al, be):
+    for mat in mats:
         mod = np.abs(mat)
         _check_finite(mod.max(initial=0.0), a.theta)  # before the SVDs, which it would fail
         rows, cols = np.nonzero(mod > ENTRY_BOUND + tol)
         violations.extend((int(r), int(c), float(abs(mat[r, c]))) for r, c in zip(rows, cols))
     del mod  # not held through the SVDs
-    return _report(max(op_norm(al), op_norm(be)), tol, violations, a.theta)
+    if len(mats) == 1:  # in dzbar's row-major order, as its own scan would list them
+        violations += sorted((c, r, v) for r, c, v in violations)
+    return _report(max(op_norm(m) for m in mats), tol, violations, a.theta)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused, not warned of

@@ -23,13 +23,6 @@ from .zeta import zeta, zeta_partial, zeta_tail
 DEFAULT_CUTOFF_FACTOR = 100
 
 
-def inv_sqrt_suffix_sum(m: int, m0: int) -> float:
-    """u(m, m0) = sum_{k=m}^{m0} 1/sqrt(k+1)."""
-    if not 0 <= m <= m0:
-        raise ParameterError(f"need 0 <= m <= m0, got {(m, m0)}")
-    return math.fsum(1.0 / math.sqrt(k + 1.0) for k in range(m, m0 + 1))
-
-
 def _check_exponents(s1: float, s2: float) -> None:
     if not (1.0 < s1 < s2 <= 1.5):
         raise ParameterError(f"exponents must satisfy 1 < s1 < s2 <= 3/2, got {(s1, s2)}")

@@ -17,7 +17,7 @@ from .zeta import zeta, zeta_partial
 
 NORMALIZATION_TOL = 1e-12
 # largest coefficient vector a basis or zeta state may allocate; every bound and the
-# radial certificate take memory linear in it (about 32 bytes per index at the peak)
+# radial certificate take memory linear in it (about 24 bytes per index at the peak)
 MAX_SUPPORT = 2 ** 22
 # entries per block of the O(support) passes (the normalization check, probes.radial_steps
 # and probes.probe_series), so that none holds a support-sized temporary
@@ -32,7 +32,8 @@ def _check_support(size: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class MoyalPureState:
-    """Vector state given by a unit coefficient sequence plus construction metadata."""
+    """Vector state given by a unit coefficient sequence, float64 when real (basis and zeta
+    states, real finite weights) and complex128 otherwise, plus construction metadata."""
 
     theta: float
     c: np.ndarray = field(repr=False)
@@ -41,7 +42,7 @@ class MoyalPureState:
 
     def __post_init__(self):
         check_theta(self.theta)
-        v = np.array(self.c, dtype=complex, order="C")
+        v = np.array(self.c, dtype=complex if np.iscomplexobj(self.c) else float, order="C")
         if v.ndim != 1 or v.size == 0:
             raise ParameterError("state coefficients must be a nonempty 1-d sequence")
         nrm2 = sum(float(np.sum(np.abs(v[i:i + SWEEP_BLOCK]) ** 2))
@@ -108,8 +109,11 @@ def zeta_state(s: float, m_cut: int, theta: float) -> MoyalPureState:
 
 
 def finite_state(weights, theta: float) -> MoyalPureState:
-    """State from a finite weight vector, normalized after an exact power-of-two rescale."""
-    w = np.asarray(list(weights), dtype=complex)
+    """State from a finite weight vector, normalized after an exact power-of-two rescale in
+    complex arithmetic; real weights keep the real part, the state of the same weights
+    passed as complex bit for bit."""
+    w = np.asarray(list(weights))
+    real, w = not np.iscomplexobj(w), w.astype(complex)
     if w.ndim != 1 or w.size == 0:
         raise ParameterError("weights must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(w)):
@@ -119,7 +123,8 @@ def finite_state(weights, theta: float) -> MoyalPureState:
     nrm = float(np.linalg.norm(w))
     if nrm == 0.0:
         raise ParameterError("weights must not all vanish")
-    return MoyalPureState(theta, w / nrm, kind="finite")
+    w /= nrm
+    return MoyalPureState(theta, w.real if real else w, kind="finite")
 
 
 def diagonal_difference(s1: MoyalPureState, s2: MoyalPureState) -> np.ndarray:
@@ -133,9 +138,10 @@ def diagonal_difference(s1: MoyalPureState, s2: MoyalPureState) -> np.ndarray:
     n = max(s1.support, s2.support)
     d = np.zeros(n, dtype=float)
     for s, accumulate in ((s1, np.add), (s2, np.subtract)):
-        w = np.abs(s.c)
-        w *= w
-        accumulate(d[: s.support], w, out=d[: s.support])
+        for lo in range(0, s.support, SWEEP_BLOCK):  # no temporary as long as the state
+            w = np.abs(s.c[lo:lo + SWEEP_BLOCK])
+            w *= w
+            accumulate(d[lo:lo + w.size], w, out=d[lo:lo + w.size])
     return d
 
 

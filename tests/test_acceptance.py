@@ -25,7 +25,7 @@ import numpy as np
 
 from specdist import probes, torus, verify
 from specdist.calculus import staircase
-from specdist.distance import optimize_distance, triangle_residual
+from specdist.distance import basis_distance, optimize_distance
 from specdist.lipschitz import ENTRY_BOUND, commutator_norm
 from specdist.states import basis_state, finite_state, zeta_state
 from specdist.verify import DEFAULT_SEED as SEED, deviation, matrix_deviation
@@ -68,7 +68,9 @@ def test_criterion_3_triangular_equality():
         for m in range(21):
             for p in range(m, 21):
                 for n in range(p, 21):
-                    worst = max(worst, abs(triangle_residual(m, p, n, theta)))
+                    residual = (basis_distance(m, n, theta) - basis_distance(m, p, theta)
+                                - basis_distance(p, n, theta))
+                    worst = max(worst, abs(residual))
     assert report("3 triangular equality", worst < 1e-12, f"max residual {worst:.2e}")
 
 

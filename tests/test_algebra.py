@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from specdist.algebra import (MoyalElement, basis, frechet_seminorm, inner, integral,
-                              involution, radial, sobolev_norm, star, zero)
+from specdist.algebra import (MoyalElement, basis, inner, integral, involution, radial,
+                              sobolev_norm, star, zero)
 from specdist.errors import ParameterError
 from specdist.verify import (involution_antihomomorphism, left_multiplication_adjoint,
                              trace_cyclicity)
@@ -115,9 +115,10 @@ def test_weighted_norm_monotone_for_large_theta(rng):
 
 
 def test_seminorm_values():
-    assert frechet_seminorm(basis(1.0, 0, 0), 0) == pytest.approx(1.0, abs=1e-15)
-    assert frechet_seminorm(basis(1.0, 0, 0), 1) == pytest.approx(0.5, abs=1e-15)
-    assert frechet_seminorm(zero(1.0, 3), 4) == 0.0
+    # the k-th seminorm of the rapid-decrease topology is the (k, k) weighted norm
+    assert sobolev_norm(basis(1.0, 0, 0), 0, 0) == pytest.approx(1.0, abs=1e-15)
+    assert sobolev_norm(basis(1.0, 0, 0), 1, 1) == pytest.approx(0.5, abs=1e-15)
+    assert sobolev_norm(zero(1.0, 3), 4, 4) == 0.0
 
 
 def test_json_roundtrip(rng):
@@ -148,5 +149,3 @@ def test_invalid_parameters():
         MoyalElement(math.inf, [[1.0]])
     with pytest.raises(ParameterError):
         MoyalElement(1.0, [[1.0, 2.0]])
-    with pytest.raises(ParameterError):
-        frechet_seminorm(basis(1.0, 0, 0), -1)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from specdist.algebra import MoyalElement, basis, zero
-from specdist.calculus import dz, dzbar, radial_bump, reconstruct, staircase
+from specdist.algebra import MoyalElement, basis, radial, zero
+from specdist.calculus import bump_diagonal, dz, dzbar, reconstruct, staircase
 from specdist.errors import ParameterError
 from specdist.lipschitz import commutator_norm
 from specdist.verify import (derivative_conjugation, leibniz_rule, radial_derivative_band,
@@ -149,15 +149,16 @@ def test_staircase_diagonal_monotone():
 
 
 def test_radial_bump_values():
-    assert radial_bump(0, 2.0).coeffs[0, 0] == pytest.approx(1.0, abs=1e-15)
+    assert radial(2.0, bump_diagonal(0, 2.0)).coeffs[0, 0] == pytest.approx(1.0, abs=1e-15)
     for n in (1, 3, 7):
-        val = radial_bump(n, 0.5).coeffs[n, n]
+        val = radial(0.5, bump_diagonal(n, 0.5)).coeffs[n, n]
         assert val == pytest.approx(math.sqrt(0.25) / math.sqrt(n + 1), abs=1e-15)
 
 
 def test_radial_bump_commutator_norm_is_one():
     for n in range(21):
-        assert commutator_norm(radial_bump(n, 1.0)) == pytest.approx(1.0, abs=1e-12)
+        bump = radial(1.0, bump_diagonal(n, 1.0))
+        assert commutator_norm(bump) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_radial_derivative_band(rng):

@@ -8,11 +8,12 @@ from specdist.algebra import MoyalElement
 from specdist.calculus import dz
 from specdist.distance import (GAP_TOL, SPECTRAL_RADIUS, admm_maximize, analytic_upper_bound,
                                band_inverses, basis_distance, moyal_report, optimize_distance,
-                               plane_closures, triangle_residual)
-from specdist.errors import ParameterError, PreconditionError, UnboundedSupportError
+                               plane_closures)
+from specdist.errors import ParameterError, UnboundedSupportError
 from specdist.lipschitz import clip_spectral, commutator_norm, nuclear_norm, op_norm
 from specdist.probes import radial_gap
-from specdist.states import basis_state, difference_matrix, finite_state, zeta_state
+from specdist.states import (MAX_SUPPORT, MoyalPureState, basis_state, difference_matrix,
+                             finite_state, zeta_state)
 
 from conftest import THETAS, permuted_blocks, random_block_shapes
 
@@ -26,10 +27,9 @@ def test_closed_form_values():
 
 
 def test_triangle_residuals():
-    assert triangle_residual(0, 1, 2, 1.0) == pytest.approx(0.0, abs=1e-15)
-    assert triangle_residual(3, 3, 3, 1.0) == 0.0
-    with pytest.raises(PreconditionError):
-        triangle_residual(2, 1, 3, 1.0)
+    d = lambda m, n: basis_distance(m, n, 1.0)
+    assert d(0, 2) - d(0, 1) - d(1, 2) == pytest.approx(0.0, abs=1e-15)
+    assert d(3, 3) - d(3, 3) - d(3, 3) == 0.0
 
 
 def test_certificate_reaches_closed_form():
@@ -587,3 +587,47 @@ def test_report_bound_ordering_invariants():
         if rep.closed_form is not None:
             assert rep.certificate_lower <= rep.closed_form + tol
             assert rep.closed_form <= rep.analytic_upper + tol
+
+
+def test_basis_distance_is_the_fsum_closed_form_up_to_the_cap():
+    top = MAX_SUPPORT - 1
+    pairs = [(0, 0), (0, 1), (1, 0), (5, 17), (0, 65_536), (65_535, 131_073), (1000, top),
+             (top - 1, top), (top, 0)]
+    for m, n in pairs:
+        lo, hi = min(m, n), max(m, n)
+        total = math.fsum(1.0 / math.sqrt(k) for k in range(lo + 1, hi + 1))
+        for theta in (0.37, 1.0, 2.0, 5e-324, 1e300):
+            assert basis_distance(m, n, theta) == math.sqrt(2.0 * theta) / 2.0 * total
+    with pytest.raises(ParameterError):
+        basis_distance(0, MAX_SUPPORT, 1.0)
+
+
+def _complex_copy(state):
+    return MoyalPureState(state.theta, state.c.astype(complex), kind=state.kind,
+                          meta=state.meta)
+
+
+def test_a_real_pair_reports_as_the_pair_with_zero_imaginary_parts():
+    pairs = [(finite_state([1.0, 2.0, 3.0], 1.0), basis_state(0, 1.0), 12),
+             (finite_state([0.3, -0.7], 2.0), finite_state([0.2, 0.1, -0.5, 0.9], 2.0), 10),
+             (basis_state(1, 0.5), basis_state(4, 0.5), 12)]
+    for s1, s2, order in pairs:
+        assert s1.c.dtype == s2.c.dtype == np.float64
+        real = moyal_report(s1, s2, order=order)
+        cplx = moyal_report(_complex_copy(s1), _complex_copy(s2), order=order)
+        for field in ("certificate_lower", "analytic_upper", "closed_form"):
+            assert getattr(real, field) == getattr(cplx, field), field
+        assert real.optimizer_lower == pytest.approx(cplx.optimizer_lower, rel=1e-12)
+        assert real.iterations == cplx.iterations
+
+
+def test_optimizer_runs_real_for_phased_real_states_and_complex_otherwise(monkeypatch):
+    seen = []
+    admm = distance.admm_maximize
+    monkeypatch.setattr(distance, "admm_maximize",
+                        lambda c, *rest: seen.append(c.dtype) or admm(c, *rest))
+    phased = finite_state(np.array([1.0, 2.0, 3.0]) * np.exp(0.7j), 1.0)
+    assert np.any(phased.c.imag)
+    optimize_distance(phased, basis_state(0, 1.0), 8)
+    optimize_distance(finite_state([1.0, 2.0j, 3.0], 1.0), basis_state(0, 1.0), 8)
+    assert seen == [np.float64, np.complex128]

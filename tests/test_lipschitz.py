@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from specdist.algebra import MoyalElement, radial, zero
-from specdist.calculus import dz, radial_bump, staircase
+from specdist import lipschitz
+from specdist.algebra import MoyalElement, involution, radial, zero
+from specdist.calculus import bump_diagonal, dz, dzbar, staircase
 from specdist.errors import ParameterError
 from specdist.lipschitz import (LAYOUT_CACHE_SIZE, _block_layout, _nonzero_pattern,
                                 ball_report, commutator_norm, nuclear_norm, op_norm,
@@ -209,7 +210,7 @@ def test_op_norm_two_ones_in_one_row_or_column():
 def test_ball_report_rejects_tolerance_outside_range():
     for tol in (math.nan, math.inf, -1e-9):
         with pytest.raises(ParameterError):
-            ball_report(radial_bump(3, 1.0), tol=tol)
+            ball_report(radial(1.0, bump_diagonal(3, 1.0)), tol=tol)
 
 
 def test_commutator_norm_of_staircase_is_one():
@@ -252,8 +253,8 @@ def test_ball_report_json():
 
 def test_radial_membership():
     assert ball_report(staircase(4, 0.5)).member
-    assert ball_report(radial_bump(2, 2.0)).member
-    assert not ball_report(3.0 * radial_bump(0, 2.0)).member
+    assert ball_report(radial(2.0, bump_diagonal(2, 2.0))).member
+    assert not ball_report(3.0 * radial(2.0, bump_diagonal(0, 2.0))).member
 
 
 def test_radial_membership_agrees_with_ball_report(rng):
@@ -342,3 +343,41 @@ def test_norm_is_max_transport_ratio(rng):
     _, _, vh = np.linalg.svd(a)
     phi = vh[0].conj().reshape(-1, 1)
     assert np.linalg.norm(a @ phi) == pytest.approx(nrm, rel=1e-10)
+
+
+def _counting_op_norm(monkeypatch):
+    calls = []
+    op = lipschitz.op_norm
+    monkeypatch.setattr(lipschitz, "op_norm", lambda m: calls.append(m.shape) or op(m))
+    return calls
+
+
+def test_a_hermitian_element_takes_one_svd_within_4_ulps_of_both(rng, monkeypatch):
+    calls = _counting_op_norm(monkeypatch)
+    for order in (1, 2, 5, 16, 40):
+        for theta in THETAS:
+            a = MoyalElement(theta, rand_coeffs(rng, order))
+            h = 0.5 * (a + involution(a))
+            assert np.array_equal(dzbar(h).coeffs, dz(h).coeffs.conj().T)
+            both = float(np.sqrt(2.0) * max(op_norm(dz(h).coeffs), op_norm(dzbar(h).coeffs)))
+            calls.clear()
+            one = commutator_norm(h)
+            assert abs(one - both) <= 4 * np.spacing(both)
+            assert ball_report(h).commutator_norm == one
+            assert len(calls) == 2  # one SVD for each of the two calls
+            if order > 1:  # a non-hermitian element still takes both derivatives
+                want = float(np.sqrt(2.0) * max(op_norm(dz(a).coeffs), op_norm(dzbar(a).coeffs)))
+                calls.clear()
+                assert commutator_norm(a) == want
+                assert len(calls) == 2
+
+
+def test_a_hermitian_element_lists_dzbar_violations_as_dz_transposes(rng):
+    for order in (3, 8, 20):
+        a = MoyalElement(1.0, rand_coeffs(rng, order))
+        h = 0.5 * (a + involution(a))
+        want = []  # the two scans of the two-derivative listing
+        for mat in (dz(h).coeffs, dzbar(h).coeffs):
+            rows, cols = np.nonzero(np.abs(mat) > lipschitz.ENTRY_BOUND + 1e-9)
+            want += [(int(r), int(c), float(abs(mat[r, c]))) for r, c in zip(rows, cols)]
+        assert want and ball_report(h).violations == tuple(want)

@@ -12,14 +12,14 @@ import specdist
 
 # the names `import specdist` exported when it imported every submodule eagerly
 PUBLIC = """
-    MoyalElement basis frechet_seminorm inner integral involution radial sobolev_norm star zero
-    dz dzbar radial_bump reconstruct staircase
+    MoyalElement basis inner integral involution radial sobolev_norm star zero
+    dz dzbar reconstruct staircase
     DistanceReport OptimizeResult analytic_upper_bound basis_distance moyal_report
-    optimize_distance triangle_residual
-    ParameterError PreconditionError UnboundedSupportError
+    optimize_distance
+    ParameterError UnboundedSupportError
     BallReport ball_report commutator_norm op_norm radial_ball_report
     ProbeSeries ProbeSpec asymptotic_fit crossover_index divergence_flag estimate_checks
-    inv_sqrt_suffix_sum probe_series radial_gap staircase_gap zeta_weight_gap
+    probe_series radial_gap staircase_gap zeta_weight_gap
     MoyalPureState basis_state diagonal_difference difference_matrix finite_state zeta_state
     TorusElement TorusState bicharacter torus_commutator_norm torus_op_norm torus_report
     tracial_state vector_state weyl_certificate

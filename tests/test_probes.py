@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from specdist import probes
+from specdist.calculus import staircase_diagonal
 from specdist.errors import ParameterError
 from specdist.probes import (DEFAULT_CUTOFF_FACTOR, ProbeSpec, asymptotic_fit, crossover_index,
-                             crossover_mass, divergence_flag, inv_sqrt_suffix_sum,
+                             crossover_mass, divergence_flag,
                              parse_probe_spec, probe_series, radial_gap, radial_steps,
                              staircase_gap, zeta_weight_gap)
 from specdist.states import (MAX_SUPPORT, SWEEP_BLOCK, basis_state, diagonal_difference,
@@ -19,12 +20,17 @@ from specdist.zeta import zeta, zeta_partial, zeta_tail
 from conftest import THETAS
 
 
+def _suffix_sum(m, m0):
+    # u(m, m0) = sum_{k=m}^{m0} 1/sqrt(k+1)
+    return math.fsum(1.0 / math.sqrt(k + 1.0) for k in range(m, m0 + 1))
+
+
 def test_suffix_sum_values():
-    assert inv_sqrt_suffix_sum(0, 0) == 1.0
+    # the staircase diagonal is sqrt(theta/2) u(m, m0)
+    assert staircase_diagonal(0, 2.0)[0] == 1.0
     want = 1 / math.sqrt(2) + 1 / math.sqrt(3) + 0.5
-    assert inv_sqrt_suffix_sum(1, 3) == pytest.approx(want, abs=1e-15)
-    with pytest.raises(ParameterError):
-        inv_sqrt_suffix_sum(3, 1)
+    assert staircase_diagonal(3, 2.0)[1] == pytest.approx(want, abs=1e-15)
+    assert _suffix_sum(1, 3) == pytest.approx(want, abs=1e-15)
 
 
 def test_zeta_helpers():
@@ -231,7 +237,7 @@ def test_probe_series_truncated_normalization():
     spec2 = ProbeSpec("zeta", s=1.5)
     b = probe_series(spec1, spec2, [10])[0]
     # direct double sum with zeta weights divided by their truncated partial sum
-    u = [inv_sqrt_suffix_sum(m, 10) for m in range(11)]
+    u = [_suffix_sum(m, 10) for m in range(11)]
     w = [(m + 1.0) ** -1.5 / _truncated_partial_sum(1.5, 10) for m in range(11)]
     w[0] -= 1.0
     want = math.sqrt(0.5) * abs(sum(ui * wi for ui, wi in zip(u, w)))

@@ -145,3 +145,20 @@ def test_spec_strings():
     assert basis_state(3, 1.0).spec_string() == "basis:3"
     assert zeta_state(1.2, 100, 1.0).spec_string() == "zeta:1.2:100"
     assert finite_state([1, 2], 1.0).spec_string() == "finite[2]"
+
+
+def test_real_states_store_float64_and_complex_weights_complex128():
+    for st in (basis_state(3, 1.0), zeta_state(1.2, 50, 1.0), finite_state([1, -2.5, 3], 1.0),
+               finite_state(np.array([0.5, 2.0]), 1.0)):
+        assert st.c.dtype == np.float64
+    for weights in ([1.0, 1.0j], [1.0 + 0j, 2.0], np.array([0.5, 2.0], dtype=complex)):
+        assert finite_state(weights, 1.0).c.dtype == np.complex128
+
+
+def test_real_finite_weights_give_the_complex_state_bit_for_bit(rng):
+    for size in (1, 2, 7, 300):
+        w = rng.uniform(-1.0, 1.0, size)
+        real, cplx = finite_state(w, 0.5), finite_state(w.astype(complex), 0.5)
+        assert np.array_equal(real.c, cplx.c.real) and not np.any(cplx.c.imag)
+        assert np.array_equal(diagonal_difference(real, basis_state(0, 0.5)),
+                              diagonal_difference(cplx, basis_state(0, 0.5)))
