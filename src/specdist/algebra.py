@@ -71,9 +71,6 @@ class MoyalElement:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "MoyalElement":
-        return (-1.0) * self
-
     def to_dict(self) -> dict:
         return {
             "theta": self.theta,

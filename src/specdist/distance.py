@@ -291,7 +291,7 @@ class DistanceReport:
     """Bracketed distance estimate with the provenance of each bound."""
 
     theta: float
-    truncation_order: int
+    order: int
     state_a: str
     state_b: str
     certificate_lower: float
@@ -311,9 +311,8 @@ class DistanceReport:
         return self.analytic_upper - max(self.certificate_lower, self.optimizer_lower or 0.0)
 
     def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["order"] = d.pop("truncation_order")
-        return {**d, "bracket_width": self.bracket_width}
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "bracket_width": self.bracket_width}
 
 
 def moyal_report(s1: MoyalPureState, s2: MoyalPureState, order: int = 16,
@@ -345,7 +344,7 @@ def moyal_report(s1: MoyalPureState, s2: MoyalPureState, order: int = 16,
 
     return DistanceReport(
         theta=theta,
-        truncation_order=order,
+        order=order,
         state_a=s1.spec_string(),
         state_b=s2.spec_string(),
         certificate_lower=probes.radial_gap(s1, s2),

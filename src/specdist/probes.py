@@ -70,59 +70,47 @@ def crossover_mass(s1: float, s2: float) -> tuple[float, float]:
     return float(plus), float(minus)
 
 
-def staircase_gap(m0: int, s1: MoyalPureState, s2: MoyalPureState) -> float:
-    """Evaluation gap of the staircase certificate between two states.
+def _radial_terms(s1: MoyalPureState, s2: MoyalPureState, m0: int | None = None) -> np.ndarray:
+    """T_{k+1}/sqrt(k+1) for k <= m0, k < n - 1, in diagonal_difference's buffer, T_j =
+    sum_{p>=j} d_p summed from the top down.  By parts, sum_m u_m d_m = sum_k v_k P_k for
+    u_m = sum_{k>=m} v_k, where P_k = sum_{m<=k} d_m = -T_{k+1} as d sums to zero."""
+    d = diagonal_difference(s1, s2)
+    np.cumsum(d[::-1], out=d[::-1])  # d[j] = T_j
+    t = d[1:] if m0 is None else d[1:m0 + 2]
+    for lo in range(0, t.size, SWEEP_BLOCK):
+        block = t[lo:lo + SWEEP_BLOCK]
+        block /= np.sqrt(np.arange(lo + 1, lo + block.size + 1, dtype=float))
+    return t
 
-    Equals sqrt(theta/2) |sum_{m<=m0} u(m, m0) (|c1_m|^2 - |c2_m|^2)| and
-    cross-checks against direct expectation values on the staircase element.
-    """
+
+def staircase_gap(m0: int, s1: MoyalPureState, s2: MoyalPureState) -> float:
+    """Evaluation gap sqrt(theta/2) |sum_{m<=m0} u(m, m0) (|c1_m|^2 - |c2_m|^2)| of the
+    staircase certificate, by parts sqrt(theta/2) |sum_{k<=m0} T_{k+1}/sqrt(k+1)|; it
+    cross-checks against direct expectation values on the staircase element."""
     if m0 < 0:
         raise ParameterError(f"m0 must be a natural number, got {m0}")
-    return radial_gap(s1, s2, 1.0 / np.sqrt(np.arange(m0 + 1, dtype=float) + 1.0))
+    return float(np.sqrt(2.0 * s1.theta) / 2.0 * abs(np.sum(_radial_terms(s1, s2, m0))))
 
 
 def radial_steps(d: np.ndarray) -> np.ndarray:
     """Steps sigma_k/sqrt(k+1) of the best radial certificate for the diagonal difference
     d: sigma_k = -sign(T_{k+1}), T_j = sum_{p>=j} d_p.  Where T_{k+1} = 0 (always at the
     last step) the step adds nothing and keeps the sign before it (+1 if none), so dz
-    is one band of modulus 1/sqrt(2) and the commutator norm is exactly 1.
-
-    One output buffer holds T_{k+1}, then sigma_k, then the step; the zero runs and the
-    divisors are taken block by block, so no other temporary is as long as d.
-    """
-    out = np.empty(d.size)
-    np.cumsum(d[:0:-1], out=out[-2::-1])  # out[k] = T_{k+1}, summed from the top down
-    out[-1] = 0.0
-    np.sign(out, out=out)
-    np.negative(out, out=out)
-    before = 1.0  # the sign before the current block
-    for lo in range(0, d.size, SWEEP_BLOCK):
-        block = out[lo:lo + SWEEP_BLOCK]
-        zeros = np.flatnonzero(block == 0)
-        if zeros.size:  # each zero run takes the sign just before it
-            starts = np.diff(zeros, prepend=-2) != 1
-            first = zeros[starts]
-            fill = np.where(first > 0, block[first - 1], before)
-            block[zeros] = fill[np.cumsum(starts) - 1]
-        before = block[-1]
-        block /= np.sqrt(np.arange(lo + 1, lo + block.size + 1, dtype=float))
-    return out
+    is one band of modulus 1/sqrt(2) and the commutator norm is exactly 1."""
+    tail = np.cumsum(d[::-1])[::-1]  # tail[j] = T_j
+    sigma = -np.sign(np.append(tail[1:], 0.0))
+    sigma = sigma[np.maximum.accumulate(np.where(sigma != 0, np.arange(sigma.size), 0))]
+    return np.where(sigma != 0, sigma, 1.0) / np.sqrt(np.arange(d.size, dtype=float) + 1.0)
 
 
-def radial_gap(s1: MoyalPureState, s2: MoyalPureState, steps=None) -> float:
-    """Gap sqrt(theta/2) |sum_m u_m d_m| of the radial element with diagonal sqrt(theta/2) u,
-    u_m = sum_{k>=m} steps_k.  The default radial_steps(d) give R = sqrt(theta/2) sum_k
-    |T_{k+1}|/sqrt(k+1), the exact distance between the states averaged over the rotation
-    action (a contraction; a 1-d Kantorovich distance on the basis chain): a lower bound
-    above every staircase gap, equal to staircase_gap(top) bit for bit where T keeps one sign.
-    The suffix sums overwrite the steps in place: radial_steps' own buffer, or a copy of
-    the caller's steps, which are never written.
-    """
-    d = diagonal_difference(s1, s2)
-    u = radial_steps(d) if steps is None else np.array(steps, dtype=float)
-    np.cumsum(u[::-1], out=u[::-1])
-    n = min(u.size, d.size)
-    return float(np.sqrt(2.0 * s1.theta) / 2.0 * abs(np.dot(u[:n], d[:n])))
+def radial_gap(s1: MoyalPureState, s2: MoyalPureState) -> float:
+    """Gap R = sqrt(theta/2) sum_k |T_{k+1}|/sqrt(k+1) of the radial element with the
+    steps radial_steps(d): the exact distance between the states averaged over the
+    rotation action (a contraction; a 1-d Kantorovich distance on the basis chain).  A
+    lower bound above every staircase gap, equal to staircase_gap(top) bit for bit where
+    T keeps one sign (np.sum(-x) == -np.sum(x)).  Memory is diagonal_difference's buffer."""
+    t = _radial_terms(s1, s2)
+    return float(np.sqrt(2.0 * s1.theta) / 2.0 * np.sum(np.abs(t, out=t)))
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +156,14 @@ def spec_of_state(state: MoyalPureState) -> ProbeSpec:
 def probe_series(spec1: ProbeSpec, spec2: ProbeSpec, m0_grid, theta: float = 1.0) -> np.ndarray:
     """Certificate bound sqrt(theta/2) |F1(m0) - F2(m0)| over a grid of staircase indices.
 
-    F(m0) = sum_{m<=m0} u(m, m0) w_m = S X - T at m0, where S_k = sum_{j<=k} 1/sqrt(j+1),
-    X_k = sum_{j<=k} w_j, T_k = sum_{j<=k} S_{j-1} w_j and w is the spec's weight vector:
-    the indicator of `index` for "basis" and (m+1)^-s for "zeta", whose F is divided by
-    the partial sum of its first DEFAULT_CUTOFF_FACTOR m0 + 1 terms.  One sweep over the
-    sorted distinct grid carries S, X and T from each block of at most SWEEP_BLOCK indices
-    to the next, blocks ending at every grid point, by np.cumsum with the running value
+    F(m0) = sum_{m<=m0} u(m, m0) w_m, by parts sum_{k<=m0} X_k/sqrt(k+1) with
+    X_k = sum_{j<=k} w_j, where w is the spec's weight vector: the indicator of `index`
+    for "basis" and (m+1)^-s for "zeta", whose F is divided by the partial sum of its
+    first DEFAULT_CUTOFF_FACTOR m0 + 1 terms.  One sweep over the sorted distinct grid
+    carries X and F of each spec from each block of at most SWEEP_BLOCK indices to the
+    next, blocks ending at every grid point, by np.cumsum with the running value
     prepended.  np.cumsum adds in sequence, so they equal full-array prefix sums bit for
-    bit (and as adding 0.0 and multiplying by 1.0 are exact, a basis F is
-    S_m0 - S_{index-1}, 0 below the index); memory is O(SWEEP_BLOCK) whatever the grid,
-    time is O(top).
+    bit; memory is O(SWEEP_BLOCK) whatever the grid, time is O(top).
     Values come back in the caller's grid order, duplicates included.
     """
     check_theta(theta)
@@ -193,24 +179,20 @@ def probe_series(spec1: ProbeSpec, spec2: ProbeSpec, m0_grid, theta: float = 1.0
     if top > MAX_SUPPORT - 1:  # the sweep's time is O(top)
         raise ParameterError(f"grid top {top} exceeds the cap MAX_SUPPORT - 1 = "
                              f"{MAX_SUPPORT - 1}; choose a smaller grid")
-    x, t = [0.0, 0.0], [0.0, 0.0]  # X and T of each spec
-    f_at, s_g, prev = {}, 0.0, -1
+    x, f = [0.0, 0.0], [0.0, 0.0]  # X and F of each spec
+    f_at, prev = {}, -1
     for g in sorted(set(grid)):
         for lo in range(prev + 1, g + 1, SWEEP_BLOCK):
             j = np.arange(lo, min(lo + SWEEP_BLOCK, g + 1), dtype=float)
-            s_seg = np.cumsum(np.concatenate(([s_g], 1.0 / np.sqrt(j + 1.0))))
-            s_g = s_seg[-1]
+            root = np.sqrt(j + 1.0)
             for i, sp in enumerate(specs):
                 w = (j == sp.index).astype(float) if sp.kind == "basis" else (j + 1.0) ** (-sp.s)
-                x[i] = np.cumsum(np.concatenate(([x[i]], w)))[-1]
-                t[i] = np.cumsum(np.concatenate(([t[i]], s_seg[:-1] * w)))[-1]
+                x_seg = np.cumsum(np.concatenate(([x[i]], w)))
+                x[i] = x_seg[-1]
+                f[i] = np.cumsum(np.concatenate(([f[i]], x_seg[1:] / root)))[-1]
         prev = g
-        f_at[g] = []
-        for i, sp in enumerate(specs):
-            f = s_g * x[i] - t[i]
-            if sp.kind == "zeta":
-                f /= zeta_partial(sp.s, DEFAULT_CUTOFF_FACTOR * g + 1)
-            f_at[g].append(float(f))
+        f_at[g] = [float(f[i] / zeta_partial(sp.s, DEFAULT_CUTOFF_FACTOR * g + 1)
+                         if sp.kind == "zeta" else f[i]) for i, sp in enumerate(specs)]
     pref = math.sqrt(2.0 * theta) / 2.0
     return np.array([pref * abs(f_at[g][0] - f_at[g][1]) for g in grid])
 

@@ -17,11 +17,17 @@ from .zeta import zeta, zeta_partial
 
 NORMALIZATION_TOL = 1e-12
 # largest coefficient vector a basis or zeta state may allocate; every bound and the
-# radial certificate take memory linear in it (about 24 bytes per index at the peak)
+# radial certificate take memory linear in it (about 16 bytes per index at the peak)
 MAX_SUPPORT = 2 ** 22
-# entries per block of the O(support) passes (the normalization check, probes.radial_steps
-# and probes.probe_series), so that none holds a support-sized temporary
+# entries per block of the O(support) passes (sums of squares, diagonal_difference and the
+# probes' divisors and sweep), so that none holds a support-sized temporary
 SWEEP_BLOCK = 2 ** 16
+
+
+def _sum_squares(v: np.ndarray) -> float:
+    """sum |v|^2 block by block in a fixed order, so no BLAS thread count changes it."""
+    return sum(float(np.sum(np.abs(v[i:i + SWEEP_BLOCK]) ** 2))
+               for i in range(0, v.size, SWEEP_BLOCK))
 
 
 def _check_support(size: int) -> None:
@@ -45,8 +51,7 @@ class MoyalPureState:
         v = np.array(self.c, dtype=complex if np.iscomplexobj(self.c) else float, order="C")
         if v.ndim != 1 or v.size == 0:
             raise ParameterError("state coefficients must be a nonempty 1-d sequence")
-        nrm2 = sum(float(np.sum(np.abs(v[i:i + SWEEP_BLOCK]) ** 2))
-                   for i in range(0, v.size, SWEEP_BLOCK))
+        nrm2 = _sum_squares(v)
         if not abs(nrm2 - 1.0) <= NORMALIZATION_TOL:  # a NaN norm fails too
             raise ParameterError(f"state is not normalized: sum |c|^2 = {nrm2}")
         v.flags.writeable = False
@@ -98,7 +103,7 @@ def zeta_state(s: float, m_cut: int, theta: float) -> MoyalPureState:
     c = np.arange(1, m_cut + 2, dtype=float)  # one buffer: (m+1), then ^-s, sqrt, normalize
     c **= -s
     np.sqrt(c, out=c)
-    c /= np.linalg.norm(c)
+    c /= math.sqrt(_sum_squares(c))
     partial = zeta_partial(s, m_cut + 1)
     return MoyalPureState(
         theta,

@@ -298,7 +298,7 @@ def torus_report(s1: TorusState, s2: TorusState, optimize: bool = False,
 
     return DistanceReport(
         theta=theta,
-        truncation_order=box_used,
+        order=box_used,
         state_a=s1.spec_string(),
         state_b=s2.spec_string(),
         certificate_lower=float(cert_val),

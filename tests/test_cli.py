@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -113,6 +114,20 @@ def test_deterministic_across_processes():
     runs = [subprocess.run(cmd, capture_output=True, text=True) for _ in range(2)]
     assert runs[0].returncode == 0
     assert runs[0].stdout == runs[1].stdout
+
+
+def test_plane_bounds_do_not_depend_on_the_blas_thread_count():
+    # the radial bound and zeta normalization sum in a fixed order; a BLAS dot or norm
+    # splits its sum across threads and moved certificate_lower in its last digits
+    for pair in (("--theta", "1.0", "--a=basis:2", "--b=zeta:1.1:1000000"),
+                 ("--theta", "2.0", "--a=basis:0", "--b=zeta:1.3:100000")):
+        cmd = [sys.executable, "-m", "specdist.cli", "moyal-distance", *pair, "--no-optimize",
+               "--probe"]
+        runs = [subprocess.run(cmd, capture_output=True, text=True,
+                               env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+                for threads in ("1", "2")]
+        assert runs[0].returncode == 0 and runs[0].stdout.startswith("{"), runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout, pair
 
 
 def test_moyal_distance_spec_file(tmp_path, capsys):

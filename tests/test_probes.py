@@ -120,24 +120,15 @@ def test_radial_gap_is_the_top_staircase_where_the_tail_keeps_one_sign():
                 assert radial_gap(s1, s2) == staircase_gap(top, s1, s2)
 
 
-def _array_radial_steps(d):
-    """radial_steps as whole-array expressions, the oracle of the in-place version."""
-    tail = np.cumsum(d[::-1])[::-1]  # tail[j] = T_j
-    sigma = -np.sign(np.append(tail[1:], 0.0))
-    sigma = sigma[np.maximum.accumulate(np.where(sigma != 0, np.arange(sigma.size), 0))]
-    return np.where(sigma != 0, sigma, 1.0) / np.sqrt(np.arange(d.size, dtype=float) + 1.0)
-
-
-def _array_radial_gap(s1, s2, steps=None):
-    """radial_gap as whole-array expressions, the oracle of the in-place version."""
+def _array_radial_terms(s1, s2):
+    """T_{k+1}/sqrt(k+1), k < n - 1, as whole-array expressions, the oracle of the in-place
+    version."""
     d = diagonal_difference(s1, s2)
-    steps = _array_radial_steps(d) if steps is None else steps
-    n = min(steps.size, d.size)
-    u = np.cumsum(steps[::-1])[::-1]
-    return float(np.sqrt(s1.theta / 2.0) * abs(np.dot(u[:n], d[:n])))
+    tail = np.cumsum(d[::-1])[::-1]  # tail[j] = T_j
+    return tail[1:] / np.sqrt(np.arange(1, d.size, dtype=float))
 
 
-def test_radial_steps_match_the_array_expressions_bit_for_bit(rng):
+def test_radial_steps_take_minus_the_tail_sign_and_carry_it_over_zero_runs(rng):
     # integer differences sum exactly, so T_{k+1} = 0 on runs that cross block boundaries;
     # one run starts the vector (+1), one fills whole blocks with the sign before them
     walk = rng.integers(-3, 4, size=3 * SWEEP_BLOCK + 7).astype(float)
@@ -148,7 +139,17 @@ def test_radial_steps_match_the_array_expressions_bit_for_bit(rng):
     cases = [rng.standard_normal(n) for n in (1, 2, 17, SWEEP_BLOCK + 1)]
     cases += [np.zeros(1), np.ones(1), walk, carried, zero_tail, -zero_tail]
     for d in cases:
-        assert np.array_equal(radial_steps(d), _array_radial_steps(d)), d.size
+        steps = radial_steps(d)
+        sigma = np.sign(steps)
+        assert np.array_equal(steps, sigma / np.sqrt(np.arange(d.size) + 1.0)), d.size
+        assert np.all(np.abs(sigma) == 1.0), d.size  # so |step| sqrt(k+1) = 1 everywhere
+        tail = np.append(np.cumsum(d[::-1])[::-1][1:], 0.0)  # T_{k+1}
+        zero = tail == 0
+        assert np.array_equal(sigma[~zero], -np.sign(tail[~zero])), d.size
+        run = np.flatnonzero(zero)
+        assert np.all(sigma[run[run > 0]] == sigma[run[run > 0] - 1]), d.size
+        assert not zero[0] or sigma[0] == 1.0, d.size
+    assert np.all(radial_steps(carried)[:5] > 0) and np.all(radial_steps(carried)[5:] < 0)
 
 
 def test_radial_gap_matches_the_array_expressions_bit_for_bit(rng):
@@ -160,19 +161,28 @@ def test_radial_gap_matches_the_array_expressions_bit_for_bit(rng):
              (zeta_state(1.1, 2 * SWEEP_BLOCK, theta), basis_state(3, theta))]
     pairs += [(s1, s2) for s1, s2 in _random_finite_pairs(rng, 12)
               if s1.theta == theta and s2.theta == theta]
+    pref = np.sqrt(2.0 * theta) / 2.0
     for s1, s2 in pairs:
-        assert radial_gap(s1, s2) == _array_radial_gap(s1, s2)
+        terms = _array_radial_terms(s1, s2)
+        assert radial_gap(s1, s2) == float(pref * np.sum(np.abs(terms)))
         n = max(s1.support, s2.support)
-        for m0 in (0, n // 2, n - 1, n + 5):  # staircase steps shorter and longer than d
-            steps = 1.0 / np.sqrt(np.arange(m0 + 1, dtype=float) + 1.0)
-            kept = steps.copy()
-            assert radial_gap(s1, s2, steps) == _array_radial_gap(s1, s2, kept)
-            assert np.array_equal(steps, kept)  # the caller's steps are never written
-            assert staircase_gap(m0, s1, s2) == _array_radial_gap(s1, s2, kept)
+        for m0 in (0, n // 2, n - 1, n + 5):  # staircases shorter and longer than d
+            assert staircase_gap(m0, s1, s2) == float(pref * abs(np.sum(terms[:m0 + 1])))
+
+
+def test_radial_gap_is_accurate_to_its_certificate_in_long_double():
+    # the certificate's gap sqrt(theta/2) |sum_m u_m d_m|, u the suffix sums of the steps,
+    # in 64-bit-mantissa arithmetic on the same d; a float64 pairing of u with d cancels
+    s1, s2 = basis_state(2, 1.0), zeta_state(1.1, 10 ** 6, 1.0)
+    d = diagonal_difference(s1, s2)
+    u = np.cumsum(radial_steps(d)[::-1].astype(np.longdouble))[::-1]
+    exact = np.sqrt(np.longdouble(0.5)) * abs(np.sum(u * d.astype(np.longdouble)))
+    assert abs(radial_gap(s1, s2) - exact) <= 1e-14 * exact
 
 
 def test_radial_gap_memory_is_linear_in_the_support():
-    # the whole-array version held 48 bytes per index beside the state
+    # the whole-array version held 48 bytes per index beside the state, the certificate
+    # vector 16; the suffix sums take diagonal_difference's 8
     st, other = zeta_state(1.1, 10 ** 6, 1.0), basis_state(2, 1.0)
     tracemalloc.start()
     try:
@@ -180,7 +190,7 @@ def test_radial_gap_memory_is_linear_in_the_support():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 24 * st.support
+    assert peak <= 10 * st.support
 
 
 def test_weight_gap_sign_pattern():
@@ -262,23 +272,18 @@ def test_probe_series_matches_split_form():
 
 
 def _prefix_table_series(spec1, spec2, grid, theta):
-    """The probe bound from full prefix tables over 0..top, as probe_series computed it
-    before the sweep."""
+    """The probe bound from full prefix tables over 0..top: X = cumsum(w) and
+    F = cumsum(X / sqrt(j+1))."""
     top = max(grid)
     j = np.arange(top + 1, dtype=float)
-    s_prefix = np.cumsum(1.0 / np.sqrt(j + 1.0))
-    s_shift = np.concatenate([[0.0], s_prefix[:-1]])
 
     def weighted_sum(spec, m0):
-        if spec.kind == "basis":
-            if spec.index > m0:
-                return 0.0
-            return float(s_prefix[m0] - (s_prefix[spec.index - 1] if spec.index else 0.0))
-        w = (j + 1.0) ** (-spec.s)
-        raw = s_prefix[m0] * np.cumsum(w)[m0] - np.cumsum(s_shift * w)[m0]
-        return float(raw / zeta_partial(spec.s, DEFAULT_CUTOFF_FACTOR * m0 + 1))
+        w = (j == spec.index).astype(float) if spec.kind == "basis" else (j + 1.0) ** (-spec.s)
+        f = np.cumsum(np.cumsum(w) / np.sqrt(j + 1.0))[m0]
+        return float(f if spec.kind == "basis"
+                     else f / zeta_partial(spec.s, DEFAULT_CUTOFF_FACTOR * m0 + 1))
 
-    pref = math.sqrt(theta / 2.0)
+    pref = math.sqrt(2.0 * theta) / 2.0
     return np.array([pref * abs(weighted_sum(spec1, g) - weighted_sum(spec2, g)) for g in grid])
 
 

@@ -148,7 +148,7 @@ def test_certificate_report_builds_no_box(monkeypatch):
     theta = 0.37
     rep = torus_report(vector_state(theta, (100, 0)), tracial_state(theta))
     assert rep.certificate_lower == pytest.approx(1 / (400 * np.pi), abs=1e-18)
-    assert rep.truncation_order == 0
+    assert rep.order == 0
     # the larger of the two gaps, the first of equal ones
     for a, b, best in (((2, -5), (3, 4), "(3,4)"), ((4, 3), (3, 4), "(4,3)")):
         rep = torus_report(vector_state(theta, a), vector_state(theta, b))
