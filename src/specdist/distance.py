@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import probes
 from .algebra import MAX_OPERATOR_ENTRIES, MoyalElement, zero
@@ -75,10 +76,18 @@ def analytic_upper_bound(s1: MoyalPureState, s2: MoyalPureState) -> float:
     0 gives |x_0| <= l[0, k] and their sum |x_j - x_{j-1}| <= l[j, j+k]; by parts sum_j
     W[j, j+k] x_j = x_0 T[0, k] + sum_{j>=1} (x_j - x_{j-1}) T[j, j+k], with T[0, 0] = tr W = 0
     and band -k band k conjugated.  On basis pairs B is the closed form, R of
-    `probes.radial_gap`.  Rounding (u = 2^-53, Higham's bounds): with S the same sums of
-    M = |c1||c1|^T + |c2||c2|^T >= |W|, W errs by 4u M, tail sums by (n - 1)u S, l, moduli and
-    products by 8u, row sums and fsum by n u, so B exceeds the computed value by at most
-    (2n + 12)u sum(l S); squared norms 1 +- nu move W by 2 nu M; underflow errs by at most
+    `probes.radial_gap`.
+
+    W is hermitian and l symmetric, so band -k adds what band k does: B sums bands k >= 0,
+    those with k >= 1 doubled.  The bands come in chunks of about SWEEP_BLOCK entries, as
+    skewed views x[p + k] of the zero-padded vectors, so memory is O(n) beside the chunks
+    and small supports take one chunk.  Band k's entries past p = n - 1 - k are products
+    with padding, zero, so each T along a band is the reverse cumsum of its entries.
+    Rounding (u = 2^-53, Higham's bounds): with S the same sums of M = |c1||c1|^T + |c2||c2|^T
+    >= |W|, W errs by 4u M, tail sums by (n - 1)u S, l, moduli and products by 8u; each band
+    sum has at most n - k <= n terms, so it errs by (n - 1)u, doubling is exact and fsum
+    rounds once, together n u.  So B exceeds the computed value by at most (2n + 12)u
+    sum(l S); squared norms 1 +- nu move W by 2 nu M; underflow errs by at most
     n^3 2^-1070 (1 + theta).  The returned value adds a term for each of the three.
     """
     n = max(s1.support, s2.support)
@@ -86,19 +95,31 @@ def analytic_upper_bound(s1: MoyalPureState, s2: MoyalPureState) -> float:
         raise UnboundedSupportError(
             f"analytic upper bound needs finitely supported states with support^2 <= "
             f"{MAX_OPERATOR_ENTRIES:.0e}; got {s1.kind} and {s2.kind} states, support {n}")
-    w = difference_matrix(s1, s2, n)
+    if s1.theta != s2.theta:
+        raise ParameterError("states carry different theta")
     if np.array_equal(s1.c, s2.c):
         return 0.0
-    a = np.abs([np.pad(s.c, (0, n - s.support)) for s in (s1, s2)])
-    m = a.T @ a
-    for p in range(n - 2, -1, -1):  # row p becomes the tail sums of its diagonals
-        w[p, :-1] += w[p + 1, 1:]
-        m[p, :-1] += m[p + 1, 1:]
-    den = np.sqrt(np.arange(n, dtype=float))
-    den = den[:, None] + den
-    den[0], den[:, 0], den[0, 0] = 2.0 * den[0], 2.0 * den[:, 0], np.inf
-    ell = np.divide(math.sqrt(2.0 * s1.theta), den, out=den)
-    bound, slack = (math.fsum(np.einsum("ij,ij->i", ell, np.abs(x))) for x in (w, m))
+    c = [np.pad(st.c, (0, 2 * n - st.support)) for st in (s1, s2)]
+    a = [np.abs(x) for x in c]
+    root = np.sqrt(np.arange(2 * n, dtype=float))
+    sums, k0 = np.empty((2, n)), 0  # sum_p l |T| and sum_p l S along each band k
+    while k0 < n:  # bands k0 <= k < k1, in rows of the m = n - k0 entries p < m
+        m = n - k0
+        k1 = min(n, k0 + max(1, SWEEP_BLOCK // m))
+        skew = lambda x: sliding_window_view(x, m)[k0:k1]  # skew(x)[k - k0, p] = x[p + k]
+        w = c[0][:m].conj() * skew(c[0]) - c[1][:m].conj() * skew(c[1])
+        s = a[0][:m] * skew(a[0]) + a[1][:m] * skew(a[1])
+        den = root[:m] + skew(root)
+        den[:, 0] *= 2.0
+        if k0 == 0:
+            den[0, 0] = np.inf
+        ell = np.divide(math.sqrt(2.0 * s1.theta), den, out=den)
+        for x, out in ((w, sums[0]), (s, sums[1])):
+            np.cumsum(x[:, ::-1], axis=1, out=x[:, ::-1])  # x[k - k0, p] = T[p, p + k]
+            out[k0:k1] = np.sum(ell * np.abs(x), axis=1)
+        k0 = k1
+    sums[:, 1:] *= 2.0
+    bound, slack = (math.fsum(x) for x in sums)
     nu = max(abs(1.0 - math.fsum(x ** 2)) for x in a)
     return bound + (4 * (n + 8) * 2.0 ** -53 + 2 * nu) * slack + 2.0 ** -1022 * (1.0 + s1.theta)
 

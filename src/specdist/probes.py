@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import check_theta
 from .errors import ParameterError
-from .states import MAX_SUPPORT, SWEEP_BLOCK, MoyalPureState, diagonal_difference
+from .states import MAX_SUPPORT, SWEEP_BLOCK, MoyalPureState, _difference_block
 from .zeta import zeta, zeta_partial, zeta_tail
 
 DEFAULT_CUTOFF_FACTOR = 100
@@ -70,26 +70,38 @@ def crossover_mass(s1: float, s2: float) -> tuple[float, float]:
     return float(plus), float(minus)
 
 
-def _radial_terms(s1: MoyalPureState, s2: MoyalPureState, m0: int | None = None) -> np.ndarray:
-    """T_{k+1}/sqrt(k+1) for k <= m0, k < n - 1, in diagonal_difference's buffer, T_j =
-    sum_{p>=j} d_p summed from the top down.  By parts, sum_m u_m d_m = sum_k v_k P_k for
+def _radial_terms(s1: MoyalPureState, s2: MoyalPureState, m0: int | None = None):
+    """Yield T_{k+1}/sqrt(k+1) for k <= m0, k < n - 1, in blocks of k in [lo, lo +
+    SWEEP_BLOCK), lo a multiple of SWEEP_BLOCK, from the top block down; T_j = sum_{p>=j}
+    d_p for the diagonal difference d.  Each block's d is `_difference_block`'s, and its
+    reverse cumsum is seeded with the tail above it, so every T_j has the bits of one
+    reverse cumsum over diagonal_difference.  By parts, sum_m u_m d_m = sum_k v_k P_k for
     u_m = sum_{k>=m} v_k, where P_k = sum_{m<=k} d_m = -T_{k+1} as d sums to zero."""
-    d = diagonal_difference(s1, s2)
-    np.cumsum(d[::-1], out=d[::-1])  # d[j] = T_j
-    t = d[1:] if m0 is None else d[1:m0 + 2]
-    for lo in range(0, t.size, SWEEP_BLOCK):
-        block = t[lo:lo + SWEEP_BLOCK]
-        block /= np.sqrt(np.arange(lo + 1, lo + block.size + 1, dtype=float))
-    return t
+    if s1.theta != s2.theta:
+        raise ParameterError("states carry different theta")
+    n = max(s1.support, s2.support)
+    tail, d = 0.0, np.empty(min(SWEEP_BLOCK, n))
+    for lo in reversed(range(0, n - 1, SWEEP_BLOCK)):
+        t = d[:min(SWEEP_BLOCK, n - 1 - lo)]
+        _difference_block(s1, s2, lo + 1, t)  # t[i] = d_{lo+1+i}
+        t[-1] += tail
+        np.cumsum(t[::-1], out=t[::-1])  # t[i] = T_{lo+1+i}
+        tail = t[0]
+        if m0 is None or lo <= m0:
+            t = t[:None if m0 is None else m0 + 1 - lo]
+            t /= np.sqrt(np.arange(lo + 1, lo + t.size + 1, dtype=float))
+            yield t
 
 
 def staircase_gap(m0: int, s1: MoyalPureState, s2: MoyalPureState) -> float:
     """Evaluation gap sqrt(theta/2) |sum_{m<=m0} u(m, m0) (|c1_m|^2 - |c2_m|^2)| of the
-    staircase certificate, by parts sqrt(theta/2) |sum_{k<=m0} T_{k+1}/sqrt(k+1)|; it
-    cross-checks against direct expectation values on the staircase element."""
+    staircase certificate, by parts sqrt(theta/2) |sum_{k<=m0} T_{k+1}/sqrt(k+1)|, the
+    block sums of `_radial_terms` under math.fsum; it cross-checks against direct
+    expectation values on the staircase element."""
     if m0 < 0:
         raise ParameterError(f"m0 must be a natural number, got {m0}")
-    return float(np.sqrt(2.0 * s1.theta) / 2.0 * abs(np.sum(_radial_terms(s1, s2, m0))))
+    total = math.fsum(float(np.sum(t)) for t in _radial_terms(s1, s2, m0))
+    return float(np.sqrt(2.0 * s1.theta) / 2.0 * abs(total))
 
 
 def radial_steps(d: np.ndarray) -> np.ndarray:
@@ -108,9 +120,11 @@ def radial_gap(s1: MoyalPureState, s2: MoyalPureState) -> float:
     steps radial_steps(d): the exact distance between the states averaged over the
     rotation action (a contraction; a 1-d Kantorovich distance on the basis chain).  A
     lower bound above every staircase gap, equal to staircase_gap(top) bit for bit where
-    T keeps one sign (np.sum(-x) == -np.sum(x)).  Memory is diagonal_difference's buffer."""
-    t = _radial_terms(s1, s2)
-    return float(np.sqrt(2.0 * s1.theta) / 2.0 * np.sum(np.abs(t, out=t)))
+    T keeps one sign (np.sum(-x) == -np.sum(x), and math.fsum is correctly rounded).  The
+    block sums of `_radial_terms` combine under math.fsum: memory is O(SWEEP_BLOCK) beside
+    the states."""
+    total = math.fsum(float(np.sum(np.abs(t, out=t))) for t in _radial_terms(s1, s2))
+    return float(np.sqrt(2.0 * s1.theta) / 2.0 * total)
 
 
 # ---------------------------------------------------------------------------

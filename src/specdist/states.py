@@ -16,11 +16,12 @@ from .errors import ParameterError
 from .zeta import zeta, zeta_partial
 
 NORMALIZATION_TOL = 1e-12
-# largest coefficient vector a basis or zeta state may allocate; every bound and the
-# radial certificate take memory linear in it (about 16 bytes per index at the peak)
+# largest coefficient vector a basis or zeta state may allocate; the state is the only
+# support-sized array a plane report holds (8 bytes per index, 16 for complex weights)
 MAX_SUPPORT = 2 ** 22
-# entries per block of the O(support) passes (sums of squares, diagonal_difference and the
-# probes' divisors and sweep), so that none holds a support-sized temporary
+# entries per block of the O(support) passes (sums of squares, the diagonal difference, the
+# radial bound, the probes' sweep and the upper bound's bands), so that none holds a
+# support-sized temporary
 SWEEP_BLOCK = 2 ** 16
 
 
@@ -48,14 +49,8 @@ class MoyalPureState:
 
     def __post_init__(self):
         check_theta(self.theta)
-        v = np.array(self.c, dtype=complex if np.iscomplexobj(self.c) else float, order="C")
-        if v.ndim != 1 or v.size == 0:
-            raise ParameterError("state coefficients must be a nonempty 1-d sequence")
-        nrm2 = _sum_squares(v)
-        if not abs(nrm2 - 1.0) <= NORMALIZATION_TOL:  # a NaN norm fails too
-            raise ParameterError(f"state is not normalized: sum |c|^2 = {nrm2}")
-        v.flags.writeable = False
-        object.__setattr__(self, "c", v)
+        _adopt(self, np.array(self.c, dtype=complex if np.iscomplexobj(self.c) else float,
+                              order="C"))
 
     @property
     def support(self) -> int:
@@ -78,6 +73,29 @@ class MoyalPureState:
         return f"finite[{self.support}]"
 
 
+def _adopt(st: MoyalPureState, v: np.ndarray) -> None:
+    """Check the unit vector v, a C-ordered float64 or complex128 array, then make it the
+    state's coefficients, read-only."""
+    if v.ndim != 1 or v.size == 0:
+        raise ParameterError("state coefficients must be a nonempty 1-d sequence")
+    nrm2 = _sum_squares(v)
+    if not abs(nrm2 - 1.0) <= NORMALIZATION_TOL:  # a NaN norm fails too
+        raise ParameterError(f"state is not normalized: sum |c|^2 = {nrm2}")
+    v.flags.writeable = False
+    object.__setattr__(st, "c", v)
+
+
+def _built(theta: float, c: np.ndarray, kind: str, meta: dict) -> MoyalPureState:
+    """The state on a vector c this module has just built and shares with no caller:
+    __post_init__'s checks without its defensive copy."""
+    check_theta(theta)
+    st = object.__new__(MoyalPureState)
+    for name, value in (("theta", theta), ("kind", kind), ("meta", meta)):
+        object.__setattr__(st, name, value)
+    _adopt(st, c)
+    return st
+
+
 def basis_state(m: int, theta: float) -> MoyalPureState:
     """The m-th diagonal pure state (reads off a[m, m])."""
     if m < 0:
@@ -85,7 +103,7 @@ def basis_state(m: int, theta: float) -> MoyalPureState:
     _check_support(m + 1)
     c = np.zeros(m + 1)
     c[m] = 1.0
-    return MoyalPureState(theta, c, kind="basis", meta={"index": m})
+    return _built(theta, c, "basis", {"index": m})
 
 
 def zeta_state(s: float, m_cut: int, theta: float) -> MoyalPureState:
@@ -105,18 +123,14 @@ def zeta_state(s: float, m_cut: int, theta: float) -> MoyalPureState:
     np.sqrt(c, out=c)
     c /= math.sqrt(_sum_squares(c))
     partial = zeta_partial(s, m_cut + 1)
-    return MoyalPureState(
-        theta,
-        c,
-        kind="zeta",
-        meta={"s": s, "m_cut": m_cut, "partial_sum": partial, "zeta": zeta(s)},
-    )
+    return _built(theta, c, "zeta",
+                  {"s": s, "m_cut": m_cut, "partial_sum": partial, "zeta": zeta(s)})
 
 
 def finite_state(weights, theta: float) -> MoyalPureState:
-    """State from a finite weight vector, normalized after an exact power-of-two rescale in
-    complex arithmetic; real weights keep the real part, the state of the same weights
-    passed as complex bit for bit."""
+    """State from a finite weight vector, normalized by the root of `_sum_squares` after an
+    exact power-of-two rescale in complex arithmetic; real weights keep the real part, the
+    state of the same weights passed as complex bit for bit."""
     w = np.asarray(list(weights))
     real, w = not np.iscomplexobj(w), w.astype(complex)
     if w.ndim != 1 or w.size == 0:
@@ -125,11 +139,11 @@ def finite_state(weights, theta: float) -> MoyalPureState:
         raise ParameterError("weights must be finite")
     e = math.frexp(float(np.max(np.abs(w.view(float)))))[1]  # no over- or underflow below
     w = np.ldexp(w.view(float), -e).view(complex)
-    nrm = float(np.linalg.norm(w))
+    nrm = math.sqrt(_sum_squares(w))
     if nrm == 0.0:
         raise ParameterError("weights must not all vanish")
     w /= nrm
-    return MoyalPureState(theta, w.real if real else w, kind="finite")
+    return _built(theta, np.ascontiguousarray(w.real) if real else w, "finite", {})
 
 
 def diagonal_difference(s1: MoyalPureState, s2: MoyalPureState) -> np.ndarray:
@@ -141,13 +155,20 @@ def diagonal_difference(s1: MoyalPureState, s2: MoyalPureState) -> np.ndarray:
     if s1.theta != s2.theta:
         raise ParameterError("states carry different theta")
     n = max(s1.support, s2.support)
-    d = np.zeros(n, dtype=float)
-    for s, accumulate in ((s1, np.add), (s2, np.subtract)):
-        for lo in range(0, s.support, SWEEP_BLOCK):  # no temporary as long as the state
-            w = np.abs(s.c[lo:lo + SWEEP_BLOCK])
-            w *= w
-            accumulate(d[lo:lo + w.size], w, out=d[lo:lo + w.size])
+    d = np.empty(n)
+    for lo in range(0, n, SWEEP_BLOCK):  # no temporary as long as the states
+        _difference_block(s1, s2, lo, d[lo:lo + SWEEP_BLOCK])
     return d
+
+
+def _difference_block(s1: MoyalPureState, s2: MoyalPureState, lo: int, d: np.ndarray) -> None:
+    """d = |c1_m|^2 - |c2_m|^2 for m = lo, ..., lo + d.size - 1, each state zero past its
+    support: the block of diagonal_difference that starts at lo, in the caller's buffer."""
+    d[:] = 0.0
+    for s, accumulate in ((s1, np.add), (s2, np.subtract)):
+        w = np.abs(s.c[lo:lo + d.size])
+        w *= w
+        accumulate(d[:w.size], w, out=d[:w.size])
 
 
 def difference_matrix(s1: MoyalPureState, s2: MoyalPureState, n: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,56 @@ def test_upper_bound_holds_in_floating_point():
         s1, s2 = finite_state(c, theta), finite_state(d, theta)
         exact = _band_loop(s1, s2, real=np.longdouble, sqrt=np.sqrt)
         assert analytic_upper_bound(s1, s2) >= exact
+
+
+def _dense_upper_bound(s1, s2):
+    """(B with its rounding terms, sum(l S)) by the dense formula the band chunks replaced:
+    W and M as n x n arrays, tail sums row by row, row sums under math.fsum."""
+    n = max(s1.support, s2.support)
+    w = difference_matrix(s1, s2, n)
+    a = np.abs([np.pad(s.c, (0, n - s.support)) for s in (s1, s2)])
+    m = a.T @ a
+    for p in range(n - 2, -1, -1):  # row p becomes the tail sums of its diagonals
+        w[p, :-1] += w[p + 1, 1:]
+        m[p, :-1] += m[p + 1, 1:]
+    den = np.sqrt(np.arange(n, dtype=float))
+    den = den[:, None] + den
+    den[0], den[:, 0], den[0, 0] = 2.0 * den[0], 2.0 * den[:, 0], np.inf
+    ell = np.divide(math.sqrt(2.0 * s1.theta), den, out=den)
+    bound, slack = (math.fsum(np.einsum("ij,ij->i", ell, np.abs(x))) for x in (w, m))
+    nu = max(abs(1.0 - math.fsum(x ** 2)) for x in a)
+    rounding = (4 * (n + 8) * 2.0 ** -53 + 2 * nu) * slack + 2.0 ** -1022 * (1.0 + s1.theta)
+    return bound + rounding, slack
+
+
+def test_upper_bound_matches_the_dense_formula_to_its_rounding():
+    # both sums are within (2n + 12)u sum(l S) of the exact B, so they differ by at most the
+    # 4(n + 8)u sum(l S) the bound adds; 218 = SWEEP_BLOCK // 300 bands fill a chunk at 300
+    rng = np.random.default_rng(15)
+    weights = lambda k, cplx: rng.standard_normal(k) + (1j * rng.standard_normal(k) if cplx else 0)
+    for i, n1 in enumerate((1, 2, 3, 7, 64, 217, 218, 219, 299, 300)):
+        n2 = int(rng.integers(1, 301))
+        for cplx1, cplx2 in ((False, False), (True, False), (False, True), (True, True)):
+            theta = THETAS[i % 3]
+            s1, s2 = (finite_state(weights(k, c), theta) for k, c in ((n1, cplx1), (n2, cplx2)))
+            want, slack = _dense_upper_bound(s1, s2)
+            n = max(n1, n2)
+            assert abs(analytic_upper_bound(s1, s2) - want) <= 4 * (n + 8) * 2.0 ** -53 * slack
+
+
+def test_upper_bound_memory_does_not_grow_with_the_square_of_the_support():
+    # the dense arrays held 40 bytes per n^2 entry, 153 MiB at support 2,000; the band
+    # chunks hold about SWEEP_BLOCK entries at a time
+    rng = np.random.default_rng(16)
+    s1, s2 = (finite_state(rng.standard_normal(k) + 1j * rng.standard_normal(k), 1.0)
+              for k in (2000, 1500))
+    tracemalloc.start()
+    try:
+        analytic_upper_bound(s1, s2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2 ** 20
 
 
 def test_upper_bound_unavailable_for_zeta_states():

@@ -152,22 +152,38 @@ def test_radial_steps_take_minus_the_tail_sign_and_carry_it_over_zero_runs(rng):
     assert np.all(radial_steps(carried)[:5] > 0) and np.all(radial_steps(carried)[5:] < 0)
 
 
+def _block_fsum(x):
+    """math.fsum of the np.sum of each block of SWEEP_BLOCK entries from the start."""
+    return math.fsum(float(np.sum(x[lo:lo + SWEEP_BLOCK])) for lo in range(0, x.size, SWEEP_BLOCK))
+
+
 def test_radial_gap_matches_the_array_expressions_bit_for_bit(rng):
+    # up to support SWEEP_BLOCK + 1 the terms form one block, whose np.sum the streamed
+    # bound returns; above it, the block sums combine under math.fsum
     theta = 0.5
     pairs = [(basis_state(1000, theta), basis_state(999, theta)),
              (basis_state(999, theta), basis_state(1000, theta)),
              (basis_state(0, theta), basis_state(0, theta)),
              (finite_state([1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0], theta), basis_state(2, theta)),
-             (zeta_state(1.1, 2 * SWEEP_BLOCK, theta), basis_state(3, theta))]
+             (zeta_state(1.1, SWEEP_BLOCK, theta), basis_state(3, theta)),
+             (basis_state(SWEEP_BLOCK, theta), zeta_state(1.3, SWEEP_BLOCK - 9, theta))]
     pairs += [(s1, s2) for s1, s2 in _random_finite_pairs(rng, 12)
               if s1.theta == theta and s2.theta == theta]
     pref = np.sqrt(2.0 * theta) / 2.0
     for s1, s2 in pairs:
         terms = _array_radial_terms(s1, s2)
+        assert terms.size <= SWEEP_BLOCK
         assert radial_gap(s1, s2) == float(pref * np.sum(np.abs(terms)))
         n = max(s1.support, s2.support)
         for m0 in (0, n // 2, n - 1, n + 5):  # staircases shorter and longer than d
             assert staircase_gap(m0, s1, s2) == float(pref * abs(np.sum(terms[:m0 + 1])))
+    for s1, s2 in ((zeta_state(1.1, 2 * SWEEP_BLOCK, theta), basis_state(3, theta)),
+                   (basis_state(3 * SWEEP_BLOCK - 5, theta), zeta_state(1.05, 10, theta))):
+        terms = _array_radial_terms(s1, s2)
+        assert terms.size > SWEEP_BLOCK
+        assert radial_gap(s1, s2) == float(pref * _block_fsum(np.abs(terms)))
+        for m0 in (0, SWEEP_BLOCK - 1, SWEEP_BLOCK, terms.size // 2, terms.size + 5):
+            assert staircase_gap(m0, s1, s2) == float(pref * abs(_block_fsum(terms[:m0 + 1])))
 
 
 def test_radial_gap_is_accurate_to_its_certificate_in_long_double():
@@ -181,8 +197,8 @@ def test_radial_gap_is_accurate_to_its_certificate_in_long_double():
 
 
 def test_radial_gap_memory_is_linear_in_the_support():
-    # the whole-array version held 48 bytes per index beside the state, the certificate
-    # vector 16; the suffix sums take diagonal_difference's 8
+    # the whole-array version held 48 bytes per index beside the state, diagonal_difference's
+    # buffer 8; the blocks streamed from the top hold a few SWEEP_BLOCK floats at any support
     st, other = zeta_state(1.1, 10 ** 6, 1.0), basis_state(2, 1.0)
     tracemalloc.start()
     try:
@@ -190,7 +206,7 @@ def test_radial_gap_memory_is_linear_in_the_support():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10 * st.support
+    assert peak <= 6 * 8 * SWEEP_BLOCK < 8 * st.support
 
 
 def test_weight_gap_sign_pattern():

@@ -70,7 +70,8 @@ def test_zeta_state_and_diagonal_difference_match_the_array_expressions():
 
 
 def test_zeta_state_memory_is_linear_in_the_support():
-    # 64 bytes per index before the weights were built in one buffer; the state keeps 16
+    # 64 bytes per index before the weights were built in one buffer, 16 while the state
+    # copied them; the state keeps that buffer, and the sum of squares takes blocks
     m_cut = 10 ** 6
     zeta(1.1)  # cached value, outside the measurement
     tracemalloc.start()
@@ -79,7 +80,7 @@ def test_zeta_state_memory_is_linear_in_the_support():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32 * (m_cut + 1)
+    assert peak <= 8 * (m_cut + 1) + 4 * 8 * SWEEP_BLOCK
 
 
 def test_zeta_state_metadata():
@@ -104,9 +105,14 @@ def test_finite_state_normalizes_and_records_factor():
         big, small = finite_state([1e200, 1.0], 1.0), finite_state([1e-200], 1.0)
     assert big.c[0] == 1.0 and big.c[1] == pytest.approx(1e-200, rel=1e-15)
     assert small.c[0] == 1.0
-    # the rescale is exact: ordinary weights keep the bits of plain division by the norm
-    w = np.random.default_rng(3).standard_normal(7) * (1 + 1j) * 1e-3
-    assert np.array_equal(finite_state(w, 1.0).c, w / np.linalg.norm(w))
+    # the rescale is exact: ordinary weights keep the bits of plain division by the norm,
+    # the root of the sum of squares taken block by block in order (no BLAS thread count
+    # changes it)
+    for size in (7, 2 * SWEEP_BLOCK + 3):
+        w = np.random.default_rng(3).standard_normal(size) * (1 + 1j) * 1e-3
+        squares = np.split(np.abs(w) ** 2, range(SWEEP_BLOCK, size, SWEEP_BLOCK))
+        nrm = math.sqrt(sum(float(np.sum(b)) for b in squares))
+        assert np.array_equal(finite_state(w, 1.0).c, w / nrm)
 
 
 def test_finite_state_single_weight_is_basis_like():
@@ -157,7 +163,7 @@ def test_real_states_store_float64_and_complex_weights_complex128():
 
 
 def test_real_finite_weights_give_the_complex_state_bit_for_bit(rng):
-    for size in (1, 2, 7, 300):
+    for size in (1, 2, 7, 300, 2 * SWEEP_BLOCK + 3):
         w = rng.uniform(-1.0, 1.0, size)
         real, cplx = finite_state(w, 0.5), finite_state(w.astype(complex), 0.5)
         assert np.array_equal(real.c, cplx.c.real) and not np.any(cplx.c.imag)
