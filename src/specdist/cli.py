@@ -34,6 +34,8 @@ class _Parser(argparse.ArgumentParser):
 
 def parse_state_spec(text: str, theta: float):
     """MoyalPureState of the mini-grammar basis:m | zeta:s:Mcut | finite:w0,w1,..."""
+    import numpy as np
+
     from .states import basis_state, finite_state, zeta_state
 
     parts = text.split(":")
@@ -44,20 +46,16 @@ def parse_state_spec(text: str, theta: float):
         if kind == "zeta" and len(parts) == 3:
             return zeta_state(float(parts[1]), int(parts[2]), theta)
         if kind == "finite" and len(parts) == 2:
-            return finite_state([_weight(w) for w in parts[1].split(",")], theta)
+            try:  # numpy reads each weight as float() does, else all as complex() does
+                w = np.array(parts[1].split(","), dtype=float)
+            except ValueError:
+                w = np.array(parts[1].split(","), dtype=complex)
+            return finite_state(w, theta)
     except ParameterError:  # the state's own message, e.g. non-finite or all-zero weights
         raise
     except ValueError:  # a number that does not parse
         pass
     raise ParameterError(f"cannot parse state spec {text!r}")
-
-
-def _weight(text: str):
-    """A finite: weight, read as a float where float() reads it, so real weights stay real."""
-    try:
-        return float(text)
-    except ValueError:
-        return complex(text)
 
 
 def _positive_int(text: str) -> int:

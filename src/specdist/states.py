@@ -48,9 +48,19 @@ class MoyalPureState:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # adopts an owned C-ordered float64 or complex128 array, copies anything else
         check_theta(self.theta)
-        _adopt(self, np.array(self.c, dtype=complex if np.iscomplexobj(self.c) else float,
-                              order="C"))
+        c = self.c
+        if not (isinstance(c, np.ndarray) and c.dtype in (np.float64, np.complex128)
+                and c.flags.owndata and c.flags.c_contiguous):
+            c = np.array(c, dtype=complex if np.iscomplexobj(c) else float)
+        if c.ndim != 1 or c.size == 0:
+            raise ParameterError("state coefficients must be a nonempty 1-d sequence")
+        nrm2 = _sum_squares(c)
+        if not abs(nrm2 - 1.0) <= NORMALIZATION_TOL:  # a NaN norm fails too
+            raise ParameterError(f"state is not normalized: sum |c|^2 = {nrm2}")
+        c.flags.writeable = False
+        object.__setattr__(self, "c", c)
 
     @property
     def support(self) -> int:
@@ -73,29 +83,6 @@ class MoyalPureState:
         return f"finite[{self.support}]"
 
 
-def _adopt(st: MoyalPureState, v: np.ndarray) -> None:
-    """Check the unit vector v, a C-ordered float64 or complex128 array, then make it the
-    state's coefficients, read-only."""
-    if v.ndim != 1 or v.size == 0:
-        raise ParameterError("state coefficients must be a nonempty 1-d sequence")
-    nrm2 = _sum_squares(v)
-    if not abs(nrm2 - 1.0) <= NORMALIZATION_TOL:  # a NaN norm fails too
-        raise ParameterError(f"state is not normalized: sum |c|^2 = {nrm2}")
-    v.flags.writeable = False
-    object.__setattr__(st, "c", v)
-
-
-def _built(theta: float, c: np.ndarray, kind: str, meta: dict) -> MoyalPureState:
-    """The state on a vector c this module has just built and shares with no caller:
-    __post_init__'s checks without its defensive copy."""
-    check_theta(theta)
-    st = object.__new__(MoyalPureState)
-    for name, value in (("theta", theta), ("kind", kind), ("meta", meta)):
-        object.__setattr__(st, name, value)
-    _adopt(st, c)
-    return st
-
-
 def basis_state(m: int, theta: float) -> MoyalPureState:
     """The m-th diagonal pure state (reads off a[m, m])."""
     if m < 0:
@@ -103,7 +90,7 @@ def basis_state(m: int, theta: float) -> MoyalPureState:
     _check_support(m + 1)
     c = np.zeros(m + 1)
     c[m] = 1.0
-    return _built(theta, c, "basis", {"index": m})
+    return MoyalPureState(theta, c, "basis", {"index": m})
 
 
 def zeta_state(s: float, m_cut: int, theta: float) -> MoyalPureState:
@@ -123,27 +110,29 @@ def zeta_state(s: float, m_cut: int, theta: float) -> MoyalPureState:
     np.sqrt(c, out=c)
     c /= math.sqrt(_sum_squares(c))
     partial = zeta_partial(s, m_cut + 1)
-    return _built(theta, c, "zeta",
-                  {"s": s, "m_cut": m_cut, "partial_sum": partial, "zeta": zeta(s)})
+    return MoyalPureState(theta, c, "zeta",
+                          {"s": s, "m_cut": m_cut, "partial_sum": partial, "zeta": zeta(s)})
 
 
 def finite_state(weights, theta: float) -> MoyalPureState:
-    """State from a finite weight vector, normalized by the root of `_sum_squares` after an
-    exact power-of-two rescale in complex arithmetic; real weights keep the real part, the
-    state of the same weights passed as complex bit for bit."""
-    w = np.asarray(list(weights))
-    real, w = not np.iscomplexobj(w), w.astype(complex)
+    """State from a finite weight vector, float64 if the weights are real, else complex128.
+    After an exact power-of-two rescale it multiplies by 1/norm, norm the root of
+    `_sum_squares`, as numpy's complex division by a real scalar does: real weights give
+    the real part of the state of the same weights as complex, bit for bit."""
+    w = np.asarray(weights)
     if w.ndim != 1 or w.size == 0:
         raise ParameterError("weights must be a nonempty 1-d sequence")
+    w = np.ascontiguousarray(w, dtype=complex if np.iscomplexobj(w) else float)
     if not np.all(np.isfinite(w)):
         raise ParameterError("weights must be finite")
     e = math.frexp(float(np.max(np.abs(w.view(float)))))[1]  # no over- or underflow below
-    w = np.ldexp(w.view(float), -e).view(complex)
-    nrm = math.sqrt(_sum_squares(w))
+    c = np.empty_like(w)  # the state's own buffer: the caller's weights are never written
+    np.ldexp(w.view(float), -e, out=c.view(float))
+    nrm = math.sqrt(_sum_squares(c))
     if nrm == 0.0:
         raise ParameterError("weights must not all vanish")
-    w /= nrm
-    return _built(theta, np.ascontiguousarray(w.real) if real else w, "finite", {})
+    c *= 1.0 / nrm
+    return MoyalPureState(theta, c, "finite")
 
 
 def diagonal_difference(s1: MoyalPureState, s2: MoyalPureState) -> np.ndarray:

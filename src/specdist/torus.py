@@ -371,9 +371,7 @@ def torus_closures(sites, theta: float, box_radius: int):
     return apply, adjoint, lambda r: r / gram
 
 
-def optimize_torus_distance(s1: TorusState, s2: TorusState,
-                            support_radius: int | None = None,
-                            box_radius: int | None = None,
+def optimize_torus_distance(s1: TorusState, s2: TorusState, box_radius: int | None = None,
                             max_iter: int = 2000) -> TorusOptimizeResult:
     """Maximize the evaluation gap over self-adjoint box-supported elements.
 
@@ -387,8 +385,7 @@ def optimize_torus_distance(s1: TorusState, s2: TorusState,
         raise ParameterError("states carry different theta")
     theta = s1.theta
     ms = [s.m for s in (s1, s2) if s.kind == "vector"]
-    if support_radius is None:
-        support_radius = 3 * max((max(abs(m[0]), abs(m[1])) for m in ms), default=1)
+    support_radius = 3 * max((max(abs(m[0]), abs(m[1])) for m in ms), default=1)
     if box_radius is None:
         box_radius = 2 * support_radius + 1
     if box_radius < support_radius + 2:

@@ -5,10 +5,14 @@ values move in their last digits when the rounding of a norm or clip changes, of
 slots that report divergence verdicts (`plane-bounds` p2, p3, z5 and z6, `selfcheck`
 probes) and of the `plane-bounds` ball checks (s1023 takes the radial path, e63-e256 the
 dense one), the CLI's output must pass `perfbench.check.problems` against the committed
-reference: the rule a benchmark run applies to every job it times.
+reference: the rule a benchmark run applies to every job it times.  The finite-pair slots
+also run as the benchmark transforms them, for three fixed seeds: a random global phase
+on each finite state (so its spec is written complex), the two states swapped or not, and
+the pair inline or in a --spec-file.
 """
 
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -29,11 +33,10 @@ def _refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-def _check(workload, variants, tmp_path, monkeypatch, capsys):
+def _check(workload, jobs, tmp_path, monkeypatch, capsys):
     reference = json.loads((ROOT / "perfbench" / "reference" / f"{workload}.json").read_text())
     monkeypatch.chdir(tmp_path)  # where the jobs' input files are written
-    for variant in variants:
-        job = workloads.materialize(variant)
+    for job in jobs:
         workloads.write_inputs([job], tmp_path)
         code = main(list(job.argv))
         out = capsys.readouterr().out
@@ -47,7 +50,7 @@ def test_every_optimizer_variant_passes_the_benchmark_check(workload, tmp_path, 
                                                             capsys):
     variants = [v for slot in workloads.slots(workload) for v in slot]
     assert len(variants) == {"plane-optimize": 20, "torus": 33}[workload]
-    _check(workload, variants, tmp_path, monkeypatch, capsys)
+    _check(workload, map(workloads.materialize, variants), tmp_path, monkeypatch, capsys)
 
 
 def _variants(workload, names):
@@ -63,11 +66,31 @@ def test_every_variant_of_the_verdict_slots_passes_the_benchmark_check(workload,
                                                                        capsys):
     variants = _variants(workload, names)
     assert len(variants) == {"plane-bounds": 11, "selfcheck": 1}[workload]
-    _check(workload, variants, tmp_path, monkeypatch, capsys)
+    _check(workload, map(workloads.materialize, variants), tmp_path, monkeypatch, capsys)
 
 
 def test_every_ball_check_variant_passes_the_benchmark_check(tmp_path, monkeypatch, capsys):
     variants = _variants("plane-bounds", {"s1023", "e63", "e64", "e128", "e256"})
     assert [v.key for v in variants] == ["s1023.0", "s1023.1", "s1023.2", "e63.0", "e64.0",
                                          "e128.0", "e256.0"]
-    _check("plane-bounds", variants, tmp_path, monkeypatch, capsys)
+    _check("plane-bounds", map(workloads.materialize, variants), tmp_path, monkeypatch,
+           capsys)
+
+
+@pytest.mark.parametrize("workload, names", [("plane-optimize", {"f12", "f14"}),
+                                             ("plane-bounds", {"u100", "u300"}),
+                                             ("selfcheck", {"m"})],
+                         ids=["plane-optimize", "plane-bounds", "selfcheck"])
+def test_transformed_finite_pairs_pass_the_benchmark_check(workload, names, tmp_path,
+                                                           monkeypatch, capsys):
+    # seeds 0, 1 and 5 swap, keep, keep the states and pass a short pair inline, inline,
+    # through --spec-file; every phase is nonzero, so every finite spec is complex
+    variants = _variants(workload, names)
+    assert len(variants) == {"plane-optimize": 2, "plane-bounds": 6, "selfcheck": 1}[workload]
+    jobs = [workloads.materialize(v, random.Random(k)) for v in variants for k in (0, 1, 5)]
+    for job in jobs:
+        specs = [t[4:] for t in job.argv if t[:4] in ("--a=", "--b=")]
+        specs += [payload[k] for _, payload in job.files for k in "ab"]
+        finite = [t for t in specs if t.startswith("finite:")]
+        assert len(specs) == 2 and finite and all("j" in t for t in finite), job.argv
+    _check(workload, jobs, tmp_path, monkeypatch, capsys)

@@ -166,9 +166,11 @@ def test_parameter_errors_exit_one(capsys):
     code, _, _ = run_cli(capsys, "moyal-distance", "--a", "zeta:0.5:100", "--b", "basis:0")
     assert code == 1
     # a number that does not parse names the spec; the state's own messages survive
-    for spec, message in (("finite:", None), ("finite:1,,2", None), ("basis:x", None),
-                          ("zeta:1.2:x", None), ("finite:0,0", "weights must not all vanish"),
-                          ("finite:nan,1", "weights must be finite")):
+    for spec, message in (("finite:", None), ("finite:1,,2", None), ("finite:1,", None),
+                          ("finite:,", None), ("basis:x", None), ("zeta:1.2:x", None),
+                          ("finite:0,0", "weights must not all vanish"),
+                          ("finite:nan,1", "weights must be finite"),
+                          ("finite:1e400,1", "weights must be finite")):
         code, out, err = run_cli(capsys, "moyal-distance", "--a", spec, "--b", "basis:0")
         assert code == 1 and out == ""
         assert err == f"error: {message or f'cannot parse state spec {spec!r}'}\n"
@@ -570,7 +572,34 @@ def test_non_convergence_exits_three(capsys):
 
 
 def test_finite_spec_weights_stay_real_unless_written_complex():
+    # weights in Python's float and complex literal syntax, underscores and spaces included
     from specdist.cli import parse_state_spec
-    assert parse_state_spec("finite:1,2.5,-3e-2", 1.0).c.dtype == np.float64
-    for text in ("finite:(0.6+0.8j),1", "finite:1,2j", "finite:1+0j"):
+    from specdist.states import finite_state
+    for text, weights in (("finite:1,2.5,-3e-2", [1.0, 2.5, -3e-2]),
+                          ("finite:1_000, 2 ", [1000.0, 2.0])):
+        c = parse_state_spec(text, 1.0).c
+        assert c.dtype == np.float64 and np.array_equal(c, finite_state(weights, 1.0).c)
+    for text in ("finite:(0.6+0.8j),1", "finite:1,2j", "finite:1+0j", "finite:(1+2j)"):
         assert parse_state_spec(text, 1.0).c.dtype == np.complex128
+    assert np.array_equal(parse_state_spec("finite:(1+2j)", 1.0).c, [(1 + 2j) / math.sqrt(5)])
+
+
+def test_finite_spec_parse_memory_per_weight():
+    # 200,000 weights whose reprs take 19 characters on average (42 written complex): the
+    # split texts, then one numpy array of the weights and the state's normalized copy.
+    # A per-weight list of Python numbers, its copy and complex copies of a real vector
+    # peaked at 126.6 and 181.2 bytes per weight
+    from specdist.cli import parse_state_spec
+    rng = np.random.default_rng(1)
+    weights = rng.uniform(0.1, 1.0, 200_000)
+    phased = weights * np.exp(1j * rng.uniform(0.0, 6.28, weights.size))
+    for values, bound in ((weights, 110), (phased, 165)):
+        text = "finite:" + ",".join(map(repr, values.tolist()))
+        parse_state_spec("finite:1,2j", 1.0)  # warm-up: imports
+        tracemalloc.start()
+        try:
+            parse_state_spec(text, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * values.size, peak / values.size

@@ -141,6 +141,27 @@ def test_unnormalized_rejected():
         MoyalPureState(1.0, np.array([1.0, 1.0]))
 
 
+def test_states_never_share_a_writable_array_with_the_caller():
+    # finite_state writes only its own buffer
+    for w in (np.array([3.0, -4.0]), np.array([3.0, 4j])):
+        before = w.copy()
+        st = finite_state(w, 1.0)
+        assert w.flags.writeable and np.array_equal(w, before)
+        assert not np.shares_memory(st.c, w) and not st.c.flags.writeable
+    # a view, a list or another dtype is copied, and the caller's base stays writable
+    base = np.array([0.6, 0.8, 5.0])
+    st = MoyalPureState(1.0, base[:2])
+    assert not np.shares_memory(st.c, base) and base.flags.writeable
+    base[0] = 1.0
+    assert st.c[0] == 0.6
+    for c in ([0.6, 0.8], np.array([0.0, 1.0], dtype=np.float32), np.array([0, 1])):
+        assert MoyalPureState(1.0, c).c.dtype == np.float64
+    # a C-ordered float64 or complex128 array that owns its data is adopted, read-only
+    for owned in (np.array([0.6, 0.8]), np.array([0.6, 0.8j])):
+        st = MoyalPureState(1.0, owned)
+        assert st.c is owned and not owned.flags.writeable
+
+
 def test_theta_mismatch_rejected():
     with pytest.raises(ParameterError):
         basis_state(0, 1.0).expect(basis(2.0, 0, 0))

@@ -212,8 +212,7 @@ def test_optimizer_beats_certificate():
     theta = 0.37
     s1 = vector_state(theta, (1, 0))
     s2 = tracial_state(theta)
-    res = optimize_torus_distance(s1, s2, support_radius=2, box_radius=6,
-                                  max_iter=300)
+    res = optimize_torus_distance(s1, s2, box_radius=6, max_iter=300)  # support 3
     cert, _ = weyl_certificate_gap((1, 0), theta)
     assert res.value > cert + 1e-4
     assert res.value <= coefficient_bound((1, 0)) + 1e-9
@@ -395,15 +394,14 @@ def test_validation_box_of_deriv_bar_is_the_adjoint_of_derivs():
 
 
 def test_optimizer_size_guard_is_unchanged():
-    # refused exactly when npar * 2 (2R+1)^4 > 3e7, with npar = (2 support + 1)^2 - 1;
-    # a state against itself returns right after the guard
-    s = tracial_state(0.37)
-    for support_radius, last_box in ((1, 18), (2, 13), (3, 11)):
-        res = optimize_torus_distance(s, s, support_radius=support_radius, box_radius=last_box)
+    # refused exactly when npar * 2 (2R+1)^4 > 3e7, with npar = (2 support + 1)^2 - 1 and
+    # support 3 max|m| (3 for the tracial state); a state against itself returns right
+    # after the guard
+    for s, last_box in ((tracial_state(0.37), 11), (vector_state(0.37, (2, 0)), 8)):
+        res = optimize_torus_distance(s, s, box_radius=last_box)
         assert res.iterations == 0 and res.box_radius == last_box
         with pytest.raises(ParameterError, match="size guard"):
-            optimize_torus_distance(s, s, support_radius=support_radius,
-                                    box_radius=last_box + 1)
+            optimize_torus_distance(s, s, box_radius=last_box + 1)
 
 
 def test_theta_mismatch_rejected():
