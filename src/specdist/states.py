@@ -13,7 +13,6 @@ import numpy as np
 
 from .algebra import MoyalElement, check_theta
 from .errors import ParameterError
-from .zeta import zeta, zeta_partial
 
 NORMALIZATION_TOL = 1e-12
 # largest coefficient vector a basis or zeta state may allocate; the state is the only
@@ -96,9 +95,9 @@ def basis_state(m: int, theta: float) -> MoyalPureState:
 def zeta_state(s: float, m_cut: int, theta: float) -> MoyalPureState:
     """Truncated power-law state with |c_m|^2 proportional to (m+1)^-s, m <= m_cut.
 
-    Requires a finite s > 1.  The truncation is renormalized by its own partial
-    sum so the state is exactly normalized; the metadata records both the
-    partial sum used and the full zeta value for reporting.
+    Requires a finite s > 1.  The truncation is renormalized by its own sum of
+    squares (`_sum_squares`, the partial sum of (m+1)^-s) so the state is exactly
+    normalized; the metadata records s and m_cut, which name the state.
     """
     if not (math.isfinite(s) and s > 1):
         raise ParameterError(f"zeta states require a finite s > 1, got {s}")
@@ -109,9 +108,7 @@ def zeta_state(s: float, m_cut: int, theta: float) -> MoyalPureState:
     c **= -s
     np.sqrt(c, out=c)
     c /= math.sqrt(_sum_squares(c))
-    partial = zeta_partial(s, m_cut + 1)
-    return MoyalPureState(theta, c, "zeta",
-                          {"s": s, "m_cut": m_cut, "partial_sum": partial, "zeta": zeta(s)})
+    return MoyalPureState(theta, c, "zeta", {"s": s, "m_cut": m_cut})
 
 
 def finite_state(weights, theta: float) -> MoyalPureState:

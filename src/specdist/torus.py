@@ -212,7 +212,16 @@ def torus_op_norm(a: TorusElement, box_radius: int) -> float:
 
 
 def torus_commutator_norm(a: TorusElement, box_radius: int) -> float:
-    """Dirac commutator norm on the given box: max of the two derivation box norms."""
+    """Dirac commutator norm on the given box: max of the two derivation box norms.
+
+    A self-adjoint a (c_-p = conj(c_p)) takes one SVD.  deriv_bar's coefficient at p,
+    2i pi (p1 - i p2) c_p, rounds as the conjugate of deriv's at -p; the box keeps U^p's
+    entry (n+p, n) exactly when it keeps U^-p's (n, n+p), with phases at opposite angles.
+    So box_matrix(deriv_bar(a)) == box_matrix(deriv(a)).conj().T bit for bit, and the
+    two norms differ only by the SVD's rounding on the transpose.
+    """
+    if involution(a).terms == a.terms:
+        return torus_op_norm(deriv(a), box_radius)
     return max(torus_op_norm(deriv(a), box_radius), torus_op_norm(deriv_bar(a), box_radius))
 
 
@@ -420,18 +429,11 @@ def optimize_torus_distance(s1: TorusState, s2: TorusState, box_radius: int | No
                                           1.0, 0.05, max_iter)  # radius 1, rho = 0.05
     a_best = _element_from_params(best_x, sites, theta)
     validation = box_radius + 2
-    # the commutator norm on the validation box, from one SVD instead of two: a_best and
-    # cert are self-adjoint (c_-p = conj(c_p)), so deriv_bar's coefficient at p,
-    # 2i pi (p1 - i p2) c_p, is the conjugate of deriv's at -p, and deriv_bar(a) =
-    # deriv(a)*.  The two products round as conjugates, the box keeps U^p's entry
-    # (n+p, n) exactly when it keeps U^-p's entry (n, n+p), and their phases are computed
-    # at opposite angles, so box_matrix(deriv_bar(a)) is box_matrix(deriv(a)).conj().T
-    # bit for bit; the two norms differ only by the SVD's rounding on the transpose.
-    norm = torus_op_norm(deriv(a_best), validation)
+    norm = torus_commutator_norm(a_best, validation)
     if norm == 0.0:
         return TorusOptimizeResult(0.0, a_best, it, converged, 0.0, box_radius)
     cert = (1.0 / norm) * a_best
     value = abs(s1.expect(cert) - s2.expect(cert))
-    residual = abs(torus_op_norm(deriv(cert), validation) - 1.0)
+    residual = abs(torus_commutator_norm(cert, validation) - 1.0)
     return TorusOptimizeResult(float(value), cert, it, converged,
                                float(residual), box_radius)

@@ -62,6 +62,13 @@ def test_cli_import_loads_no_numerics():
     assert loaded == ["specdist", "specdist.cli", "specdist.errors"]
 
 
+def test_states_load_no_zeta_function():
+    # a zeta state is normalized by its own sum of squares and names itself by s and m_cut
+    loaded = _fresh("import json, sys, specdist.states\n"
+                    "print(json.dumps('specdist.zeta' in sys.modules))")
+    assert loaded is False
+
+
 @pytest.mark.parametrize("argv", list(LOADED), ids=lambda argv: argv[0])
 def test_subcommand_loads_only_its_modules(argv):
     code, loaded = _fresh(_RUN_AND_LIST, *argv)

@@ -73,7 +73,6 @@ def test_zeta_state_memory_is_linear_in_the_support():
     # 64 bytes per index before the weights were built in one buffer, 16 while the state
     # copied them; the state keeps that buffer, and the sum of squares takes blocks
     m_cut = 10 ** 6
-    zeta(1.1)  # cached value, outside the measurement
     tracemalloc.start()
     try:
         zeta_state(1.1, m_cut, 1.0)
@@ -84,9 +83,10 @@ def test_zeta_state_memory_is_linear_in_the_support():
 
 
 def test_zeta_state_metadata():
+    # the state is named by s and m_cut, and normalized by its own partial sum
     st = zeta_state(1.5, 40000, 1.0)
-    assert st.meta["partial_sum"] == pytest.approx(zeta_partial(1.5, 40001), rel=1e-14)
-    assert st.meta["partial_sum"] / st.meta["zeta"] >= 0.99
+    assert st.meta == {"s": 1.5, "m_cut": 40000}
+    assert st.c[0] ** 2 == pytest.approx(1 / zeta_partial(1.5, 40001), rel=1e-14)
 
 
 def test_zeta_state_rejects_bad_exponent():
@@ -130,7 +130,7 @@ def test_diagonal_difference_examples():
 def test_diagonal_difference_zeta_vs_basis():
     st = zeta_state(1.5, 50, 1.0)
     d = diagonal_difference(st, basis_state(0, 1.0))
-    z = st.meta["partial_sum"]
+    z = zeta_partial(1.5, 51)
     assert d[0] == pytest.approx(1.0 / z - 1.0, abs=1e-13)
     assert d[3] == pytest.approx(4.0 ** -1.5 / z, abs=1e-13)
     assert float(np.sum(d)) == pytest.approx(0.0, abs=1e-12)

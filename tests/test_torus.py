@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from specdist import distance, torus
+from specdist import distance, torus, verify
 from specdist.distance import admm_maximize
 from specdist.errors import ParameterError
 from specdist.torus import (TorusElement, _element_from_params, _hermitian_sites, bicharacter,
@@ -374,8 +374,8 @@ def test_split_box_optimizer_keeps_the_iteration_counts():
 
 
 def test_validation_box_of_deriv_bar_is_the_adjoint_of_derivs():
-    # for self-adjoint a, deriv_bar(a) = deriv(a)*, bit for bit on every box, so the
-    # optimizer takes the validation commutator norm from one SVD
+    # for self-adjoint a, deriv_bar(a) = deriv(a)*, bit for bit on every box, so
+    # torus_commutator_norm takes one SVD
     rng = np.random.default_rng(14)
     for _ in range(30):
         support = int(rng.integers(1, 4))
@@ -391,6 +391,37 @@ def test_validation_box_of_deriv_bar_is_the_adjoint_of_derivs():
             # the same singular values, up to the SVD's rounding on the transpose
             assert torus_op_norm(deriv_bar(a), radius) == pytest.approx(
                 torus_op_norm(deriv(a), radius), rel=1e-13)
+            assert torus_commutator_norm(a, radius) == torus_op_norm(deriv(a), radius)
+
+
+def test_commutator_norm_of_non_self_adjoint_elements_is_the_larger_derivation_norm():
+    rng = np.random.default_rng(30)
+    elements = [weyl_certificate((2, -1), 0.37)] + [
+        TorusElement(0.37, {tuple(int(v) for v in rng.integers(-2, 3, 2)):
+                            complex(*rng.standard_normal(2)) for _ in range(5)})
+        for _ in range(5)]
+    spreads = []
+    for el in elements:
+        assert involution(el).terms != el.terms
+        for radius in (3, 5):
+            norms = torus_op_norm(deriv(el), radius), torus_op_norm(deriv_bar(el), radius)
+            assert torus_commutator_norm(el, radius) == max(norms)
+            spreads.append(abs(norms[0] - norms[1]) / max(norms))
+    # the derivations' norms differ here, so one SVD would not give the larger
+    assert max(spreads) > 1e-2
+
+
+def test_verify_torus_suite_takes_one_box_norm_per_self_adjoint_element(monkeypatch):
+    calls = []
+    op_norm_of = torus.torus_op_norm
+
+    def counting(a, box_radius):
+        calls.append(box_radius)
+        return op_norm_of(a, box_radius)
+
+    monkeypatch.setattr(torus, "torus_op_norm", counting)
+    verify.torus_suite()
+    assert len(calls) == 60
 
 
 def test_optimizer_size_guard_is_unchanged():
