@@ -256,7 +256,7 @@ def torus_report(s1: TorusState, s2: TorusState, optimize: bool = False,
     supported pairs get certificate and coefficient-bound brackets.  The certificate
     lower bound is the larger gap of the two Weyl certificates, whose norm is 1 by
     construction, so no box is built; the reported order is the optimizer's box
-    radius, 0 without the optimizer.
+    radius, 0 where it does not run.
 
     Proof of the closed form (Rieffel, Doc. Math. 3 (1998)).  Averaging over the
     subgroup of the dual action that fixes U^M is a contraction that commutes with both
@@ -266,7 +266,11 @@ def torus_report(s1: TorusState, s2: TorusState, optimize: bool = False,
     |phi_M(f) - tau(f)| = |Re f^(1)|, f^(1) = (1/2pi) int f(t) e^(-it) dt, and by parts
     |Re f^(1)| = |(1/2pi) int f'(t) sin t dt| <= (1/2pi) int |f'||sin t| dt
     <= 4/(2pi * 2pi |M|) = 1/(pi^2 |M|), which the triangle wave with
-    f' = -sign(sin t)/(2 pi |M|) attains.
+    f' = -sign(sin t)/(2 pi |M|) attains.  Its Fejer means sigma_K f(U^M), polynomials in
+    U^M, stay in the unit ball (the Fejer kernel is positive, so sup|(sigma_K f)'| <= sup|f'|)
+    and have gaps (1 - 1/(K+1))/(pi^2 |M|), so the closed form is also the supremum over
+    polynomial elements: with optimize, the report gives it as optimizer_lower and runs no
+    iteration.
     """
     if s1.theta != s2.theta:
         raise ParameterError("states carry different theta")
@@ -299,7 +303,9 @@ def torus_report(s1: TorusState, s2: TorusState, optimize: bool = False,
             closed = 1.0 / (np.pi ** 2 * abs(ms[0][0] + 1j * ms[0][1]))
 
     opt_val = opt_iters = opt_resid = opt_conv = None
-    if optimize and not same_functional:
+    if optimize and closed:
+        opt_val, opt_iters, opt_resid, opt_conv = closed, 0, 0.0, True
+    elif optimize and closed is None:
         res = optimize_torus_distance(s1, s2, box_radius=box_radius, max_iter=max_iter)
         opt_val, opt_iters = res.value, res.iterations
         opt_resid, opt_conv = res.feasibility_residual, res.converged
@@ -328,7 +334,6 @@ def torus_report(s1: TorusState, s2: TorusState, optimize: bool = False,
 @dataclass(frozen=True)
 class TorusOptimizeResult:
     value: float
-    certificate: TorusElement
     iterations: int
     converged: bool
     feasibility_residual: float
@@ -416,14 +421,13 @@ def optimize_torus_distance(s1: TorusState, s2: TorusState, box_radius: int | No
             f"{box_radius} gives {npar} parameters on {side * side}x{side * side} box "
             "matrices, past the cap on the SVD work; choose smaller radii")
     sites = _hermitian_sites(support_radius)
-
-    def gap(x: np.ndarray) -> float:
-        el = _element_from_params(x, sites, theta)
-        return float(np.real(s1.expect(el) - s2.expect(el)))
-
-    wx = np.array([gap(e) for e in np.eye(npar)])
+    # phi_M - tau reads Re c_M, the real parameter of the site max(M, -M) (lexicographic)
+    wx = np.zeros(npar)
+    for s, sign in ((s1, 1.0), (s2, -1.0)):
+        if s.kind == "vector":
+            wx[2 * sites.index(max(s.m, (-s.m[0], -s.m[1])))] += sign
     if not np.any(wx):
-        return TorusOptimizeResult(0.0, unit(theta) * 0.0, 0, True, 0.0, box_radius)
+        return TorusOptimizeResult(0.0, 0, True, 0.0, box_radius)
 
     best_x, it, converged = admm_maximize(wx, *torus_closures(sites, theta, box_radius),
                                           1.0, 0.05, max_iter)  # radius 1, rho = 0.05
@@ -431,9 +435,8 @@ def optimize_torus_distance(s1: TorusState, s2: TorusState, box_radius: int | No
     validation = box_radius + 2
     norm = torus_commutator_norm(a_best, validation)
     if norm == 0.0:
-        return TorusOptimizeResult(0.0, a_best, it, converged, 0.0, box_radius)
+        return TorusOptimizeResult(0.0, it, converged, 0.0, box_radius)
     cert = (1.0 / norm) * a_best
     value = abs(s1.expect(cert) - s2.expect(cert))
     residual = abs(torus_commutator_norm(cert, validation) - 1.0)
-    return TorusOptimizeResult(float(value), cert, it, converged,
-                               float(residual), box_radius)
+    return TorusOptimizeResult(float(value), it, converged, float(residual), box_radius)

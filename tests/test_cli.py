@@ -349,19 +349,31 @@ def test_torus_distance_explicit_states(capsys):
     assert json.loads(out)["closed_form"] == pytest.approx(1 / np.pi ** 2, abs=1e-12)
 
 
-def test_torus_distance_with_optimizer(capsys):
-    code, out, _ = run_cli(capsys, "torus-distance", "--theta", "0.37", "--m", "1,0",
-                           "--optimize", "--box", "5", "--max-iter", "150")
-    assert code in (0, 3)  # small iteration budget may stop before the stall rule
-    report = json.loads(out)
-    assert report["optimizer_lower"] is not None
-    assert 0 < report["optimizer_lower"] <= report["analytic_upper"] + 1e-6
+def test_torus_distance_with_optimizer(capsys, monkeypatch):
+    # a vector state against the trace has a proved closed form, which the optimizer
+    # reports with no iteration; --box and --max-iter are accepted and unused
+    from specdist import torus
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the optimizer ran on a pair with a closed form")
+
+    monkeypatch.setattr(torus, "optimize_torus_distance", refuse)
+    monkeypatch.setattr(torus, "admm_maximize", refuse)
+    for pair, closed in ((("--m", "1,0"), 1 / np.pi ** 2),
+                         (("--a", "tracial", "--b", "phi:3,-4"), 1 / (5 * np.pi ** 2))):
+        code, out, _ = run_cli(capsys, "torus-distance", "--theta", "0.37", *pair,
+                               "--optimize", "--box", "5", "--max-iter", "150")
+        assert code == 0
+        report = json.loads(out)
+        assert report["optimizer_lower"] == report["closed_form"] == closed
+        assert report["iterations"] == 0 and report["converged"] is True
+        assert report["feasibility_residual"] == 0.0 and report["order"] == 0
 
 
 def test_torus_theta_enters_modulo_two(capsys):
     # the algebra has period 2 in theta; phases of any finite theta stay finite
-    code, out, _ = run_cli(capsys, "torus-distance", "--theta", "1e308", "--m", "1,0",
-                           "--optimize", "--box", "5")
+    pair = ("--a=phi:1,0", "--b=phi:0,1", "--optimize", "--box", "5")
+    code, out, _ = run_cli(capsys, "torus-distance", "--theta", "1e308", *pair)
     assert code == 0
     report = json.loads(out)
     assert all(math.isfinite(report[k]) for k in ("certificate_lower", "optimizer_lower",
@@ -369,12 +381,12 @@ def test_torus_theta_enters_modulo_two(capsys):
     # a short run is enough to compare: both stop at the same iteration cap
     reports = []
     for theta in ("2.37", "0.37"):
-        code, out, _ = run_cli(capsys, "torus-distance", "--theta", theta, "--m", "1,1",
-                               "--optimize", "--box", "5", "--max-iter", "40")
+        code, out, _ = run_cli(capsys, "torus-distance", "--theta", theta, *pair,
+                               "--max-iter", "40")
         reports.append(json.loads(out))
     for key in ("certificate_lower", "optimizer_lower", "feasibility_residual"):
         assert abs(reports[0][key] - reports[1][key]) <= 1e-12
-    assert reports[0]["iterations"] == reports[1]["iterations"]
+    assert reports[0]["iterations"] == reports[1]["iterations"] == 40
 
 
 def test_state_support_cap_exits_one():
@@ -433,7 +445,8 @@ def test_torus_size_guard_refuses_before_building_the_sites(capsys):
     run_cli(capsys, "torus-distance", "--m", "1,0")  # warm-up: imports
     tracemalloc.start()
     try:
-        code, out, err = run_cli(capsys, "torus-distance", "--m", "300,0", "--optimize")
+        code, out, err = run_cli(capsys, "torus-distance", "--a", "phi:300,0", "--b", "phi:0,1",
+                                 "--optimize")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -448,9 +461,11 @@ def test_torus_box_requires_the_optimizer(capsys):
 
 
 def test_torus_box_refusal_names_the_smallest_accepted_box(capsys):
-    # the support radius is 3 max(|m1|, |m2|), and the box must exceed it by 2
-    for m, box, support in (("1,0", "4", 3), ("2,0", "7", 6)):
-        code, out, err = run_cli(capsys, "torus-distance", "--m", m, "--optimize", "--box", box)
+    # the support radius is 3 max(|m1|, |m2|) over the vector states, and the box must
+    # exceed it by 2
+    for a, box, support in (("phi:1,0", "4", 3), ("phi:2,0", "7", 6)):
+        code, out, err = run_cli(capsys, "torus-distance", "--a", a, "--b", "phi:0,1",
+                                 "--optimize", "--box", box)
         assert code == 1 and out == ""
         assert err == (f"error: box radius {box} is too small for support radius {support}; "
                        f"the smallest accepted box radius is {support + 2}\n")

@@ -183,6 +183,26 @@ def test_report_vector_vs_trace():
     assert rep.certificate_id == "weyl_certificate(3,4)"
 
 
+def test_fejer_means_of_the_triangle_wave_prove_the_closed_form():
+    # torus_report's proof that the closed form is the supremum over polynomial elements.
+    # sigma_K f(U^M) for f = L sum_{k odd} 4/(pi k^2) cos kt, L = 1/(2 pi |M|), has the
+    # coefficient (2L/(pi k^2)) (1 - |k|/(K+1)) at kM (U^(kM) = (U^M)^k, as M commutes with
+    # kM); its gap must tend to 1/(pi^2 |M|), and its commutator norm stay at most 1 on
+    # every box (box norms approach the true norm from below)
+    cases = [(m, k) for m in ((1, 0), (1, 1), (-1, 1)) for k in (4, 11)] + [((2, -3), 4)]
+    for m, k_max in cases:
+        lip = 1 / (2 * np.pi * math.hypot(*m))
+        for theta in (0.25, 0.37, 0.5):
+            a = TorusElement(theta, {(k * m[0], k * m[1]): 2 * lip / (np.pi * k * k)
+                                     * (1 - abs(k) / (k_max + 1))
+                                     for k in range(-k_max, k_max + 1) if k % 2})
+            gap = abs(vector_state(theta, m).expect(a) - tracial_state(theta).expect(a))
+            want = (1 - 1 / (k_max + 1)) / (np.pi ** 2 * math.hypot(*m))
+            assert gap == pytest.approx(want, rel=1e-15, abs=0)
+            r = a.support_radius + 1
+            assert max(torus_commutator_norm(a, r), torus_commutator_norm(a, 2 * r)) <= 1.0
+
+
 def test_report_same_state_zero():
     theta = 0.37
     rep = torus_report(tracial_state(theta), tracial_state(theta))

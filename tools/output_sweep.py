@@ -1,0 +1,107 @@
+"""Run every benchmark job in-process and record its exit code and stdout.
+
+The jobs are the 85 canonical variants of the four workloads in
+`perfbench/workloads.py`, plus each non-verify variant as the benchmark transforms it
+(`workloads.materialize(v, random.Random(k))` for k = 1, 2 and 3): 319 jobs, 10-20 s on
+one core.  Each runs through `specdist.cli.main` of the checkout that holds this script,
+with one OpenBLAS thread, as the benchmark runs it.
+
+    python tools/output_sweep.py OUT.json                  # write {job: [exit, stdout]}
+    python tools/output_sweep.py OUT.json --against OLD.json
+
+With --against, the jobs whose exit code or stdout differ from OLD.json are listed, with
+the fields that differ when both outputs are JSON objects, and the exit status is 1 if
+any differ.  To compare two commits, run the script in a checkout of each.
+"""
+
+from __future__ import annotations
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads: the dense SVD depends on it
+
+import argparse
+import contextlib
+import io
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+sys.dont_write_bytecode = True  # perfbench/ stays as committed
+
+from perfbench import workloads  # noqa: E402
+from specdist.cli import main  # noqa: E402
+
+SEEDS = (1, 2, 3)
+
+
+def jobs() -> dict:
+    """Every job of the sweep, by name: workload/key, and workload/key~k when transformed."""
+    out = {}
+    for workload in workloads.WORKLOADS:
+        for v in (v for slot in workloads.slots(workload) for v in slot):
+            out[f"{workload}/{v.key}"] = workloads.materialize(v)
+            if v.cmd != "verify":
+                for k in SEEDS:
+                    out[f"{workload}/{v.key}~{k}"] = workloads.materialize(v, random.Random(k))
+    return out
+
+
+def sweep() -> dict:
+    results = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)  # where the jobs' input files are written
+        try:
+            for name, job in jobs().items():
+                workloads.write_inputs([job], Path(tmp))
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = main(list(job.argv))
+                results[name] = [code, out.getvalue()]
+        finally:
+            os.chdir(cwd)
+    return results
+
+
+def differences(old: dict, new: dict) -> list:
+    """One line per job whose exit code or stdout differs, or that only one side ran."""
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        if name not in old or name not in new:
+            lines.append(f"{name}: only in {'new' if name in new else 'old'}")
+        elif old[name] != new[name]:
+            (c0, s0), (c1, s1) = old[name], new[name]
+            detail = f"exit {c0} -> {c1}" if c0 != c1 else "stdout"
+            try:
+                r0, r1 = json.loads(s0), json.loads(s1)
+            except ValueError:
+                r0 = r1 = None
+            if isinstance(r0, dict) and isinstance(r1, dict):
+                keys = sorted(k for k in r0.keys() | r1.keys() if r0.get(k) != r1.get(k))
+                detail += ": " + ", ".join(keys)
+            lines.append(f"{name}: {detail}")
+    return lines
+
+
+def run(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", help="where to write {job: [exit, stdout]} as JSON")
+    parser.add_argument("--against", help="an older sweep to compare with")
+    args = parser.parse_args(argv)
+    results = sweep()
+    Path(args.out).write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
+    if args.against is None:
+        print(f"{len(results)} jobs")
+        return 0
+    lines = differences(json.loads(Path(args.against).read_text()), results)
+    print("\n".join(lines + [f"{len(lines)} of {len(results)} jobs differ"]))
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(run())
