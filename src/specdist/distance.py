@@ -15,13 +15,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import probes
-from .algebra import MAX_OPERATOR_ENTRIES, MoyalElement, zero
+from .algebra import MAX_OPERATOR_ENTRIES, MoyalElement
 from .calculus import dz_stencil
 from .errors import ParameterError, UnboundedSupportError
-from .lipschitz import clip_spectral, commutator_norm, nuclear_norm, op_norm
+from .lipschitz import ENTRY_BOUND, clip_spectral, commutator_norm, nuclear_norm, op_norm
 from .states import SWEEP_BLOCK, MoyalPureState, _check_support, difference_matrix
 
-SPECTRAL_RADIUS = 1.0 / math.sqrt(2.0)  # derivative budget of the unit commutator ball
 STALL_ITERS = 50  # admm_maximize stops after this many non-improving iterations in a row
 STALL_TOL = 1e-8  # relative margin an iterate must clear to count as an improvement
 RELAX = 1.7  # ADMM over-relaxation factor
@@ -250,25 +249,43 @@ def admm_maximize(c, apply, adjoint, solve, radius, rho, max_iter):
 @dataclass(frozen=True)
 class OptimizeResult:
     value: float
-    certificate: MoyalElement
     iterations: int
     converged: bool
     feasibility_residual: float
+    order: int  # the plane's truncation order, the torus's box radius
+
+
+def rescaled_gap(s1, s2, a, norm, iterations: int, converged: bool,
+                 order: int) -> OptimizeResult:
+    """The gap |s1(c) - s2(c)| of c = a/norm(a), with residual |norm(c) - 1|.
+
+    The distance is the supremum of that gap over self-adjoint c of commutator norm at
+    most 1, and the rescale puts any self-adjoint a on that sphere, up to the rounding
+    the residual measures.  So the value is feasible, a lower bound, wherever the
+    iteration that produced a stopped, converged or not; a zero a gives value and
+    residual 0.  iterations, converged and order pass through to the result.
+    """
+    n = norm(a)
+    if n == 0.0:
+        return OptimizeResult(0.0, iterations, converged, 0.0, order)
+    cert = (1.0 / n) * a
+    value = abs(s1.expect(cert) - s2.expect(cert))
+    residual = abs(norm(cert) - 1.0)
+    return OptimizeResult(float(value), iterations, converged, float(residual), order)
 
 
 def optimize_distance(s1: MoyalPureState, s2: MoyalPureState, order: int,
                       max_iter: int = 100000) -> OptimizeResult:
     """Maximize the evaluation gap over self-adjoint elements of the given order.
 
-    Solves max <w, a> subject to the spectral-norm budget on the derivative
+    Solves max <w, a> subject to the spectral-norm budget ENTRY_BOUND on the derivative
     with `admm_maximize` over `plane_closures`: O(n^2) stencils and the n
     zero-padded band inverses, n^3 floats, so orders whose cube exceeds
     MAX_OPERATOR_ENTRIES (311 and above) are refused.  Real inputs stay real: when
     W = `difference_matrix` is real to rounding (REAL_KAPPA), the iteration runs on real
     symmetric matrices with Re W, which loses nothing (dz has real weights, so x -> conj(x)
-    keeps the constraint and a real objective).  The returned certificate is rescaled to
-    unit commutator norm, so the reported value is a feasible lower bound wherever the
-    iteration stops.
+    keeps the constraint and a real objective).  The best iterate is rescaled by
+    `rescaled_gap` under `commutator_norm`.
     """
     if s1.theta != s2.theta:
         raise ParameterError("states carry different theta")
@@ -283,7 +300,7 @@ def optimize_distance(s1: MoyalPureState, s2: MoyalPureState, order: int,
     n = order
     w = difference_matrix(s1, s2, n)
     if not np.any(w):
-        return OptimizeResult(0.0, zero(theta, n), 0, True, 0.0)
+        return OptimizeResult(0.0, 0, True, 0.0, n)
     if not math.isfinite(n / theta):  # the stencil's weights sqrt(m/theta), m <= n
         raise ParameterError(f"order {n} over theta {theta} overflows the float range; "
                              "raise theta or lower the order")
@@ -292,15 +309,8 @@ def optimize_distance(s1: MoyalPureState, s2: MoyalPureState, order: int,
     real = np.all(np.abs(w.imag) <= REAL_KAPPA * 2.0 ** -53 * (a.T @ a))
     best_x, it, converged = admm_maximize(np.ascontiguousarray(w.real) if real else w.conj(),
                                           *plane_closures(n, theta),
-                                          SPECTRAL_RADIUS, 1.0, max_iter)  # rho = 1
-    a_best = MoyalElement(theta, best_x)
-    cn = commutator_norm(a_best)
-    if cn == 0.0:
-        return OptimizeResult(0.0, a_best, it, converged, 0.0)
-    cert = (1.0 / cn) * a_best
-    value = abs(s1.expect(cert) - s2.expect(cert))
-    residual = abs(commutator_norm(cert) - 1.0)
-    return OptimizeResult(float(value), cert, it, converged, float(residual))
+                                          ENTRY_BOUND, 1.0, max_iter)  # rho = 1
+    return rescaled_gap(s1, s2, MoyalElement(theta, best_x), commutator_norm, it, converged, n)
 
 
 # ---------------------------------------------------------------------------

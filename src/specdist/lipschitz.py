@@ -18,7 +18,7 @@ from .algebra import MoyalElement, check_theta
 from .calculus import dz, dzbar
 from .errors import ParameterError
 
-#: entrywise bound satisfied by every derivative coefficient of a ball member
+#: derivative budget of the unit commutator ball; it bounds every derivative coefficient too
 ENTRY_BOUND = 1.0 / np.sqrt(2.0)
 LAYOUT_CACHE_SIZE = 8  #: patterns whose layout `split_blocks` keeps; an optimizer run meets 2-6
 

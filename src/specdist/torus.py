@@ -15,7 +15,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .distance import MAX_OPERATOR_ENTRIES, DistanceReport, admm_maximize
+from .distance import (MAX_OPERATOR_ENTRIES, DistanceReport, OptimizeResult, admm_maximize,
+                       rescaled_gap)
 from .errors import ParameterError
 from .lipschitz import op_norm
 
@@ -252,11 +253,13 @@ def torus_report(s1: TorusState, s2: TorusState, optimize: bool = False,
                  box_radius: int | None = None, max_iter: int = 2000) -> DistanceReport:
     """Bracketed distance report between torus states.
 
-    Only (vector, tracial) pairs carry a closed form, 1/(pi^2 |m1 + i m2|); other
-    supported pairs get certificate and coefficient-bound brackets.  The certificate
+    Two states that read the same coefficients are one functional, closed form 0;
+    (vector, tracial) pairs have the closed form 1/(pi^2 |m1 + i m2|); other vector
+    pairs get certificate and coefficient-bound brackets.  The certificate
     lower bound is the larger gap of the two Weyl certificates, whose norm is 1 by
-    construction, so no box is built; the reported order is the optimizer's box
-    radius, 0 where it does not run.
+    construction, so no box is built.  With optimize, every closed form is reported as
+    optimizer_lower with no iteration, and only the remaining vector pairs run the box
+    optimizer; the reported order is its box radius, 0 where it does not run.
 
     Proof of the closed form (Rieffel, Doc. Math. 3 (1998)).  Averaging over the
     subgroup of the dual action that fixes U^M is a contraction that commutes with both
@@ -269,27 +272,16 @@ def torus_report(s1: TorusState, s2: TorusState, optimize: bool = False,
     f' = -sign(sin t)/(2 pi |M|) attains.  Its Fejer means sigma_K f(U^M), polynomials in
     U^M, stay in the unit ball (the Fejer kernel is positive, so sup|(sigma_K f)'| <= sup|f'|)
     and have gaps (1 - 1/(K+1))/(pi^2 |M|), so the closed form is also the supremum over
-    polynomial elements: with optimize, the report gives it as optimizer_lower and runs no
-    iteration.
+    polynomial elements.
     """
     if s1.theta != s2.theta:
         raise ParameterError("states carry different theta")
     theta = s1.theta
-
-    kinds = (s1.kind, s2.kind)
-    cert_val = 0.0
-    cert_id = "zero"
-    closed = None
-    upper: float | None = 0.0
-    box_used = 0
-
     ms = [s.m for s in (s1, s2) if s.kind == "vector"]
-    same_functional = (
-        kinds == ("tracial", "tracial")
-        or (kinds == ("vector", "vector")
-            and {ms[0], (-ms[0][0], -ms[0][1])} == {ms[1], (-ms[1][0], -ms[1][1])})
-    )
-    if same_functional:
+    # the indices each state reads: {M, -M} for phi_M, none for the trace
+    reads = [{s.m, (-s.m[0], -s.m[1])} if s.kind == "vector" else set() for s in (s1, s2)]
+    cert_val, cert_id, closed, upper = 0.0, "zero", None, 0.0
+    if reads[0] == reads[1]:
         closed = 0.0
     else:
         def gap(m):
@@ -299,46 +291,34 @@ def torus_report(s1: TorusState, s2: TorusState, optimize: bool = False,
         best = max(ms, key=gap)  # the first of equal gaps
         cert_val, cert_id = gap(best), f"weyl_certificate({best[0]},{best[1]})"
         upper = float(sum(coefficient_bound(m) for m in ms))
-        if "tracial" in kinds and len(ms) == 1:
+        if len(ms) == 1:
             closed = 1.0 / (np.pi ** 2 * abs(ms[0][0] + 1j * ms[0][1]))
 
-    opt_val = opt_iters = opt_resid = opt_conv = None
-    if optimize and closed:
-        opt_val, opt_iters, opt_resid, opt_conv = closed, 0, 0.0, True
-    elif optimize and closed is None:
+    res = None
+    if optimize and closed is not None:
+        res = OptimizeResult(closed, 0, True, 0.0, 0)
+    elif optimize:
         res = optimize_torus_distance(s1, s2, box_radius=box_radius, max_iter=max_iter)
-        opt_val, opt_iters = res.value, res.iterations
-        opt_resid, opt_conv = res.feasibility_residual, res.converged
-        box_used = res.box_radius
 
     return DistanceReport(
         theta=theta,
-        order=box_used,
+        order=res.order if res else 0,
         state_a=s1.spec_string(),
         state_b=s2.spec_string(),
         certificate_lower=float(cert_val),
         certificate_id=cert_id,
         closed_form=closed,
         analytic_upper=upper,
-        optimizer_lower=opt_val,
-        iterations=opt_iters,
-        feasibility_residual=opt_resid,
-        converged=opt_conv,
+        optimizer_lower=res and res.value,
+        iterations=res and res.iterations,
+        feasibility_residual=res and res.feasibility_residual,
+        converged=res and res.converged,
     )
 
 
 # ---------------------------------------------------------------------------
 # optimizer over box-truncated self-adjoint elements
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TorusOptimizeResult:
-    value: float
-    iterations: int
-    converged: bool
-    feasibility_residual: float
-    box_radius: int
-
 
 def _hermitian_sites(support_radius: int):
     """One representative per +/- index pair; the origin is omitted because both
@@ -386,12 +366,12 @@ def torus_closures(sites, theta: float, box_radius: int):
 
 
 def optimize_torus_distance(s1: TorusState, s2: TorusState, box_radius: int | None = None,
-                            max_iter: int = 2000) -> TorusOptimizeResult:
+                            max_iter: int = 2000) -> OptimizeResult:
     """Maximize the evaluation gap over self-adjoint box-supported elements.
 
     The plane optimizer's `admm_maximize`, with the spectral constraint on the
     box restriction of the derivation.  Box norms underestimate the true
-    operator norm, so the final certificate is rescaled by the norm on a
+    operator norm, so `rescaled_gap` rescales the best iterate by the norm on a
     validation box of radius R + 2; reported values converge to true lower
     bounds as the boxes grow.
     """
@@ -427,16 +407,10 @@ def optimize_torus_distance(s1: TorusState, s2: TorusState, box_radius: int | No
         if s.kind == "vector":
             wx[2 * sites.index(max(s.m, (-s.m[0], -s.m[1])))] += sign
     if not np.any(wx):
-        return TorusOptimizeResult(0.0, 0, True, 0.0, box_radius)
+        return OptimizeResult(0.0, 0, True, 0.0, box_radius)
 
     best_x, it, converged = admm_maximize(wx, *torus_closures(sites, theta, box_radius),
                                           1.0, 0.05, max_iter)  # radius 1, rho = 0.05
-    a_best = _element_from_params(best_x, sites, theta)
-    validation = box_radius + 2
-    norm = torus_commutator_norm(a_best, validation)
-    if norm == 0.0:
-        return TorusOptimizeResult(0.0, it, converged, 0.0, box_radius)
-    cert = (1.0 / norm) * a_best
-    value = abs(s1.expect(cert) - s2.expect(cert))
-    residual = abs(torus_commutator_norm(cert, validation) - 1.0)
-    return TorusOptimizeResult(float(value), it, converged, float(residual), box_radius)
+    return rescaled_gap(s1, s2, _element_from_params(best_x, sites, theta),
+                        lambda a: torus_commutator_norm(a, box_radius + 2), it, converged,
+                        box_radius)

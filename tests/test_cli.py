@@ -1,9 +1,11 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,8 +352,9 @@ def test_torus_distance_explicit_states(capsys):
 
 
 def test_torus_distance_with_optimizer(capsys, monkeypatch):
-    # a vector state against the trace has a proved closed form, which the optimizer
-    # reports with no iteration; --box and --max-iter are accepted and unused
+    # a vector state against the trace has a proved closed form, and two states that
+    # read the same coefficients the closed form 0; the optimizer reports either with
+    # no iteration, and --box and --max-iter are accepted and unused
     from specdist import torus
 
     def refuse(*args, **kwargs):
@@ -360,7 +363,10 @@ def test_torus_distance_with_optimizer(capsys, monkeypatch):
     monkeypatch.setattr(torus, "optimize_torus_distance", refuse)
     monkeypatch.setattr(torus, "admm_maximize", refuse)
     for pair, closed in ((("--m", "1,0"), 1 / np.pi ** 2),
-                         (("--a", "tracial", "--b", "phi:3,-4"), 1 / (5 * np.pi ** 2))):
+                         (("--a", "tracial", "--b", "phi:3,-4"), 1 / (5 * np.pi ** 2)),
+                         (("--a", "phi:1,0", "--b", "phi:-1,0"), 0.0),
+                         (("--a", "phi:2,-3", "--b", "phi:-2,3"), 0.0),
+                         (("--a", "tracial", "--b", "tracial"), 0.0)):
         code, out, _ = run_cli(capsys, "torus-distance", "--theta", "0.37", *pair,
                                "--optimize", "--box", "5", "--max-iter", "150")
         assert code == 0
@@ -618,3 +624,25 @@ def test_finite_spec_parse_memory_per_weight():
         finally:
             tracemalloc.stop()
         assert peak <= bound * values.size, peak / values.size
+
+
+def test_readme_command_lines_run(capsys):
+    # every `specdist ...` line of README's "Command line" block exits 0, and the two
+    # closed forms its comments state are the reports' closed_form
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    stated = {"(closed form 0.70711...)": 1 / math.sqrt(2),
+              "(closed form 1/(5 pi^2))": 1 / (5 * math.pi ** 2)}
+    comment, ran, checked = "", 0, 0
+    for line in block.splitlines():
+        if line.startswith("#"):
+            comment = line
+        elif line.startswith("specdist "):
+            code, out, _ = run_cli(capsys, *shlex.split(line, comments=True)[1:])
+            assert code == 0, line
+            ran += 1
+            for phrase, value in stated.items():
+                if phrase in comment:
+                    assert json.loads(out)["closed_form"] == pytest.approx(value, rel=1e-15)
+                    checked += 1
+    assert (ran, checked) == (6, 2)

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from specdist import distance, torus
-from specdist.algebra import MoyalElement
-from specdist.calculus import dz
-from specdist.distance import (GAP_TOL, SPECTRAL_RADIUS, admm_maximize, analytic_upper_bound,
+from specdist.algebra import MoyalElement, zero
+from specdist.calculus import dz, staircase
+from specdist.distance import (GAP_TOL, admm_maximize, analytic_upper_bound,
                                band_inverses, basis_distance, moyal_report, optimize_distance,
-                               plane_closures)
+                               plane_closures, rescaled_gap)
 from specdist.errors import ParameterError, UnboundedSupportError
-from specdist.lipschitz import clip_spectral, commutator_norm, nuclear_norm, op_norm
+from specdist.lipschitz import ENTRY_BOUND, clip_spectral, commutator_norm, nuclear_norm, op_norm
 from specdist.probes import radial_gap
 from specdist.states import (MAX_SUPPORT, MoyalPureState, basis_state, difference_matrix,
                              finite_state, zeta_state)
@@ -355,7 +355,7 @@ def _dense_optimizer_value(s1, s2, n):
     theta = s1.theta
     d, gram_inv = _dense_dz(n, theta)
     wx = _loop_objective(difference_matrix(s1, s2, n))
-    best_x, it, _ = admm_maximize(wx, *_dense_closures(d, gram_inv, n + 1), SPECTRAL_RADIUS,
+    best_x, it, _ = admm_maximize(wx, *_dense_closures(d, gram_inv, n + 1), ENTRY_BOUND,
                                   1.0, 100000)
     a = MoyalElement(theta, _loop_unpack(best_x, n))
     cert = (1.0 / commutator_norm(a)) * a
@@ -397,7 +397,7 @@ def test_weak_duality_on_the_plane_and_torus_closures(rng):
     for theta in THETAS:
         for n in (2, 5, 12):
             c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            check(c, *plane_closures(n, theta), SPECTRAL_RADIUS,
+            check(c, *plane_closures(n, theta), ENTRY_BOUND,
                   lambda: _random_hermitian(rng, n), lambda a: 0.5 * (a + a.conj().T))
         for support, box in ((1, 3), (2, 5)):
             sites = torus._hermitian_sites(support)
@@ -527,7 +527,27 @@ def test_optimizer_one_step_pair():
     assert res.value == pytest.approx(1 / math.sqrt(2), rel=1e-3)
     assert res.converged
     assert res.feasibility_residual <= 1e-10
-    assert commutator_norm(res.certificate) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_rescaled_gap_on_each_algebra():
+    # the one rescale step of both optimizers, on a plane and a torus element
+    theta = 0.37
+    cases = ((basis_state(0, theta), basis_state(1, theta), commutator_norm,
+              zero(theta, 4), 3.0 * staircase(2, theta), basis_distance(0, 1, theta)),
+             (torus.vector_state(theta, (1, 0)), torus.tracial_state(theta),
+              lambda a: torus.torus_commutator_norm(a, 3), torus.TorusElement(theta),
+              5.0 * torus.weyl_certificate((1, 0), theta), 1 / (4 * math.pi)))
+    for s1, s2, norm, nothing, a, gap in cases:
+        # a zero element: value and residual 0, the run's counts passed through
+        res = rescaled_gap(s1, s2, nothing, norm, 17, False, 9)
+        assert res == distance.OptimizeResult(0.0, 17, False, 0.0, 9)
+        # a nonzero element: the gap of a/||a||, here a unit-norm certificate times 3 or 5
+        res = rescaled_gap(s1, s2, a, norm, 4, True, 9)
+        cert = (1.0 / norm(a)) * a
+        assert res.value == abs(s1.expect(cert) - s2.expect(cert))
+        assert res.value == pytest.approx(gap, rel=1e-15)
+        assert res.feasibility_residual <= 1e-15
+        assert (res.iterations, res.converged, res.order) == (4, True, 9)
 
 
 def test_optimizer_two_step_pair():

@@ -342,7 +342,7 @@ def test_optimizer_matches_the_dense_oracle():
     for theta, m, box_arg, box_radius in ((0.25, (1, 0), 5, 5), (0.37, (1, 1), None, 7)):
         s1, s2 = vector_state(theta, m), tracial_state(theta)
         res = optimize_torus_distance(s1, s2, box_radius=box_arg)
-        assert res.box_radius == box_radius
+        assert res.order == box_radius
         value, iterations = _dense_torus_optimizer(s1, s2, 3, box_radius)
         assert res.iterations == iterations
         assert abs(res.value - value) <= 1e-12
@@ -450,7 +450,7 @@ def test_optimizer_size_guard_is_unchanged():
     # after the guard
     for s, last_box in ((tracial_state(0.37), 11), (vector_state(0.37, (2, 0)), 8)):
         res = optimize_torus_distance(s, s, box_radius=last_box)
-        assert res.iterations == 0 and res.box_radius == last_box
+        assert res.iterations == 0 and res.order == last_box
         with pytest.raises(ParameterError, match="size guard"):
             optimize_torus_distance(s, s, box_radius=last_box + 1)
 
