@@ -8,7 +8,8 @@ dense one), the CLI's output must pass `perfbench.check.problems` against the co
 reference: the rule a benchmark run applies to every job it times.  The finite-pair slots
 also run as the benchmark transforms them, for three fixed seeds: a random global phase
 on each finite state (so its spec is written complex), the two states swapped or not, and
-the pair inline or in a --spec-file.
+the pair inline or in a --spec-file.  So do the torus vector pairs, the one slot whose
+optimizer exits on the stall rule, with the two states kept and swapped.
 """
 
 import json
@@ -94,3 +95,15 @@ def test_transformed_finite_pairs_pass_the_benchmark_check(workload, names, tmp_
         finite = [t for t in specs if t.startswith("finite:")]
         assert len(specs) == 2 and finite and all("j" in t for t in finite), job.argv
     _check(workload, jobs, tmp_path, monkeypatch, capsys)
+
+
+def test_transformed_vector_pairs_pass_the_benchmark_check(tmp_path, monkeypatch, capsys):
+    # seeds 0 and 1 keep and swap the states of each pair
+    variants = _variants("torus", {"vv"})
+    assert len(variants) == 2
+    jobs = []
+    for v in variants:
+        pair = [workloads.materialize(v, random.Random(k)) for k in (0, 1)]
+        assert [job.argv[3] for job in pair] == [f"--a={v.params[s]}" for s in "ab"]
+        jobs += pair
+    _check("torus", jobs, tmp_path, monkeypatch, capsys)

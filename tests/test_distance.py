@@ -406,7 +406,8 @@ def test_weak_duality_on_the_plane_and_torus_closures(rng):
                   lambda: rng.standard_normal(c.size), lambda a: a)  # real parameters
 
 
-# (iterations, value) of optimize_distance under the stall rule alone, before the gap exit
+# (iterations, value) of optimize_distance under the stall rule alone, before the gap exit,
+# when the rule judged every iterate with a relative margin of 1e-8
 STALL_RULE_RUNS = [
     (finite_state([1.0, 2.0, 3.0], 1.0), basis_state(0, 1.0), 12, 5915, 1.3253554082054975),
     (finite_state([-0.7817, -0.4848], 2.0),
@@ -506,8 +507,32 @@ def test_plane_finite_pair_takes_every_clip_svd(monkeypatch):
 
     monkeypatch.setattr(distance, "clip_spectral", counted)
     res = optimize_distance(finite_state([1.0, 2.0, 3.0], 1.0), basis_state(0, 1.0), 12)
-    assert res.iterations == 680  # the gap exit; the stall rule alone took 5,915
+    assert res.iterations == 680  # the gap exit; the stall rule alone takes 68,680
     assert len(clips) == 679
+
+
+def test_admm_takes_the_iterate_norm_only_at_its_checks(monkeypatch):
+    # one norm per check, every GAP_EVERY iterations: f12 exits on the gap, the torus
+    # vector pair on the stall rule, each at a check, so before that iteration's clip
+    norms, clips = [], []
+
+    def counted_norm(mat):
+        norms.append(mat.shape)
+        return op_norm(mat)
+
+    def counted_clip(mat, radius):
+        clips.append(mat.shape)
+        return clip_spectral(mat, radius)
+
+    monkeypatch.setattr(distance, "op_norm", counted_norm)
+    monkeypatch.setattr(distance, "clip_spectral", counted_clip)
+    res = optimize_distance(finite_state([1.0, 2.0, 3.0], 1.0), basis_state(0, 1.0), 12)
+    assert (res.iterations, len(norms), len(clips)) == (680, 68, 679)
+    norms.clear()
+    clips.clear()
+    res = torus.optimize_torus_distance(torus.vector_state(0.37, (1, 0)),
+                                        torus.vector_state(0.37, (0, 1)), box_radius=5)
+    assert (res.iterations, len(norms), len(clips)) == (90, 9, 89)
 
 
 def test_optimizer_reaches_the_closed_form_at_order_128():

@@ -8,7 +8,7 @@ from specdist import lipschitz
 from specdist.algebra import MoyalElement, involution, radial, zero
 from specdist.calculus import bump_diagonal, dz, dzbar, staircase
 from specdist.errors import ParameterError
-from specdist.lipschitz import (LAYOUT_CACHE_SIZE, _block_layout, _nonzero_pattern,
+from specdist.lipschitz import (LAYOUT_CACHE_SIZE, _block_layout,
                                 ball_report, commutator_norm, nuclear_norm, op_norm,
                                 radial_ball_report, split_blocks)
 from specdist.verify import (ball_entry_bound, radial_membership_agreement,
@@ -185,19 +185,6 @@ def test_split_blocks_cache_stays_within_its_maxsize(rng):
     info = _block_layout.cache_info()
     assert info.misses == LAYOUT_CACHE_SIZE + 5
     assert info.maxsize == info.currsize == LAYOUT_CACHE_SIZE
-
-
-def test_nonzero_pattern_matches_the_complex_comparison(rng):
-    # the float view reads -0.0 as zero, and NaN and subnormal parts as nonzero, in
-    # either part; transposed and strided input falls back to m != 0
-    tiny = 5e-324
-    values = np.array([0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
-                       np.nan, complex(0.0, np.nan), tiny, complex(0.0, -tiny), 1.0, 1j],
-                      dtype=complex)
-    m = rng.permutation(np.resize(values, 7 * 9)).reshape(7, 9)
-    for a in (m, m.T, np.asfortranarray(m), m[::2], m[:, ::2], m.real):
-        assert np.array_equal(_nonzero_pattern(a), a != 0)
-    assert np.count_nonzero(_nonzero_pattern(m)) == np.count_nonzero(m)
 
 
 def test_op_norm_two_ones_in_one_row_or_column():

@@ -358,8 +358,9 @@ def test_optimizer_clips_once_per_iteration_before_the_exit(monkeypatch):
         return clip(mat, radius)
 
     monkeypatch.setattr(distance, "clip_spectral", counted)
-    res = optimize_torus_distance(vector_state(0.37, (1, 1)), tracial_state(0.37))
-    assert (res.iterations, len(clips)) == (51, 50)
+    res = optimize_torus_distance(vector_state(0.37, (1, 0)), vector_state(0.37, (0, 1)),
+                                  box_radius=5)
+    assert (res.iterations, len(clips)) == (90, 89)  # the stall exit, at a check
     clips.clear()
     res = optimize_torus_distance(vector_state(0.25, (1, 0)), tracial_state(0.25), box_radius=5)
     assert (res.iterations, len(clips)) == (110, 109)
@@ -385,7 +386,7 @@ def test_box_svds_split_along_the_dual_action(monkeypatch):
 
 def test_split_box_optimizer_keeps_the_iteration_counts():
     # counts of the dense clips, for (0, 1) at theta 0.5 and the vector pair (1, 0), (0, 1)
-    # (two parity blocks); (1, 0) and (1, 1) are pinned above
+    # (two parity blocks); (1, 0) and the vector pair are pinned above
     res = optimize_torus_distance(vector_state(0.5, (0, 1)), tracial_state(0.5), box_radius=5)
     assert res.iterations == 110
     res = optimize_torus_distance(vector_state(0.37, (1, 0)), vector_state(0.37, (0, 1)),
