@@ -512,27 +512,21 @@ def test_plane_finite_pair_takes_every_clip_svd(monkeypatch):
 
 
 def test_admm_takes_the_iterate_norm_only_at_its_checks(monkeypatch):
-    # one norm per check, every GAP_EVERY iterations: f12 exits on the gap, the torus
-    # vector pair on the stall rule, each at a check, so before that iteration's clip
-    norms, clips = [], []
+    # one norm per check, every GAP_EVERY iterations: f12 exits on the gap and the torus
+    # vector pair on the stall rule, each at a check (their clips are pinned elsewhere)
+    norms = []
 
-    def counted_norm(mat):
+    def counted(mat):
         norms.append(mat.shape)
         return op_norm(mat)
 
-    def counted_clip(mat, radius):
-        clips.append(mat.shape)
-        return clip_spectral(mat, radius)
-
-    monkeypatch.setattr(distance, "op_norm", counted_norm)
-    monkeypatch.setattr(distance, "clip_spectral", counted_clip)
+    monkeypatch.setattr(distance, "op_norm", counted)
     res = optimize_distance(finite_state([1.0, 2.0, 3.0], 1.0), basis_state(0, 1.0), 12)
-    assert (res.iterations, len(norms), len(clips)) == (680, 68, 679)
+    assert (res.iterations, len(norms)) == (680, 68)
     norms.clear()
-    clips.clear()
     res = torus.optimize_torus_distance(torus.vector_state(0.37, (1, 0)),
                                         torus.vector_state(0.37, (0, 1)), box_radius=5)
-    assert (res.iterations, len(norms), len(clips)) == (90, 9, 89)
+    assert (res.iterations, len(norms)) == (90, 9)
 
 
 def test_optimizer_reaches_the_closed_form_at_order_128():
