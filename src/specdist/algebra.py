@@ -9,7 +9,6 @@ inputs: mixed orders are zero-padded to the larger order, never truncated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,25 +25,29 @@ def check_theta(theta: float) -> None:
         raise ParameterError(f"theta {theta} is too large: 2 theta overflows")
 
 
-@dataclass(frozen=True, eq=False)
 class MoyalElement:
     """A finitely supported element: deformation parameter and square coefficient array.
 
     coeffs[m, n] is the coefficient of the (m, n) basis function; the array is
-    treated as immutable after construction.
+    treated as immutable after construction.  Elements compare by identity.
     """
 
-    theta: float
-    coeffs: np.ndarray = field(repr=False)
+    __slots__ = ("theta", "coeffs")
 
-    def __post_init__(self):
-        check_theta(self.theta)
+    def __init__(self, theta: float, coeffs):
+        check_theta(theta)
         # own copy, so freezing never touches caller-held arrays
-        c = np.array(self.coeffs, dtype=complex, order="C")
+        c = np.array(coeffs, dtype=complex, order="C")
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ParameterError(f"coefficients must be a square matrix, got shape {c.shape}")
         c.flags.writeable = False
+        object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "coeffs", c)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"MoyalElement is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def order(self) -> int:

@@ -10,7 +10,7 @@ larger of the two derivative operator norms.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -190,13 +190,11 @@ def commutator_norm(a: MoyalElement) -> float:
     return float(np.sqrt(2.0) * max(op_norm(m) for m in _derivatives(a)))
 
 
-@dataclass(frozen=True)
-class BallReport:
+class BallReport(namedtuple("BallReport", "commutator_norm member violations")):
     """Membership report for the unit Lipschitz ball."""
 
-    commutator_norm: float
-    member: bool
-    violations: tuple  # (m, n, |entry|) wherever a derivative entry exceeds the bound
+    # violations: (m, n, |entry|) wherever a derivative entry exceeds the bound
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

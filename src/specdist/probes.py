@@ -11,7 +11,7 @@ SWEEP_BLOCK indices, O(max m0) in time and O(SWEEP_BLOCK) in memory; grids up to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -131,8 +131,7 @@ def radial_gap(s1: MoyalPureState, s2: MoyalPureState) -> float:
 # lightweight state specifications for large-grid probes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProbeSpec:
+class ProbeSpec(namedtuple("ProbeSpec", "kind index s", defaults=(0, 0.0))):
     """Diagonal-weight description of a state for grid probes.
 
     kind "basis" uses an indicator weight at `index`; kind "zeta" uses (m+1)^-s
@@ -141,9 +140,7 @@ class ProbeSpec:
     and probe_series refuses it.
     """
 
-    kind: str
-    index: int = 0
-    s: float = 0.0
+    __slots__ = ()
 
     def label(self) -> str:
         return f"basis:{self.index}" if self.kind == "basis" else f"zeta:{self.s}"
@@ -211,15 +208,11 @@ def probe_series(spec1: ProbeSpec, spec2: ProbeSpec, m0_grid, theta: float = 1.0
     return np.array([pref * abs(f_at[g][0] - f_at[g][1]) for g in grid])
 
 
-@dataclass(frozen=True)
-class ProbeSeries:
+class ProbeSeries(namedtuple("ProbeSeries",
+                             "m0_grid b_values fitted_slope fit_window theory_slope")):
     """A probe run: grid, bound values, and the fitted versus predicted slope."""
 
-    m0_grid: tuple
-    b_values: tuple
-    fitted_slope: float
-    fit_window: tuple
-    theory_slope: float
+    __slots__ = ()
 
     def csv_rows(self):
         yield ("m0", "B", "log_m0", "log_B")

@@ -1,40 +1,30 @@
 """The records a distance computation returns, shared by the plane and the torus.
 
-Plain dataclasses with no numerics, so a report that needs no optimizer or box norm
-(every torus certificate and closed form) is built without loading numpy.
+Named tuples with no numerics, so a report that needs no optimizer or box norm (every
+torus certificate and closed form) is built without loading numpy.  Not dataclasses: the
+dataclasses module imports inspect, and each dataclass execs generated source at every
+import, a start-up cost every job would pay.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class OptimizeResult:
-    value: float
-    iterations: int
-    converged: bool
-    feasibility_residual: float
-    order: int  # the plane's truncation order, the torus's box radius
+class OptimizeResult(namedtuple(
+        "OptimizeResult", "value iterations converged feasibility_residual order")):
+    # order: the plane's truncation order, the torus's box radius
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DistanceReport:
+class DistanceReport(namedtuple(
+        "DistanceReport",
+        "theta order state_a state_b certificate_lower certificate_id closed_form "
+        "analytic_upper optimizer_lower iterations feasibility_residual converged divergence",
+        defaults=(None,) * 7)):
     """Bracketed distance estimate with the provenance of each bound."""
 
-    theta: float
-    order: int
-    state_a: str
-    state_b: str
-    certificate_lower: float
-    certificate_id: str
-    closed_form: float | None = None
-    analytic_upper: float | None = None
-    optimizer_lower: float | None = None
-    iterations: int | None = None
-    feasibility_residual: float | None = None
-    converged: bool | None = None
-    divergence: str | None = None
+    __slots__ = ()
 
     @property
     def bracket_width(self) -> float | None:
@@ -43,5 +33,4 @@ class DistanceReport:
         return self.analytic_upper - max(self.certificate_lower, self.optimizer_lower or 0.0)
 
     def to_dict(self) -> dict:
-        return {**{f.name: getattr(self, f.name) for f in fields(self)},
-                "bracket_width": self.bracket_width}
+        return {**self._asdict(), "bracket_width": self.bracket_width}

@@ -7,7 +7,6 @@ sum |c_m|^2 = 1; evaluation reads off sum_{m,n} conj(c_m) c_n a[m, n].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,20 +35,16 @@ def _check_support(size: int) -> None:
                              f"{MAX_SUPPORT}; choose a smaller index or cut-off")
 
 
-@dataclass(frozen=True, eq=False)
 class MoyalPureState:
     """Vector state given by a unit coefficient sequence, float64 when real (basis and zeta
-    states, real finite weights) and complex128 otherwise, plus construction metadata."""
+    states, real finite weights) and complex128 otherwise, plus construction metadata.
+    States compare by identity."""
 
-    theta: float
-    c: np.ndarray = field(repr=False)
-    kind: str = "finite"
-    meta: dict = field(default_factory=dict)
+    __slots__ = ("theta", "c", "kind", "meta")
 
-    def __post_init__(self):
+    def __init__(self, theta: float, c, kind: str = "finite", meta: dict | None = None):
         # adopts an owned C-ordered float64 or complex128 array, copies anything else
-        check_theta(self.theta)
-        c = self.c
+        check_theta(theta)
         if not (isinstance(c, np.ndarray) and c.dtype in (np.float64, np.complex128)
                 and c.flags.owndata and c.flags.c_contiguous):
             c = np.array(c, dtype=complex if np.iscomplexobj(c) else float)
@@ -59,7 +54,15 @@ class MoyalPureState:
         if not abs(nrm2 - 1.0) <= NORMALIZATION_TOL:  # a NaN norm fails too
             raise ParameterError(f"state is not normalized: sum |c|^2 = {nrm2}")
         c.flags.writeable = False
+        object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "c", c)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "meta", {} if meta is None else meta)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"MoyalPureState is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def support(self) -> int:

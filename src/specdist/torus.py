@@ -4,15 +4,16 @@ and the distance bracket between the tracial state and vector states.
 Elements are finitely supported maps from integer pairs to complex Weyl
 coefficients.  Left multiplication acts on GNS coefficients as a twisted
 convolution; operator norms are evaluated on square index boxes and converge
-to the true norm from below as the box grows.  The element algebra, the certificates
-and the closed form are Python arithmetic; numpy loads only where a box matrix or
-the optimizer is built.
+to the true norm from below as the box grows.  The element algebra (its bicharacter
+by cmath), the certificates and the closed form are Python arithmetic; numpy loads only
+where a box matrix or the optimizer is built.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from types import MappingProxyType
 
 from .errors import ParameterError
@@ -28,30 +29,34 @@ def bicharacter(m: Index, n: Index, theta: float) -> complex:
     exchange relation of the two unitaries; checked against all bicharacter
     identities in the test suite.  The phase has period 2 in theta, so theta
     enters reduced by math.fmod (exact, and the identity for |theta| < 2), which
-    keeps pi theta k finite for every finite theta.
+    keeps pi theta k finite for every finite theta.  cmath.exp gives np.exp's value bit
+    for bit on a pinned grid of thetas and |k| <= 2000 (tests/test_torus.py).
     """
-    import numpy as np
-
-    return complex(np.exp(1j * np.pi * math.fmod(theta, 2.0) * (m[0] * n[1] - m[1] * n[0])))
+    return cmath.exp(1j * math.pi * math.fmod(theta, 2.0) * (m[0] * n[1] - m[1] * n[0]))
 
 
-@dataclass(frozen=True, eq=False)
 class TorusElement:
-    """Finitely supported Weyl-coefficient map; zero entries are dropped."""
+    """Finitely supported Weyl-coefficient map; zero entries are dropped.  Elements
+    compare by identity."""
 
-    theta: float
-    terms: dict = field(default_factory=dict)
+    __slots__ = ("theta", "terms")
 
-    def __post_init__(self):
-        if not math.isfinite(self.theta):
-            raise ParameterError(f"theta must be finite, got {self.theta}")
+    def __init__(self, theta: float, terms: dict | None = None):
+        if not math.isfinite(theta):
+            raise ParameterError(f"theta must be finite, got {theta}")
         clean = {}
-        for m, c in self.terms.items():
+        for m, c in (terms or {}).items():
             key = (int(m[0]), int(m[1]))
             v = complex(c)
             if v != 0:
                 clean[key] = v
+        object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "terms", MappingProxyType(clean))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"TorusElement is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def support_radius(self) -> int:
@@ -127,23 +132,22 @@ def trace(a: TorusElement) -> complex:
     return a.coefficient((0, 0))
 
 
-@dataclass(frozen=True)
-class TorusState:
-    """Tracial state, or the vector state built from (1 + U^M)/sqrt(2)."""
+class TorusState(namedtuple("TorusState", "theta kind m")):
+    """Tracial state (kind "tracial"), or the vector state (kind "vector") built from
+    (1 + U^M)/sqrt(2)."""
 
-    theta: float
-    kind: str  # "tracial" | "vector"
-    m: Index | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.theta):
-            raise ParameterError(f"theta must be finite, got {self.theta}")
-        if self.kind not in ("tracial", "vector"):
-            raise ParameterError(f"unknown torus state kind {self.kind!r}")
-        if self.kind == "vector":
-            if self.m is None or (self.m[0], self.m[1]) == (0, 0):
+    def __new__(cls, theta: float, kind: str, m: Index | None = None):
+        if not math.isfinite(theta):
+            raise ParameterError(f"theta must be finite, got {theta}")
+        if kind not in ("tracial", "vector"):
+            raise ParameterError(f"unknown torus state kind {kind!r}")
+        if kind == "vector":
+            if m is None or (m[0], m[1]) == (0, 0):
                 raise ParameterError("vector states require a nonzero index pair")
-            object.__setattr__(self, "m", (int(self.m[0]), int(self.m[1])))
+            m = (int(m[0]), int(m[1]))
+        return super().__new__(cls, theta, kind, m)
 
     def expect(self, a: TorusElement) -> complex:
         if a.theta != self.theta:

@@ -12,7 +12,6 @@ quantities, relative above magnitude one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,11 +36,11 @@ def matrix_deviation(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b))) / scale
 
 
-@dataclass
 class CheckResult:
-    name: str
-    instances: int
-    violations: list = field(default_factory=list)
+    def __init__(self, name: str, instances: int):
+        self.name = name
+        self.instances = instances
+        self.violations = []
 
     @property
     def passed(self) -> bool:
@@ -55,10 +54,10 @@ class CheckResult:
         self.flag(d > tol, f"instance {i}: deviation {d:.3g}")
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    checks: list
+    def __init__(self, name: str, checks: list):
+        self.name = name
+        self.checks = checks
 
     @property
     def passed(self) -> bool:

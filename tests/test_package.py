@@ -1,14 +1,25 @@
 """The package's lazy import: the public API resolves on first use, `import
 specdist.cli` loads no numerics, and each subcommand loads only the modules it
-runs, so an eager import anywhere on a subcommand's path fails here."""
+runs, so an eager import anywhere on a subcommand's path fails here.  The value
+types are named tuples and slotted classes, because importing dataclasses adds to
+every job's start-up; their contract is pinned here."""
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import specdist
+from specdist.algebra import MoyalElement
+from specdist.lipschitz import BallReport
+from specdist.probes import ProbeSeries, ProbeSpec
+from specdist.report import DistanceReport, OptimizeResult
+from specdist.states import MoyalPureState
+from specdist.torus import TorusElement, TorusState
 
 # the names `import specdist` exported when it imported every submodule eagerly
 PUBLIC = """
@@ -107,6 +118,100 @@ TORUS_NUMPY = {
 def test_torus_job_loads_numpy_only_for_the_box_optimizer(slot):
     argv, loads_numpy = TORUS_NUMPY[slot]
     assert _loads("numpy", "torus-distance", "--theta", "0.37", *argv) == [0, loads_numpy]
+
+
+@pytest.mark.parametrize("slot", [slot for slot in TORUS_NUMPY if not TORUS_NUMPY[slot][1]])
+def test_numpy_free_torus_job_loads_no_dataclasses(slot):
+    # dataclasses imports inspect, the largest import of a numpy-free job (numpy itself
+    # imports inspect, so vv is not checked)
+    for module in ("dataclasses", "inspect"):
+        assert _loads(module, "torus-distance", "--theta", "0.37",
+                      *TORUS_NUMPY[slot][0]) == [0, False]
+
+
+def test_no_module_imports_dataclasses():
+    src = Path(specdist.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            assert "dataclasses" not in names, path.name
+
+
+def _report(**kw):
+    return DistanceReport(theta=1.0, order=4, state_a="basis:0", state_b="basis:1",
+                          certificate_lower=0.5, certificate_id="radial", **kw)
+
+
+def _series(slope):
+    return ProbeSeries(m0_grid=(10, 100), b_values=(0.1, 0.2), fitted_slope=slope,
+                       fit_window=(10.0, 100.0), theory_slope=0.3)
+
+
+# value types: a maker of equal instances (by keyword) and an unequal instance
+RECORDS = {
+    "OptimizeResult": (lambda: OptimizeResult(value=0.5, iterations=3, converged=True,
+                                              feasibility_residual=0.0, order=8),
+                       OptimizeResult(0.5, 3, False, 0.0, 8)),
+    "DistanceReport": (lambda: _report(analytic_upper=1.0), _report(analytic_upper=2.0)),
+    "BallReport": (lambda: BallReport(commutator_norm=0.5, member=True,
+                                      violations=((0, 1, 0.25),)),
+                   BallReport(0.5, True, ())),
+    "ProbeSpec": (lambda: ProbeSpec("zeta", s=1.2), ProbeSpec("zeta", s=1.3)),
+    "ProbeSeries": (lambda: _series(0.3), _series(0.4)),
+    "TorusState": (lambda: TorusState(0.37, "vector", (np.int64(1), 2)),
+                   TorusState(0.37, "vector", (2, 1))),
+}
+# identity types: a maker of instances from equal inputs
+IDENTITIES = {
+    "MoyalElement": lambda: MoyalElement(theta=1.0, coeffs=np.eye(2)),
+    "MoyalPureState": lambda: MoyalPureState(theta=1.0, c=np.array([1.0])),
+    "TorusElement": lambda: TorusElement(theta=0.37, terms={(1, 0): 1.0}),
+}
+
+
+@pytest.mark.parametrize("name", [*RECORDS, *IDENTITIES])
+def test_value_types_refuse_assignment(name):
+    obj = RECORDS[name][0]() if name in RECORDS else IDENTITIES[name]()
+    fields = getattr(obj, "_fields", None) or type(obj).__slots__
+    for field in (*fields, "no_such_field"):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 0)
+    for field in fields:
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_compare_and_hash_by_value(name):
+    make, other = RECORDS[name]
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != other
+
+
+@pytest.mark.parametrize("name", IDENTITIES)
+def test_elements_and_states_compare_by_identity(name):
+    a, b = IDENTITIES[name](), IDENTITIES[name]()
+    assert a == a and a != b
+    assert len({a, b}) == 2
+
+
+def test_record_defaults_and_dicts():
+    d = DistanceReport(1.0, 4, "basis:0", "basis:1", 0.5, "radial").to_dict()
+    assert sorted(d) == [
+        "analytic_upper", "bracket_width", "certificate_id", "certificate_lower",
+        "closed_form", "converged", "divergence", "feasibility_residual", "iterations",
+        "optimizer_lower", "order", "state_a", "state_b", "theta"]
+    assert sorted(k for k, v in d.items() if v is None) == [
+        "analytic_upper", "bracket_width", "closed_form", "converged", "divergence",
+        "feasibility_residual", "iterations", "optimizer_lower"]
+    assert ProbeSpec("basis") == ProbeSpec(kind="basis", index=0, s=0.0)
+    state = MoyalPureState(1.0, [1.0])
+    assert (state.kind, state.meta) == ("finite", {})
+    assert TorusState(0.37, "tracial").m is None
+    assert BallReport(0.5, False, ((0, 1, np.float64(0.25)),)).to_dict() == {
+        "commutator_norm": 0.5, "member": False, "violations": [[0, 1, 0.25]]}
 
 
 def test_attribute_loads_its_module_on_first_use():

@@ -27,6 +27,19 @@ def test_bicharacter_generator_exchange():
     assert bicharacter((1, 0), (0, 1), 0.25) == pytest.approx(np.exp(1j * np.pi / 4), abs=1e-15)
 
 
+def test_bicharacter_equals_numpy_exp_bit_for_bit():
+    # cmath.exp against np.exp of the same phase, signed zeros included, on the verify
+    # torus suite's thetas and more, for m1 n2 - m2 n1 = k from -2000 to 2000
+    thetas = (0.0, 0.25, 1.0 / 3.0, 0.37, math.sqrt(2.0) - 1.0, 0.9,
+              0.5, 1.0, 2.0, -0.37, 1.7, 1e-3, 3.3)
+    got, want = [], []
+    for theta in thetas:
+        for k in range(-2000, 2001):
+            got.append(bicharacter((k, 0), (0, 1), theta))
+            want.append(complex(np.exp(1j * np.pi * math.fmod(theta, 2.0) * k)))
+    assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+
+
 def test_bicharacter_identities(rng):
     for i in range(200):
         theta = THETAS[i % len(THETAS)]
