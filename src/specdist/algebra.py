@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, same_theta
 
 MAX_OPERATOR_ENTRIES = 3e7  # ceiling on the entries of a dense element, optimizer or bound
 
@@ -62,9 +62,9 @@ class MoyalElement:
         return MoyalElement(self.theta, c)
 
     def __add__(self, other: "MoyalElement") -> "MoyalElement":
-        _check_theta(self, other)
+        theta = same_theta(self, other)
         n = max(self.order, other.order)
-        return MoyalElement(self.theta, self.pad(n).coeffs + other.pad(n).coeffs)
+        return MoyalElement(theta, self.pad(n).coeffs + other.pad(n).coeffs)
 
     def __sub__(self, other: "MoyalElement") -> "MoyalElement":
         return self + (-1.0) * other
@@ -97,11 +97,6 @@ class MoyalElement:
         return a
 
 
-def _check_theta(a: MoyalElement, b: MoyalElement) -> None:
-    if a.theta != b.theta:
-        raise ParameterError(f"deformation parameters differ: {a.theta} vs {b.theta}")
-
-
 def zero(theta: float, order: int = 1) -> MoyalElement:
     return MoyalElement(theta, np.zeros((order, order), dtype=complex))
 
@@ -122,9 +117,9 @@ def radial(theta: float, diag) -> MoyalElement:
 
 def star(a: MoyalElement, b: MoyalElement) -> MoyalElement:
     """Deformed product: coefficient matrices multiply."""
-    _check_theta(a, b)
+    theta = same_theta(a, b)
     n = max(a.order, b.order)
-    return MoyalElement(a.theta, a.pad(n).coeffs @ b.pad(n).coeffs)
+    return MoyalElement(theta, a.pad(n).coeffs @ b.pad(n).coeffs)
 
 
 def involution(a: MoyalElement) -> MoyalElement:
@@ -139,9 +134,9 @@ def integral(a: MoyalElement) -> complex:
 
 def inner(a: MoyalElement, b: MoyalElement) -> complex:
     """L2 inner product, antilinear in the first slot: 2*pi*theta * sum conj(a)*b."""
-    _check_theta(a, b)
+    theta = same_theta(a, b)
     n = max(a.order, b.order)
-    return 2.0 * np.pi * a.theta * complex(np.sum(a.pad(n).coeffs.conj() * b.pad(n).coeffs))
+    return 2.0 * np.pi * theta * complex(np.sum(a.pad(n).coeffs.conj() * b.pad(n).coeffs))
 
 
 def sobolev_norm(a: MoyalElement, s: float, t: float) -> float:

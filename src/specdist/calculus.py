@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import MAX_OPERATOR_ENTRIES, MoyalElement, check_theta, radial
-from .errors import ParameterError
+from .errors import ParameterError, same_theta
 
 
 def dz_stencil(x: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -44,8 +44,7 @@ def reconstruct(a00: complex, alpha: MoyalElement, beta: MoyalElement) -> MoyalE
     f[i, j] = (alpha[i, j-1] + beta[i-1, j]) / (sqrt(i) + sqrt(j)); entries with a
     negative index contribute zero.  O(n^2): one row recurrence sums the diagonals.
     """
-    if alpha.theta != beta.theta:
-        raise ParameterError("derivative coefficient arrays carry different theta")
+    theta = same_theta(alpha, beta)
     if alpha.order != beta.order:
         raise ParameterError("derivative coefficient arrays have different orders")
     n = alpha.order
@@ -59,9 +58,9 @@ def reconstruct(a00: complex, alpha: MoyalElement, beta: MoyalElement) -> MoyalE
     # out[p, q] accumulates f[p-k, q-k] for k = 0..min(p, q)
     for p in range(1, n):
         out[p, 1:] += out[p - 1, :-1]
-    out *= np.sqrt(alpha.theta)
+    out *= np.sqrt(theta)
     out[np.diag_indices(n)] += a00
-    return MoyalElement(alpha.theta, out)
+    return MoyalElement(theta, out)
 
 
 def _check_index(n: int, name: str) -> None:

@@ -32,25 +32,40 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
-def parse_state_spec(text: str, theta: float):
-    """MoyalPureState of the mini-grammar basis:m | zeta:s:Mcut | finite:w0,w1,..."""
+def _finite_weights(text: str, dtype):
+    """The weights of finite:w0,w1,... as an array of dtype, converted by numpy in slices of
+    SWEEP_BLOCK characters extended to the next comma: never one str per weight at once."""
     import numpy as np
 
+    from .states import SWEEP_BLOCK
+
+    w = np.empty(text.count(",") + 1, dtype)
+    i, lo, n = 0, len("finite:"), len(text)
+    while lo <= n:
+        hi = text.find(",", lo + SWEEP_BLOCK)
+        hi = n if hi < 0 else hi  # no comma past the slice: the slice runs to the end
+        block = np.array(text[lo:hi].split(","), dtype)
+        w[i:i + block.size] = block
+        i, lo = i + block.size, hi + 1
+    return w
+
+
+def parse_state_spec(text: str, theta: float):
+    """MoyalPureState of the mini-grammar basis:m | zeta:s:Mcut | finite:w0,w1,..."""
     from .states import basis_state, finite_state, zeta_state
 
-    parts = text.split(":")
-    kind = parts[0]
     try:
-        if kind == "basis" and len(parts) == 2:
-            return basis_state(int(parts[1]), theta)
-        if kind == "zeta" and len(parts) == 3:
-            return zeta_state(float(parts[1]), int(parts[2]), theta)
-        if kind == "finite" and len(parts) == 2:
+        if text.startswith("finite:") and text.count(":") == 1:
             try:  # numpy reads each weight as float() does, else all as complex() does
-                w = np.array(parts[1].split(","), dtype=float)
+                w = _finite_weights(text, float)
             except ValueError:
-                w = np.array(parts[1].split(","), dtype=complex)
+                w = _finite_weights(text, complex)
             return finite_state(w, theta)
+        parts = text.split(":")
+        if parts[0] == "basis" and len(parts) == 2:
+            return basis_state(int(parts[1]), theta)
+        if parts[0] == "zeta" and len(parts) == 3:
+            return zeta_state(float(parts[1]), int(parts[2]), theta)
     except ParameterError:  # the state's own message, e.g. non-finite or all-zero weights
         raise
     except ValueError:  # a number that does not parse
@@ -165,6 +180,8 @@ def cmd_torus_distance(args) -> int:
         raise ParameterError("--box sets the optimizer's box radius and needs --optimize")
     theta = args.theta
     if args.m is not None:
+        if args.a is not None or args.b is not None:
+            raise ParameterError("--m sets both states and excludes --a and --b")
         s1 = torus.vector_state(theta, _index_pair(args.m, f"--m {args.m}"))
         s2 = torus.tracial_state(theta)
     else:
@@ -244,8 +261,6 @@ def cmd_ball_check(args) -> int:
 
     if args.element_file:
         element = _load_json_file(args.element_file, "--element-file", MoyalElement.from_dict)
-    elif args.staircase is None and args.bump is None:
-        raise ParameterError("provide --element-file, --staircase, or --bump")
     else:  # a radial element, checked from its diagonal
         option, build, index = (("--staircase", staircase_diagonal, args.staircase)
                                 if args.staircase is not None
@@ -319,9 +334,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ball-check", help="Lipschitz-ball membership report")
     p.add_argument("--theta", type=float, default=1.0)
     p.add_argument("--tol", type=lambda text: _finite_float(text, 0.0), default=1e-9)
-    p.add_argument("--element-file", help="JSON file with a serialized element")
-    p.add_argument("--staircase", type=int, help="use the staircase element with this index")
-    p.add_argument("--bump", type=int, help="use the single-entry radial element at this index")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--element-file", help="JSON file with a serialized element")
+    source.add_argument("--staircase", type=int, help="use the staircase element with this index")
+    source.add_argument("--bump", type=int,
+                        help="use the single-entry radial element at this index")
     p.add_argument("--scale", type=_finite_float, default=1.0, help="scale the element first")
     common(p)
     p.set_defaults(func=cmd_ball_check)

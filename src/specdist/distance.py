@@ -16,7 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import probes
 from .algebra import MAX_OPERATOR_ENTRIES, MoyalElement
 from .calculus import dz_stencil
-from .errors import ParameterError, UnboundedSupportError
+from .errors import ParameterError, UnboundedSupportError, same_theta
 from .lipschitz import ENTRY_BOUND, clip_spectral, commutator_norm, nuclear_norm, op_norm
 from .report import DistanceReport, OptimizeResult
 from .states import SWEEP_BLOCK, MoyalPureState, _check_support, difference_matrix
@@ -88,13 +88,12 @@ def analytic_upper_bound(s1: MoyalPureState, s2: MoyalPureState) -> float:
     sum(l S); squared norms 1 +- nu move W by 2 nu M; underflow errs by at most
     n^3 2^-1070 (1 + theta).  The returned value adds a term for each of the three.
     """
+    theta = same_theta(s1, s2)
     n = max(s1.support, s2.support)
     if "zeta" in (s1.kind, s2.kind) or n * n > MAX_OPERATOR_ENTRIES:  # support 5,478 on
         raise UnboundedSupportError(
             f"analytic upper bound needs finitely supported states with support^2 <= "
             f"{MAX_OPERATOR_ENTRIES:.0e}; got {s1.kind} and {s2.kind} states, support {n}")
-    if s1.theta != s2.theta:
-        raise ParameterError("states carry different theta")
     if np.array_equal(s1.c, s2.c):
         return 0.0
     c = [np.pad(st.c, (0, 2 * n - st.support)) for st in (s1, s2)]
@@ -111,7 +110,7 @@ def analytic_upper_bound(s1: MoyalPureState, s2: MoyalPureState) -> float:
         den[:, 0] *= 2.0
         if k0 == 0:
             den[0, 0] = np.inf
-        ell = np.divide(math.sqrt(2.0 * s1.theta), den, out=den)
+        ell = np.divide(math.sqrt(2.0 * theta), den, out=den)
         for x, out in ((w, sums[0]), (s, sums[1])):
             np.cumsum(x[:, ::-1], axis=1, out=x[:, ::-1])  # x[k - k0, p] = T[p, p + k]
             out[k0:k1] = np.sum(ell * np.abs(x), axis=1)
@@ -119,7 +118,7 @@ def analytic_upper_bound(s1: MoyalPureState, s2: MoyalPureState) -> float:
     sums[:, 1:] *= 2.0
     bound, slack = (math.fsum(x) for x in sums)
     nu = max(abs(1.0 - math.fsum(x ** 2)) for x in a)
-    return bound + (4 * (n + 8) * 2.0 ** -53 + 2 * nu) * slack + 2.0 ** -1022 * (1.0 + s1.theta)
+    return bound + (4 * (n + 8) * 2.0 ** -53 + 2 * nu) * slack + 2.0 ** -1022 * (1.0 + theta)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +278,7 @@ def optimize_distance(s1: MoyalPureState, s2: MoyalPureState, order: int,
     keeps the constraint and a real objective).  The best iterate is rescaled by
     `rescaled_gap` under `commutator_norm`.
     """
-    if s1.theta != s2.theta:
-        raise ParameterError("states carry different theta")
+    theta = same_theta(s1, s2)
     if order < max(s1.support, s2.support) + 2:
         raise ParameterError(
             f"order {order} too small; need at least max state support + 2 "
@@ -288,7 +286,6 @@ def optimize_distance(s1: MoyalPureState, s2: MoyalPureState, order: int,
     if order ** 3 > MAX_OPERATOR_ENTRIES:  # from order 311 on
         raise ParameterError(f"order {order} too large: the optimizer's band inverses would "
                              f"exceed {MAX_OPERATOR_ENTRIES:.0e} entries; lower the order")
-    theta = s1.theta
     n = order
     w = difference_matrix(s1, s2, n)
     if not np.any(w):
@@ -319,11 +316,9 @@ def moyal_report(s1: MoyalPureState, s2: MoyalPureState, order: int = 16,
     zeta-type state or a support above 5,477 get no upper bound; with probe=True the
     divergence verdict of probes.divergence_flag on the untruncated states is attached.
     """
-    if s1.theta != s2.theta:
-        raise ParameterError("states carry different theta")
+    theta = same_theta(s1, s2)
     if order < 1:
         raise ParameterError(f"truncation order must be at least 1, got {order}")
-    theta = s1.theta
     closed = (basis_distance(s1.meta["index"], s2.meta["index"], theta)
               if s1.kind == s2.kind == "basis" else None)
 

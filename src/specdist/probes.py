@@ -16,7 +16,7 @@ from collections import namedtuple
 import numpy as np
 
 from .algebra import check_theta
-from .errors import ParameterError
+from .errors import ParameterError, same_theta
 from .states import MAX_SUPPORT, SWEEP_BLOCK, MoyalPureState, _difference_block
 from .zeta import zeta, zeta_partial, zeta_tail
 
@@ -77,8 +77,7 @@ def _radial_terms(s1: MoyalPureState, s2: MoyalPureState, m0: int | None = None)
     reverse cumsum is seeded with the tail above it, so every T_j has the bits of one
     reverse cumsum over diagonal_difference.  By parts, sum_m u_m d_m = sum_k v_k P_k for
     u_m = sum_{k>=m} v_k, where P_k = sum_{m<=k} d_m = -T_{k+1} as d sums to zero."""
-    if s1.theta != s2.theta:
-        raise ParameterError("states carry different theta")
+    same_theta(s1, s2)
     n = max(s1.support, s2.support)
     tail, d = 0.0, np.empty(min(SWEEP_BLOCK, n))
     for lo in reversed(range(0, n - 1, SWEEP_BLOCK)):

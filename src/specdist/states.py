@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .algebra import MoyalElement, check_theta
-from .errors import ParameterError
+from .errors import ParameterError, same_theta
 
 NORMALIZATION_TOL = 1e-12
 # largest coefficient vector a basis or zeta state may allocate; the state is the only
@@ -71,8 +71,7 @@ class MoyalPureState:
 
     def expect(self, a: MoyalElement) -> complex:
         """Expectation value sum conj(c_m) c_n a[m, n]."""
-        if a.theta != self.theta:
-            raise ParameterError("state and element carry different theta")
+        same_theta(self, a)
         n = min(self.support, a.order)
         ct = self.c[:n]
         return complex(ct.conj() @ a.coeffs[:n, :n] @ ct)
@@ -141,8 +140,7 @@ def diagonal_difference(s1: MoyalPureState, s2: MoyalPureState) -> np.ndarray:
     These are the only data entering the staircase-certificate bound; the
     entries sum to zero since both states are normalized.
     """
-    if s1.theta != s2.theta:
-        raise ParameterError("states carry different theta")
+    same_theta(s1, s2)
     n = max(s1.support, s2.support)
     d = np.empty(n)
     for lo in range(0, n, SWEEP_BLOCK):  # no temporary as long as the states
@@ -163,7 +161,6 @@ def _difference_block(s1: MoyalPureState, s2: MoyalPureState, lo: int, d: np.nda
 def difference_matrix(s1: MoyalPureState, s2: MoyalPureState, n: int) -> np.ndarray:
     """W = conj(c1) c1^T - conj(c2) c2^T, both states zero-padded to n >= their supports,
     so that w1(a) - w2(a) = sum(W * a) for every element a of order n."""
-    if s1.theta != s2.theta:
-        raise ParameterError("states carry different theta")
+    same_theta(s1, s2)
     c1, c2 = (np.pad(s.c, (0, n - s.support)) for s in (s1, s2))
     return np.outer(c1.conj(), c1) - np.outer(c2.conj(), c2)

@@ -16,7 +16,7 @@ import math
 from collections import namedtuple
 from types import MappingProxyType
 
-from .errors import ParameterError
+from .errors import ParameterError, same_theta
 from .report import DistanceReport, OptimizeResult
 
 Index = tuple
@@ -68,11 +68,11 @@ class TorusElement:
         return self.terms.get((int(m[0]), int(m[1])), 0.0 + 0.0j)
 
     def __add__(self, other: "TorusElement") -> "TorusElement":
-        _check_theta(self, other)
+        theta = same_theta(self, other)
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, 0.0) + c
-        return TorusElement(self.theta, out)
+        return TorusElement(theta, out)
 
     def __sub__(self, other: "TorusElement") -> "TorusElement":
         return self + (-1.0) * other
@@ -82,11 +82,6 @@ class TorusElement:
         return TorusElement(self.theta, {m: z * c for m, c in self.terms.items()})
 
     __rmul__ = __mul__
-
-
-def _check_theta(a: TorusElement, b: TorusElement) -> None:
-    if a.theta != b.theta:
-        raise ParameterError(f"torus parameters differ: {a.theta} vs {b.theta}")
 
 
 def unit(theta: float) -> TorusElement:
@@ -100,13 +95,13 @@ def weyl(theta: float, m: Index, coefficient: complex = 1.0) -> TorusElement:
 
 def product(a: TorusElement, b: TorusElement) -> TorusElement:
     """Twisted convolution of coefficient maps with the bicharacter phase."""
-    _check_theta(a, b)
+    theta = same_theta(a, b)
     out: dict = {}
     for m, cm in a.terms.items():
         for n, cn in b.terms.items():
             p = (m[0] + n[0], m[1] + n[1])
-            out[p] = out.get(p, 0.0) + cm * cn * bicharacter(m, n, a.theta)
-    return TorusElement(a.theta, out)
+            out[p] = out.get(p, 0.0) + cm * cn * bicharacter(m, n, theta)
+    return TorusElement(theta, out)
 
 
 def involution(a: TorusElement) -> TorusElement:
@@ -150,8 +145,7 @@ class TorusState(namedtuple("TorusState", "theta kind m")):
         return super().__new__(cls, theta, kind, m)
 
     def expect(self, a: TorusElement) -> complex:
-        if a.theta != self.theta:
-            raise ParameterError("state and element carry different theta")
+        same_theta(self, a)
         if self.kind == "tracial":
             return trace(a)
         mm = self.m
@@ -284,9 +278,7 @@ def torus_report(s1: TorusState, s2: TorusState, optimize: bool = False,
     and have gaps (1 - 1/(K+1))/(pi^2 |M|), so the closed form is also the supremum over
     polynomial elements.
     """
-    if s1.theta != s2.theta:
-        raise ParameterError("states carry different theta")
-    theta = s1.theta
+    theta = same_theta(s1, s2)
     ms = [s.m for s in (s1, s2) if s.kind == "vector"]
     # the indices each state reads: {M, -M} for phi_M, none for the trace
     reads = [{s.m, (-s.m[0], -s.m[1])} if s.kind == "vector" else set() for s in (s1, s2)]
@@ -392,9 +384,7 @@ def optimize_torus_distance(s1: TorusState, s2: TorusState, box_radius: int | No
     from .algebra import MAX_OPERATOR_ENTRIES
     from .distance import admm_maximize, rescaled_gap
 
-    if s1.theta != s2.theta:
-        raise ParameterError("states carry different theta")
-    theta = s1.theta
+    theta = same_theta(s1, s2)
     ms = [s.m for s in (s1, s2) if s.kind == "vector"]
     support_radius = 3 * max((max(abs(m[0]), abs(m[1])) for m in ms), default=1)
     if box_radius is None:

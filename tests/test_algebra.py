@@ -41,11 +41,6 @@ def test_star_pads_mixed_orders_exactly():
     assert np.count_nonzero(out.coeffs) == 1
 
 
-def test_star_rejects_theta_mismatch():
-    with pytest.raises(ParameterError):
-        star(basis(1.0, 0, 0), basis(2.0, 0, 0))
-
-
 def test_involution_swaps_indices():
     assert involution(basis(1.0, 0, 1)).coeffs[1, 0] == 1.0
 

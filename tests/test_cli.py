@@ -330,6 +330,16 @@ def test_torus_index_pair_errors_name_the_spec(capsys):
         assert err.startswith("error:") and repr(spec) in err
 
 
+def test_torus_m_excludes_a_and_b(capsys):
+    for extra in (("--a", "phi:2,0", "--b", "phi:0,1"), ("--b", "phi:0,1"), ("--a", "tracial")):
+        code, out, err = run_cli(capsys, "torus-distance", "--m", "1,0", *extra)
+        assert (code, out) == (1, "")
+        assert err == "error: --m sets both states and excludes --a and --b\n"
+    code, out, _ = run_cli(capsys, "torus-distance", "--m", "1,0")
+    report = json.loads(out)
+    assert code == 0 and (report["state_a"], report["state_b"]) == ("phi:1,0", "tracial")
+
+
 def test_usage_error_exit_one(capsys):
     code, _, _ = run_cli(capsys, "moyal-distance", "--bogus-flag")
     assert code == 1
@@ -576,6 +586,24 @@ def test_ball_check_element_file(tmp_path, capsys):
     assert json.loads(out)["member"] is True
 
 
+def test_ball_check_takes_exactly_one_element_source(tmp_path, capsys):
+    from specdist.algebra import radial
+    from specdist.calculus import bump_diagonal
+    path = tmp_path / "element.json"
+    path.write_text(json.dumps(radial(1.0, bump_diagonal(2, 1.0)).to_dict()))
+    sources = (("--element-file", str(path)), ("--staircase", "2"), ("--bump", "2"))
+    for i, first in enumerate(sources):
+        code, out, _ = run_cli(capsys, "ball-check", *first)
+        assert code == 0 and json.loads(out)["member"] is True
+        for second in sources[i + 1:]:
+            code, out, err = run_cli(capsys, "ball-check", *first, *second)
+            assert (code, out) == (1, "")
+            assert f"error: argument {second[0]}: not allowed with argument {first[0]}" in err
+    code, out, err = run_cli(capsys, "ball-check")
+    assert (code, out) == (1, "")
+    assert "error: one of the arguments --element-file --staircase --bump is required" in err
+
+
 def test_timing_flag_adds_field(capsys):
     code, out, _ = run_cli(capsys, "ball-check", "--staircase", "1", "--timing")
     assert code == 0
@@ -607,16 +635,33 @@ def test_finite_spec_weights_stay_real_unless_written_complex():
     assert np.array_equal(parse_state_spec("finite:(1+2j)", 1.0).c, [(1 + 2j) / math.sqrt(5)])
 
 
+def test_finite_spec_blocks_convert_as_one_array():
+    # weights converted a block of text at a time have the bits of one conversion of all
+    # the weight texts, for float, complex and a real spec that turns complex in its last
+    # block; each spec crosses several block boundaries
+    from specdist.cli import parse_state_spec
+    from specdist.states import SWEEP_BLOCK, finite_state
+    rng = np.random.default_rng(2)
+    weights = rng.uniform(0.1, 1.0, 3 * SWEEP_BLOCK // 19)
+    phased = weights * np.exp(1j * rng.uniform(0.0, 6.28, weights.size))
+    for texts, dtype in (([repr(v) for v in weights.tolist()], float),
+                         ([repr(v) for v in phased.tolist()], complex),
+                         ([repr(v) for v in weights.tolist()] + ["2j"], complex)):
+        c = parse_state_spec("finite:" + ",".join(texts), 1.0).c
+        expected = finite_state(np.array(texts, dtype=dtype), 1.0).c
+        assert c.dtype == expected.dtype and c.tobytes() == expected.tobytes()
+
+
 def test_finite_spec_parse_memory_per_weight():
-    # 200,000 weights whose reprs take 19 characters on average (42 written complex): the
-    # split texts, then one numpy array of the weights and the state's normalized copy.
-    # A per-weight list of Python numbers, its copy and complex copies of a real vector
-    # peaked at 126.6 and 181.2 bytes per weight
+    # 200,000 weights whose reprs take 19 characters on average (42 written complex): one
+    # numpy array of the weights, the state's normalized copy and the texts of one block of
+    # SWEEP_BLOCK characters.  Splitting the whole text (one str per weight) peaked at 103.7
+    # and 156.2 bytes per weight, a per-weight list of Python numbers at 126.6 and 181.2
     from specdist.cli import parse_state_spec
     rng = np.random.default_rng(1)
     weights = rng.uniform(0.1, 1.0, 200_000)
     phased = weights * np.exp(1j * rng.uniform(0.0, 6.28, weights.size))
-    for values, bound in ((weights, 110), (phased, 165)):
+    for values in (weights, phased):
         text = "finite:" + ",".join(map(repr, values.tolist()))
         parse_state_spec("finite:1,2j", 1.0)  # warm-up: imports
         tracemalloc.start()
@@ -625,7 +670,7 @@ def test_finite_spec_parse_memory_per_weight():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound * values.size, peak / values.size
+        assert peak <= 40 * values.size, peak / values.size
 
 
 def test_readme_command_lines_run(capsys):

@@ -736,3 +736,22 @@ def test_optimizer_runs_real_for_phased_real_states_and_complex_otherwise(monkey
     optimize_distance(phased, basis_state(0, 1.0), 8)
     optimize_distance(finite_state([1.0, 2.0j, 3.0], 1.0), basis_state(0, 1.0), 8)
     assert seen == [np.float64, np.complex128]
+
+
+@pytest.mark.parametrize("n, degrees, value", [(1, 45, 1.107778), (1, 60, 1.123926),
+                                               (1, 75, 1.044067), (2, 45, 1.218478)])
+def test_two_level_superpositions_sit_between_the_bounds(n, degrees, value):
+    # e_0 against psi = cos(alpha) e_0 + sin(alpha) e_n, theta = 1, order 24: the radial
+    # bound sees only the diagonal, so it lies strictly below the optimizer; for n = 1 it
+    # is sin^2(alpha) sqrt(theta/2).  Values in units of sqrt(theta/2) = d(e_0, e_1)
+    alpha, unit = math.radians(degrees), math.sqrt(0.5)
+    psi = finite_state([math.cos(alpha)] + [0.0] * (n - 1) + [math.sin(alpha)], 1.0)
+    report = moyal_report(basis_state(0, 1.0), psi, order=24)
+    assert report.converged is True
+    assert report.certificate_lower < report.optimizer_lower <= report.analytic_upper
+    assert report.optimizer_lower / unit == pytest.approx(value, abs=2e-6)
+    if n == 1:
+        assert report.certificate_lower / unit == pytest.approx(math.sin(alpha) ** 2,
+                                                                rel=1e-14)
+    if degrees == 60:  # above d(e_0, e_1) = d(e_0, psi_90): not monotone in alpha
+        assert report.optimizer_lower > unit

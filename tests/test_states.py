@@ -162,13 +162,6 @@ def test_states_never_share_a_writable_array_with_the_caller():
         assert st.c is owned and not owned.flags.writeable
 
 
-def test_theta_mismatch_rejected():
-    with pytest.raises(ParameterError):
-        basis_state(0, 1.0).expect(basis(2.0, 0, 0))
-    with pytest.raises(ParameterError):
-        diagonal_difference(basis_state(0, 1.0), basis_state(0, 2.0))
-
-
 def test_spec_strings():
     assert basis_state(3, 1.0).spec_string() == "basis:3"
     assert zeta_state(1.2, 100, 1.0).spec_string() == "zeta:1.2:100"

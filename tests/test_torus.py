@@ -469,13 +469,6 @@ def test_optimizer_size_guard_is_unchanged():
             optimize_torus_distance(s, s, box_radius=last_box + 1)
 
 
-def test_theta_mismatch_rejected():
-    with pytest.raises(ParameterError):
-        product(weyl(0.3, (1, 0)), weyl(0.4, (0, 1)))
-    with pytest.raises(ParameterError):
-        tracial_state(0.3).expect(weyl(0.4, (1, 0)))
-
-
 def test_elements_are_immutable():
     a = weyl(0.37, (1, 0))
     with pytest.raises(TypeError):
