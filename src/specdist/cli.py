@@ -161,9 +161,12 @@ def cmd_moyal_distance(args) -> int:
     from .distance import moyal_report
 
     spec = _load_json_file(args.spec_file, "--spec-file", _pair_spec) if args.spec_file else {}
+    for key in ("a", "b", "theta"):
+        if key in spec and getattr(args, key) is not None:
+            raise ParameterError(f"--{key} and --spec-file {args.spec_file} both set {key!r}")
     a_text = spec.get("a", args.a)
     b_text = spec.get("b", args.b)
-    theta = float(spec.get("theta", args.theta))
+    theta = spec.get("theta", 1.0 if args.theta is None else args.theta)
     if a_text is None or b_text is None:
         raise ParameterError("state specs --a and --b are required")
     s1, s2 = (parse_state_spec(text, theta) for text in (a_text, b_text))
@@ -260,13 +263,16 @@ def cmd_ball_check(args) -> int:
     from .lipschitz import ball_report, radial_ball_report
 
     if args.element_file:
+        if args.theta is not None:
+            raise ParameterError("--element-file carries theta and excludes --theta")
         element = _load_json_file(args.element_file, "--element-file", MoyalElement.from_dict)
     else:  # a radial element, checked from its diagonal
+        theta = 1.0 if args.theta is None else args.theta
         option, build, index = (("--staircase", staircase_diagonal, args.staircase)
                                 if args.staircase is not None
                                 else ("--bump", bump_diagonal, args.bump))
         try:
-            element = build(index, args.theta)
+            element = build(index, theta)
         except ParameterError as exc:  # named, as --element-file names its file
             raise ParameterError(f"{option} {index}: {exc}") from None
     if args.scale != 1.0:  # coefficients times complex(scale), for an element or a diagonal
@@ -276,7 +282,7 @@ def cmd_ball_check(args) -> int:
         element = element * complex(args.scale)
     try:
         report = (ball_report(element, args.tol) if args.element_file
-                  else radial_ball_report(args.theta, element, args.tol))
+                  else radial_ball_report(theta, element, args.tol))
     except ParameterError as exc:  # a norm that overflows: name the scale, if any, too
         raise exc if args.scale == 1.0 else ParameterError(f"--scale {args.scale}: {exc}")
     _emit(report.to_dict(), args)
@@ -294,7 +300,7 @@ def build_parser() -> _Parser:
                        help="include wall-clock time in the report")
 
     p = sub.add_parser("moyal-distance", help="bracketed distance between plane states")
-    p.add_argument("--theta", type=float, default=1.0)
+    p.add_argument("--theta", type=float, help="deformation parameter (default 1.0)")
     p.add_argument("--a", help="state spec: basis:m | zeta:s:Mcut | finite:w0,w1,...")
     p.add_argument("--b", help="state spec")
     p.add_argument("--order", type=int, default=16, help="truncation order for the optimizer")
@@ -332,7 +338,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("ball-check", help="Lipschitz-ball membership report")
-    p.add_argument("--theta", type=float, default=1.0)
+    p.add_argument("--theta", type=float,
+                   help="deformation parameter of --staircase or --bump (default 1.0)")
     p.add_argument("--tol", type=lambda text: _finite_float(text, 0.0), default=1e-9)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--element-file", help="JSON file with a serialized element")

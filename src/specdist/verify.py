@@ -1,6 +1,12 @@
 """Self-check suites: every algebraic identity and bound the package relies on,
 run on seeded random instances.  Used by the CLI `verify` subcommand.
 
+The instances come from `Draws`, which serves the part of numpy.random.Generator the
+suites call from the standard library's Mersenne Twister, so a verify job never imports
+numpy.random (about 6 MB of RSS); `rand_coeffs` and `rand_element` take either
+generator.  Each suite imports probes, torus and distance only where it runs them, so a
+job loads and compiles only what its suite checks.
+
 Each identity is implemented once, as a function that takes an instance's
 inputs and returns both sides (lhs, rhs); the suites here and the test suite
 call the same functions, each with its own measure and tolerance.
@@ -12,13 +18,12 @@ quantities, relative above magnitude one.
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
-from . import probes, torus
 from .algebra import MoyalElement, inner, integral, involution, radial, sobolev_norm, star
 from .calculus import dz, dzbar, reconstruct, staircase, staircase_diagonal
-from .distance import analytic_upper_bound, basis_distance, optimize_distance
 from .errors import ParameterError
 from .lipschitz import ENTRY_BOUND, ball_report, commutator_norm, op_norm, radial_ball_report
 from .states import basis_state, diagonal_difference, finite_state, zeta_state
@@ -72,11 +77,36 @@ class SuiteResult:
             yield line
 
 
+class Draws:
+    """Seeded draws over random.Random with numpy.random.Generator's uniform, integers
+    and standard_normal: a scalar without size, else an array of size draws (of that
+    shape, for uniform)."""
+
+    def __init__(self, seed: int):
+        self._r = random.Random(seed)
+
+    def uniform(self, lo: float, hi: float, size=None):
+        if size is None:
+            return self._r.uniform(lo, hi)
+        # one randbytes call: the top 53 bits of each 64-bit word, the float random() draws
+        n = math.prod(size) if isinstance(size, tuple) else size
+        u = (np.frombuffer(self._r.randbytes(8 * n), np.uint64) >> 11) * 2.0 ** -53
+        return (lo + (hi - lo) * u).reshape(size)
+
+    def integers(self, lo: int, hi: int, size=None):
+        if size is None:
+            return self._r.randrange(lo, hi)
+        return np.array([self._r.randrange(lo, hi) for _ in range(size)])
+
+    def standard_normal(self, size=None):
+        if size is None:
+            return self._r.gauss(0.0, 1.0)
+        return np.array([self._r.gauss(0.0, 1.0) for _ in range(size)])
+
+
 def rand_coeffs(rng, order: int) -> np.ndarray:
-    # entries uniform in the unit disk
-    re = rng.uniform(-1.0, 1.0, (order, order))
-    im = rng.uniform(-1.0, 1.0, (order, order))
-    return (re + 1j * im) / math.sqrt(2.0)
+    # entries uniform in the unit disk; both parts in one draw, read as complex
+    return rng.uniform(-1.0, 1.0, (order, order, 2)).view(complex)[..., 0] / math.sqrt(2.0)
 
 
 def rand_element(rng, theta: float, max_order: int = 16) -> MoyalElement:
@@ -169,6 +199,9 @@ def submultiplicativity(a, b):
 def basis_pair_saturation(m, n, theta):
     """The radial certificate and the analytic upper bound of basis states m > n both
     equal the closed form: returns ((certificate, upper), closed form)."""
+    from . import probes
+    from .distance import analytic_upper_bound, basis_distance
+
     s1, s2 = basis_state(m, theta), basis_state(n, theta)
     return (probes.radial_gap(s1, s2), analytic_upper_bound(s1, s2)), basis_distance(m, n, theta)
 
@@ -176,6 +209,8 @@ def basis_pair_saturation(m, n, theta):
 def staircase_cross_path(m0, s1, s2):
     """Staircase gap from dense expectation values = probes.staircase_gap.  The element is
     staircase(m0, theta) cut to the larger support, the block that expect reads."""
+    from . import probes
+
     el = radial(s1.theta, staircase_diagonal(m0, s1.theta)[:max(s1.support, s2.support)])
     return abs(s1.expect(el) - s2.expect(el)), probes.staircase_gap(m0, s1, s2)
 
@@ -183,6 +218,8 @@ def staircase_cross_path(m0, s1, s2):
 def radial_cross_path(s1, s2):
     """(Expectation gap, ball_report commutator norm) of the radial element built from
     probes.radial_steps = (probes.radial_gap, 1)."""
+    from . import probes
+
     steps = probes.radial_steps(diagonal_difference(s1, s2))
     el = radial(s1.theta, math.sqrt(2.0 * s1.theta) / 2.0 * np.cumsum(steps[::-1])[::-1])
     lhs = np.array([abs(s1.expect(el) - s2.expect(el)), ball_report(el).commutator_norm])
@@ -192,6 +229,8 @@ def radial_cross_path(s1, s2):
 def bicharacter_identities(m, n, p, theta):
     """With s the bicharacter, in this order: s(m+n, p) = s(m, p) s(n, p),
     s(m, n+p) = s(m, n) s(m, p), s(m, m) = 1, s(m, -m) = 1, |s(m, n)| = 1."""
+    from . import torus
+
     s = lambda x, y: torus.bicharacter(x, y, theta)
     lhs = np.array([s((m[0] + n[0], m[1] + n[1]), p), s(m, (n[0] + p[0], n[1] + p[1])),
                     s(m, m), s(m, (-m[0], -m[1])), abs(s(m, n))])
@@ -201,13 +240,15 @@ def bicharacter_identities(m, n, p, theta):
 def weyl_certificate_gap(m, theta):
     """Gap of the unit-norm Weyl certificate between phi_M and the trace, against the
     coefficient bound; the gap is provably half that bound."""
+    from . import torus
+
     cert = torus.weyl_certificate(m, theta)
     gap = abs(torus.vector_state(theta, m).expect(cert) - torus.tracial_state(theta).expect(cert))
     return gap, torus.coefficient_bound(m)
 
 
 def algebra_suite() -> SuiteResult:
-    rng = np.random.default_rng(DEFAULT_SEED)
+    rng = Draws(DEFAULT_SEED)
     tol = 1e-12
     assoc = CheckResult("associativity", 1000)
     cyclic = CheckResult("trace_cyclicity", 1000)
@@ -236,7 +277,7 @@ def algebra_suite() -> SuiteResult:
 
 
 def calculus_suite() -> SuiteResult:
-    rng = np.random.default_rng(DEFAULT_SEED + 1)
+    rng = Draws(DEFAULT_SEED + 1)
     tol = 1e-12
     leibniz = CheckResult("leibniz_rule", 300)
     for i in range(300):
@@ -262,7 +303,7 @@ def calculus_suite() -> SuiteResult:
 
 
 def lipschitz_suite() -> SuiteResult:
-    rng = np.random.default_rng(DEFAULT_SEED + 2)
+    rng = Draws(DEFAULT_SEED + 2)
     sqrt2 = CheckResult("self_adjoint_norm_symmetry", 200)
     for i in range(200):
         a = rand_element(rng, THETAS[i % 3], 12)
@@ -302,7 +343,7 @@ def lipschitz_suite() -> SuiteResult:
 
 
 def states_suite() -> SuiteResult:
-    rng = np.random.default_rng(DEFAULT_SEED + 3)
+    rng = Draws(DEFAULT_SEED + 3)
     norm = CheckResult("normalization", 150)
     positive = CheckResult("positivity_on_staircase", 150)
     zero_sum = CheckResult("difference_sums_to_zero", 150)
@@ -330,7 +371,10 @@ def states_suite() -> SuiteResult:
 
 
 def distance_suite() -> SuiteResult:
-    rng = np.random.default_rng(DEFAULT_SEED + 4)
+    from . import probes
+    from .distance import analytic_upper_bound, optimize_distance
+
+    rng = Draws(DEFAULT_SEED + 4)
     saturation = CheckResult("basis_pair_saturation", 0)
     for theta in THETAS:
         for n in range(0, 4):
@@ -403,7 +447,9 @@ def distance_suite() -> SuiteResult:
 
 
 def probes_suite() -> SuiteResult:
-    rng = np.random.default_rng(DEFAULT_SEED + 5)
+    from . import probes
+
+    rng = Draws(DEFAULT_SEED + 5)
     consistency = CheckResult("certificate_gap_cross_path", 12)
     radial_path = CheckResult("radial_certificate_cross_path", 12)
     for i in range(12):
@@ -453,7 +499,9 @@ def probes_suite() -> SuiteResult:
 
 
 def torus_suite() -> SuiteResult:
-    rng = np.random.default_rng(DEFAULT_SEED + 6)
+    from . import torus
+
+    rng = Draws(DEFAULT_SEED + 6)
     thetas = (0.0, 0.25, 1.0 / 3.0, 0.37, np.sqrt(2.0) - 1.0, 0.9)
 
     bichar = CheckResult("bicharacter_identities", 1000)

@@ -10,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from specdist.algebra import MoyalElement
 from specdist.cli import main
 from specdist.distance import basis_distance
+from specdist.lipschitz import ball_report
 
 
 def run_cli(capsys, *argv):
@@ -338,6 +340,48 @@ def test_torus_m_excludes_a_and_b(capsys):
     code, out, _ = run_cli(capsys, "torus-distance", "--m", "1,0")
     report = json.loads(out)
     assert code == 0 and (report["state_a"], report["state_b"]) == ("phi:1,0", "tracial")
+
+
+def test_moyal_spec_file_excludes_the_options_it_sets(tmp_path, capsys):
+    # the file used to override --a, --b and --theta silently
+    full, pair = tmp_path / "full.json", tmp_path / "pair.json"
+    full.write_text(json.dumps({"a": "basis:0", "b": "basis:1", "theta": 2.0}))
+    pair.write_text(json.dumps({"a": "basis:0", "b": "basis:1"}))
+    for path, option, value in ((full, "--a", "basis:5"), (full, "--b", "basis:7"),
+                                (full, "--theta", "3"), (pair, "--a", "basis:5")):
+        code, out, err = run_cli(capsys, "moyal-distance", "--spec-file", str(path),
+                                 option, value, "--no-optimize")
+        assert (code, out) == (1, "")
+        key = option[2:]
+        assert err == f"error: {option} and --spec-file {path} both set {key!r}\n"
+    # one source for each key: the same report however the keys are split
+    a_only = tmp_path / "a.json"
+    a_only.write_text(json.dumps({"a": "basis:0"}))
+    outs = set()
+    for argv in (("--spec-file", str(full)), ("--spec-file", str(pair), "--theta", "2"),
+                 ("--spec-file", str(a_only), "--b", "basis:1", "--theta", "2"),
+                 ("--a", "basis:0", "--b", "basis:1", "--theta", "2")):
+        code, out, _ = run_cli(capsys, "moyal-distance", *argv, "--no-optimize")
+        assert code == 0
+        outs.add(out)
+    assert len(outs) == 1 and json.loads(outs.pop())["theta"] == 2.0
+    code, out, _ = run_cli(capsys, "moyal-distance", "--spec-file", str(pair), "--no-optimize")
+    assert code == 0 and json.loads(out)["theta"] == 1.0
+
+
+def test_ball_check_element_file_excludes_theta(tmp_path, capsys):
+    # the file carries theta; a --theta beside it used to be ignored silently
+    element = MoyalElement(2.0, np.arange(9.0).reshape(3, 3))
+    path = tmp_path / "element.json"
+    path.write_text(json.dumps(element.to_dict()))
+    code, out, err = run_cli(capsys, "ball-check", "--element-file", str(path), "--theta", "2")
+    assert (code, out, err) == (1, "", "error: --element-file carries theta and excludes --theta\n")
+    code, out, _ = run_cli(capsys, "ball-check", "--element-file", str(path))
+    assert code == 0 and json.loads(out) == ball_report(element).to_dict()
+    # a radial element keeps theta 1.0 by default
+    reports = [run_cli(capsys, "ball-check", "--staircase", "5", *theta)[:2]
+               for theta in ((), ("--theta", "1.0"))]
+    assert reports[0] == reports[1] and reports[0][0] == 0
 
 
 def test_usage_error_exit_one(capsys):

@@ -368,3 +368,33 @@ def test_a_hermitian_element_lists_dzbar_violations_as_dz_transposes(rng):
             rows, cols = np.nonzero(np.abs(mat) > lipschitz.ENTRY_BOUND + 1e-9)
             want += [(int(r), int(c), float(abs(mat[r, c]))) for r, c in zip(rows, cols)]
         assert want and ball_report(h).violations == tuple(want)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_clip_falls_back_to_gram_eigendecompositions_when_the_svd_fails(rng, dtype,
+                                                                        monkeypatch):
+    # LAPACK's divide-and-conquer SVD sporadically fails to converge; the fallback must
+    # give the SVD path's tops and clip, to rounding of the largest singular value
+    stack = rng.standard_normal((6, 5, 3)).astype(dtype)
+    if dtype is complex:
+        stack += 1j * rng.standard_normal((6, 5, 3))
+    tops = np.linalg.svd(stack, compute_uv=False)[:, 0]
+    scale = float(tops.max())
+    radii = (float(np.median(tops)), 2.0 * scale)  # half the matrices clipped, then none
+    expected = [lipschitz._clip_stack(stack, radius) for radius in radii]
+    failures = []
+
+    def failing_svd(*args, **kwargs):
+        failures.append(args)
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    for radius, (top, clipped) in zip(radii, expected):
+        fallback_top, fallback_clipped = lipschitz._clip_stack(stack, radius)
+        assert np.max(np.abs(fallback_top - top)) <= 1e-12 * scale
+        if clipped is None:
+            assert fallback_clipped is None
+        else:
+            assert fallback_clipped.dtype == stack.dtype
+            assert np.max(np.abs(fallback_clipped - clipped)) <= 1e-12 * scale
+    assert len(failures) == 2 and expected[1][1] is None

@@ -20,6 +20,7 @@ from specdist.probes import ProbeSeries, ProbeSpec
 from specdist.report import DistanceReport, OptimizeResult
 from specdist.states import MoyalPureState
 from specdist.torus import TorusElement, TorusState
+from specdist.verify import DEFAULT_SEED, SUITES, Draws, rand_element
 
 # the names `import specdist` exported when it imported every submodule eagerly
 PUBLIC = """
@@ -41,13 +42,14 @@ SUBMODULES = ("algebra", "calculus", "cli", "distance", "errors", "lipschitz", "
 # what each subcommand must load besides specdist.cli itself
 _NUMERICS = {"algebra", "calculus", "distance", "errors", "lipschitz", "probes", "report",
              "states", "zeta"}
+_VERIFY = {"algebra", "calculus", "errors", "lipschitz", "states", "verify", "zeta"}
 LOADED = {
     ("ball-check", "--staircase", "5"): {"errors", "algebra", "calculus", "lipschitz"},
     ("probe", "--pair", "zeta:1.2,basis:0", "--grid", "1e2:1e3", "--points", "6"):
         {"errors", "algebra", "zeta", "states", "probes"},
     ("moyal-distance", "--a", "basis:0", "--b", "basis:1", "--no-optimize"): _NUMERICS,
     ("torus-distance", "--m", "1,0"): {"errors", "report", "torus"},
-    ("verify", "--suite", "states"): _NUMERICS | {"torus", "verify"},
+    ("verify", "--suite", "states"): _VERIFY,
 }
 
 _RUN_AND_LIST = """
@@ -102,6 +104,45 @@ def test_probes_load_no_numpy_ma():
                  ("moyal-distance", "--a", "basis:0", "--b", "zeta:1.2:1000", "--probe",
                   "--no-optimize")):
         assert _loads("numpy.ma", *argv) == [0, False]
+
+
+def test_verify_suite_loads_probes_torus_and_distance_only_if_it_runs_them():
+    code, loaded = _fresh(_RUN_AND_LIST, "verify", "--suite", "algebra")
+    assert code == 0 and loaded == sorted(f"specdist.{m}" for m in _VERIFY | {"cli"})
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_verify_suite_loads_no_numpy_random(suite):
+    # numpy.random adds about 6 MB of RSS to a job; the suites draw through verify.Draws
+    assert _loads("numpy.random", "verify", "--suite", suite) == [
+        2 if suite == "torus" else 0, False]
+
+
+def _sample(draws):
+    return [draws.uniform(-1.0, 2.0, (40, 30)), draws.uniform(0.5, 1.5),
+            draws.integers(-20, 21, 2000), draws.integers(2, 17), draws.standard_normal(5),
+            draws.standard_normal()]
+
+
+def test_draws_repeat_by_seed_and_stay_in_range():
+    values = _sample(Draws(DEFAULT_SEED))
+    for x, y in zip(values, _sample(Draws(DEFAULT_SEED))):
+        assert np.array_equal(x, y)
+    u, x, k, j = values[:4]
+    assert u.shape == (40, 30) and u.dtype == np.float64
+    assert -1.0 <= u.min() and u.max() < 2.0 and 0.5 <= x < 1.5
+    assert set(k.tolist()) == set(range(-20, 21)) and 2 <= j < 17
+    assert not np.array_equal(Draws(DEFAULT_SEED + 1).uniform(0.0, 1.0, 8),
+                              Draws(DEFAULT_SEED).uniform(0.0, 1.0, 8))
+
+
+@pytest.mark.parametrize("rng", [np.random.default_rng(DEFAULT_SEED), Draws(DEFAULT_SEED)],
+                         ids=["numpy", "draws"])
+def test_rand_element_takes_either_generator(rng):
+    for _ in range(20):
+        a = rand_element(rng, 2.0, 6)
+        assert 2 <= a.order <= 6 and a.coeffs.dtype == np.complex128
+        assert np.abs(a.coeffs).max() <= 1.0  # entries in the unit disk
 
 
 # torus-distance jobs by their benchmark slot: certificates and closed forms take no
