@@ -4,6 +4,10 @@ Elements are finitely supported coefficient matrices a[m, n] over the
 orthogonal basis in which the deformed product acts as plain matrix
 multiplication.  All operations here are exact for finitely supported
 inputs: mixed orders are zero-padded to the larger order, never truncated.
+
+An element may also be a stack: coefficients of shape (..., n, n), elements
+of one theta along the leading axes.  Every operation here acts slice by slice
+on a stack, and the scalar-valued ones return one value per slice.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ def check_theta(theta: float) -> None:
 class MoyalElement:
     """A finitely supported element: deformation parameter and square coefficient array.
 
-    coeffs[m, n] is the coefficient of the (m, n) basis function; the array is
-    treated as immutable after construction.  Elements compare by identity.
+    coeffs[..., m, n] is the coefficient of the (m, n) basis function, for one element
+    or for each of a stack along the leading axes; the array is treated as immutable
+    after construction.  Elements compare by identity.
     """
 
     __slots__ = ("theta", "coeffs")
@@ -38,7 +43,7 @@ class MoyalElement:
         check_theta(theta)
         # own copy, so freezing never touches caller-held arrays
         c = np.array(coeffs, dtype=complex, order="C")
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        if c.ndim < 2 or c.shape[-1] != c.shape[-2]:
             raise ParameterError(f"coefficients must be a square matrix, got shape {c.shape}")
         c.flags.writeable = False
         object.__setattr__(self, "theta", theta)
@@ -51,14 +56,14 @@ class MoyalElement:
 
     @property
     def order(self) -> int:
-        return self.coeffs.shape[0]
+        return self.coeffs.shape[-1]
 
     def pad(self, order: int) -> "MoyalElement":
         """Zero-pad to at least the given order (no-op if already large enough)."""
         if order <= self.order:
             return self
-        c = np.zeros((order, order), dtype=complex)
-        c[: self.order, : self.order] = self.coeffs
+        c = np.zeros(self.coeffs.shape[:-2] + (order, order), dtype=complex)
+        c[..., : self.order, : self.order] = self.coeffs
         return MoyalElement(self.theta, c)
 
     def __add__(self, other: "MoyalElement") -> "MoyalElement":
@@ -84,13 +89,17 @@ class MoyalElement:
 
     @staticmethod
     def from_dict(d: dict) -> "MoyalElement":
-        """Inverse of `to_dict`.  Refuses non-finite coefficients, which no report could
-        print as JSON, and an "order" that disagrees with the coefficient shape."""
+        """Inverse of `to_dict` for one element.  Refuses a stack, non-finite coefficients,
+        which no report could print as JSON, and an "order" that disagrees with the
+        coefficient shape."""
         re = np.asarray(d["re"], dtype=float)
         im = np.asarray(d["im"], dtype=float)
         if not (np.isfinite(re).all() and np.isfinite(im).all()):
             raise ParameterError("coefficients must be finite")
-        a = MoyalElement(float(d["theta"]), re + 1j * im)
+        c = re + 1j * im
+        if c.ndim != 2:
+            raise ParameterError(f"coefficients must be a square matrix, got shape {c.shape}")
+        a = MoyalElement(float(d["theta"]), c)
         if "order" in d and d["order"] != a.order:
             raise ParameterError(f"order {d['order']!r} disagrees with the "
                                  f"{a.order}x{a.order} coefficients")
@@ -124,19 +133,25 @@ def star(a: MoyalElement, b: MoyalElement) -> MoyalElement:
 
 def involution(a: MoyalElement) -> MoyalElement:
     """Adjoint: conjugate transpose of the coefficient matrix."""
-    return MoyalElement(a.theta, a.coeffs.conj().T)
+    return MoyalElement(a.theta, a.coeffs.conj().swapaxes(-1, -2))
+
+
+def _per_slice(x):
+    """A reduction over the last two axes: a Python scalar for one element, else the array."""
+    return x if x.ndim else x.item()
 
 
 def integral(a: MoyalElement) -> complex:
     """Faithful trace, normalized as the plane integral: 2*pi*theta * sum of the diagonal."""
-    return 2.0 * np.pi * a.theta * complex(np.trace(a.coeffs))
+    return 2.0 * np.pi * a.theta * _per_slice(np.trace(a.coeffs, axis1=-2, axis2=-1))
 
 
 def inner(a: MoyalElement, b: MoyalElement) -> complex:
     """L2 inner product, antilinear in the first slot: 2*pi*theta * sum conj(a)*b."""
     theta = same_theta(a, b)
     n = max(a.order, b.order)
-    return 2.0 * np.pi * theta * complex(np.sum(a.pad(n).coeffs.conj() * b.pad(n).coeffs))
+    total = np.sum(a.pad(n).coeffs.conj() * b.pad(n).coeffs, axis=(-2, -1))
+    return 2.0 * np.pi * theta * _per_slice(total)
 
 
 def sobolev_norm(a: MoyalElement, s: float, t: float) -> float:
@@ -147,6 +162,6 @@ def sobolev_norm(a: MoyalElement, s: float, t: float) -> float:
     n = a.order
     wm = (np.arange(n) + 0.5) ** s
     wn = (np.arange(n) + 0.5) ** t
-    total = float(np.sum(wm[:, None] * wn[None, :] * np.abs(a.coeffs) ** 2))
-    return float(np.sqrt(a.theta ** (s + t) * total))
+    total = _per_slice(np.sum(wm[:, None] * wn[None, :] * np.abs(a.coeffs) ** 2, axis=(-2, -1)))
+    return _per_slice(np.sqrt(a.theta ** (s + t) * total))
 

@@ -15,13 +15,14 @@ from .errors import ParameterError, same_theta
 
 
 def dz_stencil(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """dz's recurrence on an n x n coefficient array, written into one (n+1) x (n+1) array:
-    out[m, j] = s[j+1] x[m, j+1] - s[m] x[m-1, j], with s[i] = sqrt(i/theta) for i <= n and
-    the entries of x past its edges zero.  The output is real when x and s are."""
-    n = x.shape[0]
-    out = np.zeros((n + 1, n + 1), dtype=np.result_type(x, s))
-    np.multiply(x[:, 1:], s[1:n], out=out[:n, :n - 1])
-    out[1:, :n] -= s[1:, None] * x
+    """dz's recurrence on an n x n coefficient array (or each of a stack along the leading
+    axes), written into one (n+1) x (n+1) array: out[m, j] = s[j+1] x[m, j+1] - s[m] x[m-1, j],
+    with s[i] = sqrt(i/theta) for i <= n and the entries of x past its edges zero.  The
+    output is real when x and s are."""
+    n = x.shape[-1]
+    out = np.zeros(x.shape[:-2] + (n + 1, n + 1), dtype=np.result_type(x, s))
+    np.multiply(x[..., :, 1:], s[1:n], out=out[..., :n, :n - 1])
+    out[..., 1:, :n] -= s[1:, None] * x
     return out
 
 
@@ -34,7 +35,7 @@ def dz(a: MoyalElement) -> MoyalElement:
 def dzbar(a: MoyalElement) -> MoyalElement:
     """The (d1 + i*d2)/sqrt(2) derivation of a: dz's recurrence on the transpose, transposed."""
     s = np.sqrt(np.arange(a.order + 1) / a.theta)
-    return MoyalElement(a.theta, dz_stencil(a.coeffs.T, s).T)
+    return MoyalElement(a.theta, dz_stencil(a.coeffs.swapaxes(-1, -2), s).swapaxes(-1, -2))
 
 
 def reconstruct(a00: complex, alpha: MoyalElement, beta: MoyalElement) -> MoyalElement:
@@ -42,24 +43,26 @@ def reconstruct(a00: complex, alpha: MoyalElement, beta: MoyalElement) -> MoyalE
 
     a[p, q] = [p == q] a00 + sqrt(theta) * sum_{k=0}^{min(p,q)} f[p-k, q-k], with
     f[i, j] = (alpha[i, j-1] + beta[i-1, j]) / (sqrt(i) + sqrt(j)); entries with a
-    negative index contribute zero.  O(n^2): one row recurrence sums the diagonals.
+    negative index contribute zero.  O(n^2): one row recurrence sums the diagonals.  On
+    stacks, a00 holds one value per slice (or one for all).
     """
     theta = same_theta(alpha, beta)
-    if alpha.order != beta.order:
-        raise ParameterError("derivative coefficient arrays have different orders")
+    if alpha.coeffs.shape != beta.coeffs.shape:
+        raise ParameterError("derivative coefficient arrays have different shapes")
     n = alpha.order
-    num = np.zeros((n, n), dtype=complex)
-    num[:, 1:] += alpha.coeffs[:, :-1]
-    num[1:, :] += beta.coeffs[:-1, :]
+    num = np.zeros(alpha.coeffs.shape, dtype=complex)
+    num[..., :, 1:] += alpha.coeffs[..., :, :-1]
+    num[..., 1:, :] += beta.coeffs[..., :-1, :]
     sq = np.sqrt(np.arange(n, dtype=float))
     den = sq[:, None] + sq[None, :]
     den[:1, :1] = 1.0  # the (0, 0) corner has no numerator term; skip its 0/0
     out = num / den
     # out[p, q] accumulates f[p-k, q-k] for k = 0..min(p, q)
     for p in range(1, n):
-        out[p, 1:] += out[p - 1, :-1]
+        out[..., p, 1:] += out[..., p - 1, :-1]
     out *= np.sqrt(theta)
-    out[np.diag_indices(n)] += a00
+    d = np.arange(n)
+    out[..., d, d] += np.asarray(a00)[..., None]
     return MoyalElement(theta, out)
 
 

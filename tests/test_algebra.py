@@ -6,11 +6,12 @@ import pytest
 
 from specdist.algebra import (MoyalElement, basis, inner, integral, involution, radial,
                               sobolev_norm, star, zero)
+from specdist import verify
 from specdist.errors import ParameterError
-from specdist.verify import (involution_antihomomorphism, left_multiplication_adjoint,
-                             trace_cyclicity)
+from specdist.verify import (DEFAULT_SEED, Draws, involution_antihomomorphism,
+                             left_multiplication_adjoint, trace_cyclicity)
 
-from conftest import THETAS, rand_element
+from conftest import THETAS, rand_coeffs, rand_element
 
 
 def test_star_matches_basis_composition_rule():
@@ -144,3 +145,60 @@ def test_invalid_parameters():
         MoyalElement(math.inf, [[1.0]])
     with pytest.raises(ParameterError):
         MoyalElement(1.0, [[1.0, 2.0]])
+
+
+def random_stack(rng, theta, order, k=4):
+    """k random elements of one theta and order: one stack, and its slices as elements."""
+    stack = MoyalElement(theta, np.stack([rand_coeffs(rng, order) for _ in range(k)]))
+    return stack, [MoyalElement(theta, c) for c in stack.coeffs]
+
+
+def assert_close(x, y):
+    assert np.max(np.abs(x - y)) <= 1e-15 * np.max(np.abs(y))
+
+
+def test_operations_act_slice_by_slice_on_stacks(rng):
+    for theta in THETAS:
+        for order in range(1, 13):
+            a, a_slices = random_stack(rng, theta, order)
+            b, b_slices = random_stack(rng, theta, 13 - order)  # mixed orders pad
+            assert a.order == order
+            for j, (x, y) in enumerate(zip(a_slices, b_slices)):
+                for got, want in ((a.pad(order + 2), x.pad(order + 2)), (a + b, x + y),
+                                  (involution(a), involution(x))):
+                    assert got.coeffs[j].tobytes() == want.coeffs.tobytes()
+                assert_close(star(a, b).coeffs[j], star(x, y).coeffs)
+                assert_close(integral(a)[j], integral(x))
+                assert_close(inner(a, b)[j], inner(x, y))
+                assert_close(sobolev_norm(a, 1.0, 0.5)[j], sobolev_norm(x, 1.0, 0.5))
+
+
+def test_stack_shapes():
+    assert MoyalElement(1.0, np.zeros((2, 5, 3, 3))).order == 3
+    for shape in ((3,), (2, 3, 4), (3, 3, 1)):
+        with pytest.raises(ParameterError):
+            MoyalElement(1.0, np.zeros(shape))
+
+
+def test_algebra_suite_reports_violations_in_instance_order(monkeypatch):
+    # instances 7 and 523 fall in different chunks and are evaluated inside stacks; a
+    # broken associativity must be reported for exactly those two, in instance order
+    # the suite's draws, replayed to find the first element of each chosen instance
+    marks, rng = [], Draws(DEFAULT_SEED)
+    for i in range(524):
+        a, _, _ = (rand_element(rng, THETAS[i % 3]) for _ in range(3))
+        if i in (7, 523):
+            marks.append(a.coeffs[0, 0])
+    associativity = verify.associativity
+
+    def broken(a, b, c):
+        lhs, rhs = associativity(a, b, c)
+        hit = np.isin(a.coeffs[..., 0, 0], marks)
+        return lhs + hit[..., None, None], rhs
+
+    assert 7 // verify.CHUNK != 523 // verify.CHUNK
+    monkeypatch.setattr(verify, "associativity", broken)
+    checks = {c.name: c for c in verify.algebra_suite().checks}
+    assert [v.split(":")[0] for v in checks["associativity"].violations] == [
+        "instance 7", "instance 523"]
+    assert all(c.passed for name, c in checks.items() if name != "associativity")

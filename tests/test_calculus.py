@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from specdist.algebra import MoyalElement, basis, radial, zero
-from specdist.calculus import bump_diagonal, dz, dzbar, reconstruct, staircase
+from specdist.calculus import bump_diagonal, dz, dz_stencil, dzbar, reconstruct, staircase
 from specdist.errors import ParameterError
 from specdist.lipschitz import commutator_norm
 from specdist.verify import (derivative_conjugation, leibniz_rule, radial_derivative_band,
@@ -164,3 +164,39 @@ def test_radial_derivative_band(rng):
         al, band = radial_derivative_band(1.0, rng.uniform(-1, 1, 8))
         assert np.count_nonzero(al - band) == 0
 
+
+
+def test_derivations_act_slice_by_slice_on_stacks(rng):
+    for theta in THETAS:
+        for order in range(1, 13):
+            a = MoyalElement(theta, np.stack([rand_coeffs(rng, order) for _ in range(4)]))
+            al, be = dz(a), dzbar(a)
+            a00 = rand_coeffs(rng, 2).ravel()  # one value per slice
+            back = reconstruct(a00, al, be)
+            for j, c in enumerate(a.coeffs):
+                x = MoyalElement(theta, c)
+                assert al.coeffs[j].tobytes() == dz(x).coeffs.tobytes()
+                assert be.coeffs[j].tobytes() == dzbar(x).coeffs.tobytes()
+                want = reconstruct(a00[j], dz(x), dzbar(x)).coeffs
+                assert np.max(np.abs(back.coeffs[j] - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def _dz_stencil_one_matrix(x, s):
+    # dz_stencil as written for a single matrix, before it took stacks
+    n = x.shape[0]
+    out = np.zeros((n + 1, n + 1), dtype=np.result_type(x, s))
+    np.multiply(x[:, 1:], s[1:n], out=out[:n, :n - 1])
+    out[1:, :n] -= s[1:, None] * x
+    return out
+
+
+def test_dz_stencil_on_one_real_matrix_is_unchanged(rng):
+    # the plane optimizer applies dz_stencil to real symmetric iterates every iteration
+    for theta in THETAS:
+        for n in range(1, 13):
+            x = rng.standard_normal((n, n))
+            x = x + x.T
+            s = np.sqrt(np.arange(n + 1) / theta)
+            got = dz_stencil(x, s)
+            assert got.dtype == np.float64
+            assert got.tobytes() == _dz_stencil_one_matrix(x, s).tobytes()

@@ -270,6 +270,16 @@ def test_malformed_element_file_exits_one(tmp_path):
     _assert_clean_parameter_error(_run_subprocess("ball-check", f"--element-file={path}"))
 
 
+def test_element_file_refuses_a_stack(tmp_path):
+    # MoyalElement takes stacks of coefficient matrices; an element file holds one matrix
+    path = tmp_path / "stack.json"
+    path.write_text(json.dumps({"theta": 1.0, "re": [[[0.0, 1.0], [1.0, 0.0]]] * 2,
+                                "im": [[[0.0] * 2] * 2] * 2}))
+    run = _run_subprocess("ball-check", f"--element-file={path}")
+    _assert_clean_parameter_error(run)
+    assert "coefficients must be a square matrix, got shape (2, 2, 2)" in run.stderr
+
+
 def test_bad_probe_options_are_named(capsys):
     # a fit window of 400 decades once overflowed and one of -400 divided by zero
     small = ("--pair", "zeta:1.2,basis:0", "--grid", "1e2:1e3", "--points", "5", "--fit-top")

@@ -42,14 +42,14 @@ SUBMODULES = ("algebra", "calculus", "cli", "distance", "errors", "lipschitz", "
 # what each subcommand must load besides specdist.cli itself
 _NUMERICS = {"algebra", "calculus", "distance", "errors", "lipschitz", "probes", "report",
              "states", "zeta"}
-_VERIFY = {"algebra", "calculus", "errors", "lipschitz", "states", "verify", "zeta"}
+_VERIFY = {"algebra", "calculus", "errors", "verify"}
 LOADED = {
     ("ball-check", "--staircase", "5"): {"errors", "algebra", "calculus", "lipschitz"},
     ("probe", "--pair", "zeta:1.2,basis:0", "--grid", "1e2:1e3", "--points", "6"):
         {"errors", "algebra", "zeta", "states", "probes"},
     ("moyal-distance", "--a", "basis:0", "--b", "basis:1", "--no-optimize"): _NUMERICS,
     ("torus-distance", "--m", "1,0"): {"errors", "report", "torus"},
-    ("verify", "--suite", "states"): _VERIFY,
+    ("verify", "--suite", "states"): _VERIFY | {"states", "zeta"},
 }
 
 _RUN_AND_LIST = """
@@ -107,8 +107,11 @@ def test_probes_load_no_numpy_ma():
 
 
 def test_verify_suite_loads_probes_torus_and_distance_only_if_it_runs_them():
-    code, loaded = _fresh(_RUN_AND_LIST, "verify", "--suite", "algebra")
-    assert code == 0 and loaded == sorted(f"specdist.{m}" for m in _VERIFY | {"cli"})
+    # nor lipschitz, states and zeta: the algebra and calculus suites check algebra and
+    # calculus alone
+    for suite in ("algebra", "calculus"):
+        code, loaded = _fresh(_RUN_AND_LIST, "verify", "--suite", suite)
+        assert code == 0 and loaded == sorted(f"specdist.{m}" for m in _VERIFY | {"cli"})
 
 
 @pytest.mark.parametrize("suite", SUITES)
