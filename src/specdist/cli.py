@@ -4,7 +4,8 @@ Subcommands: moyal-distance, torus-distance, probe, verify, ball-check.
 Reports are emitted as deterministic JSON (sorted keys, no wall-clock fields
 unless --timing); probe series are emitted as plot-ready CSV.
 
-Exit codes: 0 success, 1 parameter error, 2 suite failure, 3 non-convergence.
+Exit codes: 0 success, 1 parameter error, 2 suite failure, 3 non-convergence.  A value
+option given twice is a parameter error.
 """
 
 from __future__ import annotations
@@ -25,7 +26,24 @@ EXIT_SUITE_FAILURE = 2
 EXIT_NON_CONVERGENCE = 3
 
 
+class _StoreOnce(argparse._StoreAction):
+    """argparse's store action, refusing a value option given twice: argparse would keep
+    the last value and drop the first without a word."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = namespace.__dict__.setdefault("_given", set())
+        if self.dest in given:
+            parser.error(f"{option_string} given more than once")
+        given.add(self.dest)
+        super().__call__(parser, namespace, values, option_string)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for name in (None, "store"):  # add_argument's default action, and by name
+            self.register("action", name, _StoreOnce)
+
     # usage problems are parameter errors (exit 1), not suite failures
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -5,6 +5,10 @@ by a finitely supported element acts on coefficients as plain matrix
 multiplication, so its operator norm is exactly the largest singular value of
 the coefficient matrix.  The Dirac commutator norm is then sqrt(2) times the
 larger of the two derivative operator norms.
+
+`op_norm` and `commutator_norm` also take a stack (shape (..., r, c)) and return one
+norm per slice, bit for bit that slice's own: a stack is a block-diagonal matrix whose
+blocks never cross two slices.  The ball reports take one element.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .algebra import MoyalElement, check_theta
+from .algebra import MoyalElement, _per_slice, check_theta
 from .calculus import dz, dzbar
 from .errors import ParameterError
 
@@ -64,72 +68,103 @@ def _block_layout(shape: tuple, packed: bytes) -> tuple:
     return out
 
 
-def split_blocks(m: np.ndarray):
-    """Split m along the connected components of its nonzero pattern, the bipartite
-    graph that joins row i to column j wherever m[i, j] != 0.
+def _blocks(m: np.ndarray):
+    """Split each slice of a stack m (k, rows, cols) along the connected components of its
+    nonzero pattern, the bipartite graph joining row i to column j where m[., i, j] != 0.
 
-    Returns None when the nonzero count proves there is one component: two components
-    with r and r' rows and c and c' columns hold at most rc + r'c' <= 1 + (rows - 1)
-    (cols - 1) nonzeros.  Otherwise returns a list of (index, stack) per group of
-    components of one shape: index, shape (k, p, q) with p <= q, holds flat indices into
-    m's entries and stack = m.ravel()[index] the k blocks.  A component with more rows
-    than columns joins the group of its transpose through the transposed index, which
-    gathers B^T, with B's singular values.  Rows and columns without a nonzero belong to
-    no block.  A pattern is labelled once and its read-only indices cached
-    (LAYOUT_CACHE_SIZE patterns); each pass hooks every tree root to the least root it
-    shares an edge with, then jumps every node to its root.  No pass runs when no row or
-    column holds two nonzeros (every component is one entry), or when the count bound
-    proves that the nonzero rows and columns form one component.
+    Yields (slices, index, blocks) per group: blocks (g, p, q) gathered from their slice's
+    entries at the flat indices index, the j-th of slice slices[j], or all of slices[0]
+    when there is one.  A slice whose nonzero count proves one block (two components of
+    r x c and r' x c' hold at most rc + r'c' <= 1 + (rows - 1)(cols - 1) nonzeros) comes
+    whole, with index None; else a slice with no two nonzeros on a line comes as its 1x1
+    blocks, one whose nonzero lines the same bound proves one block comes as that block,
+    grouped by shape, and any other as `_block_layout`'s groups.  Outside whole slices
+    p <= q: a tall block comes as B^T, through the transposed index.  Lines with no
+    nonzero are in no block, and no group is empty.
     """
-    n_rows, n_cols = m.shape
+    k, n_rows, n_cols = m.shape
     nz = m != 0
-    count = np.count_nonzero(nz)
-    if count > 1 + (n_rows - 1) * (n_cols - 1):
-        return None
-    rows, cols = np.flatnonzero(nz.any(axis=1)), np.flatnonzero(nz.any(axis=0))
-    if count == rows.size == cols.size:  # no row or column holds two nonzeros
-        layout = [np.flatnonzero(nz)[:, None, None]] if count else []
-    elif count > 1 + (rows.size - 1) * (cols.size - 1):  # the same bound, on the nonzero lines
-        index = rows[:, None] * n_cols + cols
-        layout = [(index.T if rows.size > cols.size else index)[None]]
-    else:
-        layout = _block_layout(m.shape, np.packbits(nz).tobytes())
-    entries = m.ravel()
-    return [(index, entries[index]) for index in layout]
+    # slice by slice: numpy counts fast only without an axis; one matrix needs no iteration
+    count = [np.count_nonzero(x) for x in nz] if k > 1 else [np.count_nonzero(nz)]
+    bound = 1 + (n_rows - 1) * (n_cols - 1)
+    whole = [j for j in range(k) if count[j] > bound]
+    if whole:
+        yield whole, None, m if len(whole) == k else m[whole]
+        if len(whole) == k:
+            return
+    entries = m.reshape(k, -1)
+    line_r, line_c = nz.any(axis=2), nz.any(axis=1)
+    lines = {}  # (p, q): the slices whose p nonzero rows and q nonzero columns are one block
+    for j in range(k):
+        if count[j] > bound:
+            continue
+        p, q = np.count_nonzero(line_r[j]), np.count_nonzero(line_c[j])
+        if count[j] == p == q:  # no row or column holds two nonzeros
+            if count[j]:
+                at = np.flatnonzero(nz[j])
+                yield [j], at[:, None, None], entries[j, at][:, None, None]
+        elif count[j] > 1 + (p - 1) * (q - 1):  # the same bound, on the nonzero lines
+            lines.setdefault((p, q), []).append(j)
+        else:
+            for index in _block_layout((n_rows, n_cols), np.packbits(nz[j]).tobytes()):
+                yield [j], index, entries[j][index]
+    for (p, q), slices in lines.items():
+        slices = np.array(slices)
+        rows = np.nonzero(line_r[slices])[1].reshape(slices.size, p)
+        cols = np.nonzero(line_c[slices])[1].reshape(slices.size, q)
+        index = rows[:, :, None] * n_cols + cols[:, None, :]
+        index = index if p <= q else index.swapaxes(1, 2)  # a tall block transposed
+        yield slices, index, entries[slices[:, None, None], index]
 
 
-def _block_singular_values(m: np.ndarray):
-    """Yield the singular values of m block by block along `split_blocks`, one array per
-    group: a 1x1 block's is its entry's modulus, larger blocks take one batched SVD per
-    group, and a matrix the nonzero count proves to be one block, such as every dense
-    one, takes one SVD.  Together the arrays hold every nonzero singular value of m."""
-    blocks = split_blocks(m)
-    if blocks is None:
-        yield np.linalg.svd(m, compute_uv=False)
-        return
-    for _, b in blocks:
-        yield (np.abs(b[:, 0, 0]) if b.shape[1:] == (1, 1)
-               else np.linalg.svd(b, compute_uv=False))
+def split_blocks(m: np.ndarray):
+    """`_blocks` of one matrix: None when its nonzero count proves it is one block, else a
+    list of (index, stack) per group of components of one shape, index of shape (g, p, q)
+    with p <= q holding flat indices into m's entries and stack = m.ravel()[index] the g
+    blocks.  A pattern that neither exit nor the one-block bound on its nonzero lines
+    settles is labelled once and its read-only indices cached (LAYOUT_CACHE_SIZE
+    patterns); each pass hooks every tree root to the least root it shares an edge with,
+    then jumps every node to its root.
+    """
+    groups = [(index, stack) for _, index, stack in _blocks(m[None])]
+    return None if groups and groups[0][0] is None else groups
 
 
-def op_norm(coeffs) -> float:
-    """Largest singular value of a coefficient matrix, computed exactly.
+def _singular_values(blocks: np.ndarray) -> np.ndarray:
+    """Singular values of each block of a (g, p, q) stack: a 1x1 block's entry modulus, or
+    one batched SVD."""
+    if blocks.shape[1:] == (1, 1):
+        return np.abs(blocks[:, 0])
+    return np.linalg.svd(blocks, compute_uv=False)
 
-    The norm is the largest of the norms of the blocks of `split_blocks`, so a weighted
-    partial permutation gets its largest entry modulus with no SVD.
+
+def op_norm(coeffs):
+    """Largest singular value of a coefficient matrix, computed exactly: a float for a
+    matrix, one per slice for a stack (..., r, c), bit for bit that slice's own.
+
+    It is the largest norm of the blocks of `_blocks`, so a weighted partial permutation
+    takes its largest entry modulus and no SVD.  A zero-padded matrix keeps its norm bit
+    for bit unless one of the two takes the whole-matrix SVD over a zero line that the
+    other leaves out (a matrix with a zero line, or padding of rows alone or columns
+    alone).  Zero slices have norm 0; fewer than two axes are refused.
     """
     m = np.asarray(coeffs)
-    if m.size == 0:
-        return 0.0
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {m.shape}")
-    return max((float(s.max()) for s in _block_singular_values(m)), default=0.0)
+    if m.ndim < 2:
+        raise ParameterError(f"op_norm takes a matrix or a stack of matrices, got shape {m.shape}")
+    top = np.zeros(m.shape[:-2])
+    if m.size:
+        flat = top.reshape(-1)  # a view: one norm per slice of the stack below
+        for slices, _, blocks in _blocks(m.reshape((-1,) + m.shape[-2:])):
+            s = _singular_values(blocks)[:, 0]  # LAPACK's come largest first
+            s = s.reshape(len(slices), -1).max(axis=1)  # per slice; see `_blocks`
+            flat[slices] = np.maximum(flat[slices], s)
+    return float(top) if m.ndim == 2 else top
 
 
 def nuclear_norm(m: np.ndarray) -> float:
     """Sum of the singular values of a 2-d array, the dual norm of `op_norm`, block by
     block along `split_blocks`."""
-    return float(sum(s.sum() for s in _block_singular_values(m)))
+    return float(sum(_singular_values(blocks).sum() for _, _, blocks in _blocks(m[None])))
 
 
 def _clip_stack(stack: np.ndarray, radius: float):
@@ -177,17 +212,27 @@ def clip_spectral(mat: np.ndarray, radius: float) -> np.ndarray:
     return out.reshape(mat.shape)
 
 
+def _hermitian(c: np.ndarray):
+    """Whether c equals its conjugate transpose, per slice along a stack's leading axes."""
+    return (c == c.conj().swapaxes(-1, -2)).all(axis=(-2, -1))
+
+
 def _derivatives(a: MoyalElement) -> tuple:
     """The coefficients of dz(a) and dzbar(a), or of dz(a) alone for a hermitian a: then
     dzbar(a) = dz(a)^H bit for bit, since `dz_stencil`'s weights are real and conjugation
     commutes with rounding, so it has dz(a)'s singular values and transposed entries."""
     al = dz(a).coeffs
-    return (al,) if np.array_equal(a.coeffs, a.coeffs.conj().T) else (al, dzbar(a).coeffs)
+    return (al,) if _hermitian(a.coeffs) else (al, dzbar(a).coeffs)
 
 
-def commutator_norm(a: MoyalElement) -> float:
-    """Operator norm of the Dirac commutator: sqrt(2) * max of the derivative norms."""
-    return float(np.sqrt(2.0) * max(op_norm(m) for m in _derivatives(a)))
+def commutator_norm(a: MoyalElement):
+    """Operator norm of the Dirac commutator: sqrt(2) * max of the derivative norms, one per
+    slice of a stack.  A hermitian slice takes dz's alone (see `_derivatives`)."""
+    top = op_norm(dz(a).coeffs)
+    other = ~_hermitian(a.coeffs)
+    if np.count_nonzero(other):
+        top = np.where(other, np.maximum(top, op_norm(dzbar(a).coeffs)), top)
+    return _per_slice(np.sqrt(2.0) * top)
 
 
 class BallReport(namedtuple("BallReport", "commutator_norm member violations")):
@@ -228,8 +273,11 @@ def ball_report(a: MoyalElement, tol: float = 1e-9) -> BallReport:
 
     Every derivative coefficient of a member has modulus at most 1/sqrt(2), so
     each listed violation certifies non-membership on its own.  A hermitian a takes
-    one SVD, and dzbar's violations are the transposes of dz's.
+    one SVD, and dzbar's violations are the transposes of dz's.  A stack is refused.
     """
+    if a.coeffs.ndim != 2:
+        raise ParameterError(f"ball_report takes one element, got coefficients of shape "
+                             f"{a.coeffs.shape}")
     _check_tol(tol)
     mats = _derivatives(a)
     violations = []

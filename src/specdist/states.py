@@ -69,12 +69,14 @@ class MoyalPureState:
         """Length of the stored coefficient vector."""
         return self.c.size
 
-    def expect(self, a: MoyalElement) -> complex:
-        """Expectation value sum conj(c_m) c_n a[m, n]."""
+    def expect(self, a: MoyalElement):
+        """Expectation value sum conj(c_m) c_n a[m, n]: a complex for one element, one
+        value per slice of a stack."""
         same_theta(self, a)
         n = min(self.support, a.order)
         ct = self.c[:n]
-        return complex(ct.conj() @ a.coeffs[:n, :n] @ ct)
+        value = ct.conj() @ a.coeffs[..., :n, :n] @ ct
+        return complex(value) if value.ndim == 0 else value
 
     def spec_string(self) -> str:
         if self.kind == "basis":

@@ -10,12 +10,14 @@ and calculus suites load algebra and calculus alone.
 
 Each identity is implemented once, as a function that takes an instance's
 inputs and returns both sides (lhs, rhs); the suites here and the test suite
-call the same functions, each with its own measure and tolerance.  The algebra and
-calculus identities take a stack of elements (coefficients of shape (k, n, n)) as
-well as one element, and their measures return one deviation per slice: those suites
-draw CHUNK instances at a time, stack them by theta, each zero-padded to its group's
-largest order (exact for every identity checked there), and evaluate each identity
-once per stack.  Violations are still recorded in instance order.
+call the same functions, each with its own measure and tolerance.  The algebra,
+calculus and norm identities take a stack of elements (coefficients of shape
+(k, n, n)) as well as one element, and their measures return one deviation per slice:
+the algebra, calculus and lipschitz suites (but the radial check, whose draw depends
+on a norm) and the distance suite's restriction check draw CHUNK instances at a time,
+stack them by theta, each zero-padded to its group's largest order (exact for every
+identity checked there), and evaluate each identity once per stack.  Violations are
+still recorded in instance order.
 
 Deviations are measured as |x - y| / max(1, |x|, |y|): absolute for small
 quantities, relative above magnitude one.
@@ -28,7 +30,8 @@ import random
 
 import numpy as np
 
-from .algebra import MoyalElement, inner, integral, involution, radial, sobolev_norm, star
+from .algebra import (MoyalElement, _per_slice, inner, integral, involution, radial,
+                      sobolev_norm, star)
 from .calculus import dz, dzbar, reconstruct, staircase, staircase_diagonal
 from .errors import ParameterError
 
@@ -52,10 +55,13 @@ def matrix_deviation(a: np.ndarray, b: np.ndarray):
 
 
 class CheckResult:
+    """A check's violations; worst is the largest deviation `record` saw, not printed."""
+
     def __init__(self, name: str, instances: int):
         self.name = name
         self.instances = instances
         self.violations = []
+        self.worst = None
 
     @property
     def passed(self) -> bool:
@@ -66,6 +72,7 @@ class CheckResult:
             self.violations.append(message)
 
     def record(self, i: int, d: float, tol: float) -> None:
+        self.worst = float(d) if self.worst is None else max(self.worst, float(d))
         self.flag(d > tol, f"instance {i}: deviation {d:.3g}")
 
 
@@ -176,18 +183,22 @@ def self_adjoint_norm_symmetry(a):
     from .lipschitz import op_norm
 
     sa = 0.5 * (a + involution(a))
-    return op_norm(dz(sa).coeffs), op_norm(dzbar(sa).coeffs)
+    return tuple(op_norm(np.stack([dz(sa).coeffs, dzbar(sa).coeffs])))  # one split for both
+
+
+def _scaled(a, factor):
+    """factor * a, one factor per slice along a stack's leading axes, as `factor * a`."""
+    return MoyalElement(a.theta, a.coeffs * np.asarray(factor)[..., None, None])
 
 
 def ball_entry_bound(a):
     """Largest derivative entry of a at unit commutator norm <= ENTRY_BOUND (0 for a = 0)."""
     from .lipschitz import ENTRY_BOUND, commutator_norm
 
-    cn = commutator_norm(a)
-    if cn == 0:
-        return 0.0, ENTRY_BOUND
-    a = (1.0 / cn) * a
-    return max(float(np.max(np.abs(d(a).coeffs))) for d in (dz, dzbar)), ENTRY_BOUND
+    cn = np.asarray(commutator_norm(a))
+    a = _scaled(a, np.divide(1.0, cn, out=np.zeros_like(cn), where=cn != 0))
+    worst = np.maximum(*(np.max(np.abs(d(a).coeffs), axis=(-2, -1)) for d in (dz, dzbar)))
+    return _per_slice(worst), ENTRY_BOUND
 
 
 def radial_membership_agreement(theta, diag, rng):
@@ -200,7 +211,7 @@ def radial_membership_agreement(theta, diag, rng):
     cn = commutator_norm(a)
     if cn > 0:
         a = (rng.uniform(0.5, 1.5) / cn) * a
-    top = max(np.linalg.svd(d(a).coeffs, compute_uv=False)[0] for d in (dz, dzbar))
+    top = np.linalg.svd([dz(a).coeffs, dzbar(a).coeffs], compute_uv=False)[:, 0].max()
     dense = ball_report(a)
     return ((dense.member, radial_ball_report(theta, np.diag(a.coeffs))),
             (bool(np.sqrt(2.0) * top <= 1.0 + 1e-9), dense))
@@ -211,7 +222,8 @@ def submultiplicativity(a, b):
     from .lipschitz import op_norm
 
     n = max(a.order, b.order)
-    return op_norm(star(a, b).coeffs), op_norm(a.pad(n).coeffs) * op_norm(b.pad(n).coeffs)
+    ab, na, nb = op_norm(np.stack([star(a, b).coeffs, a.pad(n).coeffs, b.pad(n).coeffs]))
+    return ab, na * nb
 
 
 def basis_pair_saturation(m, n, theta):
@@ -271,9 +283,10 @@ def weyl_certificate_gap(m, theta):
 def _stacked(count, draw, evaluate):
     """Yield (i, row) for i < count in order, row = evaluate's values for instance i.
 
-    The instances draw(i), tuples of elements, are drawn CHUNK at a time in order; each
-    chunk's instances of one theta are stacked argument by argument, zero-padded to their
-    largest order, and evaluate(*stacks) returns one row per slice.
+    The instances draw(i), tuples whose first entry is an element, are drawn CHUNK at a
+    time in order; each chunk's instances of one theta are stacked argument by argument,
+    elements zero-padded to their largest order and any other argument (a number, or an
+    array of one shape) as one array, and evaluate(*stacks) returns one row per slice.
     """
     for start in range(0, count, CHUNK):
         chunk = [draw(i) for i in range(start, min(start + CHUNK, count))]
@@ -284,6 +297,9 @@ def _stacked(count, draw, evaluate):
         for theta, idx in groups.items():
             stacks = []
             for arg in zip(*(chunk[k] for k in idx)):
+                if not isinstance(arg[0], MoyalElement):
+                    stacks.append(np.array(arg))
+                    continue
                 n = max(e.order for e in arg)
                 c = np.zeros((len(arg), n, n), dtype=complex)
                 for j, e in enumerate(arg):
@@ -292,6 +308,11 @@ def _stacked(count, draw, evaluate):
             for k, row in zip(idx, evaluate(*stacks)):
                 rows[k] = row
         yield from enumerate(rows, start)
+
+
+def _elements(rng, count, max_order=12):
+    """draw(i) for `_stacked`: count elements of theta THETAS[i % 3] and order <= max_order."""
+    return lambda i: tuple(rand_element(rng, THETAS[i % 3], max_order) for _ in range(count))
 
 
 def algebra_suite() -> SuiteResult:
@@ -332,19 +353,19 @@ def calculus_suite() -> SuiteResult:
     rng = Draws(DEFAULT_SEED + 1)
     tol = 1e-12
 
-    def draw(count):
-        return lambda i: tuple(rand_element(rng, THETAS[i % 3], 12) for _ in range(count))
-
     leibniz = CheckResult("leibniz_rule", 300)
-    for i, d in _stacked(300, draw(2), lambda a, b: matrix_deviation(*leibniz_rule(a, b))):
+    for i, d in _stacked(300, _elements(rng, 2),
+                         lambda a, b: matrix_deviation(*leibniz_rule(a, b))):
         leibniz.record(i, d, tol)
 
     roundtrip = CheckResult("reconstruction_roundtrip", 500)
-    for i, d in _stacked(500, draw(1), lambda a: matrix_deviation(*reconstruction_roundtrip(a))):
+    for i, d in _stacked(500, _elements(rng, 1),
+                         lambda a: matrix_deviation(*reconstruction_roundtrip(a))):
         roundtrip.record(i, d, tol)
 
     conj = CheckResult("derivative_conjugation", 300)
-    for i, d in _stacked(300, draw(1), lambda a: matrix_deviation(*derivative_conjugation(a))):
+    for i, d in _stacked(300, _elements(rng, 1),
+                         lambda a: matrix_deviation(*derivative_conjugation(a))):
         conj.record(i, d, tol)
 
     radial_structure = CheckResult("radial_derivative_band", 200)
@@ -356,18 +377,17 @@ def calculus_suite() -> SuiteResult:
 
 
 def lipschitz_suite() -> SuiteResult:
-    from .lipschitz import op_norm
+    from .lipschitz import ENTRY_BOUND, op_norm
 
     rng = Draws(DEFAULT_SEED + 2)
     sqrt2 = CheckResult("self_adjoint_norm_symmetry", 200)
-    for i in range(200):
-        a = rand_element(rng, THETAS[i % 3], 12)
-        sqrt2.record(i, deviation(*self_adjoint_norm_symmetry(a)), 1e-12)
+    for i, d in _stacked(200, _elements(rng, 1),
+                         lambda a: deviation(*self_adjoint_norm_symmetry(a))):
+        sqrt2.record(i, d, 1e-12)
 
     entries = CheckResult("ball_entry_bound", 500)
-    for i in range(500):
-        worst, bound = ball_entry_bound(rand_element(rng, THETAS[i % 3], 12))
-        entries.flag(worst > bound + 1e-9, f"instance {i}: entry {worst:.12f}")
+    for i, worst in _stacked(500, _elements(rng, 1), lambda a: ball_entry_bound(a)[0]):
+        entries.flag(worst > ENTRY_BOUND + 1e-9, f"instance {i}: entry {worst:.12f}")
 
     agreement = CheckResult("radial_membership_agreement", 200)
     for i in range(200):
@@ -376,22 +396,27 @@ def lipschitz_suite() -> SuiteResult:
         agreement.flag(lhs != rhs, f"instance {i}")
 
     submult = CheckResult("operator_norm_submultiplicative", 300)
-    for i in range(300):
-        a, b = (rand_element(rng, THETAS[i % 3], 12) for _ in range(2))
-        lhs, rhs = submultiplicativity(a, b)
+    for i, (lhs, rhs) in _stacked(300, _elements(rng, 2),
+                                  lambda a, b: np.stack(submultiplicativity(a, b), axis=-1)):
         submult.flag(lhs > rhs * (1.0 + 1e-12), f"instance {i}: {lhs} > {rhs}")
 
+    def ratio(i):
+        """Instance i and its best ratio ||a phi|| / ||phi|| over 20 drawn phi."""
+        a = MoyalElement(THETAS[i % 3], rand_coeffs(rng, 8))
+        phis = np.array([rand_coeffs(rng, 8) for _ in range(20)])
+        return a, np.max(np.linalg.norm(a.coeffs @ phis, axis=(-2, -1))
+                         / np.linalg.norm(phis, axis=(-2, -1)))
+
+    def exactness(a, best):
+        """(norm, best, the ratio of the top right singular vector) per instance."""
+        top = np.linalg.svd(a.coeffs)[2][..., :1, :].conj().swapaxes(-1, -2)
+        achieved = (np.linalg.norm(a.coeffs @ top, axis=(-2, -1))
+                    / np.linalg.norm(top, axis=(-2, -1)))
+        return np.stack([op_norm(a.coeffs), best, achieved], axis=-1)
+
     exact = CheckResult("left_multiplication_norm_exactness", 100)
-    for i in range(100):
-        theta = THETAS[i % 3]
-        a = MoyalElement(theta, rand_coeffs(rng, 8))
-        nrm = op_norm(a.coeffs)
-        best = max(float(np.linalg.norm(a.coeffs @ phi) / np.linalg.norm(phi))
-                   for phi in (rand_coeffs(rng, 8) for _ in range(20)))
+    for i, (nrm, best, achieved) in _stacked(100, ratio, exactness):
         exact.flag(best > nrm * (1.0 + 1e-12), f"instance {i}: ratio {best} exceeds norm {nrm}")
-        _, _, vh = np.linalg.svd(a.coeffs)
-        top = vh[0].conj().reshape(-1, 1)
-        achieved = float(np.linalg.norm(a.coeffs @ top) / np.linalg.norm(top))
         exact.flag(deviation(achieved, nrm) > 1e-10,
                    f"instance {i}: top vector ratio {achieved} vs {nrm}")
     return SuiteResult("lipschitz", [sqrt2, entries, agreement, submult, exact])
@@ -483,25 +508,31 @@ def distance_suite() -> SuiteResult:
         u1, u2 = (analytic_upper_bound(s, s2) for s in (s1, s1p))
         phase.flag(abs(c1 - c2) > 1e-12 or abs(u1 - u2) > 1e-12, f"instance {i}")
 
-    symmetrize = CheckResult("self_adjoint_restriction_lossless", 100)
-    for i in range(100):
-        theta = THETAS[i % 3]
-        a = rand_element(rng, theta, 8)
-        cn = commutator_norm(a)
-        if cn == 0:
-            continue
-        a = (1.0 / cn) * a
-        s1 = basis_state(int(rng.integers(0, 6)), theta)
-        w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        s2 = finite_state(w, theta)
-        g = s1.expect(a) - s2.expect(a)
-        if abs(g) == 0:
-            continue
-        rotated = (abs(g) / g) * a
+    def restriction(a, index, w):
+        """(g != 0, norm of b, |g|, Re of b's gap) per instance: g is the gap of a at unit
+        norm between basis_state(index) and finite_state(w), b the self-adjoint part of
+        that element times the phase of g.  Each instance's states read its own slice."""
+        a = _scaled(a, 1.0 / commutator_norm(a))
+        pairs = [(basis_state(int(m), a.theta), finite_state(v, a.theta)) for m, v in zip(index, w)]
+
+        def gaps(x):
+            slices = (MoyalElement(x.theta, c) for c in x.coeffs)
+            return np.array([s1.expect(e) - s2.expect(e) for (s1, s2), e in zip(pairs, slices)])
+
+        g = gaps(a)
+        rotated = _scaled(a, [abs(x) / x if x else 0j for x in g.tolist()])
         b = 0.5 * (rotated + involution(rotated))
-        symmetrize.flag(commutator_norm(b) > 1.0 + 1e-9, f"instance {i}: symmetrized norm")
-        gb = (s1.expect(b) - s2.expect(b)).real
-        symmetrize.flag(gb < abs(g) - 1e-12, f"instance {i}: {gb} < {abs(g)}")
+        return np.stack([g != 0, commutator_norm(b), np.abs(g), gaps(b).real], axis=-1)
+
+    # the index and weights were drawn after checking that the element's norm is nonzero,
+    # which holds for every drawn element: drawing them with it draws the same instances
+    symmetrize = CheckResult("self_adjoint_restriction_lossless", 100)
+    draw = lambda i: (rand_element(rng, THETAS[i % 3], 8), rng.integers(0, 6),
+                      rng.standard_normal(5) + 1j * rng.standard_normal(5))
+    for i, (live, norm_b, abs_g, gb) in _stacked(100, draw, restriction):
+        if live:
+            symmetrize.flag(norm_b > 1.0 + 1e-9, f"instance {i}: symmetrized norm")
+            symmetrize.flag(gb < abs_g - 1e-12, f"instance {i}: {gb} < {abs_g}")
     return SuiteResult("distance",
                        [saturation, bracket, feasible, monotone, phase, symmetrize])
 

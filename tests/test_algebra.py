@@ -202,3 +202,15 @@ def test_algebra_suite_reports_violations_in_instance_order(monkeypatch):
     assert [v.split(":")[0] for v in checks["associativity"].violations] == [
         "instance 7", "instance 523"]
     assert all(c.passed for name, c in checks.items() if name != "associativity")
+
+
+def test_check_results_keep_the_worst_recorded_deviation():
+    check = verify.CheckResult("x", 4)
+    assert check.worst is None
+    for i, d in enumerate((2e-16, 5e-15, np.float64(1e-15))):
+        check.record(i, d, 1e-12)
+    check.flag(True, "instance 3")  # a flag records no deviation
+    assert check.worst == 5e-15 and type(check.worst) is float
+    assert check.violations == ["instance 3"]
+    check.record(4, 2e-12, 1e-12)
+    assert check.worst == 2e-12 and check.violations[-1] == "instance 4: deviation 2e-12"

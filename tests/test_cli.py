@@ -394,6 +394,21 @@ def test_ball_check_element_file_excludes_theta(tmp_path, capsys):
     assert reports[0] == reports[1] and reports[0][0] == 0
 
 
+@pytest.mark.parametrize("option, argv", [
+    ("--a", ("moyal-distance", "--a=basis:0", "--a=basis:5", "--b=basis:1", "--no-optimize")),
+    ("--m", ("torus-distance", "--m", "1,0", "--m", "0,1")),
+    ("--grid", ("probe", "--pair", "zeta:1.2,basis:0", "--grid", "1e2:1e3", "--grid", "1e3:1e4")),
+    ("--suite", ("verify", "--suite", "lipschitz", "--suite", "states")),
+    ("--staircase", ("ball-check", "--staircase", "3", "--staircase", "1023")),
+], ids=["moyal-distance", "torus-distance", "probe", "verify", "ball-check"])
+def test_a_repeated_option_is_refused(capsys, option, argv):
+    # argparse keeps the last value of a repeated option and drops the first unannounced
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: {option} given more than once"]
+
+
 def test_usage_error_exit_one(capsys):
     code, _, _ = run_cli(capsys, "moyal-distance", "--bogus-flag")
     assert code == 1

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from specdist import distance, torus
+from specdist import distance, torus, verify
 from specdist.algebra import MoyalElement, zero
 from specdist.calculus import dz, staircase
 from specdist.distance import (GAP_TOL, admm_maximize, analytic_upper_bound,
@@ -755,3 +755,30 @@ def test_two_level_superpositions_sit_between_the_bounds(n, degrees, value):
                                                                 rel=1e-14)
     if degrees == 60:  # above d(e_0, e_1) = d(e_0, psi_90): not monotone in alpha
         assert report.optimizer_lower > unit
+
+
+def test_restriction_check_draws_each_instance_as_one_at_a_time(monkeypatch):
+    # the stacked self-adjoint restriction check draws what it drew one instance at a
+    # time: each element, then (its commutator norm being positive) its basis index and
+    # its weights.  The suite's earlier draws, for global_phase_invariance, come first.
+    rng = verify.Draws(verify.DEFAULT_SEED + 4)
+    for _ in range(20):
+        rng.standard_normal(4), rng.standard_normal(4), rng.integers(0, 4)
+        rng.uniform(0, 2 * np.pi)
+    want = []
+    for i in range(100):
+        a = verify.rand_element(rng, THETAS[i % 3], 8)
+        assert commutator_norm(a) > 0
+        want.append((a.coeffs, int(rng.integers(0, 6)),
+                     rng.standard_normal(5) + 1j * rng.standard_normal(5)))
+    drawn, stacked = [], verify._stacked
+
+    def recording(count, draw, evaluate):
+        return stacked(count, lambda i: drawn.append(draw(i)) or drawn[-1], evaluate)
+
+    monkeypatch.setattr(verify, "_stacked", recording)
+    result = verify.distance_suite()
+    assert result.passed and len(drawn) == len(want) == 100
+    for (a, index, w), (coeffs, want_index, want_w) in zip(drawn, want):
+        assert np.array_equal(a.coeffs, coeffs) and index == want_index
+        assert w.tobytes() == want_w.tobytes()

@@ -4,14 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from specdist import lipschitz
+from specdist import lipschitz, verify
 from specdist.algebra import MoyalElement, involution, radial, zero
 from specdist.calculus import bump_diagonal, dz, dzbar, staircase
 from specdist.errors import ParameterError
 from specdist.lipschitz import (LAYOUT_CACHE_SIZE, _block_layout,
                                 ball_report, commutator_norm, nuclear_norm, op_norm,
                                 radial_ball_report, split_blocks)
-from specdist.verify import (ball_entry_bound, radial_membership_agreement,
+from specdist.verify import (DEFAULT_SEED, Draws, ball_entry_bound, radial_membership_agreement,
                              self_adjoint_norm_symmetry, submultiplicativity)
 
 from conftest import THETAS, permuted_blocks, rand_coeffs, rand_element, random_block_shapes
@@ -398,3 +398,144 @@ def test_clip_falls_back_to_gram_eigendecompositions_when_the_svd_fails(rng, dty
             assert fallback_clipped.dtype == stack.dtype
             assert np.max(np.abs(fallback_clipped - clipped)) <= 1e-12 * scale
     assert len(failures) == 2 and expected[1][1] is None
+
+
+def _placed(rng, block, rows, cols):
+    """block in a zero rows x cols matrix, on randomly chosen rows and columns."""
+    m = np.zeros((rows, cols), dtype=block.dtype)
+    r = np.sort(rng.choice(rows, block.shape[0], replace=False))
+    c = np.sort(rng.choice(cols, block.shape[1], replace=False))
+    m[np.ix_(r, c)] = block
+    return m
+
+
+def _two_blocks(rng, draw, big):
+    """A 2 x 2 and a 2 x 3 block, block big ten times the other, with one empty row and
+    column and the rows and columns shuffled: the largest norm in either group."""
+    m = np.zeros((5, 6), dtype=draw(1, 1).dtype)
+    m[:2, :2] = draw(2, 2) * (10.0 if big == 0 else 1.0)
+    m[2:4, 2:5] = draw(2, 3) * (10.0 if big == 1 else 1.0)
+    return m[rng.permutation(5)][:, rng.permutation(6)]
+
+
+def _branch_instances(rng, dtype):
+    """Matrices of every branch of the split, each unpadded: dense (the whole-matrix SVD;
+    each either 11 x 12 or smaller in both dimensions, so no padded slice takes the
+    whole-matrix SVD over zero lines), weighted partial permutations (1x1 blocks alone),
+    one wide and one tall block on some of the lines, several blocks of three shapes
+    (the labelled layout), and zero."""
+    draw = lambda *shape: (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                           if dtype is complex else rng.standard_normal(shape))
+    out = {"dense": [draw(n, n + 1) for n in range(2, 12)] + [draw(n, n) for n in range(2, 11)],
+           "bands": [np.diag(draw(n), k) for n in range(1, 9) for k in (-1, 1)],
+           "wide": [_placed(rng, draw(3, 5), 6, 8), _placed(rng, draw(2, 4), 5, 9)],
+           "tall": [_placed(rng, draw(5, 3), 8, 6), _placed(rng, draw(4, 2), 9, 5)],
+           "labelled": [permuted_blocks(rng, [(2, 3), (3, 2), (2, 2)], 1, 1).real.astype(dtype)
+                        for _ in range(3)] + [_two_blocks(rng, draw, big) for big in (0, 1)],
+           "zero": [np.zeros((3, 4), dtype), np.zeros((1, 1), dtype)]}
+    return out
+
+
+def _padded_stack(instances, lead):
+    """The instances zero-padded to one shape and stacked along the leading shape lead."""
+    rows = max(m.shape[0] for m in instances)
+    cols = max(m.shape[1] for m in instances)
+    stack = np.zeros((len(instances), rows, cols), dtype=instances[0].dtype)
+    for j, m in enumerate(instances):
+        stack[j, :m.shape[0], :m.shape[1]] = m
+    return stack.reshape(lead + (rows, cols))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_op_norm_of_a_stack_is_each_slice_norm_bit_for_bit(rng, dtype):
+    # every branch alone and all of them in one stack, with two leading axes: each norm is
+    # the norm of its slice alone and of the unpadded instance it was padded from
+    branches = _branch_instances(rng, dtype)
+    assert split_blocks(branches["dense"][0]) is None
+    assert all(b.shape[1:] == (1, 1) for m in branches["bands"] for _, b in split_blocks(m))
+    assert all(split_blocks(m) is not None and len(split_blocks(m)) == 1
+               for m in branches["wide"] + branches["tall"])
+    assert all(len(split_blocks(m)) == 2 for m in branches["labelled"])
+    assert _block_shapes(split_blocks(branches["labelled"][-1])) == [(2, 2), (2, 3)]
+    cases = list(branches.values()) + [[m for ms in branches.values() for m in ms]]
+    for instances in cases:
+        instances = instances + instances[:len(instances) % 2]  # an even count, for (2, k/2)
+        stack = _padded_stack(instances, (2, len(instances) // 2))
+        norms = op_norm(stack)
+        assert norms.shape == stack.shape[:2] and norms.dtype == np.float64
+        for j, m in enumerate(instances):
+            at = np.unravel_index(j, stack.shape[:2])
+            assert norms[at].tobytes() == np.float64(op_norm(stack[at])).tobytes()
+            assert norms[at].tobytes() == np.float64(op_norm(m)).tobytes()
+            assert norms[at] == pytest.approx(np.linalg.svd(m, compute_uv=False)[0], rel=1e-13)
+    assert np.array_equal(op_norm(np.zeros((2, 3, 0, 4))), np.zeros((2, 3)))
+    assert op_norm(np.zeros((0, 3, 3))).shape == (0,)
+
+
+def test_a_slice_padded_along_one_axis_may_take_the_whole_svd_over_its_zero_lines(rng):
+    # a dense 12 x 12 matrix padded to 12 x 13 is still one block by its nonzero count, so
+    # the padded slice takes the SVD of all 13 columns, one of them zero: the unpadded
+    # matrix's norm to a few ulps, not bit for bit
+    m = rand_coeffs(rng, 12)
+    padded = _padded_stack([m, np.zeros((12, 13))], (2,))
+    assert split_blocks(padded[0]) is None
+    assert abs(op_norm(padded)[0] - op_norm(m)) <= 4 * np.spacing(op_norm(m))
+
+
+def test_op_norm_refuses_fewer_than_two_axes():
+    for value in (2.0, np.zeros(3), [1.0, 2.0]):
+        with pytest.raises(ParameterError, match="matrix or a stack"):
+            op_norm(value)
+
+
+def test_commutator_norm_of_a_stack_is_each_slice_norm_bit_for_bit(rng, monkeypatch):
+    # hermitian and non-hermitian slices of several orders, zero-padded to one order, with
+    # two leading axes; a stack takes one op_norm call for dz and one for the others' dzbar
+    for theta in THETAS:
+        elements = []
+        for order in (1, 2, 5, 8, 12):
+            a = MoyalElement(theta, rand_coeffs(rng, order))
+            elements += [a, 0.5 * (a + involution(a)), zero(theta, order)]
+        c = _padded_stack([e.coeffs for e in elements], (3, len(elements) // 3))
+        stack = MoyalElement(theta, c)
+        calls = _counting_op_norm(monkeypatch)
+        norms = commutator_norm(stack)
+        assert len(calls) == 2 and norms.shape == c.shape[:2]
+        calls.clear()
+        for j in np.ndindex(c.shape[:2]):
+            alone = commutator_norm(MoyalElement(theta, c[j]))
+            assert norms[j].tobytes() == np.float64(alone).tobytes()
+        hermitian = MoyalElement(theta, c.reshape((-1,) + c.shape[2:])[1::3])
+        calls.clear()
+        commutator_norm(hermitian)
+        assert len(calls) == 1
+        monkeypatch.undo()
+
+
+def test_ball_report_refuses_a_stack():
+    stack = MoyalElement(1.0, np.zeros((2, 3, 3)))
+    with pytest.raises(ParameterError, match=r"one element, got coefficients of shape \(2, 3, 3\)"):
+        ball_report(stack)
+
+
+def test_lipschitz_suite_reports_violations_in_instance_order(monkeypatch):
+    # instances 7 and 163 of the norm symmetry check fall in different chunks and are
+    # evaluated inside stacks; a broken identity must be reported for exactly those two,
+    # in instance order.  The suite's draws, replayed, mark the two instances.
+    marks, rng = [], Draws(DEFAULT_SEED + 2)
+    for i in range(164):
+        a = rand_element(rng, THETAS[i % 3], 12)
+        if i in (7, 163):
+            marks.append(a.coeffs[0, 0])
+    symmetry = verify.self_adjoint_norm_symmetry
+
+    def broken(a):
+        lhs, rhs = symmetry(a)
+        return lhs + np.isin(a.coeffs[..., 0, 0], marks), rhs
+
+    assert 7 // verify.CHUNK != 163 // verify.CHUNK
+    monkeypatch.setattr(verify, "self_adjoint_norm_symmetry", broken)
+    checks = {c.name: c for c in verify.lipschitz_suite().checks}
+    assert [v.split(":")[0] for v in checks["self_adjoint_norm_symmetry"].violations] == [
+        "instance 7", "instance 163"]
+    assert all(c.passed for name, c in checks.items() if name != "self_adjoint_norm_symmetry")

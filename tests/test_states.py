@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from specdist.algebra import basis, zero
+from specdist.algebra import MoyalElement, basis, zero
 from specdist.calculus import staircase
 from specdist.errors import ParameterError
 from specdist.states import (SWEEP_BLOCK, MoyalPureState, basis_state, diagonal_difference,
@@ -28,6 +28,24 @@ def test_expect_offdiagonal_weights():
     assert st.expect(basis(1.0, 0, 1)) == pytest.approx(0.5, abs=1e-15)
     st_i = finite_state([1.0, 1.0j], 1.0)
     assert st_i.expect(basis(1.0, 0, 1)) == pytest.approx(0.5j, abs=1e-15)
+
+
+def test_expect_acts_slice_by_slice_on_a_stack(rng):
+    # two leading axes, elements shorter and longer than the state; one element gives a
+    # complex, the bits of the one-element expression
+    for st in (finite_state(rng.standard_normal(6) + 1j * rng.standard_normal(6), 2.0),
+               basis_state(3, 2.0), zeta_state(1.5, 7, 2.0)):
+        for order in (2, 6, 9):
+            shape = (2, 3, order, order)
+            c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            values = st.expect(MoyalElement(2.0, c))
+            assert values.shape == (2, 3)
+            for j in np.ndindex(2, 3):
+                one = st.expect(MoyalElement(2.0, c[j]))
+                n = min(st.support, order)
+                assert type(one) is complex
+                assert one == complex(st.c[:n].conj() @ c[j][:n, :n] @ st.c[:n])
+                assert abs(values[j] - one) <= 1e-15 * max(1.0, abs(one))
 
 
 def test_expect_pads_small_elements():

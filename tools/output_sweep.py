@@ -9,9 +9,13 @@ with one OpenBLAS thread, as the benchmark runs it.
     python tools/output_sweep.py OUT.json                  # write {job: [exit, stdout]}
     python tools/output_sweep.py OUT.json --against OLD.json
 
-With --against, the jobs whose exit code or stdout differ from OLD.json are listed, with
-the fields that differ when both outputs are JSON objects, and the exit status is 1 if
-any differ.  To compare two commits, run the script in a checkout of each.
+A verify job's entry also holds {suite/check: worst}, the largest deviation each check
+recorded (`CheckResult.worst`, which verify does not print), so that a change can show
+it checks the same instances as before.  With --against, the jobs whose exit code or
+stdout differ from OLD.json are listed, with the fields that differ when both outputs
+are JSON objects, and the exit status is 1 if any differ; then, for information only,
+the checks whose worst deviation moved.  To compare two commits, run the script in a
+checkout of each.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 sys.dont_write_bytecode = True  # perfbench/ stays as committed
 
 from perfbench import workloads  # noqa: E402
+from specdist import verify  # noqa: E402
 from specdist.cli import main  # noqa: E402
 
 SEEDS = (1, 2, 3)
@@ -52,18 +57,28 @@ def jobs() -> dict:
 
 
 def sweep() -> dict:
-    results = {}
+    results, worst = {}, {}
+    run_suites = verify.run_suites
+
+    def recording(names=None):  # what `verify` runs, with each check's worst deviation
+        suites = run_suites(names)
+        worst.update((f"{r.name}/{c.name}", c.worst) for r in suites for c in r.checks)
+        return suites
+
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)  # where the jobs' input files are written
+        verify.run_suites = recording
         try:
             for name, job in jobs().items():
                 workloads.write_inputs([job], Path(tmp))
                 out = io.StringIO()
+                worst.clear()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                     code = main(list(job.argv))
-                results[name] = [code, out.getvalue()]
+                results[name] = [code, out.getvalue()] + ([dict(worst)] if worst else [])
         finally:
+            verify.run_suites = run_suites
             os.chdir(cwd)
     return results
 
@@ -74,8 +89,8 @@ def differences(old: dict, new: dict) -> list:
     for name in sorted(old.keys() | new.keys()):
         if name not in old or name not in new:
             lines.append(f"{name}: only in {'new' if name in new else 'old'}")
-        elif old[name] != new[name]:
-            (c0, s0), (c1, s1) = old[name], new[name]
+        elif old[name][:2] != new[name][:2]:
+            (c0, s0), (c1, s1) = old[name][:2], new[name][:2]
             detail = f"exit {c0} -> {c1}" if c0 != c1 else "stdout"
             try:
                 r0, r1 = json.loads(s0), json.loads(s1)
@@ -85,6 +100,17 @@ def differences(old: dict, new: dict) -> list:
                 keys = sorted(k for k in r0.keys() | r1.keys() if r0.get(k) != r1.get(k))
                 detail += ": " + ", ".join(keys)
             lines.append(f"{name}: {detail}")
+    return lines
+
+
+def moved(old: dict, new: dict) -> list:
+    """One line per check of a verify job on both sides whose worst deviation differs."""
+    lines = []
+    for name in sorted(old.keys() & new.keys()):
+        w0, w1 = (side[name][2] if len(side[name]) > 2 else {} for side in (old, new))
+        for check in sorted(w0.keys() & w1.keys()):
+            if w0[check] != w1[check]:
+                lines.append(f"{name} {check}: worst {w0[check]!r} -> {w1[check]!r}")
     return lines
 
 
@@ -98,8 +124,11 @@ def run(argv=None) -> int:
     if args.against is None:
         print(f"{len(results)} jobs")
         return 0
-    lines = differences(json.loads(Path(args.against).read_text()), results)
+    old = json.loads(Path(args.against).read_text())
+    lines = differences(old, results)
     print("\n".join(lines + [f"{len(lines)} of {len(results)} jobs differ"]))
+    worst = moved(old, results)
+    print("\n".join(worst + [f"{len(worst)} checks' worst deviation moved (information only)"]))
     return 1 if lines else 0
 
 
