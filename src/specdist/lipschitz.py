@@ -24,12 +24,14 @@ from .errors import ParameterError
 
 #: derivative budget of the unit commutator ball; it bounds every derivative coefficient too
 ENTRY_BOUND = 1.0 / np.sqrt(2.0)
-LAYOUT_CACHE_SIZE = 8  #: patterns whose layout `split_blocks` keeps; an optimizer run meets 2-6
+LAYOUT_CACHE_SIZE = 8  #: patterns whose layout `_blocks` keeps; an optimizer run meets 2-6
 
 
 @functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
 def _block_layout(shape: tuple, packed: bytes) -> tuple:
-    """`split_blocks`' read-only flat index per group for a pattern packed by np.packbits."""
+    """`_blocks`' read-only flat index per group for a pattern packed by np.packbits.  Each
+    labelling pass hooks every tree root to the least root it shares an edge with, then
+    jumps every node to its root."""
     n_rows, n_cols = shape
     nz = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n_rows * n_cols)
     r, c = np.divmod(np.flatnonzero(nz), n_cols)
@@ -117,19 +119,6 @@ def _blocks(m: np.ndarray):
         yield slices, index, entries[slices[:, None, None], index]
 
 
-def split_blocks(m: np.ndarray):
-    """`_blocks` of one matrix: None when its nonzero count proves it is one block, else a
-    list of (index, stack) per group of components of one shape, index of shape (g, p, q)
-    with p <= q holding flat indices into m's entries and stack = m.ravel()[index] the g
-    blocks.  A pattern that neither exit nor the one-block bound on its nonzero lines
-    settles is labelled once and its read-only indices cached (LAYOUT_CACHE_SIZE
-    patterns); each pass hooks every tree root to the least root it shares an edge with,
-    then jumps every node to its root.
-    """
-    groups = [(index, stack) for _, index, stack in _blocks(m[None])]
-    return None if groups and groups[0][0] is None else groups
-
-
 def _singular_values(blocks: np.ndarray) -> np.ndarray:
     """Singular values of each block of a (g, p, q) stack: a 1x1 block's entry modulus, or
     one batched SVD."""
@@ -158,12 +147,12 @@ def op_norm(coeffs):
             s = _singular_values(blocks)[:, 0]  # LAPACK's come largest first
             s = s.reshape(len(slices), -1).max(axis=1)  # per slice; see `_blocks`
             flat[slices] = np.maximum(flat[slices], s)
-    return float(top) if m.ndim == 2 else top
+    return _per_slice(top)
 
 
 def nuclear_norm(m: np.ndarray) -> float:
     """Sum of the singular values of a 2-d array, the dual norm of `op_norm`, block by
-    block along `split_blocks`."""
+    block along `_blocks`."""
     return float(sum(_singular_values(blocks).sum() for _, _, blocks in _blocks(m[None])))
 
 
@@ -195,20 +184,20 @@ def clip_spectral(mat: np.ndarray, radius: float) -> np.ndarray:
     """Nearest matrix (in Frobenius norm) with largest singular value <= radius.
 
     Returns mat itself, not a rounded reconstruction, when no singular value exceeds
-    radius.  The clip acts block by block on `split_blocks`: blocks within the radius
-    keep their entries, the others are clipped and scattered back through their index.
+    radius.  The clip acts block by block on `_blocks`: blocks within the radius keep
+    their entries, the others are clipped and scattered back through their index.
     """
-    blocks = split_blocks(mat)
-    if blocks is None:
+    groups = list(_blocks(mat[None]))
+    if groups and groups[0][1] is None:  # one block, the whole matrix
         clipped = _clip_stack(mat, radius)[1]
         return mat if clipped is None else clipped
-    clips = [_clip_stack(stack, radius) for _, stack in blocks]
+    clips = [_clip_stack(blocks, radius) for _, _, blocks in groups]
     if all(clipped is None for _, clipped in clips):
         return mat
     out = np.zeros(mat.size, dtype=mat.dtype)  # every nonzero lies in a block
-    for (index, stack), (top, clipped) in zip(blocks, clips):
-        out[index] = (stack if clipped is None
-                      else np.where((top > radius)[:, None, None], clipped, stack))
+    for (_, index, blocks), (top, clipped) in zip(groups, clips):
+        out[index] = (blocks if clipped is None
+                      else np.where((top > radius)[:, None, None], clipped, blocks))
     return out.reshape(mat.shape)
 
 

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .algebra import MoyalElement, check_theta
+from .algebra import MoyalElement, _per_slice, check_theta
 from .errors import ParameterError, same_theta
 
 NORMALIZATION_TOL = 1e-12
@@ -76,7 +76,7 @@ class MoyalPureState:
         n = min(self.support, a.order)
         ct = self.c[:n]
         value = ct.conj() @ a.coeffs[..., :n, :n] @ ct
-        return complex(value) if value.ndim == 0 else value
+        return _per_slice(value)
 
     def spec_string(self) -> str:
         if self.kind == "basis":

@@ -84,10 +84,6 @@ class TorusElement:
     __rmul__ = __mul__
 
 
-def unit(theta: float) -> TorusElement:
-    return TorusElement(theta, {(0, 0): 1.0})
-
-
 def weyl(theta: float, m: Index, coefficient: complex = 1.0) -> TorusElement:
     """A single Weyl monomial with the given coefficient."""
     return TorusElement(theta, {(int(m[0]), int(m[1])): coefficient})

@@ -55,7 +55,9 @@ def matrix_deviation(a: np.ndarray, b: np.ndarray):
 
 
 class CheckResult:
-    """A check's violations; worst is the largest deviation `record` saw, not printed."""
+    """A check's violations.  worst, not printed, is the largest margin its conditions
+    gave: a deviation for `record`, signed (negative inside the bound) for a one-sided
+    `flag`; None for a check whose conditions give none."""
 
     def __init__(self, name: str, instances: int):
         self.name = name
@@ -67,13 +69,14 @@ class CheckResult:
     def passed(self) -> bool:
         return not self.violations
 
-    def flag(self, bad: bool, message: str) -> None:
+    def flag(self, bad: bool, message: str, margin=None) -> None:
+        if margin is not None:
+            self.worst = float(margin) if self.worst is None else max(self.worst, float(margin))
         if bad:
             self.violations.append(message)
 
     def record(self, i: int, d: float, tol: float) -> None:
-        self.worst = float(d) if self.worst is None else max(self.worst, float(d))
-        self.flag(d > tol, f"instance {i}: deviation {d:.3g}")
+        self.flag(d > tol, f"instance {i}: deviation {d:.3g}", d)
 
 
 class SuiteResult:
@@ -97,7 +100,7 @@ class SuiteResult:
 class Draws:
     """Seeded draws over random.Random with numpy.random.Generator's uniform, integers
     and standard_normal: a scalar without size, else an array of size draws (of that
-    shape, for uniform)."""
+    shape, for uniform); integers draws scalars only."""
 
     def __init__(self, seed: int):
         self._r = random.Random(seed)
@@ -110,10 +113,8 @@ class Draws:
         u = (np.frombuffer(self._r.randbytes(8 * n), np.uint64) >> 11) * 2.0 ** -53
         return (lo + (hi - lo) * u).reshape(size)
 
-    def integers(self, lo: int, hi: int, size=None):
-        if size is None:
-            return self._r.randrange(lo, hi)
-        return np.array([self._r.randrange(lo, hi) for _ in range(size)])
+    def integers(self, lo: int, hi: int):
+        return self._r.randrange(lo, hi)
 
     def standard_normal(self, size=None):
         if size is None:
@@ -387,7 +388,8 @@ def lipschitz_suite() -> SuiteResult:
 
     entries = CheckResult("ball_entry_bound", 500)
     for i, worst in _stacked(500, _elements(rng, 1), lambda a: ball_entry_bound(a)[0]):
-        entries.flag(worst > ENTRY_BOUND + 1e-9, f"instance {i}: entry {worst:.12f}")
+        entries.flag(worst > ENTRY_BOUND + 1e-9, f"instance {i}: entry {worst:.12f}",
+                     worst - ENTRY_BOUND)
 
     agreement = CheckResult("radial_membership_agreement", 200)
     for i in range(200):
@@ -398,7 +400,7 @@ def lipschitz_suite() -> SuiteResult:
     submult = CheckResult("operator_norm_submultiplicative", 300)
     for i, (lhs, rhs) in _stacked(300, _elements(rng, 2),
                                   lambda a, b: np.stack(submultiplicativity(a, b), axis=-1)):
-        submult.flag(lhs > rhs * (1.0 + 1e-12), f"instance {i}: {lhs} > {rhs}")
+        submult.flag(lhs > rhs * (1.0 + 1e-12), f"instance {i}: {lhs} > {rhs}", lhs / rhs - 1.0)
 
     def ratio(i):
         """Instance i and its best ratio ||a phi|| / ||phi|| over 20 drawn phi."""
@@ -416,9 +418,10 @@ def lipschitz_suite() -> SuiteResult:
 
     exact = CheckResult("left_multiplication_norm_exactness", 100)
     for i, (nrm, best, achieved) in _stacked(100, ratio, exactness):
-        exact.flag(best > nrm * (1.0 + 1e-12), f"instance {i}: ratio {best} exceeds norm {nrm}")
-        exact.flag(deviation(achieved, nrm) > 1e-10,
-                   f"instance {i}: top vector ratio {achieved} vs {nrm}")
+        exact.flag(best > nrm * (1.0 + 1e-12), f"instance {i}: ratio {best} exceeds norm {nrm}",
+                   best / nrm - 1.0)
+        d = deviation(achieved, nrm)
+        exact.flag(d > 1e-10, f"instance {i}: top vector ratio {achieved} vs {nrm}", d)
     return SuiteResult("lipschitz", [sqrt2, entries, agreement, submult, exact])
 
 
@@ -531,8 +534,8 @@ def distance_suite() -> SuiteResult:
                       rng.standard_normal(5) + 1j * rng.standard_normal(5))
     for i, (live, norm_b, abs_g, gb) in _stacked(100, draw, restriction):
         if live:
-            symmetrize.flag(norm_b > 1.0 + 1e-9, f"instance {i}: symmetrized norm")
-            symmetrize.flag(gb < abs_g - 1e-12, f"instance {i}: {gb} < {abs_g}")
+            symmetrize.flag(norm_b > 1.0 + 1e-9, f"instance {i}: symmetrized norm", norm_b - 1.0)
+            symmetrize.flag(gb < abs_g - 1e-12, f"instance {i}: {gb} < {abs_g}", abs_g - gb)
     return SuiteResult("distance",
                        [saturation, bracket, feasible, monotone, phase, symmetrize])
 

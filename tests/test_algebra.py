@@ -214,3 +214,9 @@ def test_check_results_keep_the_worst_recorded_deviation():
     assert check.violations == ["instance 3"]
     check.record(4, 2e-12, 1e-12)
     assert check.worst == 2e-12 and check.violations[-1] == "instance 4: deviation 2e-12"
+    check.flag(False, "instance 5", np.float64(3e-12))  # a one-sided check's signed margin
+    assert check.worst == 3e-12 and type(check.worst) is float and len(check.violations) == 2
+    inside = verify.CheckResult("y", 2)
+    inside.flag(False, "instance 0", -0.5)
+    inside.flag(False, "instance 1", -0.25)
+    assert inside.worst == -0.25 and inside.passed

@@ -10,10 +10,16 @@ also run as the benchmark transforms them, for three fixed seeds: a random globa
 on each finite state (so its spec is written complex), the two states swapped or not, and
 the pair inline or in a --spec-file.  So do the torus vector pairs, the one slot whose
 optimizer exits on the stall rule, with the two states kept and swapped.
+
+The benchmark's per-layer table names the functions it spans; every name must resolve
+but the two the program is known to have dropped, so that renaming or deleting a spanned
+function fails here, in the change that makes it.
 """
 
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -107,3 +113,13 @@ def test_transformed_vector_pairs_pass_the_benchmark_check(tmp_path, monkeypatch
         assert [job.argv[3] for job in pair] == [f"--a={v.params[s]}" for s in "ab"]
         jobs += pair
     _check("torus", jobs, tmp_path, monkeypatch, capsys)
+
+
+def test_the_benchmark_spans_every_function_it_names_but_two_known_gaps():
+    # instrumenting patches the modules it wraps, so it runs in a process of its own
+    code = "import json, replay, spans; print(json.dumps(replay.instrument(spans.Tracer('t'))))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT / "perfbench", env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == ["specdist.distance.certificate_lower_bound",
+                               "specdist.torus.commutator_norm_converged"]

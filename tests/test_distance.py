@@ -779,6 +779,8 @@ def test_restriction_check_draws_each_instance_as_one_at_a_time(monkeypatch):
     monkeypatch.setattr(verify, "_stacked", recording)
     result = verify.distance_suite()
     assert result.passed and len(drawn) == len(want) == 100
+    # its margin: the larger of norm - 1 and |g| - Re of b's gap, which is |g| to rounding
+    assert abs(result.checks[-1].worst) <= 1e-12
     for (a, index, w), (coeffs, want_index, want_w) in zip(drawn, want):
         assert np.array_equal(a.coeffs, coeffs) and index == want_index
         assert w.tobytes() == want_w.tobytes()

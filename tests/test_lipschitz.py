@@ -8,9 +8,9 @@ from specdist import lipschitz, verify
 from specdist.algebra import MoyalElement, involution, radial, zero
 from specdist.calculus import bump_diagonal, dz, dzbar, staircase
 from specdist.errors import ParameterError
-from specdist.lipschitz import (LAYOUT_CACHE_SIZE, _block_layout,
+from specdist.lipschitz import (LAYOUT_CACHE_SIZE, _block_layout, _blocks,
                                 ball_report, commutator_norm, nuclear_norm, op_norm,
-                                radial_ball_report, split_blocks)
+                                radial_ball_report)
 from specdist.verify import (DEFAULT_SEED, Draws, ball_entry_bound, radial_membership_agreement,
                              self_adjoint_norm_symmetry, submultiplicativity)
 
@@ -77,27 +77,37 @@ def test_partial_permutation_norm_matches_svd(rng):
                                                rel=1e-14)
 
 
-def _block_shapes(blocks):
-    """The shape of every block of `split_blocks`, a tall one as its transpose."""
-    return sorted(index.shape[1:] for index, _ in blocks for _ in index)
+def _groups(m):
+    """`_blocks` of one matrix as a list of (index, blocks) per group, index None for a
+    matrix whose nonzero count proves it is one block."""
+    return [(index, blocks) for _, index, blocks in _blocks(m[None])]
+
+
+def _whole(m):
+    """Whether `_blocks` takes the matrix m whole."""
+    return [index is None for index, _ in _groups(m)] == [True]
+
+
+def _block_shapes(groups):
+    """The shape of every block of `_groups`, a tall one as its transpose."""
+    return sorted(index.shape[1:] for index, _ in groups for _ in index)
 
 
 def test_op_norm_of_permuted_block_matrices_matches_the_dense_svd(rng):
-    # square, rectangular and 1x1 blocks with empty rows and columns: split_blocks finds
+    # square, rectangular and 1x1 blocks with empty rows and columns: _blocks finds
     # every block, unless the nonzero count proves there is one, and the norm is the
     # dense SVD's
     for _ in range(300):
         shapes = random_block_shapes(rng)
         m = permuted_blocks(rng, shapes, *rng.integers(0, 3, size=2))
-        blocks = split_blocks(m)
-        if blocks is None:
+        if _whole(m):
             assert len(shapes) == 1
         else:
-            assert _block_shapes(blocks) == sorted((min(s), max(s)) for s in shapes)
+            assert _block_shapes(_groups(m)) == sorted((min(s), max(s)) for s in shapes)
         assert op_norm(m) == pytest.approx(np.linalg.svd(m, compute_uv=False)[0], rel=1e-13)
 
 
-def test_split_blocks_groups_partition_the_nonzeros(rng):
+def test_blocks_groups_partition_the_nonzeros(rng):
     # tall and wide blocks with empty rows and columns, and the single-entry and
     # one-block exits: the groups' indices are disjoint and cover exactly the nonzeros
     # (every block is dense), each stack is its index's gather bit for bit, and no
@@ -107,7 +117,7 @@ def test_split_blocks_groups_partition_the_nonzeros(rng):
     for shapes in cases:
         m = permuted_blocks(rng, shapes, *rng.integers(1, 3, size=2))
         covered = np.zeros(m.size, dtype=int)
-        for index, stack in split_blocks(m):
+        for index, stack in _groups(m):
             assert stack.shape == index.shape and index.shape[1] <= index.shape[2]
             assert stack.tobytes() == m.ravel()[index].tobytes()
             np.add.at(covered, index.ravel(), 1)
@@ -125,17 +135,17 @@ def test_nuclear_norm_of_permuted_block_matrices_matches_the_dense_svd(rng):
         assert nuclear_norm(m) == pytest.approx(want, rel=1e-13)
 
 
-def test_split_blocks_nonzero_count_bound_is_tight():
+def test_blocks_nonzero_count_bound_is_tight():
     # an entry beside a full (rows-1) x (cols-1) block is two blocks with
     # 1 + (rows-1)(cols-1) nonzeros; one more nonzero joins them
     for rows, cols in ((2, 2), (5, 3), (4, 7)):
         m = np.zeros((rows, cols))
         m[0, 0], m[1:, 1:] = 2.0, 1.0
-        assert sum(len(index) for index, _ in split_blocks(m)) == 2
+        assert sum(len(index) for index, _ in _groups(m)) == 2
         assert op_norm(m) == pytest.approx(max(2.0, math.sqrt((rows - 1) * (cols - 1))),
                                            rel=1e-14)
         m[0, 1] = 1.0
-        assert split_blocks(m) is None
+        assert _whole(m)
 
 
 def _assert_same_groups(got, want):
@@ -146,28 +156,28 @@ def _assert_same_groups(got, want):
             assert x.tobytes() == y.tobytes()  # bit for bit
 
 
-def test_split_blocks_labels_each_pattern_once(rng):
+def test_blocks_labels_each_pattern_once(rng):
     # four blocks in three groups, a 3 x 2 block with its 2 x 3 transpose, with empty
     # rows and columns: neither the single-entry nor the one-block exit applies, so the
     # layout comes from the cache
     shapes = [(2, 3), (3, 2), (2, 2), (4, 4)]
     m = permuted_blocks(rng, shapes, 2, 1)
     _block_layout.cache_clear()
-    first = split_blocks(m)
+    first = _groups(m)
     assert _block_layout.cache_info()[:2] == (0, 1)  # (hits, misses)
-    _assert_same_groups(split_blocks(m), first)
+    _assert_same_groups(_groups(m), first)
     assert _block_layout.cache_info()[:2] == (1, 1)
     _block_layout.cache_clear()
-    _assert_same_groups(split_blocks(m), first)
+    _assert_same_groups(_groups(m), first)
     # the same pattern with other values: the cached layout, the blocks of the new matrix
-    scaled = split_blocks(2.0 * m)
+    scaled = _groups(2.0 * m)
     assert _block_layout.cache_info()[:2] == (1, 1)
     for (_, s), (_, f) in zip(scaled, first):
         assert np.array_equal(s, 2.0 * f)
     # the same shape with another pattern gets its own labelling
     other = permuted_blocks(rng, shapes, 2, 1)
     assert not np.array_equal(other != 0, m != 0)
-    blocks = split_blocks(other)
+    blocks = _groups(other)
     assert _block_layout.cache_info()[:2] == (1, 2)
     assert len(blocks) == 3
     assert _block_shapes(blocks) == [(2, 2), (2, 3), (2, 3), (4, 4)]
@@ -178,10 +188,10 @@ def test_split_blocks_labels_each_pattern_once(rng):
         assert stack.flags.writeable
 
 
-def test_split_blocks_cache_stays_within_its_maxsize(rng):
+def test_blocks_cache_stays_within_its_maxsize(rng):
     _block_layout.cache_clear()
     for _ in range(LAYOUT_CACHE_SIZE + 5):
-        split_blocks(permuted_blocks(rng, [(2, 2), (2, 3), (3, 3)], 1, 1))
+        _groups(permuted_blocks(rng, [(2, 2), (2, 3), (3, 3)], 1, 1))
     info = _block_layout.cache_info()
     assert info.misses == LAYOUT_CACHE_SIZE + 5
     assert info.maxsize == info.currsize == LAYOUT_CACHE_SIZE
@@ -451,12 +461,12 @@ def test_op_norm_of_a_stack_is_each_slice_norm_bit_for_bit(rng, dtype):
     # every branch alone and all of them in one stack, with two leading axes: each norm is
     # the norm of its slice alone and of the unpadded instance it was padded from
     branches = _branch_instances(rng, dtype)
-    assert split_blocks(branches["dense"][0]) is None
-    assert all(b.shape[1:] == (1, 1) for m in branches["bands"] for _, b in split_blocks(m))
-    assert all(split_blocks(m) is not None and len(split_blocks(m)) == 1
+    assert _whole(branches["dense"][0])
+    assert all(b.shape[1:] == (1, 1) for m in branches["bands"] for _, b in _groups(m))
+    assert all(not _whole(m) and len(_groups(m)) == 1
                for m in branches["wide"] + branches["tall"])
-    assert all(len(split_blocks(m)) == 2 for m in branches["labelled"])
-    assert _block_shapes(split_blocks(branches["labelled"][-1])) == [(2, 2), (2, 3)]
+    assert all(len(_groups(m)) == 2 for m in branches["labelled"])
+    assert _block_shapes(_groups(branches["labelled"][-1])) == [(2, 2), (2, 3)]
     cases = list(branches.values()) + [[m for ms in branches.values() for m in ms]]
     for instances in cases:
         instances = instances + instances[:len(instances) % 2]  # an even count, for (2, k/2)
@@ -478,7 +488,7 @@ def test_a_slice_padded_along_one_axis_may_take_the_whole_svd_over_its_zero_line
     # matrix's norm to a few ulps, not bit for bit
     m = rand_coeffs(rng, 12)
     padded = _padded_stack([m, np.zeros((12, 13))], (2,))
-    assert split_blocks(padded[0]) is None
+    assert _whole(padded[0])
     assert abs(op_norm(padded)[0] - op_norm(m)) <= 4 * np.spacing(op_norm(m))
 
 
@@ -539,3 +549,20 @@ def test_lipschitz_suite_reports_violations_in_instance_order(monkeypatch):
     assert [v.split(":")[0] for v in checks["self_adjoint_norm_symmetry"].violations] == [
         "instance 7", "instance 163"]
     assert all(c.passed for name, c in checks.items() if name != "self_adjoint_norm_symmetry")
+
+
+def test_one_sided_checks_keep_their_largest_signed_margin():
+    # entry - bound for the entry bound (replayed one instance at a time, to rounding),
+    # ratio - 1 for submultiplicativity, and for exactness the larger of ratio - 1 and the
+    # top vector's deviation; the boolean membership check keeps none
+    checks = {c.name: c for c in verify.lipschitz_suite().checks}
+    rng = Draws(DEFAULT_SEED + 2)
+    for i in range(200):
+        rand_element(rng, THETAS[i % 3], 12)
+    entries = [ball_entry_bound(rand_element(rng, THETAS[i % 3], 12))[0] for i in range(500)]
+    assert checks["ball_entry_bound"].worst == pytest.approx(
+        max(entries) - lipschitz.ENTRY_BOUND, abs=1e-12)
+    assert -1.0 < checks["ball_entry_bound"].worst < 0.0
+    assert -1.0 < checks["operator_norm_submultiplicative"].worst < 0.0
+    assert 0.0 <= checks["left_multiplication_norm_exactness"].worst <= 1e-10
+    assert checks["radial_membership_agreement"].worst is None

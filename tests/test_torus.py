@@ -10,7 +10,7 @@ from specdist.torus import (TorusElement, _element_from_params, _hermitian_sites
                             box_matrix, box_shifts, coefficient_bound, deriv, deriv_bar,
                             involution, optimize_torus_distance, product, torus_closures,
                             torus_commutator_norm, torus_op_norm, torus_report, trace,
-                            tracial_state, unit, vector_state, weyl, weyl_certificate)
+                            tracial_state, vector_state, weyl, weyl_certificate)
 from specdist.verify import bicharacter_identities, weyl_certificate_gap
 
 THETAS = (0.0, 0.25, 1 / 3, 0.37, math.sqrt(2) - 1)
@@ -65,7 +65,7 @@ def test_weyl_times_inverse_is_unit():
 
 def test_unit_is_neutral(rng):
     a = TorusElement(0.37, {(1, 2): 1 + 2j, (-3, 0): 0.5j})
-    for out in (product(unit(0.37), a), product(a, unit(0.37))):
+    for out in (product(weyl(0.37, (0, 0)), a), product(a, weyl(0.37, (0, 0)))):
         assert out.terms == pytest.approx(a.terms)
 
 
@@ -90,7 +90,7 @@ def test_involution_antihomomorphism(rng):
 def test_derivations():
     d = deriv(weyl(0.3, (1, 0)))
     assert d.terms[(1, 0)] == pytest.approx(2j * np.pi, abs=1e-15)
-    assert deriv(unit(0.3)).terms == {}
+    assert deriv(weyl(0.3, (0, 0))).terms == {}
     db = deriv_bar(weyl(0.3, (0, 1)))
     assert db.terms[(0, 1)] == pytest.approx(2 * np.pi, abs=1e-14)
 
@@ -99,7 +99,7 @@ def test_trace_and_derivation(rng):
     a = TorusElement(0.37, {(0, 0): 3.0, (1, 2): 1j, (-1, -2): -1j})
     assert trace(a) == 3.0
     assert trace(deriv(a)) == 0.0
-    assert trace(unit(0.5)) == 1.0
+    assert trace(weyl(0.5, (0, 0))) == 1.0
 
 
 def test_vector_state_reads_coefficients():
@@ -150,7 +150,7 @@ def test_certificate_commutator_norm_is_one():
 def test_commutator_norm_homogeneous_and_zero():
     c = weyl_certificate((2, -1), 0.37)
     assert torus_commutator_norm(3.0 * c, box_radius=5) == pytest.approx(3.0, rel=1e-12)
-    assert torus_commutator_norm(unit(0.37), box_radius=2) == 0.0
+    assert torus_commutator_norm(weyl(0.37, (0, 0)), box_radius=2) == 0.0
 
 
 def test_certificate_report_builds_no_box(monkeypatch):

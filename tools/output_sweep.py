@@ -9,13 +9,13 @@ with one OpenBLAS thread, as the benchmark runs it.
     python tools/output_sweep.py OUT.json                  # write {job: [exit, stdout]}
     python tools/output_sweep.py OUT.json --against OLD.json
 
-A verify job's entry also holds {suite/check: worst}, the largest deviation each check
-recorded (`CheckResult.worst`, which verify does not print), so that a change can show
-it checks the same instances as before.  With --against, the jobs whose exit code or
-stdout differ from OLD.json are listed, with the fields that differ when both outputs
-are JSON objects, and the exit status is 1 if any differ; then, for information only,
-the checks whose worst deviation moved.  To compare two commits, run the script in a
-checkout of each.
+A verify job's entry also holds {suite/check: worst}, the largest margin each check
+recorded (`CheckResult.worst`, which verify does not print: a deviation, a signed margin
+for a one-sided check, None for a boolean one), so that a change can show it checks the
+same instances as before.  With --against, the jobs whose exit code or stdout differ
+from OLD.json are listed, with the fields that differ when both outputs are JSON
+objects, and the exit status is 1 if any differ; then, for information only, the checks
+whose worst moved.  To compare two commits, run the script in a checkout of each.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def differences(old: dict, new: dict) -> list:
 
 
 def moved(old: dict, new: dict) -> list:
-    """One line per check of a verify job on both sides whose worst deviation differs."""
+    """One line per check of a verify job on both sides whose worst differs."""
     lines = []
     for name in sorted(old.keys() & new.keys()):
         w0, w1 = (side[name][2] if len(side[name]) > 2 else {} for side in (old, new))
@@ -128,7 +128,7 @@ def run(argv=None) -> int:
     lines = differences(old, results)
     print("\n".join(lines + [f"{len(lines)} of {len(results)} jobs differ"]))
     worst = moved(old, results)
-    print("\n".join(worst + [f"{len(worst)} checks' worst deviation moved (information only)"]))
+    print("\n".join(worst + [f"{len(worst)} checks' worst moved (information only)"]))
     return 1 if lines else 0
 
 
