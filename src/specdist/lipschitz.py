@@ -24,99 +24,82 @@ from .errors import ParameterError
 
 #: derivative budget of the unit commutator ball; it bounds every derivative coefficient too
 ENTRY_BOUND = 1.0 / np.sqrt(2.0)
-LAYOUT_CACHE_SIZE = 8  #: patterns whose layout `_blocks` keeps; an optimizer run meets 2-6
+LAYOUT_CACHE_SIZE = 8  #: patterns whose layout `_blocks` keeps; `vv` meets 4, a basis pair 4-10
 
 
 @functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
 def _block_layout(shape: tuple, packed: bytes) -> tuple:
-    """`_blocks`' read-only flat index per group for a pattern packed by np.packbits.  Each
-    labelling pass hooks every tree root to the least root it shares an edge with, then
-    jumps every node to its root."""
-    n_rows, n_cols = shape
-    nz = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n_rows * n_cols)
-    r, c = np.divmod(np.flatnonzero(nz), n_cols)
-    root = np.arange(n_rows + n_cols)  # row nodes, then column nodes
-    while np.any(hook := root[r] != root[c + n_rows]):
-        a, b = root[r][hook], root[c + n_rows][hook]
+    """`_blocks`' read-only (owner, index) per group for a stack pattern of shape (k, r, c)
+    packed by np.packbits.  The stack is one bipartite graph, row node j r + i and column
+    node k r + j c + l for each nonzero (j, i, l), so no component crosses two slices.
+    Each labelling pass hooks every tree root to the least root it shares an edge with,
+    then jumps every node to its root."""
+    k, n_rows, n_cols = shape
+    nz = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=k * n_rows * n_cols)
+    r, c = np.divmod(np.flatnonzero(nz), n_cols)  # stack row j r + i, slice column l
+    if not r.size:
+        return ()
+    c += k * n_rows + r // n_rows * n_cols  # its column node
+    root = np.arange(k * (n_rows + n_cols))  # row nodes, then column nodes
+    while np.any(hook := root[r] != root[c]):
+        a, b = root[r][hook], root[c][hook]
         np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
         while not np.array_equal(root, up := root[root]):
             root = up
     comp = (np.cumsum(root == np.arange(root.size)) - 1)[root]  # roots numbered in order
-    sides = []  # rows, then columns: (component, position in the component, size)
-    for cs in (comp[:n_rows], comp[n_rows:]):
-        size = np.bincount(cs, minlength=comp.max() + 1)
-        order = np.argsort(cs, kind="stable")
-        pos = np.empty_like(order)
-        pos[order] = np.arange(order.size) - (np.cumsum(size) - size)[cs[order]]
-        sides.append((cs, pos, size))
-    (_, _, n_r), (_, _, n_c) = sides
+    lines = []  # rows, then columns: (nodes by component, each component's first, count)
+    for cs in (comp[:k * n_rows], comp[k * n_rows:]):
+        size = np.bincount(cs, minlength=root.size)
+        lines.append((np.argsort(cs, kind="stable"), np.cumsum(size) - size, size))
+    (rows, row_at, p), (cols, col_at, q) = lines
     # a node with no nonzero is a component with no column or no row: it is in no group
-    groups = {}  # (p, q) with p <= q: the indices of its p x q and its q x p components
-    for shape in sorted({s for s in zip(n_r.tolist(), n_c.tolist()) if min(s)}):
-        members = (n_r == shape[0]) & (n_c == shape[1])
-        slot = np.cumsum(members) - 1  # a member component's place among its shape
-        lines = []
-        for (cs, pos, _), side in zip(sides, shape):
-            ix = np.empty((members.sum(), side), dtype=np.intp)
-            keep = np.flatnonzero(members[cs])
-            ix[slot[cs[keep]], pos[keep]] = keep
-            lines.append(ix)
-        flat = lines[0][:, :, None] * n_cols + lines[1][:, None, :]
-        groups.setdefault(tuple(sorted(shape)), []).append(
-            flat if shape[0] <= shape[1] else flat.swapaxes(1, 2))  # a tall block transposed
-    out = tuple(np.concatenate(g) for _, g in sorted(groups.items()))
-    for index in out:
-        index.flags.writeable = False
+    comps = np.flatnonzero(p * q)
+    comps = comps[np.lexsort((comps, p[comps] > q[comps], np.maximum(p, q)[comps],
+                              np.minimum(p, q)[comps]))]  # by shape, a tall one after
+    p, q, row_at, col_at = p[comps], q[comps], row_at[comps], col_at[comps]
+    ends = np.cumsum(p * q)  # each p x q block's entries, row-major, one after another
+    at = np.repeat(np.arange(comps.size), p * q)
+    row, col = np.divmod(np.arange(ends[-1]) - (ends - p * q)[at], q[at])  # in its block
+    flat = rows[row_at[at] + row] * n_cols + cols[col_at[at] + col] % n_cols
+    owner = rows[row_at] // n_rows
+    ends = [0, *ends.tolist()]
+    cuts = [0, *(np.flatnonzero(np.diff(p) | np.diff(q)) + 1).tolist(), comps.size]
+    groups = {}  # (p, q) with p <= q: its p x q components, then its q x p ones transposed
+    for s, e in zip(cuts, cuts[1:]):  # a run of components of one shape
+        block = flat[ends[s]:ends[e]].reshape(e - s, p[s], q[s])
+        groups.setdefault((min(p[s], q[s]), max(p[s], q[s])), []).append(
+            (owner[s:e], block.swapaxes(1, 2) if p[s] > q[s] else block))
+    out = tuple(tuple(np.concatenate(part) for part in zip(*g)) for g in groups.values())
+    for part in (x for g in out for x in g):
+        part.flags.writeable = False
     return out
 
 
 def _blocks(m: np.ndarray):
-    """Split each slice of a stack m (k, rows, cols) along the connected components of its
-    nonzero pattern, the bipartite graph joining row i to column j where m[., i, j] != 0.
+    """Split a stack m (k, rows, cols) along the connected components of its nonzero
+    pattern, the bipartite graph joining row i to column l of slice j where m[j, i, l] != 0:
+    one block-diagonal matrix whose blocks never cross two slices.
 
-    Yields (slices, index, blocks) per group: blocks (g, p, q) gathered from their slice's
-    entries at the flat indices index, the j-th of slice slices[j], or all of slices[0]
-    when there is one.  A slice whose nonzero count proves one block (two components of
-    r x c and r' x c' hold at most rc + r'c' <= 1 + (rows - 1)(cols - 1) nonzeros) comes
-    whole, with index None; else a slice with no two nonzeros on a line comes as its 1x1
-    blocks, one whose nonzero lines the same bound proves one block comes as that block,
-    grouped by shape, and any other as `_block_layout`'s groups.  Outside whole slices
-    p <= q: a tall block comes as B^T, through the transposed index.  Lines with no
-    nonzero are in no block, and no group is empty.
+    Yields (owner, index, blocks) per group: blocks (g, p, q), block i of slice owner[i].
+    A slice whose nonzero count proves one block (two components of r x c and r' x c' hold
+    at most rc + r'c' <= 1 + (rows - 1)(cols - 1) nonzeros) comes whole, in one group with
+    index None; the rest of the stack comes as `_block_layout`'s groups, gathered from the
+    stack's flat entries at index, with p <= q: a tall block comes as B^T, through the
+    transposed index.  Lines with no nonzero are in no block, and no group is empty.
     """
     k, n_rows, n_cols = m.shape
     nz = m != 0
     # slice by slice: numpy counts fast only without an axis; one matrix needs no iteration
     count = [np.count_nonzero(x) for x in nz] if k > 1 else [np.count_nonzero(nz)]
-    bound = 1 + (n_rows - 1) * (n_cols - 1)
-    whole = [j for j in range(k) if count[j] > bound]
+    whole = [j for j, n in enumerate(count) if n > 1 + (n_rows - 1) * (n_cols - 1)]
     if whole:
         yield whole, None, m if len(whole) == k else m[whole]
         if len(whole) == k:
             return
-    entries = m.reshape(k, -1)
-    line_r, line_c = nz.any(axis=2), nz.any(axis=1)
-    lines = {}  # (p, q): the slices whose p nonzero rows and q nonzero columns are one block
-    for j in range(k):
-        if count[j] > bound:
-            continue
-        p, q = np.count_nonzero(line_r[j]), np.count_nonzero(line_c[j])
-        if count[j] == p == q:  # no row or column holds two nonzeros
-            if count[j]:
-                at = np.flatnonzero(nz[j])
-                yield [j], at[:, None, None], entries[j, at][:, None, None]
-        elif count[j] > 1 + (p - 1) * (q - 1):  # the same bound, on the nonzero lines
-            lines.setdefault((p, q), []).append(j)
-        else:
-            for index in _block_layout((n_rows, n_cols), np.packbits(nz[j]).tobytes()):
-                yield [j], index, entries[j][index]
-    for (p, q), slices in lines.items():
-        slices = np.array(slices)
-        rows = np.nonzero(line_r[slices])[1].reshape(slices.size, p)
-        cols = np.nonzero(line_c[slices])[1].reshape(slices.size, q)
-        index = rows[:, :, None] * n_cols + cols[:, None, :]
-        index = index if p <= q else index.swapaxes(1, 2)  # a tall block transposed
-        yield slices, index, entries[slices[:, None, None], index]
+        nz[whole] = False
+    entries = m.reshape(-1)
+    for owner, index in _block_layout(m.shape, np.packbits(nz).tobytes()):
+        yield owner, index, entries[index]
 
 
 def _singular_values(blocks: np.ndarray) -> np.ndarray:
@@ -131,11 +114,12 @@ def op_norm(coeffs):
     """Largest singular value of a coefficient matrix, computed exactly: a float for a
     matrix, one per slice for a stack (..., r, c), bit for bit that slice's own.
 
-    It is the largest norm of the blocks of `_blocks`, so a weighted partial permutation
-    takes its largest entry modulus and no SVD.  A zero-padded matrix keeps its norm bit
-    for bit unless one of the two takes the whole-matrix SVD over a zero line that the
-    other leaves out (a matrix with a zero line, or padding of rows alone or columns
-    alone).  Zero slices have norm 0; fewer than two axes are refused.
+    It is the largest norm of the blocks of `_blocks`, each block's taken to its slice
+    owner[i], so a weighted partial permutation takes its largest entry modulus and no
+    SVD.  A zero-padded matrix keeps its norm bit for bit unless one of the two takes the
+    whole-matrix SVD over a zero line that the other leaves out (a matrix with a zero
+    line, or padding of rows alone or columns alone).  Zero slices have norm 0; fewer
+    than two axes are refused.
     """
     m = np.asarray(coeffs)
     if m.ndim < 2:
@@ -143,10 +127,8 @@ def op_norm(coeffs):
     top = np.zeros(m.shape[:-2])
     if m.size:
         flat = top.reshape(-1)  # a view: one norm per slice of the stack below
-        for slices, _, blocks in _blocks(m.reshape((-1,) + m.shape[-2:])):
-            s = _singular_values(blocks)[:, 0]  # LAPACK's come largest first
-            s = s.reshape(len(slices), -1).max(axis=1)  # per slice; see `_blocks`
-            flat[slices] = np.maximum(flat[slices], s)
+        for owner, _, blocks in _blocks(m.reshape((-1,) + m.shape[-2:])):
+            np.maximum.at(flat, owner, _singular_values(blocks)[:, 0])  # LAPACK's largest first
     return _per_slice(top)
 
 

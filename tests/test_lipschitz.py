@@ -108,8 +108,8 @@ def test_op_norm_of_permuted_block_matrices_matches_the_dense_svd(rng):
 
 
 def test_blocks_groups_partition_the_nonzeros(rng):
-    # tall and wide blocks with empty rows and columns, and the single-entry and
-    # one-block exits: the groups' indices are disjoint and cover exactly the nonzeros
+    # tall and wide blocks with empty rows and columns, 1x1 blocks alone and one block
+    # alone: the groups' indices are disjoint and cover exactly the nonzeros
     # (every block is dense), each stack is its index's gather bit for bit, and no
     # stack is tall
     cases = [random_block_shapes(rng) for _ in range(200)]
@@ -158,8 +158,8 @@ def _assert_same_groups(got, want):
 
 def test_blocks_labels_each_pattern_once(rng):
     # four blocks in three groups, a 3 x 2 block with its 2 x 3 transpose, with empty
-    # rows and columns: neither the single-entry nor the one-block exit applies, so the
-    # layout comes from the cache
+    # rows and columns: the nonzero count does not prove one block, so the layout comes
+    # from the cache
     shapes = [(2, 3), (3, 2), (2, 2), (4, 4)]
     m = permuted_blocks(rng, shapes, 2, 1)
     _block_layout.cache_clear()
@@ -195,6 +195,44 @@ def test_blocks_cache_stays_within_its_maxsize(rng):
     info = _block_layout.cache_info()
     assert info.misses == LAYOUT_CACHE_SIZE + 5
     assert info.maxsize == info.currsize == LAYOUT_CACHE_SIZE
+
+
+def test_blocks_of_a_stack_stay_inside_their_slices(rng):
+    # a diagonal and a shifted diagonal, laid over one another, are one 6 x 6 block; with
+    # labelled slices and a dense one, every block lies in the slice owner names, and the
+    # groups partition exactly the nonzeros of the slices that are not whole
+    shift = np.roll(np.diag(rng.standard_normal(6)), 1, axis=1)
+    slices = [np.diag(rng.standard_normal(6)), shift, rand_coeffs(rng, 6)]
+    slices += [permuted_blocks(rng, [(2, 3), (3, 2), (1, 1)]) for _ in range(3)]
+    stack = np.stack(slices)
+    groups = list(_blocks(stack))
+    assert [list(owner) for owner, index, _ in groups if index is None] == [[2]]
+    covered = np.zeros(stack.size, dtype=int)
+    for owner, index, blocks in groups[1:]:
+        assert index is not None and len(owner) == len(index)
+        assert np.array_equal(index // 36, np.broadcast_to(owner[:, None, None], index.shape))
+        assert blocks.tobytes() == stack.ravel()[index].tobytes()
+        np.add.at(covered, index.ravel(), 1)
+    want = (stack != 0).astype(int)
+    want[2] = 0
+    assert np.array_equal(covered.reshape(stack.shape), want)
+    assert sum(len(index) for _, index, b in groups[1:] if b.shape[1:] == (1, 1)) == 15
+    assert np.array_equal(op_norm(stack), [op_norm(m) for m in slices])
+
+
+def test_blocks_labels_a_stack_in_one_call(rng):
+    # a dense slice, a band, a slice that is one block on its nonzero lines and a labelled
+    # one: the slices that are not whole take one labelling, and the same pattern a hit
+    slices = [rand_coeffs(rng, 7), np.diag(rng.standard_normal(6), 1),
+              _placed(rng, rand_coeffs(rng, 3)[:2], 7, 7),
+              permuted_blocks(rng, [(2, 3), (3, 2), (2, 2)])]
+    stack = np.stack(slices)
+    _block_layout.cache_clear()
+    first = [g for g in _blocks(stack) if g[1] is not None]
+    assert _block_layout.cache_info()[:2] == (0, 1)  # (hits, misses)
+    _assert_same_groups([g for g in _blocks(stack) if g[1] is not None], first)
+    assert _block_layout.cache_info()[:2] == (1, 1)
+    assert sorted(set(np.concatenate([owner for owner, _, _ in first]).tolist())) == [1, 2, 3]
 
 
 def test_op_norm_two_ones_in_one_row_or_column():
@@ -429,11 +467,11 @@ def _two_blocks(rng, draw, big):
 
 
 def _branch_instances(rng, dtype):
-    """Matrices of every branch of the split, each unpadded: dense (the whole-matrix SVD;
+    """Matrices of each kind of pattern, each unpadded: dense (the whole-matrix SVD;
     each either 11 x 12 or smaller in both dimensions, so no padded slice takes the
     whole-matrix SVD over zero lines), weighted partial permutations (1x1 blocks alone),
     one wide and one tall block on some of the lines, several blocks of three shapes
-    (the labelled layout), and zero."""
+    and zero."""
     draw = lambda *shape: (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                            if dtype is complex else rng.standard_normal(shape))
     out = {"dense": [draw(n, n + 1) for n in range(2, 12)] + [draw(n, n) for n in range(2, 11)],
@@ -458,7 +496,7 @@ def _padded_stack(instances, lead):
 
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_op_norm_of_a_stack_is_each_slice_norm_bit_for_bit(rng, dtype):
-    # every branch alone and all of them in one stack, with two leading axes: each norm is
+    # every kind alone and all of them in one stack, with two leading axes: each norm is
     # the norm of its slice alone and of the unpadded instance it was padded from
     branches = _branch_instances(rng, dtype)
     assert _whole(branches["dense"][0])
