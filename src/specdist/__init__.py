@@ -30,7 +30,7 @@ _API = {
               "weyl_certificate"),
 }
 _HOME = {name: module for module, names in _API.items() for name in names}
-_SUBMODULES = (*_API, "cli", "verify", "zeta")
+_SUBMODULES = (*_API, "admm", "cli", "verify", "zeta")
 
 __all__ = list(_HOME)
 __version__ = "0.1.0"

@@ -217,7 +217,7 @@ def cmd_torus_distance(args) -> int:
 
 
 def _parse_grid(text: str, points: int):
-    from .probes import MAX_SUPPORT, default_grid
+    from .probes import MAX_SUPPORT, check_grid_top, default_grid
 
     try:
         lo, hi = (float(v) for v in text.split(":"))
@@ -225,6 +225,7 @@ def _parse_grid(text: str, points: int):
         lo = hi = math.nan
     if not (math.isfinite(lo) and math.isfinite(hi) and lo >= 1 and hi >= 1):  # no m0 = 0 point
         raise ParameterError(f"--grid expects lo:hi with finite values of at least 1, got {text!r}")
+    check_grid_top(round(max(lo, hi)))  # before default_grid casts the ends to int64
     if points > MAX_SUPPORT:  # all held before deduplication; no more can be distinct
         raise ParameterError(f"--points {points} exceeds the cap MAX_SUPPORT = {MAX_SUPPORT}")
     return default_grid(lo, hi, points)

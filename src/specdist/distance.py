@@ -14,23 +14,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import probes
+from .admm import admm_maximize, rescaled_gap
 from .algebra import MAX_OPERATOR_ENTRIES, MoyalElement
 from .calculus import dz_stencil
 from .errors import ParameterError, UnboundedSupportError, same_theta
-from .lipschitz import ENTRY_BOUND, clip_spectral, commutator_norm, nuclear_norm, op_norm
+from .lipschitz import ENTRY_BOUND, commutator_norm
 from .report import DistanceReport, OptimizeResult
 from .states import SWEEP_BLOCK, MoyalPureState, _check_support, difference_matrix
 
-STALL_ITERS = 50  # admm_maximize stops after this many iterations (5 checks) without a gain
-RELAX = 1.7  # ADMM over-relaxation factor
-# admm_maximize stops once the best value is within GAP_TOL, relative, of its weak-duality
-# bound: 1e-4 is ten times finer than the 1e-3 at which perfbench accepts an optimizer
-# value, and f12 reaches it after 680 iterations where the stall rule alone takes 68,680
-GAP_TOL = 1e-4
-# iterations between two checks: a check takes the iterate's norm (an SVD) and the bound
-# (a solve, two stencils and an SVD), a little more than one iteration's work, and
-# checking every 10th iteration ends a run at most 9 iterations after the gap has closed
-GAP_EVERY = 10
 # optimize_distance runs on Re W when |Im W| <= REAL_KAPPA u M entrywise (u = 2^-53,
 # M = |c1||c1|^T + |c2||c2|^T): for states real up to a global phase and rounded part by
 # part (2u relative from the spec and the normalization), |Im(conj(c_m) c_n)| <= 4u
@@ -189,82 +180,6 @@ def plane_closures(order: int, theta: float):
     return (lambda x: dz_stencil(x, s)), adjoint, solve
 
 
-def admm_maximize(c, apply, adjoint, solve, radius, rho, max_iter):
-    """Maximize Re<c, x> subject to op_norm(apply(x)) <= radius.
-
-    ADMM with over-relaxation RELAX: the splitting variable, a complex matrix, is
-    projected onto the spectral ball by singular-value clipping; solve inverts the
-    Gram of apply and returns a new array, kept without a copy.  One check runs every
-    GAP_EVERY iterations and at iteration max_iter: it rescales the iterate x onto the
-    ball by its norm `op_norm(apply(x))` and keeps it if its value beats the best one.
-    Then the check takes two exits, in this order, and reports converged at either:
-
-    - The stall rule: STALL_ITERS / GAP_EVERY checks in a row fail to beat the best value.
-    - The duality gap: the best value is at least (1 - GAP_TOL) radius ||Y'||_*, with
-      ||.||_* the sum of the singular values (`nuclear_norm`) and Y' = Y +
-      apply(solve(c - adjoint(Y))) the scaled multiplier Y = rho u corrected to a
-      dual certificate.  Proof: solve inverts the Gram on hermitian elements (on the
-      torus, on the real parameters), so Herm(adjoint(apply(solve(r)))) = Herm(r), and
-      Herm(adjoint(Y')) = Herm(c).  Every x the problem admits is hermitian (real), so
-      Re<c, x> = Re<adjoint(Y'), x> = Re<Y', apply(x)> <= ||Y'||_* ||apply(x)|| <=
-      radius ||Y'||_* by von Neumann's trace inequality.  The best value is a feasible
-      value, so it is within GAP_TOL of the optimum of this problem when the exit is
-      taken.  That bounds the truncated problem only, not the distance, so the bound
-      is not reported.
-
-    Every iteration but the last clips; a run that reaches max_iter without an exit ends
-    after its check.  Returns (best x, iterations run, converged).  Deterministic: starts
-    from zero.
-    """
-    best_x = np.zeros_like(c)
-    z = u = np.zeros_like(apply(best_x))
-    c_rho = c / rho
-    best_val, stall, it = 0.0, 0, 0
-    for it in range(1, max_iter + 1):
-        x = solve(c_rho + adjoint(z - u))
-        dx = apply(x)
-        if it % GAP_EVERY == 0 or it == max_iter:
-            sig = op_norm(dx)
-            scaled = float(np.vdot(c, x).real) * (radius / sig) if sig > 0.0 else 0.0
-            if scaled > best_val:
-                best_val, best_x, stall = scaled, x, 0
-            else:
-                stall += GAP_EVERY
-            if stall >= STALL_ITERS:
-                return best_x, it, True
-            w = apply(solve(c_rho - adjoint(u)))  # Y' / rho, by linearity, in one array
-            w += u
-            dual = rho * radius * nuclear_norm(w)
-            del w  # not held through the clip, which peaks the memory of an iteration
-            if best_val >= dual * (1.0 - GAP_TOL):
-                return best_x, it, True
-        if it == max_iter:  # the cap: no iteration reads a further clip
-            break
-        v = RELAX * dx + (1.0 - RELAX) * z + u
-        z = clip_spectral(v, radius)
-        u = v - z
-    return best_x, it, False
-
-
-def rescaled_gap(s1, s2, a, norm, iterations: int, converged: bool,
-                 order: int) -> OptimizeResult:
-    """The gap |s1(c) - s2(c)| of c = a/norm(a), with residual |norm(c) - 1|.
-
-    The distance is the supremum of that gap over self-adjoint c of commutator norm at
-    most 1, and the rescale puts any self-adjoint a on that sphere, up to the rounding
-    the residual measures.  So the value is feasible, a lower bound, wherever the
-    iteration that produced a stopped, converged or not; a zero a gives value and
-    residual 0.  iterations, converged and order pass through to the result.
-    """
-    n = norm(a)
-    if n == 0.0:
-        return OptimizeResult(0.0, iterations, converged, 0.0, order)
-    cert = (1.0 / n) * a
-    value = abs(s1.expect(cert) - s2.expect(cert))
-    residual = abs(norm(cert) - 1.0)
-    return OptimizeResult(float(value), iterations, converged, float(residual), order)
-
-
 def optimize_distance(s1: MoyalPureState, s2: MoyalPureState, order: int,
                       max_iter: int = 100000) -> OptimizeResult:
     """Maximize the evaluation gap over self-adjoint elements of the given order.
@@ -331,19 +246,8 @@ def moyal_report(s1: MoyalPureState, s2: MoyalPureState, order: int = 16,
     if optimize and order >= max(s1.support, s2.support) + 2:
         res = optimize_distance(s1, s2, order, max_iter=max_iter)
 
-    return DistanceReport(
-        theta=theta,
-        order=order,
-        state_a=s1.spec_string(),
-        state_b=s2.spec_string(),
-        certificate_lower=probes.radial_gap(s1, s2),
-        certificate_id=f"radial({max(s1.support, s2.support) - 1})",
-        closed_form=closed,
-        analytic_upper=upper,
-        optimizer_lower=res and res.value,
-        iterations=res and res.iterations,
-        feasibility_residual=res and res.feasibility_residual,
-        converged=res and res.converged,
+    return DistanceReport.of(
+        s1, s2, order, probes.radial_gap(s1, s2),
+        f"radial({max(s1.support, s2.support) - 1})", closed, upper, res,
         divergence=(probes.divergence_flag(probes.spec_of_state(s1), probes.spec_of_state(s2))
-                    if probe else None),
-    )
+                    if probe else None))

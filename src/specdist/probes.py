@@ -39,10 +39,15 @@ def crossover_index(s1: float, s2: float) -> int:
     """Smallest M with the weight gap nonpositive up to M and nonnegative after.
 
     Solved from (M+1)^(s2-s1) = zeta(s1)/zeta(s2) and then adjusted by a local
-    scan so the sign-change postcondition holds exactly.
+    scan so the sign-change postcondition holds exactly.  An estimate of 2^52 or more is
+    refused, a factor 2 below 2^53, where float(m) + 1 stops moving with m and the scan
+    would never end.
     """
     _check_exponents(s1, s2)
     est = (zeta(s1) / zeta(s2)) ** (1.0 / (s2 - s1)) - 1.0
+    if not est < 2.0 ** 52:
+        raise ParameterError(f"exponents {(s1, s2)} put the crossover near {est:.3g}, "
+                             "past 2^52, where the weight gap no longer resolves an index")
     m = max(0, int(math.floor(est)))
     while zeta_weight_gap(m + 1, s1, s2) <= 0.0:
         m += 1
@@ -163,6 +168,12 @@ def spec_of_state(state: MoyalPureState) -> ProbeSpec:
     return ProbeSpec(state.kind, index=state.meta.get("index", 0), s=state.meta.get("s", 0.0))
 
 
+def check_grid_top(top: int) -> None:
+    if top > MAX_SUPPORT - 1:  # the sweep's time is O(top)
+        raise ParameterError(f"grid top {top} exceeds the cap MAX_SUPPORT - 1 = "
+                             f"{MAX_SUPPORT - 1}; choose a smaller grid")
+
+
 def probe_series(spec1: ProbeSpec, spec2: ProbeSpec, m0_grid, theta: float = 1.0) -> np.ndarray:
     """Certificate bound sqrt(theta/2) |F1(m0) - F2(m0)| over a grid of staircase indices.
 
@@ -185,10 +196,7 @@ def probe_series(spec1: ProbeSpec, spec2: ProbeSpec, m0_grid, theta: float = 1.0
         raise ParameterError("the grid of staircase indices m0 is empty")
     if min(grid) < 0:
         raise ParameterError("grid indices must be natural numbers")
-    top = max(grid)
-    if top > MAX_SUPPORT - 1:  # the sweep's time is O(top)
-        raise ParameterError(f"grid top {top} exceeds the cap MAX_SUPPORT - 1 = "
-                             f"{MAX_SUPPORT - 1}; choose a smaller grid")
+    check_grid_top(max(grid))
     x, f = [0.0, 0.0], [0.0, 0.0]  # X and F of each spec
     f_at, prev = {}, -1
     for g in sorted(set(grid)):

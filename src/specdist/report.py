@@ -26,6 +26,16 @@ class DistanceReport(namedtuple(
 
     __slots__ = ()
 
+    @classmethod
+    def of(cls, s1, s2, order, certificate_lower, certificate_id, closed_form, analytic_upper,
+           res=None, divergence=None):
+        """The report on states s1 and s2, which give theta and the spec strings; the four
+        optimizer fields come from the OptimizeResult res, all None where no optimizer ran."""
+        return cls(s1.theta, order, s1.spec_string(), s2.spec_string(), certificate_lower,
+                   certificate_id, closed_form, analytic_upper,
+                   *((res.value, res.iterations, res.feasibility_residual, res.converged)
+                     if res else (None,) * 4), divergence)
+
     @property
     def bracket_width(self) -> float | None:
         if self.analytic_upper is None:

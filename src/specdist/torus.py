@@ -298,20 +298,8 @@ def torus_report(s1: TorusState, s2: TorusState, optimize: bool = False,
     elif optimize:
         res = optimize_torus_distance(s1, s2, box_radius=box_radius, max_iter=max_iter)
 
-    return DistanceReport(
-        theta=theta,
-        order=res.order if res else 0,
-        state_a=s1.spec_string(),
-        state_b=s2.spec_string(),
-        certificate_lower=float(cert_val),
-        certificate_id=cert_id,
-        closed_form=closed,
-        analytic_upper=upper,
-        optimizer_lower=res and res.value,
-        iterations=res and res.iterations,
-        feasibility_residual=res and res.feasibility_residual,
-        converged=res and res.converged,
-    )
+    return DistanceReport.of(s1, s2, res.order if res else 0, float(cert_val), cert_id,
+                             closed, upper, res)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +357,8 @@ def optimize_torus_distance(s1: TorusState, s2: TorusState, box_radius: int | No
                             max_iter: int = 2000) -> OptimizeResult:
     """Maximize the evaluation gap over self-adjoint box-supported elements.
 
-    The plane optimizer's `admm_maximize`, with the spectral constraint on the
-    box restriction of the derivation.  Box norms underestimate the true
+    The plane optimizer's loop, `admm.admm_maximize`, with the spectral constraint on
+    the box restriction of the derivation.  Box norms underestimate the true
     operator norm, so `rescaled_gap` rescales the best iterate by the norm on a
     validation box of radius R + 2; reported values converge to true lower
     bounds as the boxes grow.
@@ -378,7 +366,7 @@ def optimize_torus_distance(s1: TorusState, s2: TorusState, box_radius: int | No
     import numpy as np
 
     from .algebra import MAX_OPERATOR_ENTRIES
-    from .distance import admm_maximize, rescaled_gap
+    from .admm import admm_maximize, rescaled_gap
 
     theta = same_theta(s1, s2)
     ms = [s.m for s in (s1, s2) if s.kind == "vector"]

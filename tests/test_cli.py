@@ -434,13 +434,13 @@ def test_torus_distance_with_optimizer(capsys, monkeypatch):
     # a vector state against the trace has a proved closed form, and two states that
     # read the same coefficients the closed form 0; the optimizer reports either with
     # no iteration, and --box and --max-iter are accepted and unused
-    from specdist import distance, torus
+    from specdist import admm, torus
 
     def refuse(*args, **kwargs):
         raise AssertionError("the optimizer ran on a pair with a closed form")
 
     monkeypatch.setattr(torus, "optimize_torus_distance", refuse)
-    monkeypatch.setattr(distance, "admm_maximize", refuse)
+    monkeypatch.setattr(admm, "admm_maximize", refuse)
     for pair, closed in ((("--m", "1,0"), 1 / np.pi ** 2),
                          (("--a", "tracial", "--b", "phi:3,-4"), 1 / (5 * np.pi ** 2)),
                          (("--a", "phi:1,0", "--b", "phi:-1,0"), 0.0),
@@ -486,6 +486,17 @@ def test_probe_grid_top_above_the_support_cap_exits_one():
     run = _run_subprocess("probe", "--pair=zeta:1.2,basis:0", "--grid=1e2:5e6", "--format=json")
     _assert_clean_parameter_error(run)
     assert "MAX_SUPPORT" in run.stderr and "5000000" in run.stderr
+
+
+def test_probe_grid_end_past_the_int64_range_gets_the_cap_message():
+    # an end of 2^63 or more used to overflow the grid's int64 cast (a numpy
+    # RuntimeWarning) and then be refused as a negative index
+    for grid in ("1e2:1e19", "1e19:1e2"):
+        run = _run_subprocess("probe", "--pair=zeta:1.2,basis:0", f"--grid={grid}")
+        _assert_clean_parameter_error(run)
+        assert "RuntimeWarning" not in run.stderr
+        assert run.stderr == ("error: grid top 10000000000000000000 exceeds the cap "
+                              "MAX_SUPPORT - 1 = 4194303; choose a smaller grid\n")
 
 
 def test_sizes_above_their_caps_are_refused_before_allocating():

@@ -4,12 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from specdist import distance, torus, verify
+from specdist import admm, distance, torus, verify
 from specdist.algebra import MoyalElement, zero
 from specdist.calculus import dz, staircase
-from specdist.distance import (GAP_TOL, admm_maximize, analytic_upper_bound,
-                               band_inverses, basis_distance, moyal_report, optimize_distance,
-                               plane_closures, rescaled_gap)
+from specdist.admm import GAP_TOL, admm_maximize, rescaled_gap
+from specdist.distance import (analytic_upper_bound, band_inverses, basis_distance, moyal_report,
+                               optimize_distance, plane_closures)
 from specdist.errors import ParameterError, UnboundedSupportError
 from specdist.lipschitz import ENTRY_BOUND, clip_spectral, commutator_norm, nuclear_norm, op_norm
 from specdist.probes import radial_gap
@@ -505,7 +505,7 @@ def test_plane_finite_pair_takes_every_clip_svd(monkeypatch):
         clips.append(mat.shape)
         return clip_spectral(mat, radius)
 
-    monkeypatch.setattr(distance, "clip_spectral", counted)
+    monkeypatch.setattr(admm, "clip_spectral", counted)
     res = optimize_distance(finite_state([1.0, 2.0, 3.0], 1.0), basis_state(0, 1.0), 12)
     assert res.iterations == 680  # the gap exit; the stall rule alone takes 68,680
     assert len(clips) == 679
@@ -519,7 +519,7 @@ def test_capped_run_ends_at_its_check_without_a_clip(monkeypatch):
         clips.append(mat.shape)
         return clip_spectral(mat, radius)
 
-    monkeypatch.setattr(distance, "clip_spectral", counted)
+    monkeypatch.setattr(admm, "clip_spectral", counted)
     res = optimize_distance(finite_state([1.0, 2.0, 3.0], 1.0), basis_state(0, 1.0), 12,
                             max_iter=3)
     assert (res.iterations, res.converged, len(clips)) == (3, False, 2)
@@ -535,7 +535,7 @@ def test_admm_takes_the_iterate_norm_only_at_its_checks(monkeypatch):
         norms.append(mat.shape)
         return op_norm(mat)
 
-    monkeypatch.setattr(distance, "op_norm", counted)
+    monkeypatch.setattr(admm, "op_norm", counted)
     res = optimize_distance(finite_state([1.0, 2.0, 3.0], 1.0), basis_state(0, 1.0), 12)
     assert (res.iterations, len(norms)) == (680, 68)
     norms.clear()

@@ -36,12 +36,12 @@ PUBLIC = """
     TorusElement TorusState bicharacter torus_commutator_norm torus_op_norm torus_report
     tracial_state vector_state weyl_certificate
 """.split()
-SUBMODULES = ("algebra", "calculus", "cli", "distance", "errors", "lipschitz", "probes",
+SUBMODULES = ("admm", "algebra", "calculus", "cli", "distance", "errors", "lipschitz", "probes",
               "report", "states", "torus", "verify", "zeta")
 
 # what each subcommand must load besides specdist.cli itself
-_NUMERICS = {"algebra", "calculus", "distance", "errors", "lipschitz", "probes", "report",
-             "states", "zeta"}
+_NUMERICS = {"admm", "algebra", "calculus", "distance", "errors", "lipschitz", "probes",
+             "report", "states", "zeta"}
 _VERIFY = {"algebra", "calculus", "errors", "verify"}
 LOADED = {
     ("ball-check", "--staircase", "5"): {"errors", "algebra", "calculus", "lipschitz"},
@@ -49,6 +49,9 @@ LOADED = {
         {"errors", "algebra", "zeta", "states", "probes"},
     ("moyal-distance", "--a", "basis:0", "--b", "basis:1", "--no-optimize"): _NUMERICS,
     ("torus-distance", "--m", "1,0"): {"errors", "report", "torus"},
+    # the box optimizer (the benchmark's vv job) loads the ADMM, none of the plane's modules
+    ("torus-distance", "--a=phi:1,0", "--b=phi:0,1", "--optimize", "--box", "5"):
+        {"errors", "report", "torus", "algebra", "calculus", "lipschitz", "admm"},
     ("verify", "--suite", "states"): _VERIFY | {"states", "zeta"},
 }
 
@@ -82,7 +85,8 @@ def test_states_load_no_zeta_function():
     assert loaded is False
 
 
-@pytest.mark.parametrize("argv", list(LOADED), ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", list(LOADED),
+                         ids=lambda argv: argv[0] + ("-optimize" if "--optimize" in argv else ""))
 def test_subcommand_loads_only_its_modules(argv):
     code, loaded = _fresh(_RUN_AND_LIST, *argv)
     assert code == 0
@@ -264,6 +268,11 @@ def test_attribute_loads_its_module_on_first_use():
                     "after = sorted(m for m in sys.modules if m.startswith('specdist.'))\n"
                     "print(json.dumps([before, after]))")
     assert loaded == [[], ["specdist.algebra", "specdist.errors"]]
+
+
+def test_submodules_are_the_package_files():
+    src = Path(specdist.__file__).parent
+    assert sorted(SUBMODULES) == sorted(p.stem for p in src.glob("*.py") if p.stem != "__init__")
 
 
 @pytest.mark.parametrize("name", PUBLIC + list(SUBMODULES))

@@ -232,6 +232,20 @@ def test_crossover_masses_balance():
         assert plus == pytest.approx(minus, rel=1e-10)
 
 
+def test_crossover_refuses_an_unresolvable_estimate_before_its_scan(monkeypatch):
+    # (1.01, 1.02) puts the root near 7.1e29, where float(m) + 1 no longer moves with m
+    # and both weight gaps read 0, so a scan from there would never end
+    def scan(*args):
+        raise AssertionError("the crossover scan started")
+
+    monkeypatch.setattr(probes, "zeta_weight_gap", scan)
+    with pytest.raises(ParameterError, match=re.escape("(1.01, 1.02)")):
+        crossover_index(1.01, 1.02)
+    monkeypatch.undo()
+    pairs = [(1.1, 1.3), (1.1, 1.4), (1.2, 1.5), (1.01, 1.25), (1.3, 1.5), (1.05, 1.1)]
+    assert [crossover_index(*p) for p in pairs] == [140, 58, 11, 383878, 6, 596895]
+
+
 def test_crossover_rejects_bad_exponents():
     with pytest.raises(ParameterError):
         crossover_index(1.4, 1.2)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from specdist import distance, torus, verify
-from specdist.distance import admm_maximize
+from specdist import admm, torus, verify
+from specdist.admm import admm_maximize
 from specdist.errors import ParameterError
 from specdist.torus import (TorusElement, _element_from_params, _hermitian_sites, bicharacter,
                             box_matrix, box_shifts, coefficient_bound, deriv, deriv_bar,
@@ -364,13 +364,13 @@ def test_optimizer_matches_the_dense_oracle():
 def test_optimizer_clips_once_per_iteration_before_the_exit(monkeypatch):
     # every iteration clips, except the last, which exits before its clip; a clip that
     # moves nothing returns its input, so the iteration counts are those of dense clips
-    clips, clip = [], distance.clip_spectral
+    clips, clip = [], admm.clip_spectral
 
     def counted(mat, radius):
         clips.append(mat.shape)
         return clip(mat, radius)
 
-    monkeypatch.setattr(distance, "clip_spectral", counted)
+    monkeypatch.setattr(admm, "clip_spectral", counted)
     res = optimize_torus_distance(vector_state(0.37, (1, 0)), vector_state(0.37, (0, 1)),
                                   box_radius=5)
     assert (res.iterations, len(clips)) == (90, 89)  # the stall exit, at a check
