@@ -18,9 +18,13 @@ GAP_TOL = 1e-4
 # (a solve, two stencils and an SVD), a little more than one iteration's work, and
 # checking every 10th iteration ends a run at most 9 iterations after the gap has closed
 GAP_EVERY = 10
+# residual balancing doubles rho when the primal residual exceeds BALANCE_MU times the
+# dual one and halves it in the opposite case: on 28 plane pairs (orders 6-32, theta 0.1
+# to 10) 2 took 7,950 iterations, 3 took 10,550 and 5 took 18,230 (fixed rho 1: 33,560)
+BALANCE_MU = 2.0
 
 
-def admm_maximize(c, apply, adjoint, solve, radius, rho, max_iter):
+def admm_maximize(c, apply, adjoint, solve, radius, rho, max_iter, balance=0):
     """Maximize Re<c, x> subject to op_norm(apply(x)) <= radius.
 
     ADMM with over-relaxation RELAX: the splitting variable, a complex matrix, is
@@ -43,9 +47,20 @@ def admm_maximize(c, apply, adjoint, solve, radius, rho, max_iter):
       taken.  That bounds the truncated problem only, not the distance, so the bound
       is not reported.
 
+    rho is the initial penalty.  With balance > 0 it changes by residual balancing (Boyd
+    et al. 2011, section 3.4.1) at most balance times: at a check, after the clip, with
+    r = ||apply(x) - z|| and s = rho ||adjoint(z - z_prev)|| (Frobenius norms), rho
+    doubles when r > BALANCE_MU s and halves when s > BALANCE_MU r, and the scaled
+    multiplier u = Y / rho and c / rho are rescaled with it.  ADMM whose penalty changes
+    finitely often converges (He, Yang and Wang 2000).  solve inverts the Gram of apply,
+    which does not depend on rho, so nothing is refactored.  The gap exit's proof does
+    not read rho: its certificate is Y' = rho (u + apply(solve(c / rho - adjoint(u))))
+    for the current u and rho, and each candidate is rescaled by its own norm.
+    balance = 0 keeps rho fixed.
+
     Every iteration but the last clips; a run that reaches max_iter without an exit ends
     after its check.  Returns (best x, iterations run, converged).  Deterministic: starts
-    from zero.
+    from zero, and the balancing reads only the iterates.
     """
     best_x = np.zeros_like(c)
     z = u = np.zeros_like(apply(best_x))
@@ -54,7 +69,8 @@ def admm_maximize(c, apply, adjoint, solve, radius, rho, max_iter):
     for it in range(1, max_iter + 1):
         x = solve(c_rho + adjoint(z - u))
         dx = apply(x)
-        if it % GAP_EVERY == 0 or it == max_iter:
+        check = it % GAP_EVERY == 0 or it == max_iter
+        if check:
             sig = op_norm(dx)
             scaled = float(np.vdot(c, x).real) * (radius / sig) if sig > 0.0 else 0.0
             if scaled > best_val:
@@ -72,8 +88,18 @@ def admm_maximize(c, apply, adjoint, solve, radius, rho, max_iter):
         if it == max_iter:  # the cap: no iteration reads a further clip
             break
         v = RELAX * dx + (1.0 - RELAX) * z + u
-        z = clip_spectral(v, radius)
+        z_prev, z = z, clip_spectral(v, radius)
         u = v - z
+        if check and balance > 0:
+            r = np.linalg.norm(dx - z)
+            s = rho * np.linalg.norm(adjoint(z - z_prev))
+            step = 2.0 if r > BALANCE_MU * s else 0.5 if s > BALANCE_MU * r else 1.0
+            if step != 1.0:
+                rho *= step
+                c_rho = c / rho
+                u /= step
+                balance -= 1
+        del z_prev  # not held through the next clip
     return best_x, it, False
 
 

@@ -14,8 +14,10 @@ recorded (`CheckResult.worst`, which verify does not print: a deviation, a signe
 for a one-sided check, None for a boolean one), so that a change can show it checks the
 same instances as before.  With --against, the jobs whose exit code or stdout differ
 from OLD.json are listed, with the fields that differ when both outputs are JSON
-objects, and the exit status is 1 if any differ; then, for information only, the checks
-whose worst moved.  To compare two commits, run the script in a checkout of each.
+objects, and the exit status is 1 if any differ; then, for information only, each
+numeric field's largest relative change over those jobs, with the job it occurs in,
+and the checks whose worst moved.  To compare two commits, run the script in a checkout
+of each.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import random
 import sys
 import tempfile
@@ -83,6 +86,15 @@ def sweep() -> dict:
     return results
 
 
+def _reports(old_stdout: str, new_stdout: str):
+    """Both stdouts as JSON objects, or None when either is not one."""
+    try:
+        r0, r1 = json.loads(old_stdout), json.loads(new_stdout)
+    except ValueError:
+        return None
+    return (r0, r1) if isinstance(r0, dict) and isinstance(r1, dict) else None
+
+
 def differences(old: dict, new: dict) -> list:
     """One line per job whose exit code or stdout differs, or that only one side ran."""
     lines = []
@@ -92,15 +104,33 @@ def differences(old: dict, new: dict) -> list:
         elif old[name][:2] != new[name][:2]:
             (c0, s0), (c1, s1) = old[name][:2], new[name][:2]
             detail = f"exit {c0} -> {c1}" if c0 != c1 else "stdout"
-            try:
-                r0, r1 = json.loads(s0), json.loads(s1)
-            except ValueError:
-                r0 = r1 = None
-            if isinstance(r0, dict) and isinstance(r1, dict):
+            reports = _reports(s0, s1)
+            if reports:
+                r0, r1 = reports
                 keys = sorted(k for k in r0.keys() | r1.keys() if r0.get(k) != r1.get(k))
                 detail += ": " + ", ".join(keys)
             lines.append(f"{name}: {detail}")
     return lines
+
+
+def largest_changes(old: dict, new: dict) -> list:
+    """One line per numeric field that differs between the JSON objects of a job on
+    both sides: its largest relative change (new - old) / |old|, signed, and its job."""
+    largest = {}  # field -> (change, job, old value, new value)
+    for name in sorted(old.keys() & new.keys()):
+        reports = _reports(old[name][1], new[name][1])
+        if reports is None:
+            continue
+        r0, r1 = reports
+        for key in r0.keys() & r1.keys():
+            v0, v1 = r0[key], r1[key]
+            if v0 == v1 or not all(type(v) in (int, float) for v in (v0, v1)):
+                continue
+            change = (v1 - v0) / abs(v0) if v0 else math.copysign(math.inf, v1)
+            if key not in largest or abs(change) > abs(largest[key][0]):
+                largest[key] = (change, name, v0, v1)
+    return [f"{key}: {change:+.3g} at {name} ({v0!r} -> {v1!r})"
+            for key, (change, name, v0, v1) in sorted(largest.items())]
 
 
 def moved(old: dict, new: dict) -> list:
@@ -127,6 +157,9 @@ def run(argv=None) -> int:
     old = json.loads(Path(args.against).read_text())
     lines = differences(old, results)
     print("\n".join(lines + [f"{len(lines)} of {len(results)} jobs differ"]))
+    changes = largest_changes(old, results)
+    print("\n".join(changes + [f"{len(changes)} numeric fields changed, largest relative "
+                                "change each (information only)"]))
     worst = moved(old, results)
     print("\n".join(worst + [f"{len(worst)} checks' worst moved (information only)"]))
     return 1 if lines else 0
