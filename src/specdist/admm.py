@@ -11,8 +11,8 @@ from .report import OptimizeResult
 STALL_ITERS = 50  # admm_maximize stops after this many iterations (5 checks) without a gain
 RELAX = 1.7  # ADMM over-relaxation factor
 # admm_maximize stops once the best value is within GAP_TOL, relative, of its weak-duality
-# bound: 1e-4 is ten times finer than the 1e-3 at which perfbench accepts an optimizer
-# value, and f12 reaches it after 680 iterations where the stall rule alone takes 68,680
+# bound, ten times finer than the 1e-3 at which perfbench accepts an optimizer value; f12
+# reaches it after 190 iterations (680 at rho fixed at 1; the stall rule alone: 68,680)
 GAP_TOL = 1e-4
 # iterations between two checks: a check takes the iterate's norm (an SVD) and the bound
 # (a solve, two stencils and an SVD), a little more than one iteration's work, and

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError, same_theta
+from .errors import Frozen, ParameterError, same_theta
 
 MAX_OPERATOR_ENTRIES = 3e7  # ceiling on the entries of a dense element, optimizer or bound
 
@@ -29,7 +29,7 @@ def check_theta(theta: float) -> None:
         raise ParameterError(f"theta {theta} is too large: 2 theta overflows")
 
 
-class MoyalElement:
+class MoyalElement(Frozen):
     """A finitely supported element: deformation parameter and square coefficient array.
 
     coeffs[..., m, n] is the coefficient of the (m, n) basis function, for one element
@@ -46,13 +46,7 @@ class MoyalElement:
         if c.ndim < 2 or c.shape[-1] != c.shape[-2]:
             raise ParameterError(f"coefficients must be a square matrix, got shape {c.shape}")
         c.flags.writeable = False
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "coeffs", c)
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"MoyalElement is frozen: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
+        super().__init__(theta=theta, coeffs=c)
 
     @property
     def order(self) -> int:

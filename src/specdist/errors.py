@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one theta compatibility rule."""
+"""Exception types shared across the package, the one theta compatibility rule, and the
+one freeze rule of the identity value types (elements and states)."""
 
 
 class ParameterError(ValueError):
@@ -14,3 +15,19 @@ def same_theta(a, b) -> float:
     if a.theta != b.theta:
         raise ParameterError(f"theta differs: {a.theta} vs {b.theta}")
     return a.theta
+
+
+class Frozen:
+    """Base of a slotted type whose fields are set once, by `__init__(**fields)`; setting
+    or deleting any attribute afterwards raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init__(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__

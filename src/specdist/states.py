@@ -7,11 +7,12 @@ sum |c_m|^2 = 1; evaluation reads off sum_{m,n} conj(c_m) c_n a[m, n].
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 
 import numpy as np
 
 from .algebra import MoyalElement, _per_slice, check_theta
-from .errors import ParameterError, same_theta
+from .errors import Frozen, ParameterError, same_theta
 
 NORMALIZATION_TOL = 1e-12
 # largest coefficient vector a basis or zeta state may allocate; the state is the only
@@ -35,10 +36,10 @@ def _check_support(size: int) -> None:
                              f"{MAX_SUPPORT}; choose a smaller index or cut-off")
 
 
-class MoyalPureState:
+class MoyalPureState(Frozen):
     """Vector state given by a unit coefficient sequence, float64 when real (basis and zeta
-    states, real finite weights) and complex128 otherwise, plus construction metadata.
-    States compare by identity."""
+    states, real finite weights) and complex128 otherwise, plus a read-only copy of its
+    construction metadata.  States compare by identity."""
 
     __slots__ = ("theta", "c", "kind", "meta")
 
@@ -54,15 +55,7 @@ class MoyalPureState:
         if not abs(nrm2 - 1.0) <= NORMALIZATION_TOL:  # a NaN norm fails too
             raise ParameterError(f"state is not normalized: sum |c|^2 = {nrm2}")
         c.flags.writeable = False
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "meta", {} if meta is None else meta)
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"MoyalPureState is frozen: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
+        super().__init__(theta=theta, c=c, kind=kind, meta=MappingProxyType(dict(meta or {})))
 
     @property
     def support(self) -> int:

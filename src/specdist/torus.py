@@ -16,7 +16,7 @@ import math
 from collections import namedtuple
 from types import MappingProxyType
 
-from .errors import ParameterError, same_theta
+from .errors import Frozen, ParameterError, same_theta
 from .report import DistanceReport, OptimizeResult
 
 Index = tuple
@@ -35,7 +35,7 @@ def bicharacter(m: Index, n: Index, theta: float) -> complex:
     return cmath.exp(1j * math.pi * math.fmod(theta, 2.0) * (m[0] * n[1] - m[1] * n[0]))
 
 
-class TorusElement:
+class TorusElement(Frozen):
     """Finitely supported Weyl-coefficient map; zero entries are dropped.  Elements
     compare by identity."""
 
@@ -50,13 +50,7 @@ class TorusElement:
             v = complex(c)
             if v != 0:
                 clean[key] = v
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "terms", MappingProxyType(clean))
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"TorusElement is frozen: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
+        super().__init__(theta=theta, terms=MappingProxyType(clean))
 
     @property
     def support_radius(self) -> int:

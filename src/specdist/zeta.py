@@ -38,8 +38,6 @@ def zeta_partial(s: float, k: int) -> float:
     summing, and zeta(s) minus the Euler-Maclaurin tail above, in O(1)."""
     if s <= 1:
         raise ParameterError(f"partial zeta sums are used only for s > 1, got {s}")
-    if k <= 0:
-        return 0.0
     if k <= _DIRECT_TERMS:
         m = np.arange(1, k + 1, dtype=float)
         return float(np.sum((m ** (-s))[::-1]))  # summed smallest-first for accuracy

@@ -132,6 +132,15 @@ def test_elements_are_immutable():
         a.coeffs[0, 0] = 5.0
 
 
+def test_subtraction_adds_minus_one_times_the_other_bit_for_bit(rng):
+    for theta in THETAS:
+        for m, n in ((3, 3), (2, 5), (6, 1)):
+            a, b = (MoyalElement(theta, rand_coeffs(rng, k)) for k in (m, n))
+            diff, want = a - b, a + (-1.0) * b
+            assert diff.theta == want.theta == theta
+            assert diff.coeffs.tobytes() == want.coeffs.tobytes()
+
+
 def test_construction_does_not_freeze_caller_arrays():
     raw = np.eye(3, dtype=complex)
     MoyalElement(1.0, raw)

@@ -246,6 +246,15 @@ def test_crossover_refuses_an_unresolvable_estimate_before_its_scan(monkeypatch)
     assert [crossover_index(*p) for p in pairs] == [140, 58, 11, 383878, 6, 596895]
 
 
+def test_crossover_scans_up_from_an_estimate_below_the_sign_change():
+    # the float estimate floors to 635683520070207, two below the index where the float
+    # weight gap changes sign, so the scan steps up before it checks the sign change
+    s1, s2 = 1.02, 1.04
+    m = crossover_index(s1, s2)
+    assert m == 635683520070209
+    assert zeta_weight_gap(m, s1, s2) <= 0.0 < zeta_weight_gap(m + 1, s1, s2)
+
+
 def test_crossover_rejects_bad_exponents():
     with pytest.raises(ParameterError):
         crossover_index(1.4, 1.2)

@@ -180,6 +180,20 @@ def test_states_never_share_a_writable_array_with_the_caller():
         assert st.c is owned and not owned.flags.writeable
 
 
+@pytest.mark.parametrize("make", [lambda: basis_state(0, 1.0),
+                                  lambda: zeta_state(1.2, 10, 1.0),
+                                  lambda: finite_state([0.6, 0.8], 1.0)],
+                         ids=["basis", "zeta", "finite"])
+def test_state_metadata_is_read_only(make):
+    # basis_distance reads the closed form from meta["index"]; a writable meta would let
+    # spec_string and the closed form name another state than the coefficients hold
+    st = make()
+    before = dict(st.meta)
+    with pytest.raises(TypeError):
+        st.meta["index"] = 5
+    assert st.meta == before
+
+
 def test_spec_strings():
     assert basis_state(3, 1.0).spec_string() == "basis:3"
     assert zeta_state(1.2, 100, 1.0).spec_string() == "zeta:1.2:100"
