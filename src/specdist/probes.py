@@ -39,15 +39,28 @@ def crossover_index(s1: float, s2: float) -> int:
     """Smallest M with the weight gap nonpositive up to M and nonnegative after.
 
     Solved from (M+1)^(s2-s1) = zeta(s1)/zeta(s2) and then adjusted by a local
-    scan so the sign-change postcondition holds exactly.  An estimate of 2^52 or more is
-    refused, a factor 2 below 2^53, where float(m) + 1 stops moving with m and the scan
-    would never end.
+    scan so the sign-change postcondition holds exactly.
+
+    A root x = M + 1 at or past (s2 - s1) 2^48 is refused, where rounding would decide
+    the index.  With u = 2^-52: each weight term x^-s / zeta(s) rounds within 1.5u (pow
+    within one ulp, the quotient half of one) and zeta(s) errs within 2u (at most 1.7u
+    against mpmath on the 0.01 grid of exponents); near the root the terms are within a
+    factor 2, so their difference is exact.  The computed ratio of the terms is thus
+    within E = 7u of the exact one, and the gap's sign can be wrong only where the exact
+    ratio is within E of 1.  One index step moves the ratio by about (s2 - s1)/x, at
+    least 16u below the limit, more than 2E: at most one index is that close, so the
+    scan finds the exact crossover, or its neighbour when the exact ratio is within E of 1
+    there.
     """
     _check_exponents(s1, s2)
-    est = (zeta(s1) / zeta(s2)) ** (1.0 / (s2 - s1)) - 1.0
-    if not est < 2.0 ** 52:
-        raise ParameterError(f"exponents {(s1, s2)} put the crossover near {est:.3g}, "
-                             "past 2^52, where the weight gap no longer resolves an index")
+    ratio = zeta(s1) / zeta(s2)
+    log_root = math.log(ratio) / (s2 - s1)  # log(M + 1), in logs so no power overflows
+    if not log_root < math.log((s2 - s1) * 2.0 ** 48):
+        raise ParameterError(
+            f"exponents {(s1, s2)} put the crossover near 10^{log_root / math.log(10.0):.3g}, "
+            f"past (s2 - s1) 2^48 = {(s2 - s1) * 2.0 ** 48:.3g}, where rounding would "
+            "decide the index")
+    est = ratio ** (1.0 / (s2 - s1)) - 1.0
     m = max(0, int(math.floor(est)))
     while zeta_weight_gap(m + 1, s1, s2) <= 0.0:
         m += 1

@@ -17,7 +17,11 @@ the algebra, calculus and lipschitz suites (but the radial check, whose draw dep
 on a norm) and the distance suite's restriction check draw CHUNK instances at a time,
 stack them by theta, each zero-padded to its group's largest order (exact for every
 identity checked there), and evaluate each identity once per stack.  Violations are
-still recorded in instance order.
+still recorded in instance order.  Their elements are drawn by `draw_element`, with
+`rand_element`'s calls in its order, but kept as the bytes their coefficients are read
+from: `_padded` converts a stack's bytes in one array pass (the top 53 bits of each word
+over 2^53, lo + (hi - lo) u, read as complex, over sqrt(2)), straight into the padded
+stack.  Each step is elementwise, so every coefficient has the bits `rand_element` gives.
 
 Deviations are measured as |x - y| / max(1, |x|, |y|): absolute for small
 quantities, relative above magnitude one.
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
 
 import numpy as np
 
@@ -108,10 +113,8 @@ class Draws:
     def uniform(self, lo: float, hi: float, size=None):
         if size is None:
             return self._r.uniform(lo, hi)
-        # one randbytes call: the top 53 bits of each 64-bit word, the float random() draws
         n = math.prod(size) if isinstance(size, tuple) else size
-        u = (np.frombuffer(self._r.randbytes(8 * n), np.uint64) >> 11) * 2.0 ** -53
-        return (lo + (hi - lo) * u).reshape(size)
+        return _uniform(self.randbytes(8 * n), lo, hi).reshape(size)
 
     def integers(self, lo: int, hi: int):
         return self._r.randrange(lo, hi)
@@ -121,15 +124,57 @@ class Draws:
             return self._r.gauss(0.0, 1.0)
         return np.array([self._r.gauss(0.0, 1.0) for _ in range(size)])
 
+    def randbytes(self, n: int) -> bytes:
+        """The next n bytes of the stream; calls for multiples of 4 bytes (whole 32-bit
+        words) concatenate into one."""
+        return self._r.randbytes(n)
+
+
+def _uniform(raw: bytes, lo: float, hi: float) -> np.ndarray:
+    """lo + (hi - lo) u per 64-bit word of raw, u its top 53 bits times 2^-53: the float
+    random.Random.random() reads from the same word."""
+    return lo + (hi - lo) * ((np.frombuffer(raw, np.uint64) >> 11) * 2.0 ** -53)
+
+
+def _disk(u: np.ndarray) -> np.ndarray:
+    """Coefficients from uniforms in [-1, 1) of shape (..., 2): both parts read as one
+    complex, over sqrt(2)."""
+    return u.view(complex)[..., 0] / math.sqrt(2.0)
+
 
 def rand_coeffs(rng, order: int) -> np.ndarray:
     # entries uniform in the unit disk; both parts in one draw, read as complex
-    return rng.uniform(-1.0, 1.0, (order, order, 2)).view(complex)[..., 0] / math.sqrt(2.0)
+    return _disk(rng.uniform(-1.0, 1.0, (order, order, 2)))
 
 
 def rand_element(rng, theta: float, max_order: int = 16) -> MoyalElement:
     order = int(rng.integers(2, max_order + 1))
     return MoyalElement(theta, rand_coeffs(rng, order))
+
+
+# an element as `draw_element` draws it, its coefficients left as the bytes `rand_coeffs`
+# reads them from, for `_padded` to convert a whole stack's at once
+Drawn = namedtuple("Drawn", "theta order raw")
+
+
+def draw_element(rng: Draws, theta: float, max_order: int = 16, order=None) -> Drawn:
+    """rand_element's draws, or rand_coeffs' at a given order, as a `Drawn`."""
+    if order is None:
+        order = rng.integers(2, max_order + 1)
+    return Drawn(theta, order, rng.randbytes(16 * order * order))
+
+
+def _padded(theta: float, drawn) -> MoyalElement:
+    """The stack of the drawn elements of one theta, each zero-padded to the largest
+    order: all their bytes converted in one array pass, written in order into the
+    leading order x order block of each slice."""
+    orders = np.array([e.order for e in drawn])[:, None, None]
+    n = int(orders.max())
+    cut = np.arange(n)
+    c = np.zeros((len(drawn), n, n), dtype=complex)
+    raw = b"".join(e.raw for e in drawn)
+    c[(cut[:, None] < orders) & (cut < orders)] = _disk(_uniform(raw, -1.0, 1.0).reshape(-1, 2))
+    return MoyalElement(theta, c)
 
 
 THETAS = (0.5, 1.0, 2.0)
@@ -284,10 +329,10 @@ def weyl_certificate_gap(m, theta):
 def _stacked(count, draw, evaluate):
     """Yield (i, row) for i < count in order, row = evaluate's values for instance i.
 
-    The instances draw(i), tuples whose first entry is an element, are drawn CHUNK at a
-    time in order; each chunk's instances of one theta are stacked argument by argument,
-    elements zero-padded to their largest order and any other argument (a number, or an
-    array of one shape) as one array, and evaluate(*stacks) returns one row per slice.
+    The instances draw(i), tuples whose first entry is a `Drawn` element, are drawn CHUNK
+    at a time in order; each chunk's instances of one theta are stacked argument by
+    argument, elements by `_padded` and any other argument (a number, or an array of one
+    shape) as one array, and evaluate(*stacks) returns one row per slice.
     """
     for start in range(0, count, CHUNK):
         chunk = [draw(i) for i in range(start, min(start + CHUNK, count))]
@@ -296,16 +341,8 @@ def _stacked(count, draw, evaluate):
             groups.setdefault(args[0].theta, []).append(k)
         rows = [None] * len(chunk)
         for theta, idx in groups.items():
-            stacks = []
-            for arg in zip(*(chunk[k] for k in idx)):
-                if not isinstance(arg[0], MoyalElement):
-                    stacks.append(np.array(arg))
-                    continue
-                n = max(e.order for e in arg)
-                c = np.zeros((len(arg), n, n), dtype=complex)
-                for j, e in enumerate(arg):
-                    c[j, :e.order, :e.order] = e.coeffs
-                stacks.append(MoyalElement(theta, c))
+            stacks = [_padded(theta, arg) if isinstance(arg[0], Drawn) else np.array(arg)
+                      for arg in zip(*(chunk[k] for k in idx))]
             for k, row in zip(idx, evaluate(*stacks)):
                 rows[k] = row
         yield from enumerate(rows, start)
@@ -313,7 +350,7 @@ def _stacked(count, draw, evaluate):
 
 def _elements(rng, count, max_order=12):
     """draw(i) for `_stacked`: count elements of theta THETAS[i % 3] and order <= max_order."""
-    return lambda i: tuple(rand_element(rng, THETAS[i % 3], max_order) for _ in range(count))
+    return lambda i: tuple(draw_element(rng, THETAS[i % 3], max_order) for _ in range(count))
 
 
 def algebra_suite() -> SuiteResult:
@@ -331,7 +368,7 @@ def algebra_suite() -> SuiteResult:
                          matrix_deviation(*involution_antihomomorphism(a, b)),
                          deviation(*left_multiplication_adjoint(a, b, c))], axis=-1)
 
-    triple = lambda i: tuple(rand_element(rng, THETAS[i % 3]) for _ in range(3))
+    triple = lambda i: tuple(draw_element(rng, THETAS[i % 3]) for _ in range(3))
     for i, row in _stacked(1000, triple, evaluate):
         for check, d in zip(checks, row):
             check.record(i, d, tol)
@@ -341,7 +378,7 @@ def algebra_suite() -> SuiteResult:
              ((0.5, 0.25), (1.5, 0.25)), ((0.0, 0.0), (2.0, 2.0))]
     # termwise monotone only when theta*(m+1/2) >= 1 for every index,
     # i.e. theta >= 2; smaller theta has corner counterexamples
-    single = lambda i: (rand_element(rng, (2.0, 3.0, 4.0)[i % 3], 12),)
+    single = lambda i: (draw_element(rng, (2.0, 3.0, 4.0)[i % 3], 12),)
     above = lambda a: np.stack([sobolev_norm(a, u, v) > sobolev_norm(a, s, t) * (1.0 + 1e-12)
                                 for (u, v), (s, t) in pairs], axis=-1)
     for i, row in _stacked(300, single, above):
@@ -403,14 +440,15 @@ def lipschitz_suite() -> SuiteResult:
         submult.flag(lhs > rhs * (1.0 + 1e-12), f"instance {i}: {lhs} > {rhs}", lhs / rhs - 1.0)
 
     def ratio(i):
-        """Instance i and its best ratio ||a phi|| / ||phi|| over 20 drawn phi."""
-        a = MoyalElement(THETAS[i % 3], rand_coeffs(rng, 8))
-        phis = np.array([rand_coeffs(rng, 8) for _ in range(20)])
-        return a, np.max(np.linalg.norm(a.coeffs @ phis, axis=(-2, -1))
-                         / np.linalg.norm(phis, axis=(-2, -1)))
+        """Instance i: an element of order 8 and the uniforms of its 20 test vectors phi."""
+        return draw_element(rng, THETAS[i % 3], order=8), rng.uniform(-1.0, 1.0, (20, 8, 8, 2))
 
-    def exactness(a, best):
-        """(norm, best, the ratio of the top right singular vector) per instance."""
+    def exactness(a, u):
+        """(norm, best ratio ||a phi|| / ||phi|| over the 20 phi, the ratio of the top
+        right singular vector) per instance."""
+        phis = _disk(u)
+        best = np.max(np.linalg.norm(a.coeffs[:, None] @ phis, axis=(-2, -1))
+                      / np.linalg.norm(phis, axis=(-2, -1)), axis=-1)
         top = np.linalg.svd(a.coeffs)[2][..., :1, :].conj().swapaxes(-1, -2)
         achieved = (np.linalg.norm(a.coeffs @ top, axis=(-2, -1))
                     / np.linalg.norm(top, axis=(-2, -1)))
@@ -530,7 +568,7 @@ def distance_suite() -> SuiteResult:
     # the index and weights were drawn after checking that the element's norm is nonzero,
     # which holds for every drawn element: drawing them with it draws the same instances
     symmetrize = CheckResult("self_adjoint_restriction_lossless", 100)
-    draw = lambda i: (rand_element(rng, THETAS[i % 3], 8), rng.integers(0, 6),
+    draw = lambda i: (draw_element(rng, THETAS[i % 3], 8), rng.integers(0, 6),
                       rng.standard_normal(5) + 1j * rng.standard_normal(5))
     for i, (live, norm_b, abs_g, gb) in _stacked(100, draw, restriction):
         if live:
@@ -645,16 +683,16 @@ def torus_suite() -> SuiteResult:
         theta = thetas[i % len(thetas)]
         a = rand_torus(theta, radius=2, nterms=3)
         a = a + torus.involution(a)  # self-adjoint
-        # any box norm dominates every coefficient that fits in the box, so a
-        # fixed modest box gives a valid (and cheap) rescaling here
-        box = a.support_radius + 3
-        cn = torus.torus_commutator_norm(a, box_radius=box)
+        # a box norm dominates every coefficient in its box: coefficient p of the derivation
+        # is its box matrix's entry (p, 0), at phase 1.  Support + 1 is the smallest box
+        # that box_matrix accepts, and holds every coefficient.
+        cn = torus.torus_commutator_norm(a, box_radius=a.support_radius + 1)
         if cn == 0:
             continue
         a = (1.0 / cn) * a
         worst = max((abs(v) for v in torus.deriv(a).terms.values()), default=0.0)
         worst = max(worst, max((abs(v) for v in torus.deriv_bar(a).terms.values()), default=0.0))
-        bound.flag(worst > 1.0 + 1e-9, f"instance {i}: coefficient {worst}")
+        bound.flag(worst > 1.0 + 1e-9, f"instance {i}: coefficient {worst}", worst - 1.0)
 
     indices = [(m1, m2) for m1 in range(-3, 4) for m2 in range(-3, 4) if (m1, m2) != (0, 0)]
     saturation = CheckResult("certificate_meets_coefficient_bound", len(indices))

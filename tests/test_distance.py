@@ -802,5 +802,6 @@ def test_restriction_check_draws_each_instance_as_one_at_a_time(monkeypatch):
     # its margin: the larger of norm - 1 and |g| - Re of b's gap, which is |g| to rounding
     assert abs(result.checks[-1].worst) <= 1e-12
     for (a, index, w), (coeffs, want_index, want_w) in zip(drawn, want):
-        assert np.array_equal(a.coeffs, coeffs) and index == want_index
+        assert np.array_equal(verify._padded(a.theta, [a]).coeffs[0], coeffs)
+        assert index == want_index
         assert w.tobytes() == want_w.tobytes()

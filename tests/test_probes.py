@@ -246,13 +246,30 @@ def test_crossover_refuses_an_unresolvable_estimate_before_its_scan(monkeypatch)
     assert [crossover_index(*p) for p in pairs] == [140, 58, 11, 383878, 6, 596895]
 
 
-def test_crossover_scans_up_from_an_estimate_below_the_sign_change():
-    # the float estimate floors to 635683520070207, two below the index where the float
-    # weight gap changes sign, so the scan steps up before it checks the sign change
-    s1, s2 = 1.02, 1.04
-    m = crossover_index(s1, s2)
-    assert m == 635683520070209
-    assert zeta_weight_gap(m, s1, s2) <= 0.0 < zeta_weight_gap(m + 1, s1, s2)
+def test_crossover_refuses_a_root_where_rounding_decides_the_index(monkeypatch):
+    # (1.02, 1.04) puts the root near 6.4e14, past 0.02 * 2^48 = 5.6e12: there the float gap
+    # changed sign at 635683520070209, ten above the exact crossover 635683520070199.  The
+    # check runs in logs, so a root past the float range is refused too, not overflowed.
+    def scan(*args):
+        raise AssertionError("the crossover scan started")
+
+    monkeypatch.setattr(probes, "zeta_weight_gap", scan)
+    for pair, limit in (((1.02, 1.04), "5.63e+12"), ((1.001, 1.0011), "2.81e+10")):
+        with pytest.raises(ParameterError, match=re.escape(f"{pair}") + ".* = " + re.escape(limit)):
+            crossover_index(*pair)
+
+
+def test_crossover_scans_up_from_an_estimate_below_the_sign_change(monkeypatch):
+    # the float estimate for (1.025, 1.059) floors to 52565185943, one below the index where
+    # the weight gap changes sign, so the scan steps up once.  The index is the exact
+    # crossover: the root of (M+1)^(s2-s1) = zeta(s1)/zeta(s2) is M + 1 = 52565185945.00002
+    # (mpmath, 50 digits).  Found by a search of the 0.001 grid inside the refusal limit.
+    calls, gap = [], probes.zeta_weight_gap
+    monkeypatch.setattr(probes, "zeta_weight_gap", lambda m, *s: calls.append(m) or gap(m, *s))
+    m = crossover_index(1.025, 1.059)
+    assert m == 52565185944
+    assert calls[:2] == [m, m + 1]  # the estimate's m + 1 read nonpositive, so m stepped up
+    assert gap(m, 1.025, 1.059) <= 0.0 < gap(m + 1, 1.025, 1.059)
 
 
 def test_crossover_rejects_bad_exponents():

@@ -458,6 +458,37 @@ def test_verify_torus_suite_takes_one_box_norm_per_self_adjoint_element(monkeypa
     assert len(calls) == 60
 
 
+def test_verify_coefficient_bound_takes_the_smallest_box_that_holds_every_coefficient(
+        monkeypatch):
+    # the check rescales by the norm at box support + 1, the smallest that box_matrix
+    # accepts; coefficient p of either derivation is that box matrix's entry (p, 0), with
+    # its own modulus, so the norm still dominates every coefficient.  Its margin is the
+    # largest rescaled coefficient minus 1.
+    seen, norm = [], torus.torus_commutator_norm
+
+    def recording(a, box_radius):
+        seen.append((a, box_radius))
+        return norm(a, box_radius)
+
+    monkeypatch.setattr(torus, "torus_commutator_norm", recording)
+    check = verify.torus_suite().checks[4]
+    assert check.name == "derivative_coefficient_bound" and check.passed and len(seen) == 60
+    largest = []
+    for a, r in seen:
+        assert r == a.support_radius + 1
+        with pytest.raises(ParameterError, match="undersized"):
+            box_matrix(a, r - 1)
+        side, scaled = 2 * r + 1, (1.0 / norm(a, r)) * a
+        for d in (deriv(a), deriv_bar(a)):
+            with pytest.raises(ParameterError, match="undersized"):
+                box_matrix(d, r - 1)
+            t = box_matrix(d, r)
+            for (p1, p2), c in d.terms.items():
+                assert abs(t[(p1 + r) * side + p2 + r, r * side + r]) == abs(c)
+        largest += [abs(v) for d in (deriv(scaled), deriv_bar(scaled)) for v in d.terms.values()]
+    assert check.worst == max(largest) - 1.0 and -0.5 < check.worst < 0.0
+
+
 def test_optimizer_size_guard_is_unchanged():
     # refused exactly when npar * 2 (2R+1)^4 > 3e7, with npar = (2 support + 1)^2 - 1 and
     # support 3 max|m| (3 for the tracial state); a state against itself returns right
