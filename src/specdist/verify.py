@@ -440,15 +440,15 @@ def lipschitz_suite() -> SuiteResult:
         submult.flag(lhs > rhs * (1.0 + 1e-12), f"instance {i}: {lhs} > {rhs}", lhs / rhs - 1.0)
 
     def ratio(i):
-        """Instance i: an element of order 8 and the uniforms of its 20 test vectors phi."""
-        return draw_element(rng, THETAS[i % 3], order=8), rng.uniform(-1.0, 1.0, (20, 8, 8, 2))
+        """Instance i and its best ratio ||a phi|| / ||phi|| over 20 phi, drawn as one array
+        (the draws of 20 rand_coeffs calls)."""
+        a = draw_element(rng, THETAS[i % 3], order=8)
+        phis = _disk(rng.uniform(-1.0, 1.0, (20, 8, 8, 2)))
+        return a, np.max(np.linalg.norm(_padded(a.theta, [a]).coeffs @ phis, axis=(-2, -1))
+                         / np.linalg.norm(phis, axis=(-2, -1)))
 
-    def exactness(a, u):
-        """(norm, best ratio ||a phi|| / ||phi|| over the 20 phi, the ratio of the top
-        right singular vector) per instance."""
-        phis = _disk(u)
-        best = np.max(np.linalg.norm(a.coeffs[:, None] @ phis, axis=(-2, -1))
-                      / np.linalg.norm(phis, axis=(-2, -1)), axis=-1)
+    def exactness(a, best):
+        """(norm, best, the ratio of the top right singular vector) per instance."""
         top = np.linalg.svd(a.coeffs)[2][..., :1, :].conj().swapaxes(-1, -2)
         achieved = (np.linalg.norm(a.coeffs @ top, axis=(-2, -1))
                     / np.linalg.norm(top, axis=(-2, -1)))
