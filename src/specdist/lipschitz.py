@@ -24,7 +24,7 @@ from .errors import ParameterError
 
 #: derivative budget of the unit commutator ball; it bounds every derivative coefficient too
 ENTRY_BOUND = 1.0 / np.sqrt(2.0)
-LAYOUT_CACHE_SIZE = 8  #: patterns whose layout `_blocks` keeps; `vv` meets 4, a basis pair 4-10
+LAYOUT_CACHE_SIZE = 8  #: patterns whose layout `_blocks` keeps; `vv` meets 5, a basis pair 4-10
 
 
 @functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)

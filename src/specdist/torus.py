@@ -309,40 +309,95 @@ def _hermitian_sites(support_radius: int):
             if m1 > 0 or (m1 == 0 and m2 > 0)]
 
 
+def _lattice(gens):
+    """Membership test, for ints or integer arrays p1 and p2, of the subgroup of Z^2 that
+    the integer pairs gens span.  Euclid's algorithm on the first coordinates brings it to
+    the basis (a1, a2), (0, b2); p is in it when a1 divides p1 and b2 divides
+    p2 - (p1 / a1) a2, where 0 divides only 0."""
+    a1 = a2 = b2 = 0
+    for g1, g2 in gens:
+        while g1:
+            q = a1 // g1
+            a1, a2, g1, g2 = g1, g2, a1 - q * g1, a2 - q * g2
+        b2 = math.gcd(b2, g2)
+
+    def divides(d, x):
+        return x % d == 0 if d else x == 0
+
+    return lambda p1, p2: divides(a1, p1) & divides(b2, p2 - (p1 // a1 if a1 else 0) * a2)
+
+
 def _element_from_params(x, sites, theta: float) -> TorusElement:
+    """The self-adjoint, half-turn-invariant element with a_p = a_-p = x_i at site i."""
     terms: dict = {}
-    for p, re, im in zip(sites, x[0::2], x[1::2]):
-        terms[p] = re + 1j * im
-        terms[(-p[0], -p[1])] = terms[p].conjugate()
+    for p, c in zip(sites, x):
+        terms[p] = terms[(-p[0], -p[1])] = float(c)
     return TorusElement(theta, terms)
 
 
 def torus_closures(sites, theta: float, box_radius: int):
-    """`admm_maximize`'s (apply, adjoint, solve) for the box restriction of `deriv` on the
-    realified parameters (re, im) of the hermitian sites.  Site p sets the twisted
-    diagonals of p and -p (`box_shifts`), which no other site touches, so the Gram
-    matrix is diagonal, 2 (2 pi)^2 (p1^2 + p2^2) (2R+1-|p1|)(2R+1-|p2|) for both
-    parameters of site p, and solve divides by it."""
+    """`admm_maximize`'s (apply, adjoint, solve) for the box restriction of `deriv` on one
+    real parameter per site p, a_p = a_-p, in the half-turn-folded basis of the box.
+
+    Site p sets the twisted diagonals of p and -p (`box_shifts`), which no other site
+    touches, so the Gram matrix is diagonal, 2 (2 pi)^2 (p1^2 + p2^2) (2R+1-|p1|)(2R+1-|p2|)
+    at site p, and solve divides by it.  deriv's factor k_p = 2i pi (p1 + i p2) is odd in p
+    and a phase is even in (p, n), so the box matrix T satisfies T[-a, -b] = -T[a, b]
+    bit for bit: the -p diagonal is the mirror of the p diagonal, negated.
+
+    apply returns T in the orthonormal basis that pairs e_n with e_-n, P = (e_n + e_-n)/sqrt 2
+    at the larger flat index of the two and D = (e_n - e_-n)/sqrt 2 at the smaller, with
+    e_0 at the centre and every unpaired e_n in place.  The mirror symmetry makes the
+    P -> P and D -> D blocks zero, so only the two others are built, each entry from one
+    pair of terms: T'[a+, b-] = T[a, b] + T[-a, b] and T'[a-, b+] = T[a, b] - T[-a, b] for
+    a, b above the centre, and sqrt 2 T[0, b], sqrt 2 T[a, 0] in e_0's row and column.  The
+    basis is orthonormal, so norms, clips and the Gram are those of T.
+
+    The pairing follows the sites: e_n is paired with e_-n where 2n lies in L, the lattice
+    spanned by 2p and p - q over the sites p, q.  T joins n only to n + p, and the sites and
+    their negatives lie in one coset of L, so the rows of each component of T's nonzero
+    pattern lie in one coset of L, and so do its columns: e_n and e_-n can share a
+    component only when 2n is in L.  So the fold acts inside each block of T, and the
+    clip splits T' into blocks that each lie in one block of T.  Pairing across two blocks
+    that the half-turn swaps would keep their sizes here, as only the P -> D and D -> P
+    entries are written, but would tie them into one set of basis vectors, which any
+    rounding left in a P -> P entry would merge.  adjoint is the transpose of apply on the
+    real parameters."""
     import numpy as np
 
-    n = len(sites)
     k = np.array([2j * np.pi * (p[0] + 1j * p[1]) for p in sites])  # deriv's factor at p
-    rows, cols, phases, counts = box_shifts(sites + [(-p[0], -p[1]) for p in sites],
-                                            theta, box_radius)
-    size = (2 * box_radius + 1) ** 2
-    # the box exceeds the support, so every count is positive, as np.add.reduceat needs
-    flat, starts = rows * size + cols, np.cumsum(counts) - counts
-    gram = np.repeat(2.0 * np.abs(k) ** 2 * counts[:n], 2)
+    rows, cols, phases, counts = box_shifts(sites, theta, box_radius)
+    side = 2 * box_radius + 1
+    size, mid = side * side, side * side // 2
+    gram = 2.0 * np.abs(k) ** 2 * counts
+    # box index i holds n = divmod(i, side) - R, its mirror size - 1 - i holds -n
+    i = np.arange(size)
+    mirror = size - 1 - i
+    hi, lo, sign = np.maximum(i, mirror), np.minimum(i, mirror), np.sign(i - mid)
+    p0 = sites[0]
+    lattice = _lattice([(2 * p0[0], 2 * p0[1])] + [(p[0] - p0[0], p[1] - p0[1]) for p in sites])
+    paired = lattice(*(2 * (np.array(np.divmod(i, side)) - box_radius)))[rows]
+    # the p entry w at (rows, cols) stands for the pair of terms w there and -w at the
+    # mirror; e_r = (P + sign_r D) / sqrt 2 turns the pair into sign_c w at (P_r, D_c)
+    # and sign_r w at (D_r, P_c), with sqrt 2 for the centre's e_0 = P
+    scale = np.where(i == mid, np.sqrt(2.0), 1.0)
+    both = scale[rows] * scale[cols]
+    target = np.concatenate([np.where(paired, hi[rows] * size + lo[cols], rows * size + cols),
+                             np.where(paired, lo[rows] * size + hi[cols],
+                                      mirror[rows] * size + mirror[cols])])
+    factor = np.concatenate([np.where(paired, both * sign[cols], 1.0),
+                             np.where(paired, both * sign[rows], -1.0)])
+    keep = factor != 0.0  # the centre's zero sign: e_0 has no D part
+    param = np.tile(np.repeat(np.arange(len(sites)), counts), 2)[keep]
+    target, weight = target[keep], (factor * np.tile(np.repeat(k, counts) * phases, 2))[keep]
 
-    def apply(x):  # deriv puts k c_p at site p and -k conj(c_p) at -p
-        c = x.view(complex)
+    def apply(x):
         out = np.zeros(size * size, dtype=complex)
-        out[flat] = np.repeat(np.concatenate([k * c, -k * c.conj()]), counts) * phases
+        np.add.at(out, target, weight * x[param])
         return out.reshape(size, size)
 
     def adjoint(y):
-        t = np.add.reduceat(phases * y.ravel()[flat].conj(), starts)
-        return (np.conj(k * t[:n]) - k * t[n:]).view(float)
+        return np.bincount(param, (weight * y.ravel()[target].conj()).real, len(sites))
 
     return apply, adjoint, lambda r: r / gram
 
@@ -356,6 +411,27 @@ def optimize_torus_distance(s1: TorusState, s2: TorusState, box_radius: int | No
     operator norm, so `rescaled_gap` rescales the best iterate by the norm on a
     validation box of radius R + 2; reported values converge to true lower
     bounds as the boxes grow.
+
+    The parameters are one real a_p = a_-p per +/- pair of the sites M + L in the support
+    box, L = {kM + lN : k + l even} (N = M for the trace, where L = 2MZ).  Proof:
+
+    - The half-turn alpha: U^p -> U^-p is a *-automorphism (the bicharacter of -m, -n is
+      that of m, n) with deriv alpha = -alpha deriv, since deriv's factor is odd in p.  The
+      box is invariant under n -> -n, so if T is the box matrix of deriv(a), that of
+      deriv(alpha(a)) is -J T J for the unitary J e_n = e_-n of the box: alpha keeps the
+      box norm of the constraint.  Every state here reads a_M + a_-M or a_0, so
+      F alpha = F for the gap F.  The average of a and alpha(a) is then feasible with the
+      same value, and the optimum may be taken with a_p = a_-p, real for self-adjoint a.
+    - The dual action gamma_t: U^p -> e^{it.p} U^p commutes with deriv and acts on box
+      matrices by conjugation with a diagonal unitary, which the clip commutes with.  On
+      the group Gamma of the t with e^{it.M} = e^{it.N} = e_t in {1, -1}, F gamma_t = e_t F,
+      so the ADMM from zero keeps gamma_t(x) = e_t x for every iterate x: a_p = 0 unless
+      e^{it.(p - M)} = 1 on Gamma, that is unless p - M lies in the annihilator of Gamma.
+      That annihilator is L, the subgroup generated by M - N and 2N.  For M = aG, N = bG
+      with G primitive and g = gcd(a, b), it is 2gGZ when a/g and b/g are both odd and
+      gGZ otherwise.
+
+    `torus_closures` folds the box along the half-turn inside each block of the box matrix.
     """
     import numpy as np
 
@@ -372,25 +448,28 @@ def optimize_torus_distance(s1: TorusState, s2: TorusState, box_radius: int | No
                              f"{support_radius}; the smallest accepted box radius is "
                              f"{support_radius + 2}")
 
-    npar = (2 * support_radius + 1) ** 2 - 1  # 2 len(_hermitian_sites), before it is built
     side = 2 * box_radius + 1
-    # caps the problem size: nothing of this size is stored, but every iteration takes
-    # an SVD of a (2R+1)^2 x (2R+1)^2 box matrix for its norm and a second for its
-    # clip.  Those split into the blocks of the box matrix's nonzero pattern, small
-    # when the iterates live on a sublattice (M = (1, 0) at box 5: 22 blocks of 5 x 6 or
-    # 6 x 5), but iterates spread over the whole lattice can leave one block, and the
-    # cap is for that case.
-    if npar * 2 * side ** 4 > MAX_OPERATOR_ENTRIES:
+    # caps the box SVD work: every iteration takes the SVDs of the blocks of a
+    # (2R+1)^2 x (2R+1)^2 box matrix for its clip and a second set for its norm, and the
+    # blocks grow with the support.  The count (2s+1)^2 - 1, the realified parameters of
+    # the whole support box, is taken before any site is built and keeps the boundary
+    # the guard has had since it capped a stored operator.
+    count = (2 * support_radius + 1) ** 2 - 1
+    if count * 2 * side ** 4 > MAX_OPERATOR_ENTRIES:
         raise ParameterError(
             f"optimizer size guard: support radius {support_radius} with box radius "
-            f"{box_radius} gives {npar} parameters on {side * side}x{side * side} box "
-            "matrices, past the cap on the SVD work; choose smaller radii")
-    sites = _hermitian_sites(support_radius)
-    # phi_M - tau reads Re c_M, the real parameter of the site max(M, -M) (lexicographic)
-    wx = np.zeros(npar)
+            f"{box_radius} gives {side * side}x{side * side} box matrices, past the cap on "
+            "the SVD work; choose smaller radii")
+    if not ms:
+        return OptimizeResult(0.0, 0, True, 0.0, box_radius)
+    m, n = ms[0], ms[-1]
+    reached = _lattice([(m[0] - n[0], m[1] - n[1]), (2 * n[0], 2 * n[1])])
+    sites = [p for p in _hermitian_sites(support_radius) if reached(p[0] - m[0], p[1] - m[1])]
+    # phi_M - tau reads a_M, the parameter of the site max(M, -M) (lexicographic)
+    wx = np.zeros(len(sites))
     for s, sign in ((s1, 1.0), (s2, -1.0)):
         if s.kind == "vector":
-            wx[2 * sites.index(max(s.m, (-s.m[0], -s.m[1])))] += sign
+            wx[sites.index(max(s.m, (-s.m[0], -s.m[1])))] += sign
     if not np.any(wx):
         return OptimizeResult(0.0, 0, True, 0.0, box_radius)
 

@@ -403,11 +403,12 @@ def test_weak_duality_on_the_plane_and_torus_closures(rng):
             c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             check(c, *plane_closures(n, theta), ENTRY_BOUND,
                   lambda: _random_hermitian(rng, n), lambda a: 0.5 * (a + a.conj().T))
-        for support, box in ((1, 3), (2, 5)):
-            sites = torus._hermitian_sites(support)
-            c = rng.standard_normal(2 * len(sites))
+        # whole support boxes (every box index folded) and an axis (the line n2 = 0 alone)
+        for sites, box in ((torus._hermitian_sites(1), 3), (torus._hermitian_sites(2), 5),
+                           ([(1, 0), (2, 0), (3, 0)], 5)):
+            c = rng.standard_normal(len(sites))  # one real parameter a_p = a_-p per site
             check(c, *torus.torus_closures(sites, theta, box), 1.0,
-                  lambda: rng.standard_normal(c.size), lambda a: a)  # real parameters
+                  lambda: rng.standard_normal(c.size), lambda a: a)
 
 
 # (iterations, value) of optimize_distance under the stall rule alone, before the gap exit,

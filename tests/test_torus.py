@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from specdist import admm, torus, verify
+from specdist import admm, lipschitz, torus, verify
 from specdist.admm import admm_maximize
 from specdist.errors import ParameterError
 from specdist.torus import (TorusElement, _element_from_params, _hermitian_sites, bicharacter,
@@ -252,26 +252,85 @@ def test_optimizer_beats_certificate():
     assert res.feasibility_residual < 1e-9
 
 
+def _hermitian_element(x, sites, theta):
+    # the optimizer's former parameters: (re, im) of c_p per site, c_-p = conj(c_p)
+    return TorusElement(theta, {q: c for p, re, im in zip(sites, x[0::2], x[1::2])
+                                for q, c in ((p, re + 1j * im), ((-p[0], -p[1]), re - 1j * im))})
+
+
 def _column_list_operator(sites, theta, box_radius):
     # the torus optimizer's former build: a list of realified columns, stacked and transposed
     cols = []
     for i in range(2 * len(sites)):
         e = np.zeros(2 * len(sites))
         e[i] = 1.0
-        t = box_matrix(deriv(_element_from_params(e, sites, theta)), box_radius)
+        t = box_matrix(deriv(_hermitian_element(e, sites, theta)), box_radius)
         cols.append(np.concatenate([t.real.ravel(), t.imag.ravel()]))
     d = np.array(cols).T
     return d, np.linalg.inv(d.T @ d)
 
 
-# (theta, support radius, box radius) of the closure checks
-CLOSURE_CASES = ((0.37, 1, 3), (0.37, 2, 4), (0.25, 3, 5), (0.5, 3, 7))
+def _lattice_points(m, n, reach=30):
+    # L = {k M + l N : k + l even} by enumeration (N = M for the trace)
+    return {(k * m[0] + l * n[0], k * m[1] + l * n[1])
+            for k in range(-reach, reach + 1) for l in range(-reach, reach + 1) if (k + l) % 2 == 0}
+
+
+def _reachable_sites(m, n, support_radius):
+    lat = _lattice_points(m, n)
+    return [p for p in _hermitian_sites(support_radius) if (p[0] - m[0], p[1] - m[1]) in lat]
+
+
+def _fold_basis(box_radius, paired):
+    # columns of the folded basis: (e_n + e_-n)/sqrt 2 at the larger flat index of the two,
+    # (e_n - e_-n)/sqrt 2 at the smaller, where paired(n); e_n in place elsewhere
+    side = 2 * box_radius + 1
+    size = side * side
+    q = np.zeros((size, size))
+    for i in range(size):
+        j = size - 1 - i
+        n = (i // side - box_radius, i % side - box_radius)
+        if i == j or not paired(n):
+            q[i, i] = 1.0
+        else:
+            hi, lo = max(i, j), min(i, j)
+            q[[hi, lo], i] = math.sqrt(0.5) * np.array([1.0, 1.0 if i == hi else -1.0])
+    return q
+
+
+def _real_column_operator(sites, theta, box_radius, paired):
+    # the column-list operator on the real parameters a_p = a_-p, conjugated by the fold:
+    # column i is Q^T T_i Q for the box matrix T_i of deriv of site i's unit element
+    q = _fold_basis(box_radius, paired)
+    cols = []
+    for i in range(len(sites)):
+        e = np.zeros(len(sites))
+        e[i] = 1.0
+        t = q.T @ box_matrix(deriv(_element_from_params(e, sites, theta)), box_radius) @ q
+        cols.append(np.concatenate([t.real.ravel(), t.imag.ravel()]))
+    return np.array(cols).T, q
+
+
+def _everywhere(n):
+    return True
+
+
+# (theta, sites, box radius, the box indices n folded with -n) of the closure checks: whole
+# support boxes (L = Z^2, every n), the sites of vv (every n), of phi_(1,0) against
+# phi_(2,0) (L = (1,0) Z: the line n2 = 0) and of phi_(1,1) against phi_(1,-2)
+CLOSURE_CASES = (
+    (0.37, _hermitian_sites(1), 3, _everywhere), (0.37, _hermitian_sites(2), 4, _everywhere),
+    (0.25, _hermitian_sites(3), 5, _everywhere), (0.5, _hermitian_sites(3), 7, _everywhere),
+    (0.37, _reachable_sites((1, 0), (0, 1), 3), 5, _everywhere),
+    (0.37, _reachable_sites((1, 0), (2, 0), 3), 5, lambda n: n[1] == 0),
+    (-1.3, _reachable_sites((1, 1), (1, -2), 3), 5,
+     lambda n: (2 * n[0], 2 * n[1]) in _lattice_points((1, 1), (1, -2))))
 
 
 def _gram_closed_form(sites, box_radius):
     side = 2 * box_radius + 1
-    return np.repeat([2 * (2 * np.pi) ** 2 * (p1 * p1 + p2 * p2) * (side - abs(p1))
-                      * (side - abs(p2)) for p1, p2 in sites], 2)
+    return np.array([2 * (2 * np.pi) ** 2 * (p1 * p1 + p2 * p2) * (side - abs(p1))
+                     * (side - abs(p2)) for p1, p2 in sites])
 
 
 def test_box_shifts_fill_one_twisted_diagonal_per_mode():
@@ -293,11 +352,14 @@ def test_box_shifts_fill_one_twisted_diagonal_per_mode():
 
 
 def test_torus_closures_match_the_column_list_operator(rng):
-    for theta, support_radius, box_radius in CLOSURE_CASES:
-        sites = _hermitian_sites(support_radius)
-        d, gram_inv = _column_list_operator(sites, theta, box_radius)
+    for theta, sites, box_radius, paired in CLOSURE_CASES:
+        d, q = _real_column_operator(sites, theta, box_radius, paired)
+        gram_inv = np.linalg.inv(d.T @ d)
         apply, adjoint, solve = torus_closures(sites, theta, box_radius)
         nz = (2 * box_radius + 1) ** 2
+        # the half-turn's even and odd basis vectors: apply never writes even -> even or
+        # odd -> odd, so those entries are exact zeros, not cancellations
+        even, odd = np.all(q == q[::-1], axis=0), np.all(q == -q[::-1], axis=0)
         for _ in range(3):
             x = rng.standard_normal(d.shape[1])
             want = d @ x
@@ -305,6 +367,7 @@ def test_torus_closures_match_the_column_list_operator(rng):
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got.real.ravel() - want[:nz * nz])) <= 1e-12 * scale
             assert np.max(np.abs(got.imag.ravel() - want[nz * nz:])) <= 1e-12 * scale
+            assert not got[np.ix_(even, even)].any() and not got[np.ix_(odd, odd)].any()
             y = rng.standard_normal((nz, nz)) + 1j * rng.standard_normal((nz, nz))
             want = d.T @ np.concatenate([y.real.ravel(), y.imag.ravel()])
             assert np.max(np.abs(adjoint(y) - want)) <= 1e-12 * np.max(np.abs(want))
@@ -314,9 +377,8 @@ def test_torus_closures_match_the_column_list_operator(rng):
 
 
 def test_torus_gram_is_the_closed_form_diagonal():
-    for theta, support_radius, box_radius in CLOSURE_CASES:
-        sites = _hermitian_sites(support_radius)
-        d, _ = _column_list_operator(sites, theta, box_radius)
+    for theta, sites, box_radius, paired in CLOSURE_CASES:
+        d, _ = _real_column_operator(sites, theta, box_radius, paired)
         gram = d.T @ d
         diag = _gram_closed_form(sites, box_radius)
         assert np.max(np.abs(np.diag(gram) - diag)) <= 1e-12 * np.max(diag)
@@ -326,15 +388,30 @@ def test_torus_gram_is_the_closed_form_diagonal():
         assert np.max(np.abs(solve(ones) * diag - 1.0)) <= 1e-14
 
 
-def _dense_torus_optimizer(s1, s2, support_radius, box_radius):
-    # optimize_torus_distance's steps, with closures over the column-list operator
+def test_box_matrix_of_a_half_turn_invariant_element_anticommutes_with_the_half_turn():
+    # T[-a, -b] == -T[a, b] for real a_p = a_-p: -n is the mirrored flat index, deriv's factor
+    # is odd in p and rounds oddly, and a phase is even in (p, n); == is bit for bit up to
+    # the sign of a zero
+    rng = np.random.default_rng(46)
+    for theta in (0.37, -1.3, 2.6, math.sqrt(2) - 1):
+        for support, radius in ((1, 3), (3, 5), (3, 6)):
+            sites = _hermitian_sites(support)
+            a = _element_from_params(rng.standard_normal(len(sites)), sites, theta)
+            assert involution(a).terms == a.terms
+            t = box_matrix(deriv(a), radius)
+            assert np.array_equal(t[::-1, ::-1], -t) and np.count_nonzero(t)
+
+
+def _dense_admm(s1, s2, support_radius, box_radius, max_iter=2000):
+    # optimize_torus_distance's steps on the (re, im) of every site of the support box,
+    # with closures over the column-list operator
     theta = s1.theta
     sites = _hermitian_sites(support_radius)
     d, gram_inv = _column_list_operator(sites, theta, box_radius)
     nz = (2 * box_radius + 1) ** 2
 
     def gap(x):
-        el = _element_from_params(x, sites, theta)
+        el = _hermitian_element(x, sites, theta)
         return float(np.real(s1.expect(el) - s2.expect(el)))
 
     def apply(x):
@@ -344,8 +421,13 @@ def _dense_torus_optimizer(s1, s2, support_radius, box_radius):
     wx = np.array([gap(e) for e in np.eye(d.shape[1])])
     best_x, it, _ = admm_maximize(
         wx, apply, lambda y: d.T @ np.concatenate([y.real.ravel(), y.imag.ravel()]),
-        gram_inv.__matmul__, 1.0, 0.05, 2000)
-    a = _element_from_params(best_x, sites, theta)
+        gram_inv.__matmul__, 1.0, 0.05, max_iter)
+    return best_x, it, sites
+
+
+def _dense_torus_optimizer(s1, s2, support_radius, box_radius):
+    best_x, it, sites = _dense_admm(s1, s2, support_radius, box_radius)
+    a = _hermitian_element(best_x, sites, s1.theta)
     cert = (1.0 / torus_commutator_norm(a, box_radius=box_radius + 2)) * a
     return abs(s1.expect(cert) - s2.expect(cert)), it
 
@@ -382,9 +464,11 @@ def test_optimizer_clips_once_per_iteration_before_the_exit(monkeypatch):
 def test_box_svds_split_along_the_dual_action(monkeypatch):
     # on M = (1, 0) the iterates live on the sites (k, 0) with k odd (the dual action at
     # t = (pi, 0) negates the objective), so a box matrix splits by the line n2 and the
-    # parity of n1: 22 blocks of 5 x 6 or 6 x 5 in the box of radius 5, 30 of 7 x 8 or
-    # 8 x 7 in the validation box, each group taken as 5 x 6 and 7 x 8 by transposing
-    # the tall blocks, where a dense SVD took 121 x 121 and 225 x 225
+    # parity of n1: 22 blocks of 5 x 6 or 6 x 5 in the box of radius 5, where a dense SVD
+    # took 121 x 121.  The half-turn folds the line n2 = 0 alone (L = (2, 0) Z, and 2n is
+    # in L only there), whose two blocks become 3 x 3, 3 x 3, 3 x 2 and 2 x 3; the other 20
+    # lines stay 5 x 6 or 6 x 5.  The validation box takes 30 blocks of 7 x 8 or 8 x 7.  Each
+    # group is taken with its tall blocks transposed.
     shapes, svd = [], np.linalg.svd
 
     def recorded(a, *args, **kwargs):
@@ -394,7 +478,62 @@ def test_box_svds_split_along_the_dual_action(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recorded)
     res = optimize_torus_distance(vector_state(0.25, (1, 0)), tracial_state(0.25), box_radius=5)
     assert res.iterations == 110
-    assert set(shapes) == {(22, 5, 6), (30, 7, 8)}
+    assert set(shapes) == {(20, 5, 6), (2, 3, 3), (2, 2, 3), (30, 7, 8)}
+
+
+# the largest clip block of the unfolded box at box radius 8, theta 0.37, by pair: the
+# lines n2 (or n1) for the parallel pairs, 46 x 51 for (1, 1) against (1, -2)
+UNFOLDED_LARGEST_CLIP = {((1, 0), (2, 0)): (17, 17), ((1, 1), (1, -2)): (46, 51),
+                         ((0, 1), (0, 2)): (17, 17)}
+
+
+def test_the_fold_merges_no_clip_blocks(monkeypatch):
+    # pairs whose components the half-turn swaps: the fold keeps every clip block within
+    # the largest one of the unfolded box.  A fold that builds the P -> P and D -> D blocks
+    # as cancellations leaves rounding there and merges blocks (a dense fold of every n
+    # gave 34 x 34 on the parallel pairs and 90 x 102 on (1, 1) against (1, -2))
+    shapes, clip = [], lipschitz._clip_stack
+
+    def recorded(stack, radius):
+        shapes.append(stack.shape[-2:])
+        return clip(stack, radius)
+
+    monkeypatch.setattr(lipschitz, "_clip_stack", recorded)
+    for (m, n), (p, q) in UNFOLDED_LARGEST_CLIP.items():
+        shapes.clear()
+        optimize_torus_distance(vector_state(0.37, m), vector_state(0.37, n), box_radius=8,
+                                max_iter=60)
+        assert shapes and all(a <= p and b <= q for a, b in shapes)
+        assert any(a * b < p * q for a, b in shapes)  # the line or block the fold halves
+
+
+class _Closures(Exception):
+    pass
+
+
+def test_iterates_reach_exactly_the_sites_m_plus_l(monkeypatch):
+    # the dense oracle, on (re, im) of every site of the support box of radius 3 (box 5, 60
+    # iterations), leaves nonzero exactly the sites M + L, L = {kM + lN : k + l even} (N = M
+    # for the trace); the optimizer hands torus_closures those sites of its own support box
+    seen = []
+
+    def record(sites, *args):
+        seen.append(sites)
+        raise _Closures
+
+    monkeypatch.setattr(torus, "torus_closures", record)
+    theta = 0.37
+    for m, n in (((1, 0), (0, 1)), ((1, 1), (1, -2)), ((2, 0), (0, 2)), ((1, 0), (1, 1)),
+                 ((1, 0), (2, 0)), ((1, 0), None)):
+        s2 = tracial_state(theta) if n is None else vector_state(theta, n)
+        n = n or m
+        best_x, _, sites = _dense_admm(vector_state(theta, m), s2, 3, 5, max_iter=60)
+        nonzero = [p for p, re, im in zip(sites, best_x[0::2], best_x[1::2]) if re or im]
+        assert nonzero == _reachable_sites(m, n, 3)
+        support = 3 * max(map(abs, m + n))
+        with pytest.raises(_Closures):
+            optimize_torus_distance(vector_state(theta, m), s2, box_radius=support + 2)
+        assert seen[-1] == _reachable_sites(m, n, support)
 
 
 def test_split_box_optimizer_keeps_the_iteration_counts():
@@ -415,7 +554,7 @@ def test_validation_box_of_deriv_bar_is_the_adjoint_of_derivs():
         support = int(rng.integers(1, 4))
         sites = _hermitian_sites(support)
         theta = float(rng.uniform(-3.0, 3.0))
-        a = _element_from_params(rng.standard_normal(2 * len(sites)), sites, theta)
+        a = _hermitian_element(rng.standard_normal(2 * len(sites)), sites, theta)
         a = float(rng.uniform(0.1, 10.0)) * a
         assert involution(a).terms == a.terms
         for radius in range(support + 2, support + 5):
